@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Leave-one-out stability of the fitted leading coefficients.
 
-Fits c1 + c0/sqrt(eps) to each bound series on the full sweep and on every
+Fits c1/sqrt(eps) + c0 to each bound series on the full sweep and on every
 subset that drops one gap width.  A fit dominated by the asymptotic term
 should move by well under a percent when any single point is removed; a
 large swing flags that the sweep has not reached the scaling regime.
@@ -17,11 +17,7 @@ import sys
 
 import numpy as np
 
-
-def _fit(eps: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-    design = np.stack((1.0 / np.sqrt(eps), np.ones_like(eps)), axis=-1)
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return float(coef[0]), float(coef[1])
+from gapstress.pipeline import _fit_series
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -34,41 +30,33 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.csv:
         with open(args.csv, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        data = {
-            (int(r["j"]), kind): np.array(
-                [(float(r2["eps"]), float(r2[kind])) for r2 in rows if r2["j"] == r["j"]]
-            )
-            for r in rows
-            for kind in ("upper", "lower")
-        }
+            records = [{k: float(v) for k, v in r.items()} for r in csv.DictReader(fh)]
     else:
         from gapstress import parse_config, sweep_and_fit
 
         cfg = parse_config(args.config)
         swept, _ = sweep_and_fit(cfg, workers=args.workers)
-        data = {
-            (j, kind): np.array(
-                [(r.eps, getattr(r, kind)) for r in swept if r.j == j]
-            )
-            for j in (1, 2)
-            for kind in ("upper", "lower")
-        }
+        records = [{"eps": r.eps, "j": r.j, "upper": r.upper, "lower": r.lower,
+                    "fk_constant": r.fk_constant} for r in swept]
 
-    for (j, kind), series in sorted(data.items()):
-        eps, vals = series[:, 0], series[:, 1]
-        if eps.size < 4:
-            print(f"j={j} {kind}: need at least 4 points for leave-one-out, have {eps.size}")
-            continue
-        c1_full, _ = _fit(eps, vals)
-        swings = []
-        for drop in range(eps.size):
-            keep = np.arange(eps.size) != drop
-            c1_sub, _ = _fit(eps[keep], vals[keep])
-            swings.append((abs(c1_sub - c1_full) / abs(c1_full), eps[drop]))
-        worst, at = max(swings)
-        print(f"j={j} {kind:5s}: c1 = {c1_full:.6f}, "
-              f"worst leave-one-out swing {100 * worst:.4f}% (dropping eps={at:g})")
+    for j in sorted({int(r["j"]) for r in records}):
+        sel = [r for r in records if r["j"] == j]
+        eps = np.array([r["eps"] for r in sel])
+        target = sel[0]["fk_constant"]
+        for kind in ("upper", "lower"):
+            vals = np.array([r[kind] for r in sel])
+            if eps.size < 4:
+                print(f"j={j} {kind}: need at least 4 points for leave-one-out, have {eps.size}")
+                continue
+            c1_full = _fit_series(eps, vals, target).c1
+            swings = []
+            for drop in range(eps.size):
+                keep = np.arange(eps.size) != drop
+                c1_sub = _fit_series(eps[keep], vals[keep], target).c1
+                swings.append((abs(c1_sub - c1_full) / abs(c1_full), eps[drop]))
+            worst, at = max(swings)
+            print(f"j={j} {kind:5s}: c1 = {c1_full:.6f}, "
+                  f"worst leave-one-out swing {100 * worst:.4f}% (dropping eps={at:g})")
     return 0
 
 

@@ -230,8 +230,10 @@ def compute_sweep_row(cfg: RunConfig, eps: float, j: int) -> SweepRow:
     lo = dual_lower(geom, cfg.material, j, cell_spec, path_spec, dual)
     root = np.sqrt(eps)
     mj = m_constant(geom, cfg.material, j)
-    interval_pair = effective_moduli(geom, cfg.material,
-                                     (lo.value, up.value), (lo.value, up.value))
+    # widen by the quadrature errors so the interval holds whatever the
+    # exact test-field energies are
+    bracket = (lo.value - lo.quadrature_err, up.value + up.quadrature_err)
+    interval_pair = effective_moduli(geom, cfg.material, bracket, bracket)
     key = "E_star" if j == 1 else "mu_star"
     return SweepRow(
         eps=eps,

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from gapstress import (
+    Ellipse,
     KellerProfile,
     LameMaterial,
+    QuadratureSpec,
     Region,
     build_dual_stress,
     dual_lower,
@@ -16,11 +19,24 @@ from gapstress import (
     flux_identity_check,
     keller_test_gradient,
     m_constant,
+    make_gap_geometry,
     primal_upper,
     region_classify,
 )
+from gapstress.bounds import _dual_diagnostics, _singular_self_energy
+from gapstress.elasticity import Matrix2, compliance_energy, energy_density
+from gapstress.kernels import KernelContext, singular_stress
+from gapstress.quadrature import integrate_cell
 
 from conftest import CELL_COARSE, CELL_FAST, PATH_FAST, UNIT, disk_geometry
+
+
+def ellipse_geometry(eps: float):
+    """The shipped ellipse cell: semi-axes (1, 2), L2 = 2.5."""
+    return make_gap_geometry(Ellipse(a=1.0, b=2.0), eps=eps, L2=2.5)
+
+
+SHAPES = {"disk": disk_geometry, "ellipse": ellipse_geometry}
 
 
 def test_m_constants_unit_disk():
@@ -126,6 +142,67 @@ def test_primal_upper_j2_lambda_dependence_fades():
     assert gaps[1e-4] < 0.5 * gaps[1e-3]
 
 
+def _keller_density(geom, j: int):
+    """y-density a / (2X) + b X'^2 / (6X) of the Keller energy, scalar in y."""
+    prof = KellerProfile(geom)
+    a, b = (3.0, 1.0) if j == 1 else (1.0, 3.0)  # (lam + 2 mu, mu) for UNIT
+
+    def density(y: float) -> float:
+        X = float(prof.halfwidth(y))
+        Xp = float(prof.halfwidth_deriv(y))
+        return a / (2.0 * X) + b * Xp * Xp / (6.0 * X)
+
+    return density
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("j", [1, 2])
+def test_primal_matches_quadtree_energy_density(shape, j):
+    # the 2D form integrates the full stiffness density of the test field
+    # over the matrix; it is a coarse oracle for the 1D integral in y
+    g = SHAPES[shape](1e-2)
+    prof = KellerProfile(g)
+    res = primal_upper(g, UNIT, j, spec=CELL_FAST)
+    area = integrate_cell(g, lambda p: energy_density(keller_test_gradient(prof, j, p), UNIT),
+                          CELL_FAST)
+    assert area.converged and res.converged
+    assert abs(res.value - area.value) <= area.err_estimate
+
+
+# in the tall cell the tangent extension of X reaches L1 below L2
+PRIMAL_SHAPES = {**SHAPES, "tall disk": lambda eps: disk_geometry(eps, L2=3.0)}
+
+
+@pytest.mark.parametrize("shape", sorted(PRIMAL_SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+def test_primal_matches_scipy_quad(shape, eps, j):
+    g = PRIMAL_SHAPES[shape](eps)
+    breaks = [g.L]
+    y = math.sqrt(eps)
+    while y < g.L2:
+        breaks.append(y)
+        y *= 2.0
+    half, half_err = integrate.quad(_keller_density(g, j), 0.0, g.L2, points=sorted(breaks),
+                                    limit=1000, epsabs=0.0, epsrel=1e-13)
+    oracle, oracle_err = 2.0 * half, 2.0 * half_err
+    res = primal_upper(g, UNIT, j, spec=QuadratureSpec.for_cell(rel_tol=1e-10))
+    assert res.converged
+    assert res.quadrature_err > 0.0
+    miss = abs(res.value - oracle)
+    assert miss <= 1e-10 * oracle
+    assert miss <= res.quadrature_err + oracle_err
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_primal_error_covers_at_coarse_tolerance(j):
+    g = disk_geometry(1e-4)
+    fine = primal_upper(g, UNIT, j, spec=QuadratureSpec.for_cell(rel_tol=1e-10))
+    coarse = primal_upper(g, UNIT, j, spec=CELL_COARSE)
+    assert abs(coarse.value - fine.value) <= coarse.quadrature_err
+    assert coarse.quadrature_err <= 1e-3 * coarse.value
+
+
 @pytest.mark.parametrize("j", [1, 2])
 def test_dual_stress_construction(j):
     g = disk_geometry(1e-3)
@@ -183,6 +260,86 @@ def test_dual_correction_magnitude_stable_across_sweep():
             max(np.abs(sc.a11).max(), np.abs(sc.a12).max(), np.abs(sc.a21).max(), np.abs(sc.a22).max())
         )
     assert max(maxima) / min(maxima) <= 2.0
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("j", [1, 2])
+def test_divergence_check_passes_at_symmetry_sample(shape, j):
+    # at this width the 41 x 41 sample grid has a point a rounding error off
+    # the gap center, where every first derivative of sigma vanishes
+    g = SHAPES[shape](10.0 ** -2.5)
+    dual = build_dual_stress(g, UNIT, j)
+    assert dual.diagnostics.div_residual <= 1e-5
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("j", [1, 2])
+def test_divergence_check_flags_a_divergent_field(shape, j):
+    g = SHAPES[shape](10.0 ** -2.5)
+    dual = build_dual_stress(g, UNIT, j)
+
+    def defective(p):
+        # a uniform divergence of 1e-3 in the first row
+        s = dual.sigma_total(p)
+        return Matrix2(s.a11 + 1e-3 * p[..., 0], s.a12, s.a21, s.a22)
+
+    diag = _dual_diagnostics(g, defective, dual.sigma_c, KernelContext.from_geometry(g, UNIT))
+    assert diag.div_residual > 1e-5
+
+
+def _fibre_self_energy(geom, j: int) -> tuple[float, float]:
+    """Matrix integral of sigma_S : C^-1 sigma_S over vertical fibres.
+
+    At fixed x the upper half of the matrix is [h(x), L2], with h the chord
+    half-height of the inclusion reaching x.  The pair field is mirror
+    symmetric, so its energy density is even in x and in y and one quarter
+    of the cell suffices.
+    """
+    ctx = KernelContext.from_geometry(geom, UNIT)
+    A, B, L1, L2 = geom.half_width, geom.half_height, geom.L1, geom.L2
+
+    def h(x: float) -> float:
+        u = (L1 - abs(x)) / A
+        return B * math.sqrt(max(0.0, 1.0 - u * u))
+
+    def density(y: float, x: float) -> float:
+        return float(compliance_energy(singular_stress(ctx, j, np.array([x, y])), UNIT))
+
+    def fibre(x: float) -> float:
+        return integrate.quad(density, h(x), L2, args=(x,), limit=200,
+                              epsabs=0.0, epsrel=1e-10)[0]
+
+    val, err = integrate.quad(fibre, 0.0, L1, points=[geom.eps / 2.0],
+                              limit=200, epsabs=0.0, epsrel=1e-9)
+    scale4 = 4.0 * m_constant(geom, UNIT, j) ** 2 / geom.eps
+    return scale4 * val, scale4 * err
+
+
+@pytest.mark.parametrize("shape,j", [("disk", 1), ("ellipse", 2)])
+def test_singular_self_energy_matches_fibre_quadrature(shape, j):
+    g = SHAPES[shape](1e-2)
+    oracle, oracle_err = _fibre_self_energy(g, j)
+    res = _singular_self_energy(g, UNIT, j, QuadratureSpec.for_path())
+    assert res.converged
+    miss = abs(res.value - oracle)
+    assert miss <= 1e-8 * oracle
+    assert miss <= res.err_estimate + oracle_err
+
+
+def test_singular_self_energy_pinned_value():
+    # nested-quadrature value at disk eps=1e-4, j=1, to the digits quoted
+    res = _singular_self_energy(disk_geometry(1e-4), UNIT, 1, QuadratureSpec.for_path())
+    assert res.converged
+    miss = abs(res.value - 943.8323583)
+    assert miss <= 1e-7
+    assert miss <= res.err_estimate + 5e-8
+
+
+def test_dual_lower_uses_green_self_energy():
+    g = disk_geometry(1e-3)
+    res = dual_lower(g, UNIT, 1, spec=CELL_COARSE, path_spec=PATH_FAST)
+    ref = _singular_self_energy(g, UNIT, 1, PATH_FAST)
+    assert res.terms["quad_singular"] == ref.value
 
 
 @pytest.mark.parametrize("j,lo", [(1, 0.90), (2, 0.95)])

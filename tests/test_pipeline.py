@@ -195,6 +195,23 @@ def test_sweep_row_deterministic():
     assert r1.csv_line() == r2.csv_line()
 
 
+@pytest.mark.parametrize("j", [1, 2])
+def test_modulus_interval_widened_by_quadrature_error(j):
+    cfg = RunConfig(
+        material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,),
+        rel_tol_cell=1e-3, rel_tol_path=1e-6,
+    )
+    row = compute_sweep_row(cfg, 1e-2, j)
+    key = "E_star" if j == 1 else "mu_star"
+    raw = effective_moduli(disk_geometry(1e-2), UNIT, (row.lower, row.upper),
+                           (row.lower, row.upper))[key]
+    lo, hi = row.modulus_interval
+    assert lo < raw[0] and raw[1] < hi
+    # the map is linear, so the widening is the mapped sum of both errors
+    factor = (raw[1] - raw[0]) / (row.upper - row.lower)
+    assert (hi - lo) - (raw[1] - raw[0]) == pytest.approx(factor * row.quad_err, rel=1e-6)
+
+
 def test_write_csv_reproducible(tmp_path):
     cfg = RunConfig(
         material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,),
