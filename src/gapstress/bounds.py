@@ -289,9 +289,13 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int,
         pts = np.asarray(pts, dtype=float)
         x = pts[..., 0]
         y = pts[..., 1]
-        G = spline(x)
-        top = sig_S_sym(np.stack((x, np.full_like(x, L2)), axis=-1)).apply(_E2)
-        bot = sig_S_sym(np.stack((x, np.full_like(x, -L2)), axis=-1)).apply(_E2)
+        # G and the two edge tractions depend on x alone, and tensor rules
+        # repeat each x along a column, so evaluate them once per distinct x
+        xu, inv = np.unique(x, return_inverse=True)
+        inv = inv.reshape(x.shape)
+        G = spline(xu)[inv]
+        top = sig_S_sym(np.stack((xu, np.full_like(xu, L2)), axis=-1)).apply(_E2)[inv]
+        bot = sig_S_sym(np.stack((xu, np.full_like(xu, -L2)), axis=-1)).apply(_E2)[inv]
         wt_top = ((y + L2) / (2.0 * L2))[..., None]
         wt_bot = ((L2 - y) / (2.0 * L2))[..., None]
         F = -(wt_top * top + wt_bot * bot)

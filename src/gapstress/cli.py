@@ -72,11 +72,18 @@ def _restrict(cfg: RunConfig, eps: float | None) -> RunConfig:
                      rel_tol_path=cfg.rel_tol_path, out=cfg.out)
 
 
+def _warn_unconverged(rows) -> None:
+    for row in rows:
+        if not row.converged:
+            print(f"warning: eps={row.eps:g} j={row.j} did not converge", file=sys.stderr)
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     cfg = _restrict(parse_config(args.config), args.eps)
     eps = cfg.eps_list[0]
     js = (args.j,) if args.j else (1, 2)
     rows = [compute_sweep_row(cfg, eps, j) for j in js]
+    _warn_unconverged(rows)
     geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
     lead = fk_asymptotic(geom, cfg.material)
     dc = derived_constants(cfg.material)
@@ -110,6 +117,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.j:
         rows = [r for r in rows if r.j == args.j]
         fits = {args.j: fits[args.j]}
+    _warn_unconverged(rows)
     out = args.out or cfg.out
     if out:
         write_csv(rows, out)

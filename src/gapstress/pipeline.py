@@ -210,6 +210,7 @@ class SweepRow:
     modulus_interval: tuple[float, float]
     diagnostics: Diagnostics
     quad_err: float
+    converged: bool = True
 
     def csv_line(self) -> str:
         d = self.diagnostics
@@ -246,6 +247,7 @@ def compute_sweep_row(cfg: RunConfig, eps: float, j: int) -> SweepRow:
         modulus_interval=interval_pair[key],
         diagnostics=dual.diagnostics,
         quad_err=up.quadrature_err + lo.quadrature_err,
+        converged=up.converged and lo.converged,
     )
 
 

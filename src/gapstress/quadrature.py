@@ -292,6 +292,34 @@ def _eval_straddle_cells(geom, cells, integrand, k: int, wet_scale: float):
     return v_hi, err, fmax
 
 
+def _split_cells(x1, x2, y1, y2):
+    """Children of the given cells as (x1, x2, y1, y2), and the child count
+    per parent.
+
+    A cell at least 1.4 times wider than tall splits in x, one at least 1.4
+    times taller than wide splits in y, and any other cell splits into four,
+    x fastest within each y half.  Children come in parent order.
+    """
+    wide = (x2 - x1) >= 1.4 * (y2 - y1)
+    tall = ~wide & ((y2 - y1) >= 1.4 * (x2 - x1))
+    quad = ~(wide | tall)
+    mx = (x1 + x2) / 2.0
+    my = (y1 + y2) / 2.0
+    # four child slots per parent; wide and tall cells use only the first two
+    slots = np.stack([
+        np.stack(c, axis=1) for c in (
+            (x1, np.where(tall, x1, mx), x1, mx),
+            (np.where(tall, x2, mx), x2, mx, x2),
+            (y1, np.where(tall, my, y1), my, my),
+            (np.where(wide, y2, my), np.where(quad, my, y2), y2, y2),
+        )
+    ])
+    used = np.ones((x1.size, 4), dtype=bool)
+    used[:, 2:] = quad[:, None]
+    cx1, cx2, cy1, cy2 = slots[:, used]
+    return (cx1, cx2, cy1, cy2), np.where(quad, 4, 2)
+
+
 def integrate_cell(geom: GapGeometry, integrand, spec: QuadratureSpec) -> IntegralResult:
     """Integral of a scalar field over the matrix part of the cell.
 
@@ -361,30 +389,11 @@ def integrate_cell(geom: GapGeometry, integrand, spec: QuadratureSpec) -> Integr
         keep = np.ones(pool_arrays.size, dtype=bool)
         keep[chosen] = False
         sel = pool_arrays[chosen]
-        wide = (sel.x2 - sel.x1) >= 1.4 * (sel.y2 - sel.y1)
-        tall = (sel.y2 - sel.y1) >= 1.4 * (sel.x2 - sel.x1)
-        mx = (sel.x1 + sel.x2) / 2.0
-        my = (sel.y1 + sel.y2) / 2.0
-        cx1, cx2, cy1, cy2, cdep = [], [], [], [], []
-        for i in range(sel.size):
-            if wide[i]:
-                quads = [(sel.x1[i], mx[i], sel.y1[i], sel.y2[i]),
-                         (mx[i], sel.x2[i], sel.y1[i], sel.y2[i])]
-            elif tall[i]:
-                quads = [(sel.x1[i], sel.x2[i], sel.y1[i], my[i]),
-                         (sel.x1[i], sel.x2[i], my[i], sel.y2[i])]
-            else:
-                quads = [(sel.x1[i], mx[i], sel.y1[i], my[i]),
-                         (mx[i], sel.x2[i], sel.y1[i], my[i]),
-                         (sel.x1[i], mx[i], my[i], sel.y2[i]),
-                         (mx[i], sel.x2[i], my[i], sel.y2[i])]
-            for q in quads:
-                cx1.append(q[0]); cx2.append(q[1]); cy1.append(q[2]); cy2.append(q[3])
-                cdep.append(sel.depth[i] + 1)
-        n_children = len(cx1)
+        (cx1, cx2, cy1, cy2), counts = _split_cells(sel.x1, sel.x2, sel.y1, sel.y2)
+        n_children = cx1.size
         fresh = (
-            np.asarray(cx1), np.asarray(cx2), np.asarray(cy1), np.asarray(cy2),
-            np.asarray(cdep, dtype=np.int32),
+            cx1, cx2, cy1, cy2,
+            np.repeat(sel.depth + 1, counts),
             np.arange(seq_counter, seq_counter + n_children, dtype=np.int64),
         )
         seq_counter += n_children

@@ -242,6 +242,42 @@ def test_dual_stress_cancels_edge_traction():
         assert np.abs(traction).max() <= 1e-10 * scale
 
 
+def _sigma_c_per_point(dual, L2, pts):
+    """The correction field evaluated one point at a time, as
+    (..., [c11, c12, c21, c22])."""
+    e2 = np.array([0.0, 1.0])
+    flat = np.asarray(pts, dtype=float).reshape(-1, 2)
+    out = np.empty((flat.shape[0], 4))
+    for n, (x, y) in enumerate(flat):
+        G = dual.G_cache(np.array([x]))[0]
+        top = dual.sigma_S(np.array([[x, L2]])).apply(e2)[0]
+        bot = dual.sigma_S(np.array([[x, -L2]])).apply(e2)[0]
+        F = -((y + L2) / (2.0 * L2) * top + (L2 - y) / (2.0 * L2) * bot)
+        out[n] = (G[0], F[0], G[1], F[1])
+    return out.reshape(np.shape(pts)[:-1] + (4,))
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_sigma_c_matches_per_point_evaluation(j):
+    g = disk_geometry(1e-3)
+    dual = build_dual_stress(g, UNIT, j)
+    # tensor Gauss grid: every x repeats along its column
+    nodes = np.polynomial.legendre.leggauss(8)[0]
+    gx, gy = np.meshgrid(0.02 + 0.01 * nodes, 0.5 + 0.4 * nodes, indexing="ij")
+    tensor = np.stack((gx.ravel(), gy.ravel()), axis=-1)
+    rng = np.random.default_rng(11)
+    scattered = rng.uniform([-g.L1, -g.L2], [g.L1, g.L2], size=(200, 2))
+    scattered = scattered[region_classify(g, scattered) == Region.MATRIX][:50]
+    shaped = np.stack(np.meshgrid(np.linspace(-0.8, 0.8, 4), np.linspace(-1.2, 1.2, 5),
+                                  indexing="ij"), axis=-1)
+    assert shaped.shape == (4, 5, 2)
+    for pts in (tensor, scattered, shaped):
+        sc = dual.sigma_c(pts)
+        got = np.stack((sc.a11, sc.a12, sc.a21, sc.a22), axis=-1)
+        assert got.shape == pts.shape[:-1] + (4,)
+        np.testing.assert_array_equal(got, _sigma_c_per_point(dual, g.L2, pts))
+
+
 def test_dual_correction_magnitude_stable_across_sweep():
     maxima = []
     for eps in (1e-2, 1e-3, 1e-4, 1e-5):

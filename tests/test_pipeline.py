@@ -14,6 +14,7 @@ from gapstress import (
     Ellipse,
     LameMaterial,
     QuadratureError,
+    QuadratureSpec,
     RunConfig,
     VerificationError,
     compute_sweep_row,
@@ -212,6 +213,25 @@ def test_modulus_interval_widened_by_quadrature_error(j):
     assert (hi - lo) - (raw[1] - raw[0]) == pytest.approx(factor * row.quad_err, rel=1e-6)
 
 
+def _cap_cell_depth(monkeypatch):
+    # one bisection below the root panels cannot meet the cell tolerance
+    monkeypatch.setattr(RunConfig, "cell_spec", lambda self: QuadratureSpec.for_cell(
+        rel_tol=self.rel_tol_cell, max_depth=1))
+
+
+def test_sweep_row_flags_non_convergence(monkeypatch):
+    cfg = RunConfig(
+        material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,),
+        rel_tol_cell=1e-3, rel_tol_path=1e-6,
+    )
+    assert compute_sweep_row(cfg, 1e-2, 1).converged
+    _cap_cell_depth(monkeypatch)
+    row = compute_sweep_row(cfg, 1e-2, 1)
+    assert not row.converged
+    # the CSV schema does not carry the flag
+    assert row.csv_line().count(",") == CSV_HEADER.count(",")
+
+
 def test_write_csv_reproducible(tmp_path):
     cfg = RunConfig(
         material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,),
@@ -279,6 +299,22 @@ def test_cli_bounds_writes_csv(config_file, tmp_path, capsys):
     assert len(text.splitlines()) == 2
     printed = capsys.readouterr().out
     assert "j = 2" in printed
+
+
+@pytest.mark.parametrize("command,n_rows", [("bounds", 2), ("sweep", 6)])
+def test_cli_warns_once_per_unconverged_row(command, n_rows, monkeypatch, tmp_path, capsys):
+    p = tmp_path / "s.cfg"
+    p.write_text(GOOD_CONFIG.replace("1e-2, 1e-3", "1e-2, 3e-3, 1e-3"))
+    out = tmp_path / "o.csv"
+    assert cli.main(["bounds", "--config", str(p), "--j", "2", "--out", str(out)]) == 0
+    assert "warning" not in capsys.readouterr().err
+
+    _cap_cell_depth(monkeypatch)
+    assert cli.main([command, "--config", str(p), "--out", str(out)]) == 0
+    warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
+    assert len(warnings) == n_rows
+    assert warnings[0] == "warning: eps=0.01 j=1 did not converge"
+    assert len(out.read_text().splitlines()) == 1 + n_rows
 
 
 def test_cli_sweep_rejects_short_eps_list(config_file, tmp_path):

@@ -16,6 +16,7 @@ from gapstress import (
     integrate_path,
 )
 from gapstress.geometry import Curve, PathSegment
+from gapstress.quadrature import _split_cells
 
 from conftest import disk_geometry
 
@@ -194,6 +195,48 @@ def test_cell_determinism():
     assert r1.value == r2.value
     assert r1.err_estimate == r2.err_estimate
     assert r1.panels_used == r2.panels_used
+
+
+def _split_cells_per_cell(x1, x2, y1, y2, depth):
+    """Cell-by-cell quadtree split: the oracle for the array-op splitter."""
+    cx1, cx2, cy1, cy2, cdep = [], [], [], [], []
+    for i in range(x1.size):
+        mx = (x1[i] + x2[i]) / 2.0
+        my = (y1[i] + y2[i]) / 2.0
+        if (x2[i] - x1[i]) >= 1.4 * (y2[i] - y1[i]):
+            quads = [(x1[i], mx, y1[i], y2[i]), (mx, x2[i], y1[i], y2[i])]
+        elif (y2[i] - y1[i]) >= 1.4 * (x2[i] - x1[i]):
+            quads = [(x1[i], x2[i], y1[i], my), (x1[i], x2[i], my, y2[i])]
+        else:
+            quads = [(x1[i], mx, y1[i], my), (mx, x2[i], y1[i], my),
+                     (x1[i], mx, my, y2[i]), (mx, x2[i], my, y2[i])]
+        for q in quads:
+            cx1.append(q[0]); cx2.append(q[1]); cy1.append(q[2]); cy2.append(q[3])
+            cdep.append(depth[i] + 1)
+    return [np.asarray(c) for c in (cx1, cx2, cy1, cy2)], np.asarray(cdep)
+
+
+def test_split_cells_matches_per_cell_split():
+    rng = np.random.default_rng(3)
+    n = 300
+    x1 = rng.uniform(-1.0, 1.0, n)
+    y1 = rng.uniform(-1.5, 1.5, n)
+    # aspect ratios from 1/4 to 4, plus the 1.4 thresholds exactly
+    ratio = np.concatenate((np.exp(rng.uniform(-np.log(4.0), np.log(4.0), n - 4)),
+                            [1.4, 1.0 / 1.4, 1.0, 1.39]))
+    hy = rng.uniform(1e-4, 0.2, n)
+    x2, y2 = x1 + ratio * hy, y1 + hy
+    depth = rng.integers(0, 20, n).astype(np.int32)
+
+    children, counts = _split_cells(x1, x2, y1, y2)
+    want, want_depth = _split_cells_per_cell(x1, x2, y1, y2, depth)
+    for got_c, want_c in zip(children, want):
+        np.testing.assert_array_equal(got_c, want_c)
+    np.testing.assert_array_equal(np.repeat(depth + 1, counts), want_depth)
+    assert set(counts.tolist()) == {2, 4}
+    wide = (x2 - x1) >= 1.4 * (y2 - y1)
+    tall = (y2 - y1) >= 1.4 * (x2 - x1)
+    assert wide.any() and tall.any() and (~wide & ~tall).any()
 
 
 def test_path_determinism():
