@@ -23,6 +23,7 @@ from .geometry import (
     PathSegment,
     Region,
     boundary_curves,
+    chord_halfheight,
     gap_halfwidth,
     gap_halfwidth_deriv,
     inclusion_boundary,

@@ -113,10 +113,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _restrict(parse_config(args.config), args.eps)
-    rows, fits = sweep_and_fit(cfg, workers=args.workers)
-    if args.j:
-        rows = [r for r in rows if r.j == args.j]
-        fits = {args.j: fits[args.j]}
+    loads = (args.j,) if args.j else (1, 2)
+    rows, fits = sweep_and_fit(cfg, workers=args.workers, loads=loads)
     _warn_unconverged(rows)
     out = args.out or cfg.out
     if out:

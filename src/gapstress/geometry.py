@@ -26,6 +26,7 @@ __all__ = [
     "make_gap_geometry",
     "gap_halfwidth",
     "gap_halfwidth_deriv",
+    "chord_halfheight",
     "region_classify",
     "boundary_curves",
     "inclusion_boundary",
@@ -198,6 +199,19 @@ def gap_halfwidth_deriv(geom: GapGeometry, y) -> np.ndarray:
     return A * y / (B * B * np.sqrt(t))
 
 
+def chord_halfheight(geom: GapGeometry, x) -> np.ndarray:
+    """Half-height h(x) of the inclusion chord at abscissa x, zero in the gap.
+
+    At fixed x the matrix is exactly [-L2, -h(x)] U [h(x), L2].  Near the
+    gap h(x) = sqrt(2 r_osc (|x| - eps/2)) + ..., a square-root onset at
+    |x| = eps/2; the distance d to that onset enters directly, so the chord
+    stays accurate where it is tiny.
+    """
+    x = np.asarray(x, dtype=float)
+    d = (np.abs(x) - geom.eps / 2.0) / geom.half_width
+    return geom.half_height * np.sqrt(np.clip(d * (2.0 - d), 0.0, None))
+
+
 def _scaled_sq_dist(geom: GapGeometry, x, y, center_x: float):
     """((x-cx)/A)^2 + (y/B)^2; value < 1 means inside that inclusion."""
     A = geom.half_width
@@ -338,7 +352,7 @@ def inclusion_boundary(geom: GapGeometry, which: int) -> Curve:
 
 
 # ---------------------------------------------------------------------------
-# exact rectangle tests used by the cell quadrature
+# exact rectangle area and classification, kept as test oracles
 # ---------------------------------------------------------------------------
 
 

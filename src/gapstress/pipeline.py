@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 CSV_HEADER = ("eps,j,upper,lower,upper_scaled,lower_scaled,fk_constant,"
-              "asymmetry_max,bc_residual,div_residual,quad_err")
+              "asymmetry_max,bc_residual,div_residual,quad_err,converged")
 
 
 class ConfigError(Exception):
@@ -219,6 +219,7 @@ class SweepRow:
                 d.bc_residual, d.div_residual, self.quad_err)
         txt = [f"{vals[0]:.17g}", str(self.j)]
         txt += [f"{v:.17g}" for v in vals[1:]]
+        txt.append("1" if self.converged else "0")
         return ",".join(txt)
 
 
@@ -274,13 +275,14 @@ def _fit_series(eps: np.ndarray, values: np.ndarray, target: float) -> SeriesFit
                      rel_dev=abs(c1 - target) / target)
 
 
-def sweep_and_fit(cfg: RunConfig, workers: int = 1
+def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1, 2)
                   ) -> tuple[list[SweepRow], dict[int, dict[str, SeriesFit]]]:
-    """Compute all sweep rows (eps descending, j ascending) and fit both
-    bound series per j against (1/sqrt(eps), 1)."""
+    """Compute the sweep rows of the given loads (eps descending, j
+    ascending) and fit both bound series per j against (1/sqrt(eps), 1)."""
     if len(cfg.eps_list) < 3:
         raise ConfigError("a sweep needs at least 3 gap widths for the fit")
-    payloads = [(cfg, eps, j) for eps in cfg.eps_list for j in (1, 2)]
+    loads = tuple(sorted(set(loads)))
+    payloads = [(cfg, eps, j) for eps in cfg.eps_list for j in loads]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_row_worker, payloads))
@@ -288,7 +290,7 @@ def sweep_and_fit(cfg: RunConfig, workers: int = 1
         rows = [_row_worker(p) for p in payloads]
 
     fits: dict[int, dict[str, SeriesFit]] = {}
-    for j in (1, 2):
+    for j in loads:
         sel = [r for r in rows if r.j == j]
         eps = np.array([r.eps for r in sel])
         target = sel[0].fk_constant

@@ -1,23 +1,35 @@
 """Deterministic adaptive quadrature over boundary curves and the matrix cell.
 
-Both drivers follow the same pattern: evaluate an embedded pair of rules on
-every panel (two Gauss orders on smooth panels, two sampling resolutions on
-boundary-cut cells), then greedily split the panels carrying most of the
-error estimate until the global estimate meets the tolerance or the depth
-cap is reached.  Evaluations are batched across panels, traversal and
-summation order are fixed, and no randomness is used, so repeated runs are
-bit-identical.
+Path integrals evaluate an embedded pair of Gauss orders on every panel, then
+greedily split the panels carrying most of the error estimate until the
+global estimate meets the tolerance or the depth cap is reached.  Matrix
+integrals use the same loop on the x-axis: the matrix is vertically simple,
+so at each outer node the integrand is integrated in y over the exact fibre
+[h(x), L2] and its mirror with one fixed Gauss template.  Evaluations are
+batched across panels, traversal and summation order are fixed, and no
+randomness is used, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .geometry import Curve, GapGeometry, Region, rect_classify, rect_matrix_area, region_classify
+# rect_classify, rect_matrix_area and region_classify are not called here;
+# they stay bound because gapbench's tracer wraps them at their names in this
+# module
+from .geometry import (  # noqa: F401
+    Curve,
+    GapGeometry,
+    _line_segment,
+    chord_halfheight,
+    rect_classify,
+    rect_matrix_area,
+    region_classify,
+)
 
 __all__ = [
     "QuadratureSpec",
@@ -28,10 +40,12 @@ __all__ = [
     "cumulative_line_table",
 ]
 
-_MAX_CELLS = 2_000_000
 _MAX_PATH_PANELS = 262_144
 _MAX_ROUNDS = 400
 _EVAL_CHUNK = 8_192
+_MAX_FIBRE_ROUNDS = 12
+_OUTER_GRADING = 8.0
+_FIBRE_GRADING = 4.0
 
 
 class QuadratureError(RuntimeError):
@@ -42,8 +56,8 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Tolerances and budget caps for one integration call.
 
-    ``max_depth`` counts bisections from a root panel (a quadtree cell is
-    split along its longer side, so two bisections halve both axes).
+    ``max_depth`` counts bisections from a root panel; for a cell integral
+    it caps the outer x panels and the fibre template panels alike.
     """
 
     rel_tol: float = 1e-8
@@ -68,10 +82,13 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """``evals`` counts the integrand points the integral evaluated."""
+
     value: object
     err_estimate: float
     panels_used: int
     converged: bool
+    evals: int = 0
 
 
 @lru_cache(maxsize=32)
@@ -119,30 +136,29 @@ def _eval_path_panels(curve: Curve, integrand, seg: np.ndarray, t0: np.ndarray,
     return out
 
 
-def integrate_path(curve: Curve, integrand, spec: QuadratureSpec) -> IntegralResult:
-    """Adaptive arclength integral of ``integrand(points, normals)``.
+def _adapt_panels(curve: Curve, integrand, spec: QuadratureSpec, seg: np.ndarray,
+                  t0: np.ndarray, t1: np.ndarray, n_est: int | None = None):
+    """Greedy adaptive refinement from the given root panels.
 
-    The integrand may return shape (n,) or (n, m); the result value follows.
-    The error estimate is the sum of per-panel differences between the
-    embedded Gauss pair, a deliberately conservative bound.
+    Only the first ``n_est`` integrand components (all by default) enter the
+    error estimate and the tolerance scale; later ones are carried along.
+    Returns (total, total_err, tol_eff, panels, evals): the panel sum in a
+    fixed order, the summed pair differences, the tolerance they are held
+    to, the final panel count and the number of path nodes evaluated.
     """
-    nseg = len(curve.segments)
-    splits0 = 4
-    seg = np.repeat(np.arange(nseg), splits0)
-    edges = np.linspace(0.0, 1.0, splits0 + 1)
-    t0 = np.tile(edges[:-1], nseg)
-    t1 = np.tile(edges[1:], nseg)
     depth = np.zeros(seg.size, dtype=np.int32)
     order = spec.base_order
 
     lo = _eval_path_panels(curve, integrand, seg, t0, t1, order)
     hi = _eval_path_panels(curve, integrand, seg, t0, t1, 2 * order)
-    err = np.abs(hi - lo).max(axis=1)
+    err = np.abs(hi - lo)[:, :n_est].max(axis=1)
+    evals = 3 * order * seg.size
 
     def effective_tol(total: np.ndarray) -> float:
         # scale by the largest panel contribution, not only the total, so
         # integrals that cancel to zero still terminate
-        scale = max(float(np.abs(total).max()), float(np.abs(hi).max(initial=0.0)))
+        scale = max(float(np.abs(total[:n_est]).max()),
+                    float(np.abs(hi[:, :n_est]).max(initial=0.0)))
         return max(spec.abs_tol, spec.rel_tol * scale)
 
     for _ in range(_MAX_ROUNDS):
@@ -172,7 +188,8 @@ def integrate_path(curve: Curve, integrand, spec: QuadratureSpec) -> IntegralRes
         child_depth = np.repeat(depth[chosen] + 1, 2)
         c_lo = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1, order)
         c_hi = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1, 2 * order)
-        c_err = np.abs(c_hi - c_lo).max(axis=1)
+        c_err = np.abs(c_hi - c_lo)[:, :n_est].max(axis=1)
+        evals += 3 * order * child_seg.size
         seg = np.concatenate((seg[keep], child_seg))
         t0 = np.concatenate((t0[keep], child_t0))
         t1 = np.concatenate((t1[keep], child_t1))
@@ -185,232 +202,172 @@ def integrate_path(curve: Curve, integrand, spec: QuadratureSpec) -> IntegralRes
     final_order = np.lexsort((t0, seg))
     total = _pairwise_total(hi[final_order])
     total_err = float(err.sum())
-    tol_eff = effective_tol(total)
+    return total, total_err, effective_tol(total), int(err.size), evals
+
+
+def integrate_path(curve: Curve, integrand, spec: QuadratureSpec) -> IntegralResult:
+    """Adaptive arclength integral of ``integrand(points, normals)``.
+
+    The integrand may return shape (n,) or (n, m); the result value follows.
+    The error estimate is the sum of per-panel differences between the
+    embedded Gauss pair, a deliberately conservative bound.
+    """
+    nseg = len(curve.segments)
+    splits0 = 4
+    seg = np.repeat(np.arange(nseg), splits0)
+    edges = np.linspace(0.0, 1.0, splits0 + 1)
+    total, total_err, tol_eff, panels, evals = _adapt_panels(
+        curve, integrand, spec, seg, np.tile(edges[:-1], nseg), np.tile(edges[1:], nseg))
     value = total[0] if total.size == 1 else total
     if not np.all(np.isfinite(total)):
         raise QuadratureError("path integral produced a non-finite value")
     return IntegralResult(
         value=float(value) if np.ndim(value) == 0 else value,
         err_estimate=total_err,
-        panels_used=int(err.size),
+        panels_used=panels,
         converged=bool(total_err <= tol_eff),
+        evals=evals,
     )
 
 
 # ---------------------------------------------------------------------------
-# cell integration
+# cell integration on vertical fibres
 # ---------------------------------------------------------------------------
 
 
-def _graded_axis(eps: float, inner: float, outer: float) -> np.ndarray:
-    """Breakpoints 0, sqrt(eps), 2 sqrt(eps), ... up to ``inner``, then ``outer``."""
-    pts = [0.0]
-    step = np.sqrt(eps)
-    v = step
-    while v < inner:
-        pts.append(v)
-        v *= 2.0
-    pts.append(inner)
-    if outer > inner:
-        pts.append((inner + outer) / 2.0)
-        pts.append(outer)
-    vals = np.unique(np.asarray(pts))
-    return np.unique(np.concatenate((-vals[::-1], vals)))
+def _outer_breaks(geom: GapGeometry) -> np.ndarray:
+    """0, +-eps/2 and +-(eps/2 + eps g^k) up to +-L1, g = _OUTER_GRADING.
 
-
-def _root_cells(geom: GapGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    xb = _graded_axis(geom.eps, min(geom.half_width, geom.L1 * 0.75), geom.L1)
-    yb = _graded_axis(geom.eps, min(geom.L, geom.L2 * 0.75), geom.L2)
-    x1, y1 = np.meshgrid(xb[:-1], yb[:-1], indexing="ij")
-    x2, y2 = np.meshgrid(xb[1:], yb[1:], indexing="ij")
-    return x1.ravel(), x2.ravel(), y1.ravel(), y2.ravel()
-
-
-def _eval_matrix_cells(cells, integrand, order: int) -> np.ndarray:
-    x1, x2, y1, y2 = cells
-    nodes, weights = _gauss_rule(order)
-    w2 = weights[:, None] * weights[None, :]
-    out = np.empty(x1.size)
-    chunk = max(_EVAL_CHUNK // (order * order), 1)
-    for s in range(0, x1.size, chunk):
-        sl = slice(s, min(s + chunk, x1.size))
-        cx = (x1[sl] + x2[sl])[:, None] / 2.0
-        hx = (x2[sl] - x1[sl])[:, None] / 2.0
-        cy = (y1[sl] + y2[sl])[:, None] / 2.0
-        hy = (y2[sl] - y1[sl])[:, None] / 2.0
-        gx = cx + hx * nodes[None, :]
-        gy = cy + hy * nodes[None, :]
-        px = np.repeat(gx[:, :, None], order, axis=2)
-        py = np.repeat(gy[:, None, :], order, axis=1)
-        pts = np.stack((px, py), axis=-1).reshape(-1, 2)
-        f = np.asarray(integrand(pts), dtype=float).reshape(-1, order, order)
-        out[sl] = np.einsum("nij,ij->n", f, w2) * (hx[:, 0] * hy[:, 0])
-    return out
-
-
-def _eval_straddle_cells(geom, cells, integrand, k: int, wet_scale: float):
-    """Exact wet area times the sampled wet mean, at resolutions k and 2k."""
-    x1, x2, y1, y2 = cells
-    area = rect_matrix_area(geom, x1, x2, y1, y2)
-    means = []
-    counts_lo = None
-    fmax = wet_scale
-    for kk in (k, 2 * k):
-        t = (np.arange(kk) + 0.5) / kk
-        mean = np.empty(x1.size)
-        counts = np.empty(x1.size, dtype=np.int64)
-        chunk = max(_EVAL_CHUNK // (kk * kk), 1)
-        for s in range(0, x1.size, chunk):
-            sl = slice(s, min(s + chunk, x1.size))
-            gx = x1[sl][:, None] + (x2[sl] - x1[sl])[:, None] * t[None, :]
-            gy = y1[sl][:, None] + (y2[sl] - y1[sl])[:, None] * t[None, :]
-            px = np.repeat(gx[:, :, None], kk, axis=2)
-            py = np.repeat(gy[:, None, :], kk, axis=1)
-            pts = np.stack((px, py), axis=-1).reshape(-1, 2)
-            wet = region_classify(geom, pts) == int(Region.MATRIX)
-            f = np.zeros(pts.shape[0])
-            if np.any(wet):
-                f[wet] = np.asarray(integrand(pts[wet]), dtype=float)
-                fmax = max(fmax, float(np.abs(f[wet]).max()))
-            f = f.reshape(-1, kk * kk)
-            cnt = wet.reshape(-1, kk * kk).sum(axis=1)
-            counts[sl] = cnt
-            mean[sl] = np.where(cnt > 0, f.sum(axis=1) / np.maximum(cnt, 1), 0.0)
-        means.append(mean)
-        if kk == k:
-            counts_lo = counts
-    v_lo = area * means[0]
-    v_hi = area * means[1]
-    # the two sample means share their leading geometric bias, so their
-    # difference understates the fine-grid error; pad by a safety factor
-    err = 8.0 * np.abs(v_hi - v_lo)
-    # a cut cell whose coarse pass saw no matrix samples is not trustworthy;
-    # charge it with its exact wet area at the largest magnitude seen on any
-    # wet sample so far, which keeps a zero field convergent at zero cost
-    blind = counts_lo == 0
-    err = np.where(blind, np.maximum(err, area * fmax), err)
-    return v_hi, err, fmax
-
-
-def _split_cells(x1, x2, y1, y2):
-    """Children of the given cells as (x1, x2, y1, y2), and the child count
-    per parent.
-
-    A cell at least 1.4 times wider than tall splits in x, one at least 1.4
-    times taller than wide splits in y, and any other cell splits into four,
-    x fastest within each y half.  Children come in parent order.
+    The chord half-height has its square-root onset at |x| = eps/2 and the
+    pair field varies on the scale eps next to it, so the root panels grow
+    geometrically away from the onset.
     """
-    wide = (x2 - x1) >= 1.4 * (y2 - y1)
-    tall = ~wide & ((y2 - y1) >= 1.4 * (x2 - x1))
-    quad = ~(wide | tall)
-    mx = (x1 + x2) / 2.0
-    my = (y1 + y2) / 2.0
-    # four child slots per parent; wide and tall cells use only the first two
-    slots = np.stack([
-        np.stack(c, axis=1) for c in (
-            (x1, np.where(tall, x1, mx), x1, mx),
-            (np.where(tall, x2, mx), x2, mx, x2),
-            (y1, np.where(tall, my, y1), my, my),
-            (np.where(wide, y2, my), np.where(quad, my, y2), y2, y2),
-        )
-    ])
-    used = np.ones((x1.size, 4), dtype=bool)
-    used[:, 2:] = quad[:, None]
-    cx1, cx2, cy1, cy2 = slots[:, used]
-    return (cx1, cx2, cy1, cy2), np.where(quad, 4, 2)
+    half = geom.eps / 2.0
+    pts = [0.0, half]
+    step = geom.eps
+    while half + step < geom.L1:
+        pts.append(half + step)
+        step *= _OUTER_GRADING
+    pts.append(geom.L1)
+    pts = np.asarray(pts)
+    return np.concatenate((-pts[:0:-1], pts))
+
+
+def _fibre_template(geom: GapGeometry) -> np.ndarray:
+    """Breakpoints in tau of the fibre y = h + (L2 - h) tau, tau in [0, 1].
+
+    Panels start at sqrt(eps) (the y-scale of the pair field at the gap,
+    in units of the longest fibre) and grow by _FIBRE_GRADING away from the
+    inclusion.
+    """
+    tau = [0.0]
+    step = np.sqrt(geom.eps) / geom.L2
+    while step < 0.5:
+        tau.append(step)
+        step *= _FIBRE_GRADING
+    tau.append(1.0)
+    return np.asarray(tau)
+
+
+def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, order: int,
+                     counter: list[int]):
+    """Outer integrand over x: the Gauss pair on every fibre at once.
+
+    Returns a path integrand giving, per outer node x, the (2 order)-point
+    value of the y-integral over [h(x), L2] and its mirror, followed by the
+    difference between the two orders on each template panel.
+    """
+    a, b = tau[:-1], tau[1:]
+    rules = []
+    for k in (order, 2 * order):
+        nodes, weights = _gauss_rule(k)
+        t = a[:, None] + (b - a)[:, None] * (nodes[None, :] + 1.0) / 2.0
+        rules.append((t.reshape(-1), ((b - a)[:, None] * weights[None, :] / 2.0).reshape(-1)))
+    t_all = np.concatenate((rules[0][0], rules[1][0]))
+    w_lo, w_hi = rules[0][1], rules[1][1]
+    n_panels = a.size
+    m = t_all.size
+
+    def fibres(pts: np.ndarray, _normals: np.ndarray) -> np.ndarray:
+        x = pts[:, 0]
+        h = chord_halfheight(geom, x)
+        length = geom.L2 - h
+        # points are built for whole fibres, upper half then mirror, about
+        # 16 chunks at a time, and reach the integrand in chunks of at most
+        # _EVAL_CHUNK, so memory stays flat
+        f = np.empty((x.size, 2, m))
+        group = max(16 * _EVAL_CHUNK // (2 * m), 1)
+        for s in range(0, x.size, group):
+            y = h[s:s + group, None] + length[s:s + group, None] * t_all[None, :]
+            y = np.stack((y, -y), axis=1)
+            p = np.stack((np.broadcast_to(x[s:s + group, None, None], y.shape), y), axis=-1)
+            p = p.reshape(-1, 2)
+            out = f[s:s + group].reshape(-1)
+            for c in range(0, p.shape[0], _EVAL_CHUNK):
+                out[c:c + _EVAL_CHUNK] = integrand(p[c:c + _EVAL_CHUNK])
+        counter[0] += f.size
+        # the mirror halves share the nodes, so sum them before weighting
+        f = f.sum(axis=1)
+        lo = (f[:, :w_lo.size] * w_lo).reshape(x.size, n_panels, order).sum(axis=2)
+        hi = (f[:, w_lo.size:] * w_hi).reshape(x.size, n_panels, 2 * order).sum(axis=2)
+        return length[:, None] * np.concatenate(
+            (hi.sum(axis=1, keepdims=True), np.abs(hi - lo)), axis=1)
+
+    return fibres
 
 
 def integrate_cell(geom: GapGeometry, integrand, spec: QuadratureSpec) -> IntegralResult:
     """Integral of a scalar field over the matrix part of the cell.
 
-    Quadtree refinement starts from a grid graded toward the gap on both
-    axes.  Cells inside an inclusion are dropped, cells fully in the matrix
-    use a tensor Gauss pair, and cells cut by an inclusion boundary use the
-    exact cut area times a classified midpoint-sample mean.  Cut cells near
-    the gap dominate the work; the greedy splitter chases whatever panels
-    carry the current error estimate.
+    Iterated Gauss quadrature on vertical fibres.  The outer integral over
+    x in [-L1, L1] runs the adaptive path loop on the x-axis from root
+    panels graded geometrically away from the chord onsets at +-eps/2.  At
+    each outer node the inner integral covers [h(x), L2] and its mirror
+    with one panel template for every fibre, so each round hands all
+    fibres to ``integrand`` as (n, 2) points in chunks of at most
+    _EVAL_CHUNK.  Both levels use the base_order / 2 base_order Gauss pair.
+
+    The error estimate is the outer pair's estimate plus the outer-weighted
+    inner pair difference.  The outer loop gets half of the tolerance; while
+    the inner share exceeds the other half, the template panels carrying
+    most of it are bisected and the outer integral is redone.  Integrands
+    that jump inside the matrix converge only slowly this way; the dual
+    fields are smooth there.
     """
-    x1, x2, y1, y2 = _root_cells(geom)
-    fresh = (x1, x2, y1, y2, np.zeros(x1.size, dtype=np.int32), np.arange(x1.size, dtype=np.int64))
-    seq_counter = x1.size
-    wet_scale = 0.0
-    k = spec.base_order
-
-    def eval_fresh(fr):
-        nonlocal wet_scale
-        fx1, fx2, fy1, fy2, fdepth, fseq = fr
-        codes = rect_classify(geom, fx1, fx2, fy1, fy2)
-        keep = codes != 1
-        keep &= codes != 2
-        fx1, fx2, fy1, fy2 = fx1[keep], fx2[keep], fy1[keep], fy2[keep]
-        fdepth, fseq, codes = fdepth[keep], fseq[keep], codes[keep]
-        vals = np.zeros(fx1.size)
-        errs = np.zeros(fx1.size)
-        is_mat = codes == 0
-        if np.any(is_mat):
-            cells = (fx1[is_mat], fx2[is_mat], fy1[is_mat], fy2[is_mat])
-            lo = _eval_matrix_cells(cells, integrand, k)
-            hi = _eval_matrix_cells(cells, integrand, 2 * k)
-            vals[is_mat] = hi
-            errs[is_mat] = np.abs(hi - lo)
-        is_cut = codes == 3
-        if np.any(is_cut):
-            cells = (fx1[is_cut], fx2[is_cut], fy1[is_cut], fy2[is_cut])
-            v, e, wet_scale = _eval_straddle_cells(geom, cells, integrand, k, wet_scale)
-            vals[is_cut] = v
-            errs[is_cut] = e
-        return np.rec.fromarrays(
-            [fx1, fx2, fy1, fy2, fdepth, fseq, vals, errs, is_cut],
-            names=["x1", "x2", "y1", "y2", "depth", "seq", "value", "err", "cut"],
-        )
-
-    def effective_tol(pool, total: float) -> float:
-        scale = max(abs(total), float(np.abs(pool.value).max(initial=0.0)))
-        return max(spec.abs_tol, spec.rel_tol * scale)
-
-    pool_arrays = eval_fresh(fresh)
-    for _ in range(_MAX_ROUNDS):
-        total = _pairwise_total(pool_arrays.value[np.argsort(pool_arrays.seq)])
-        total_err = float(pool_arrays.err.sum())
-        tol_eff = effective_tol(pool_arrays, float(total))
-        splittable = (pool_arrays.depth < spec.max_depth) & (pool_arrays.err > 0.0)
-        if total_err <= tol_eff or not bool(np.any(splittable)):
+    xb = _outer_breaks(geom)
+    x_axis = Curve(segments=(_line_segment((-geom.L1, 0.0), (geom.L1, 0.0), (0.0, 1.0)),))
+    t = (xb + geom.L1) / (2.0 * geom.L1)
+    root_seg = np.zeros(t.size - 1, dtype=np.int64)
+    outer_spec = replace(spec, rel_tol=spec.rel_tol / 2.0, abs_tol=spec.abs_tol / 2.0)
+    tau = _fibre_template(geom)
+    depth = np.zeros(tau.size - 1, dtype=np.int32)
+    counter = [0]
+    for _ in range(_MAX_FIBRE_ROUNDS):
+        fibres = _fibre_integrand(geom, integrand, tau, spec.base_order, counter)
+        total, outer_err, half_tol, panels, _ = _adapt_panels(
+            x_axis, fibres, outer_spec, root_seg, t[:-1], t[1:], n_est=1)
+        if not np.all(np.isfinite(total)):
+            raise QuadratureError("cell integral produced a non-finite value")
+        panel_err = total[1:]
+        inner_err = float(panel_err.sum())
+        splittable = (depth < spec.max_depth) & (panel_err > 0.0)
+        if inner_err <= half_tol or not bool(np.any(splittable)):
             break
-        if pool_arrays.size > _MAX_CELLS:
-            break
-        err = pool_arrays.err
-        order_idx = np.lexsort((pool_arrays.seq, -err))
-        ranked = order_idx[splittable[order_idx]]
-        cum = np.cumsum(err[ranked])
-        need = total_err - 0.5 * tol_eff
-        n_split = min(max(int(np.searchsorted(cum, need) + 1), 1), ranked.size, 32768)
-        chosen = ranked[:n_split]
-        chosen = chosen[np.argsort(pool_arrays.seq[chosen])]
-        keep = np.ones(pool_arrays.size, dtype=bool)
-        keep[chosen] = False
-        sel = pool_arrays[chosen]
-        (cx1, cx2, cy1, cy2), counts = _split_cells(sel.x1, sel.x2, sel.y1, sel.y2)
-        n_children = cx1.size
-        fresh = (
-            cx1, cx2, cy1, cy2,
-            np.repeat(sel.depth + 1, counts),
-            np.arange(seq_counter, seq_counter + n_children, dtype=np.int64),
-        )
-        seq_counter += n_children
-        children = eval_fresh(fresh)
-        pool_arrays = np.concatenate((pool_arrays[keep], children)).view(np.recarray)
-
-    order_final = np.argsort(pool_arrays.seq)
-    total = float(_pairwise_total(pool_arrays.value[order_final]))
-    total_err = float(pool_arrays.err.sum())
-    tol_eff = effective_tol(pool_arrays, total)
-    if not np.isfinite(total):
-        raise QuadratureError("cell integral produced a non-finite value")
+        # bisect the worst template panels until the rest fits in half the share
+        ranked = np.lexsort((np.arange(depth.size), -panel_err))
+        ranked = ranked[splittable[ranked]]
+        n_split = int(np.searchsorted(np.cumsum(panel_err[ranked]), inner_err - 0.5 * half_tol)) + 1
+        split = np.zeros(depth.size, dtype=bool)
+        split[ranked[:n_split]] = True
+        tau = np.sort(np.concatenate((tau, (tau[:-1][split] + tau[1:][split]) / 2.0)))
+        depth = np.repeat(depth + split, np.where(split, 2, 1))
+    total_err = outer_err + inner_err
     return IntegralResult(
-        value=total,
+        value=float(total[0]),
         err_estimate=total_err,
-        panels_used=int(pool_arrays.size),
-        converged=bool(total_err <= tol_eff),
+        panels_used=panels,
+        converged=bool(total_err <= 2.0 * half_tol),
+        evals=counter[0],
     )
 
 

@@ -1,6 +1,7 @@
 """Primal and dual energy bounds on the gap cell."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from gapstress import (
     region_classify,
 )
 from gapstress.bounds import _dual_diagnostics, _singular_self_energy
-from gapstress.elasticity import Matrix2, compliance_energy, energy_density
+from gapstress.elasticity import Matrix2, compliance_contract, compliance_energy, energy_density
 from gapstress.kernels import KernelContext, singular_stress
 from gapstress.quadrature import integrate_cell
 
@@ -360,6 +361,59 @@ def test_singular_self_energy_matches_fibre_quadrature(shape, j):
     miss = abs(res.value - oracle)
     assert miss <= 1e-8 * oracle
     assert miss <= res.err_estimate + oracle_err
+
+
+@functools.lru_cache(maxsize=None)
+def _cubature_dual_terms(shape: str, j: int):
+    """q_cc and q_sc of the dual stress by scipy's adaptive cubature.
+
+    The densities are even in x and in y, so one quarter of the matrix
+    suffices.  It is mapped onto unit squares in (x, tau) with y = h(x) +
+    (L2 - h(x)) tau, and x = eps/2 + (L1 - eps/2) s^2 beyond the gap, which
+    removes the square-root onset of the chord h.  Returns the dual stress,
+    the values (q_cc, q_sc) and their error estimates.
+    """
+    geom = SHAPES[shape](1e-2)
+    dual = build_dual_stress(geom, UNIT, j, QuadratureSpec.for_cell())
+    A, B, L1, L2 = geom.half_width, geom.half_height, geom.L1, geom.L2
+    half = geom.eps / 2.0
+
+    def densities(x, y):
+        p = np.stack((x, y), axis=-1)
+        sc = dual.sigma_c(p)
+        return np.stack((compliance_energy(sc, UNIT),
+                         compliance_contract(dual.sigma_S(p), sc, UNIT)), axis=-1)
+
+    def gap(u):
+        return L2 * densities(u[:, 0], L2 * u[:, 1])
+
+    def beside_gap(u):
+        s, tau = u[:, 0], u[:, 1]
+        x = half + (L1 - half) * s * s
+        h = B * np.sqrt(np.clip(1.0 - ((L1 - x) / A) ** 2, 0.0, None))
+        jac = 2.0 * s * (L1 - half) * (L2 - h)
+        return densities(x, h + (L2 - h) * tau) * jac[:, None]
+
+    parts = [integrate.cubature(gap, [0.0, 0.0], [half, 1.0], rtol=1e-10, atol=0.0),
+             integrate.cubature(beside_gap, [0.0, 0.0], [1.0, 1.0], rtol=1e-10, atol=0.0)]
+    assert all(p.status == "converged" for p in parts)
+    value = 4.0 * sum(p.estimate for p in parts)
+    err = 4.0 * sum(p.error for p in parts)
+    return geom, dual, value, err
+
+
+@pytest.mark.parametrize("shape,j", [("disk", 1), ("ellipse", 2)])
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
+def test_cell_terms_match_cubature_oracle(shape, j, rel_tol):
+    geom, dual, oracle, oracle_err = _cubature_dual_terms(shape, j)
+    spec = QuadratureSpec.for_cell(rel_tol=rel_tol)
+    q_cc = integrate_cell(geom, lambda p: compliance_energy(dual.sigma_c(p), UNIT), spec)
+    q_sc = integrate_cell(
+        geom, lambda p: compliance_contract(dual.sigma_S(p), dual.sigma_c(p), UNIT), spec)
+    for k, res in enumerate((q_cc, q_sc)):
+        assert res.converged
+        assert res.err_estimate <= rel_tol * abs(res.value)
+        assert abs(res.value - oracle[k]) <= res.err_estimate + oracle_err[k]
 
 
 def test_singular_self_energy_pinned_value():

@@ -27,7 +27,7 @@ from gapstress import (
     sweep_and_fit,
     write_csv,
 )
-from gapstress import cli
+from gapstress import cli, pipeline
 from gapstress.pipeline import _fit_series
 
 from conftest import UNIT, disk_geometry
@@ -173,17 +173,18 @@ def test_csv_layout_and_roundtrip():
     assert lines[0] == CSV_HEADER
     assert lines[0] == (
         "eps,j,upper,lower,upper_scaled,lower_scaled,fk_constant,"
-        "asymmetry_max,bc_residual,div_residual,quad_err"
+        "asymmetry_max,bc_residual,div_residual,quad_err,converged"
     )
     assert text.endswith("\n") and "\r" not in text
     fields = lines[1].split(",")
-    assert len(fields) == 11
+    assert len(fields) == 12
     assert float(fields[0]) == 1e-2
     assert int(fields[1]) == 2
     assert float(fields[2]) == row.upper
     assert float(fields[3]) == row.lower
     assert float(fields[4]) == row.upper * math.sqrt(1e-2)
     assert float(fields[6]) == math.pi
+    assert row.converged and fields[11] == "1"
 
 
 def test_sweep_row_deterministic():
@@ -214,9 +215,9 @@ def test_modulus_interval_widened_by_quadrature_error(j):
 
 
 def _cap_cell_depth(monkeypatch):
-    # one bisection below the root panels cannot meet the cell tolerance
+    # one bisection below the root panels cannot meet a 1e-14 cell tolerance
     monkeypatch.setattr(RunConfig, "cell_spec", lambda self: QuadratureSpec.for_cell(
-        rel_tol=self.rel_tol_cell, max_depth=1))
+        rel_tol=1e-14, max_depth=1))
 
 
 def test_sweep_row_flags_non_convergence(monkeypatch):
@@ -224,11 +225,15 @@ def test_sweep_row_flags_non_convergence(monkeypatch):
         material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,),
         rel_tol_cell=1e-3, rel_tol_path=1e-6,
     )
-    assert compute_sweep_row(cfg, 1e-2, 1).converged
+    good = compute_sweep_row(cfg, 1e-2, 1)
+    assert good.converged
     _cap_cell_depth(monkeypatch)
     row = compute_sweep_row(cfg, 1e-2, 1)
     assert not row.converged
-    # the CSV schema does not carry the flag
+    # the last CSV column carries the flag
+    assert CSV_HEADER.split(",")[-1] == "converged"
+    assert good.csv_line().split(",")[-1] == "1"
+    assert row.csv_line().split(",")[-1] == "0"
     assert row.csv_line().count(",") == CSV_HEADER.count(",")
 
 
@@ -263,6 +268,22 @@ def test_sweep_and_fit_small():
     for j in (1, 2):
         for kind in ("upper", "lower"):
             assert fits[j][kind].rel_dev <= 0.15
+
+
+def test_sweep_and_fit_one_load(monkeypatch):
+    cfg = RunConfig(
+        material=UNIT, shape=Disk(r0=1.0), L2=1.5,
+        eps_list=(1e-2, 3e-3, 1e-3),
+        rel_tol_cell=1e-3, rel_tol_path=1e-6,
+    )
+    full, full_fits = sweep_and_fit(cfg)
+    rows, fits = sweep_and_fit(cfg, loads=(2,))
+    assert [(r.eps, r.j) for r in rows] == [(1e-2, 2), (3e-3, 2), (1e-3, 2)]
+    assert [r.csv_line() for r in rows] == [r.csv_line() for r in full if r.j == 2]
+    assert set(fits) == {2}
+    assert fits[2] == full_fits[2]
+    with pytest.raises(ValueError):
+        sweep_and_fit(cfg, loads=(3,))
 
 
 def test_sweep_needs_three_gap_widths():
@@ -317,6 +338,27 @@ def test_cli_warns_once_per_unconverged_row(command, n_rows, monkeypatch, tmp_pa
     assert len(out.read_text().splitlines()) == 1 + n_rows
 
 
+def test_cli_sweep_one_load_computes_only_its_rows(monkeypatch, tmp_path, capsys):
+    p = tmp_path / "s.cfg"
+    p.write_text(GOOD_CONFIG.replace("1e-2, 1e-3", "1e-2, 3e-3, 1e-3"))
+    out = tmp_path / "o.csv"
+    calls = []
+    row_fn = pipeline.compute_sweep_row
+
+    def counting(cfg, eps, j):
+        calls.append((eps, j))
+        return row_fn(cfg, eps, j)
+
+    monkeypatch.setattr(pipeline, "compute_sweep_row", counting)
+    assert cli.main(["sweep", "--config", str(p), "--j", "2", "--out", str(out)]) == 0
+    assert calls == [(1e-2, 2), (3e-3, 2), (1e-3, 2)]
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    assert all(line.split(",")[1] == "2" for line in lines[1:])
+    printed = capsys.readouterr().out
+    assert "fit j=2" in printed and "fit j=1" not in printed
+
+
 def test_cli_sweep_rejects_short_eps_list(config_file, tmp_path):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["sweep", "--config", str(config_file), "--out", str(out)])
@@ -351,7 +393,7 @@ def test_cli_kernel_eval_prints_value(config_file, capsys):
 
 
 def test_cli_exit_code_3_on_quadrature_failure(config_file, monkeypatch, tmp_path):
-    def boom(cfg, workers=1):
+    def boom(cfg, workers=1, loads=(1, 2)):
         raise QuadratureError("integral did not produce a finite value")
 
     monkeypatch.setattr(cli, "sweep_and_fit", boom)

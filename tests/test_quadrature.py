@@ -8,15 +8,20 @@ import pytest
 from scipy.integrate import quad
 
 from gapstress import (
+    Ellipse,
     QuadratureSpec,
+    Region,
+    chord_halfheight,
     cumulative_line_table,
     gap_halfwidth,
     inclusion_boundary,
     integrate_cell,
     integrate_path,
+    make_gap_geometry,
+    rect_matrix_area,
+    region_classify,
 )
 from gapstress.geometry import Curve, PathSegment
-from gapstress.quadrature import _split_cells
 
 from conftest import disk_geometry
 
@@ -129,6 +134,109 @@ def test_matrix_cell_area():
     assert res.err_estimate <= 5e-6 * oracle
 
 
+def ellipse_geometry(eps: float):
+    """The shipped ellipse cell: semi-axes (1, 2), L2 = 2.5."""
+    return make_gap_geometry(Ellipse(a=1.0, b=2.0), eps=eps, L2=2.5)
+
+
+CELL_SHAPES = {"disk": disk_geometry, "ellipse": ellipse_geometry}
+
+
+def test_ellipse_matrix_cell_area():
+    g = ellipse_geometry(0.01)
+    res = integrate_cell(
+        g, lambda p: np.ones(p.shape[:-1]), QuadratureSpec.for_cell(rel_tol=1e-6)
+    )
+    oracle = 4.0 * g.L1 * g.L2 - math.pi * g.half_width * g.half_height
+    assert res.converged
+    assert abs(res.value - oracle) <= res.err_estimate
+    assert res.err_estimate <= 1e-6 * oracle
+
+
+@pytest.mark.parametrize("shape", sorted(CELL_SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+def test_cell_evaluates_only_matrix_points(shape, eps):
+    g = CELL_SHAPES[shape](eps)
+    seen = []
+
+    def fn(p):
+        seen.append(p.copy())
+        return np.cos(p[..., 0]) + p[..., 1] ** 2
+
+    res = integrate_cell(g, fn, QuadratureSpec.for_cell(rel_tol=1e-6))
+    pts = np.concatenate(seen)
+    assert pts.ndim == 2 and pts.shape[1] == 2
+    assert np.all(region_classify(g, pts) == int(Region.MATRIX))
+    assert res.evals == pts.shape[0]
+    # the fibres reach down to the inclusions and up to the cell edges
+    gap = np.abs(pts[:, 0]) < g.eps / 2.0
+    assert np.abs(pts[gap, 1]).min() < 1e-2 * math.sqrt(eps)
+    assert np.abs(pts[:, 1]).max() > 0.99 * g.L2
+    near = np.abs(pts[:, 1]) - chord_halfheight(g, pts[:, 0])
+    assert near.min() >= 0.0 and near.min() < 1e-2 * math.sqrt(eps)
+
+
+def test_chord_halfheight_matches_exact_strip_area():
+    # the area of a thin vertical strip is 2 int (L2 - h) dx
+    g = ellipse_geometry(1e-3)
+    xs, ws = np.polynomial.legendre.leggauss(20)
+    # the gap itself, and strips that keep clear of the onsets at +-eps/2
+    for x1, x2 in ((-g.eps / 2.0, g.eps / 2.0), (1.5e-3, 2.5e-3), (-0.9, -0.8), (0.3, 0.301)):
+        xm = (x1 + x2) / 2.0 + (x2 - x1) / 2.0 * xs
+        strip = 2.0 * np.sum(ws * (g.L2 - chord_halfheight(g, xm))) * (x2 - x1) / 2.0
+        exact = float(rect_matrix_area(g, x1, x2, -g.L2, g.L2))
+        assert strip == pytest.approx(exact, rel=1e-12)
+    assert np.all(chord_halfheight(g, np.array([0.0, g.eps / 2.0, -g.eps / 2.0])) == 0.0)
+    assert float(chord_halfheight(g, g.L1)) == pytest.approx(g.half_height, rel=1e-15)
+
+
+def test_integral_evals_count_the_integrand_points():
+    g = disk_geometry(1e-3)
+    n_path = [0]
+
+    def path_fn(p, n):
+        n_path[0] += p.shape[0]
+        return np.sin(p[..., 0] + 2.0 * p[..., 1])
+
+    res = integrate_path(inclusion_boundary(g, 1), path_fn, QuadratureSpec.for_path(rel_tol=1e-9))
+    assert res.evals == n_path[0] > 0
+
+    n_cell = [0]
+
+    def cell_fn(p):
+        n_cell[0] += p.shape[0]
+        return 1.0 / (g.eps + p[..., 0] ** 2 + p[..., 1] ** 2)
+
+    res = integrate_cell(g, cell_fn, QuadratureSpec.for_cell(rel_tol=1e-6))
+    assert res.evals == n_cell[0] > 0
+    # other constructors keep working without the count
+    assert type(res)(value=1.0, err_estimate=0.0, panels_used=1, converged=True).evals == 0
+
+
+def test_cell_integrand_chunks_are_bounded():
+    from gapstress.quadrature import _EVAL_CHUNK
+
+    g = disk_geometry(1e-5)
+    sizes = []
+
+    def fn(p):
+        sizes.append(p.shape[0])
+        return np.ones(p.shape[0])
+
+    integrate_cell(g, fn, QuadratureSpec.for_cell(rel_tol=1e-6))
+    assert max(sizes) <= _EVAL_CHUNK
+
+
+def test_cell_depth_cap_reports_non_convergence():
+    g = disk_geometry(1e-3)
+    res = integrate_cell(g, lambda p: 1.0 / (g.eps + p[..., 1] ** 2),
+                         QuadratureSpec(rel_tol=1e-14, max_depth=1))
+    assert not res.converged
+    assert res.err_estimate > 0.0
+    oracle = _y_profile_oracle(g, lambda y: 1.0 / (g.eps + y * y))
+    assert abs(res.value - oracle) <= res.err_estimate
+
+
 def test_cell_zero_integrand():
     g = disk_geometry(0.01)
     res = integrate_cell(g, lambda p: np.zeros(p.shape[:-1]), QuadratureSpec.for_cell())
@@ -167,6 +275,41 @@ def test_cell_error_monotone_under_tightening():
         assert fine <= coarse + 1e-13
 
 
+def test_cell_asymmetric_integrands_match_profile_oracles():
+    # odd parts in y and in x must come from both mirror halves and both sides
+    g = disk_geometry(0.01)
+    spec = QuadratureSpec.for_cell(rel_tol=1e-9)
+    res = integrate_cell(g, lambda p: np.exp(0.7 * p[..., 1]), spec)
+    oracle = _y_profile_oracle(g, lambda y: math.exp(0.7 * y))
+    assert res.converged
+    assert abs(res.value - oracle) <= res.err_estimate + 1e-12 * oracle
+
+    def chord(x):
+        u = (g.L1 - abs(x)) / g.half_width
+        return g.half_height * math.sqrt(max(0.0, 1.0 - u * u))
+
+    res = integrate_cell(g, lambda p: np.exp(0.3 * p[..., 0]), spec)
+    oracle = quad(lambda x: 2.0 * (g.L2 - chord(x)) * math.exp(0.3 * x), -g.L1, g.L1,
+                  points=[-g.eps / 2.0, g.eps / 2.0], limit=300, epsabs=0.0, epsrel=1e-13)[0]
+    assert res.converged
+    assert abs(res.value - oracle) <= res.err_estimate + 1e-12 * oracle
+
+
+def test_cell_refines_fibre_template_for_interior_peak():
+    # a peak of width 1e-2 inside the fibres is far finer than the template
+    g = disk_geometry(0.01)
+
+    def peak(y):
+        return 1.0 / (1e-4 + (y - 0.6) ** 2)
+
+    res = integrate_cell(g, lambda p: peak(p[..., 1]), QuadratureSpec.for_cell(rel_tol=1e-8))
+    oracle = quad(lambda y: (2.0 * g.L1 - 2.0 * math.sqrt(max(0.0, 1.0 - y * y))) * peak(y),
+                  -g.L2, g.L2, points=[-1.0, 0.6, 1.0], limit=300, epsabs=0.0, epsrel=1e-13)[0]
+    assert res.converged
+    assert abs(res.value - oracle) <= res.err_estimate + 1e-12 * oracle
+    assert res.err_estimate <= 1e-8 * oracle
+
+
 def test_cell_gap_strip_fubini_reduction():
     g = disk_geometry(0.01)
 
@@ -195,48 +338,6 @@ def test_cell_determinism():
     assert r1.value == r2.value
     assert r1.err_estimate == r2.err_estimate
     assert r1.panels_used == r2.panels_used
-
-
-def _split_cells_per_cell(x1, x2, y1, y2, depth):
-    """Cell-by-cell quadtree split: the oracle for the array-op splitter."""
-    cx1, cx2, cy1, cy2, cdep = [], [], [], [], []
-    for i in range(x1.size):
-        mx = (x1[i] + x2[i]) / 2.0
-        my = (y1[i] + y2[i]) / 2.0
-        if (x2[i] - x1[i]) >= 1.4 * (y2[i] - y1[i]):
-            quads = [(x1[i], mx, y1[i], y2[i]), (mx, x2[i], y1[i], y2[i])]
-        elif (y2[i] - y1[i]) >= 1.4 * (x2[i] - x1[i]):
-            quads = [(x1[i], x2[i], y1[i], my), (x1[i], x2[i], my, y2[i])]
-        else:
-            quads = [(x1[i], mx, y1[i], my), (mx, x2[i], y1[i], my),
-                     (x1[i], mx, my, y2[i]), (mx, x2[i], my, y2[i])]
-        for q in quads:
-            cx1.append(q[0]); cx2.append(q[1]); cy1.append(q[2]); cy2.append(q[3])
-            cdep.append(depth[i] + 1)
-    return [np.asarray(c) for c in (cx1, cx2, cy1, cy2)], np.asarray(cdep)
-
-
-def test_split_cells_matches_per_cell_split():
-    rng = np.random.default_rng(3)
-    n = 300
-    x1 = rng.uniform(-1.0, 1.0, n)
-    y1 = rng.uniform(-1.5, 1.5, n)
-    # aspect ratios from 1/4 to 4, plus the 1.4 thresholds exactly
-    ratio = np.concatenate((np.exp(rng.uniform(-np.log(4.0), np.log(4.0), n - 4)),
-                            [1.4, 1.0 / 1.4, 1.0, 1.39]))
-    hy = rng.uniform(1e-4, 0.2, n)
-    x2, y2 = x1 + ratio * hy, y1 + hy
-    depth = rng.integers(0, 20, n).astype(np.int32)
-
-    children, counts = _split_cells(x1, x2, y1, y2)
-    want, want_depth = _split_cells_per_cell(x1, x2, y1, y2, depth)
-    for got_c, want_c in zip(children, want):
-        np.testing.assert_array_equal(got_c, want_c)
-    np.testing.assert_array_equal(np.repeat(depth + 1, counts), want_depth)
-    assert set(counts.tolist()) == {2, 4}
-    wide = (x2 - x1) >= 1.4 * (y2 - y1)
-    tall = (y2 - y1) >= 1.4 * (x2 - x1)
-    assert wide.any() and tall.any() and (~wide & ~tall).any()
 
 
 def test_path_determinism():
