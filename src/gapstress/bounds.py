@@ -386,9 +386,11 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
                dual: DualStress | None = None) -> BoundResult:
     """Dual functional on the assembled stress: a lower value for the energy.
 
-    The returned terms decompose the value exactly: ``I`` is the functional
-    on the singular part alone, ``II`` on the correction alone, and
-    ``cross`` is minus twice the compliance pairing between them.
+    The functional is quadratic in sigma = sigma_S + sigma_c, so its value is
+    -q_ss - q_c + 2 lin: ``quad_singular`` q_ss is the compliance energy of
+    the singular part (a Green boundary integral), ``quad_cell`` q_c is the
+    area integral of sigma_c : C^-1 (sigma_c + 2 sigma_S), and ``boundary``
+    lin is the j-th traction component of the total stress on gamma_plus.
     """
     if spec is None:
         spec = QuadratureSpec.for_cell()
@@ -397,45 +399,32 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
     if dual is None:
         dual = build_dual_stress(geom, mat, j, spec)
 
+    def cell_density(p: np.ndarray) -> np.ndarray:
+        c = dual.sigma_c(p)
+        s = dual.sigma_S(p)
+        return compliance_energy(c, mat) + 2.0 * compliance_contract(s, c, mat)
+
+    def traction(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+        return dual.sigma_total(p).apply(n)[..., j - 1]
+
     q_ss = _singular_self_energy(geom, mat, j, path_spec)
-    q_cc = integrate_cell(geom, lambda p: compliance_energy(dual.sigma_c(p), mat), spec)
-    q_sc = integrate_cell(
-        geom, lambda p: compliance_contract(dual.sigma_S(p), dual.sigma_c(p), mat), spec)
+    q_c = integrate_cell(geom, cell_density, spec)
+    lin = integrate_path(boundary_curves(geom)["gamma_plus"], traction, path_spec)
 
-    gamma_plus = boundary_curves(geom)["gamma_plus"]
-
-    def traction_j(field: StressField):
-        def fn(p: np.ndarray, n: np.ndarray) -> np.ndarray:
-            return field(p).apply(n)[..., j - 1]
-        return fn
-
-    lin_s = integrate_path(gamma_plus, traction_j(dual.sigma_S), path_spec)
-    lin_c = integrate_path(gamma_plus, traction_j(dual.sigma_c), path_spec)
-
-    term_i = -q_ss.value + 2.0 * lin_s.value
-    term_ii = -q_cc.value + 2.0 * lin_c.value
-    cross = -2.0 * q_sc.value
-    value = term_i + term_ii + cross
-    qerr = (q_ss.err_estimate + q_cc.err_estimate + 2.0 * q_sc.err_estimate
-            + 2.0 * lin_s.err_estimate + 2.0 * lin_c.err_estimate
+    value = -q_ss.value - q_c.value + 2.0 * lin.value
+    qerr = (q_ss.err_estimate + q_c.err_estimate + 2.0 * lin.err_estimate
             + dual.G_cache.err_estimate)
-    converged = all(r.converged for r in (q_ss, q_cc, q_sc, lin_s, lin_c))
     return BoundResult(
         j=j,
         kind="lower",
         value=float(value),
         quadrature_err=float(qerr),
         diagnostics=dual.diagnostics,
-        converged=converged,
+        converged=all(r.converged for r in (q_ss, q_c, lin)),
         terms={
-            "I": float(term_i),
-            "II": float(term_ii),
-            "cross": float(cross),
             "quad_singular": float(q_ss.value),
-            "quad_correction": float(q_cc.value),
-            "quad_cross": float(q_sc.value),
-            "boundary_singular": float(lin_s.value),
-            "boundary_correction": float(lin_c.value),
+            "quad_cell": float(q_c.value),
+            "boundary": float(lin.value),
         },
     )
 

@@ -138,9 +138,10 @@ def compliance_energy(s: Matrix2 | SymTensor2, mat: LameMaterial) -> Any:
     """Quadratic form s : C^{-1} s, extended verbatim to full matrices.
 
     For a symmetric argument this is the usual complementary energy density.
-    A skew component only adds the nonnegative term sum(skew^2)/(2 mu), so
-    feeding a slightly asymmetric stress keeps one-sided bound arithmetic
-    conservative.
+    A skew component only adds the nonnegative quadratic term
+    sum(skew^2)/(2 mu).  That does not make a skew trial stress admissible:
+    the complementary-energy principle needs a symmetric stress, and the sign
+    says nothing about the cross and boundary terms of the dual functional.
     """
     lam, mu = mat.lam, mat.mu
     c = lam / (2.0 * mu * (2.0 * lam + 2.0 * mu))

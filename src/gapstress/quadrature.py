@@ -46,6 +46,9 @@ _EVAL_CHUNK = 8_192
 _MAX_FIBRE_ROUNDS = 12
 _OUTER_GRADING = 8.0
 _FIBRE_GRADING = 4.0
+# Gauss pair order and refinement passes of cumulative_line_table
+_TABLE_ORDER = 8
+_TABLE_PASSES = 6
 
 
 class QuadratureError(RuntimeError):
@@ -61,13 +64,12 @@ class QuadratureSpec:
     """
 
     rel_tol: float = 1e-8
-    abs_tol: float = 0.0
     base_order: int = 8
     max_depth: int = 30
 
     def __post_init__(self) -> None:
-        if self.rel_tol < 0.0 or self.abs_tol < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        if self.rel_tol < 0.0:
+            raise ValueError("rel_tol must be nonnegative")
         if self.base_order < 2 or self.max_depth < 1:
             raise ValueError("base_order must be >= 2 and max_depth >= 1")
 
@@ -159,7 +161,7 @@ def _adapt_panels(curve: Curve, integrand, spec: QuadratureSpec, seg: np.ndarray
         # integrals that cancel to zero still terminate
         scale = max(float(np.abs(total[:n_est]).max()),
                     float(np.abs(hi[:, :n_est]).max(initial=0.0)))
-        return max(spec.abs_tol, spec.rel_tol * scale)
+        return spec.rel_tol * scale
 
     for _ in range(_MAX_ROUNDS):
         total = _pairwise_total(hi)
@@ -338,7 +340,7 @@ def integrate_cell(geom: GapGeometry, integrand, spec: QuadratureSpec) -> Integr
     x_axis = Curve(segments=(_line_segment((-geom.L1, 0.0), (geom.L1, 0.0), (0.0, 1.0)),))
     t = (xb + geom.L1) / (2.0 * geom.L1)
     root_seg = np.zeros(t.size - 1, dtype=np.int64)
-    outer_spec = replace(spec, rel_tol=spec.rel_tol / 2.0, abs_tol=spec.abs_tol / 2.0)
+    outer_spec = replace(spec, rel_tol=spec.rel_tol / 2.0)
     tau = _fibre_template(geom)
     depth = np.zeros(tau.size - 1, dtype=np.int32)
     counter = [0]
@@ -378,8 +380,7 @@ def integrate_cell(geom: GapGeometry, integrand, spec: QuadratureSpec) -> Integr
 
 def cumulative_line_table(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
                           anchor: float = 0.0, rel_tol: float = 1e-10,
-                          max_width: float | None = None,
-                          base_order: int = 8, passes: int = 6):
+                          max_width: float | None = None):
     """Tabulate F(x) = integral of ``fn`` from ``anchor`` to x over [lo, hi].
 
     ``fn`` maps (n,) positions to (n, m) integrand values.  Returns
@@ -395,12 +396,9 @@ def cumulative_line_table(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi:
     n0 = max(int(np.ceil((hi - lo) / max_width)), 8)
     edges = np.unique(np.concatenate((np.linspace(lo, hi, n0 + 1), [anchor])))
 
-    nodes_lo, w_lo = _gauss_rule(base_order)
-    nodes_hi, w_hi = _gauss_rule(2 * base_order)
-
     def panel_values(a, b):
         out = []
-        for nd, wt in ((nodes_lo, w_lo), (nodes_hi, w_hi)):
+        for nd, wt in (_gauss_rule(_TABLE_ORDER), _gauss_rule(2 * _TABLE_ORDER)):
             t = a[:, None] + (b - a)[:, None] * (nd[None, :] + 1.0) / 2.0
             f = np.asarray(fn(t.reshape(-1)), dtype=float)
             if f.ndim == 1:
@@ -410,7 +408,7 @@ def cumulative_line_table(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi:
         err = np.abs(out[1] - out[0]).max(axis=1)
         return out[1], err
 
-    for _ in range(passes):
+    for _ in range(_TABLE_PASSES):
         a, b = edges[:-1], edges[1:]
         inc, err = panel_values(a, b)
         scale = float(np.abs(inc).sum(axis=0).max()) or 1.0

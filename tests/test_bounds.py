@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,11 @@ from gapstress import (
     primal_upper,
     region_classify,
 )
+from gapstress import bounds
 from gapstress.bounds import _dual_diagnostics, _singular_self_energy
 from gapstress.elasticity import Matrix2, compliance_contract, compliance_energy, energy_density
 from gapstress.kernels import KernelContext, singular_stress
-from gapstress.quadrature import integrate_cell
+from gapstress.quadrature import integrate_cell, integrate_path
 
 from conftest import CELL_COARSE, CELL_FAST, PATH_FAST, UNIT, disk_geometry
 
@@ -404,16 +406,28 @@ def _cubature_dual_terms(shape: str, j: int):
 
 @pytest.mark.parametrize("shape,j", [("disk", 1), ("ellipse", 2)])
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
-def test_cell_terms_match_cubature_oracle(shape, j, rel_tol):
+def test_cell_terms_match_cubature_oracle(shape, j, rel_tol, monkeypatch):
     geom, dual, oracle, oracle_err = _cubature_dual_terms(shape, j)
     spec = QuadratureSpec.for_cell(rel_tol=rel_tol)
     q_cc = integrate_cell(geom, lambda p: compliance_energy(dual.sigma_c(p), UNIT), spec)
     q_sc = integrate_cell(
         geom, lambda p: compliance_contract(dual.sigma_S(p), dual.sigma_c(p), UNIT), spec)
-    for k, res in enumerate((q_cc, q_sc)):
-        assert res.converged
-        assert res.err_estimate <= rel_tol * abs(res.value)
-        assert abs(res.value - oracle[k]) <= res.err_estimate + oracle_err[k]
+    # dual_lower's one cell integral q_c = q_cc + 2 q_sc, with its own error
+    q_c = []
+
+    def recording(*args):
+        q_c.append(integrate_cell(*args))
+        return q_c[-1]
+
+    monkeypatch.setattr(bounds, "integrate_cell", recording)
+    res = dual_lower(geom, UNIT, j, spec=spec, path_spec=PATH_FAST, dual=dual)
+    assert res.terms["quad_cell"] == q_c[0].value
+    cases = [(q_cc, oracle[0], oracle_err[0]), (q_sc, oracle[1], oracle_err[1]),
+             (q_c[0], oracle[0] + 2.0 * oracle[1], oracle_err[0] + 2.0 * oracle_err[1])]
+    for got, ref, ref_err in cases:
+        assert got.converged
+        assert got.err_estimate <= rel_tol * abs(got.value)
+        assert abs(got.value - ref) <= got.err_estimate + ref_err
 
 
 def test_singular_self_energy_pinned_value():
@@ -455,13 +469,41 @@ def test_dual_term_decomposition(j):
     g = disk_geometry(1e-3)
     res = dual_lower(g, UNIT, j, spec=CELL_COARSE, path_spec=PATH_FAST)
     t = res.terms
-    total = t["I"] + t["II"] + t["cross"]
+    assert set(t) == {"quad_singular", "quad_cell", "boundary"}
+    total = -t["quad_singular"] - t["quad_cell"] + 2.0 * t["boundary"]
     assert res.value == pytest.approx(total, rel=1e-12)
     m = m_constant(g, UNIT, j)
-    assert t["I"] * math.sqrt(g.eps) / m == pytest.approx(1.0, abs=0.1)
-    # the correction contribution stays O(1) while I grows like 1/sqrt(eps)
-    assert abs(t["II"]) <= 0.05 * abs(t["I"])
-    assert abs(t["cross"]) <= 0.05 * abs(t["I"])
+    assert t["quad_singular"] * math.sqrt(g.eps) / m == pytest.approx(1.0, abs=0.1)
+    # the correction's cell term stays O(1) while q_ss grows like 1/sqrt(eps)
+    assert abs(t["quad_cell"]) <= 0.05 * t["quad_singular"]
+
+
+def test_dual_lower_makes_one_cell_and_two_path_integrals(monkeypatch):
+    g = disk_geometry(1e-2)
+    dual = build_dual_stress(g, UNIT, 1, CELL_COARSE)
+    calls = {"cell": [], "path": 0}
+    sigma_c_points = [0]
+
+    def cell(*args):
+        calls["cell"].append(integrate_cell(*args))
+        return calls["cell"][-1]
+
+    def path(*args):
+        calls["path"] += 1
+        return integrate_path(*args)
+
+    def sigma_c(p):
+        sigma_c_points[0] += p.shape[0]
+        return dual.sigma_c(p)
+
+    monkeypatch.setattr(bounds, "integrate_cell", cell)
+    monkeypatch.setattr(bounds, "integrate_path", path)
+    dual_lower(g, UNIT, 1, spec=CELL_COARSE, path_spec=PATH_FAST,
+               dual=replace(dual, sigma_c=sigma_c))
+    assert len(calls["cell"]) == 1
+    assert calls["path"] == 2
+    # sigma_c runs once per cell node; the traction uses sigma_total
+    assert sigma_c_points[0] == calls["cell"][0].evals
 
 
 @pytest.mark.parametrize(
