@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
-# energy_density is not called here; it stays bound because gapbench's tracer
-# wraps every integrator, kernel and density at its name in this module
+# energy_density and cumulative_line_table are not called here; they stay
+# bound because gapbench's tracer wraps every integrator, kernel and density
+# at its name in this module
 from .elasticity import (  # noqa: F401
     LameMaterial,
     Matrix2,
@@ -41,7 +41,7 @@ from .kernels import KernelContext, singular_displacement, singular_stress
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
-    cumulative_line_table,
+    cumulative_line_table,  # noqa: F401
     integrate_cell,
     integrate_path,
 )
@@ -214,61 +214,64 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int,
 
 
 @dataclass(frozen=True)
-class GTable:
-    """Cumulative integral of the edge traction jump, with exact slopes.
-
-    Nodes carry the exact integrand values, so the cubic Hermite
-    interpolant's derivative reproduces the integrand to interpolation
-    accuracy; that keeps the finite-difference divergence of the correction
-    field at the interpolation-error level instead of the spline-knot level.
-    """
-
-    nodes: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-    err_estimate: float
-    spline: CubicHermiteSpline
-
-    def __call__(self, x) -> np.ndarray:
-        return self.spline(np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True)
 class DualStress:
     j: int
     m_j: float
     sigma_S: StressField
     sigma_c: StressField
     sigma_total: StressField
-    G_cache: GTable
+    G: Callable[[np.ndarray], np.ndarray]
     diagnostics: Diagnostics
 
 
-def _edge_traction_gap(sig_S_sym: Callable[[np.ndarray], SymTensor2],
-                       L2: float) -> Callable[[np.ndarray], np.ndarray]:
-    def fn(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        top = sig_S_sym(np.stack((x, np.full_like(x, L2)), axis=-1))
-        bot = sig_S_sym(np.stack((x, np.full_like(x, -L2)), axis=-1))
-        jump11 = top.apply(_E2) - bot.apply(_E2)
-        return jump11 / (2.0 * L2)
-    return fn
+def _edge_resultant(ctx: KernelContext, j: int, x: np.ndarray, y: float) -> np.ndarray:
+    """Traction resultant int_0^x sigma(q_j)(s, y) e_2 ds, shape x.shape + (2,).
+
+    With z = x + i y, kappa = (lam + 3 mu) / (lam + mu), k = e_j / (2 pi (1 +
+    kappa)) (e_1 = 1, e_2 = i) and the nuclei weight c = -2 mu alpha2 a e_j,
+    q_j has the Kolosov-Muskhelishvili potentials phi = k L and psi =
+    -kappa conj(k) L + (a k + c) P, where L = log(z + a) - log(z - a) and
+    P = 1/(z + a) + 1/(z - a): 2 mu (u_1 + i u_2) = kappa phi - z conj(phi')
+    - conj(psi).  The resultant t_1 + i t_2 is i [Phi(z) - Phi(i y)] with
+    Phi = phi + z conj(phi') + conj(psi) (Muskhelishvili).  Each difference
+    is written with its factor x explicit, which keeps it accurate near 0.
+    """
+    mat = ctx.material
+    a = ctx.a
+    kappa = (mat.lam + 3.0 * mat.mu) / (mat.lam + mat.mu)
+    e_j = 1.0 if j == 1 else 1j
+    k = e_j / (2.0 * np.pi * (1.0 + kappa))
+    c = -2.0 * mat.mu * ctx.alpha2 * a * e_j
+    z = x + 1j * y
+    w = 1j * y
+    u = -2.0 * a * x / ((z - a) * (w + a))
+    # log1p(u) = L(z) - L(w); numpy's complex log1p loses the real part's
+    # relative accuracy for tiny |u|
+    dL = (0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag ** 2)
+          + 1j * np.arctan2(u.imag, 1.0 + u.real))
+    dP = -x / ((z + a) * (w + a)) - x / ((z - a) * (w - a))
+    zb, wb = np.conj(z), np.conj(w)
+    d_zphi = (np.conj(k) * 2.0 * a * x * (3.0 * y * y + 1j * y * x + a * a)
+              / ((zb * zb - a * a) * (wb * wb - a * a)))
+    d_psi = -kappa * np.conj(k) * dL + (a * k + c) * dP
+    r = 1j * (k * dL + d_zphi + np.conj(d_psi))
+    return np.stack((r.real, r.imag), axis=-1)
 
 
-def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int,
-                      spec: QuadratureSpec | None = None) -> DualStress:
+def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStress:
     """Assemble the admissible dual stress for load j.
 
     The singular part is the pair field scaled by m_j/sqrt(eps).  The
-    correction has first column G(x) (the tabulated cumulative traction
-    jump across the horizontal edges) and second column F(x, y), the linear
-    interpolant in y of minus the edge tractions, so that the total traction
-    vanishes identically on y = +-L2 and each row stays divergence free.
+    correction has first column G(x), the cumulative traction jump across
+    the horizontal edges in closed form (``_edge_resultant``), and second
+    column F(x, y), the linear interpolant in y of minus the edge tractions,
+    so that the total traction vanishes identically on y = +-L2 and each
+    row stays divergence free.
     """
     mj = m_constant(geom, mat, j)
     scale = mj / np.sqrt(geom.eps)
     ctx = KernelContext.from_geometry(geom, mat)
-    L1, L2 = geom.L1, geom.L2
+    L2 = geom.L2
 
     def sig_S_sym(pts: np.ndarray) -> SymTensor2:
         s = singular_stress(ctx, j, pts)
@@ -277,13 +280,10 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int,
     def sigma_S(pts: np.ndarray) -> Matrix2:
         return sig_S_sym(pts).as_matrix()
 
-    gap_fn = _edge_traction_gap(sig_S_sym, L2)
-    tab_tol = 1e-10 if spec is None else min(1e-10, spec.rel_tol)
-    nodes, values, slopes, tab_err = cumulative_line_table(
-        gap_fn, -L1, L1, anchor=0.0, rel_tol=tab_tol, max_width=L1 / 128.0)
-    spline = CubicHermiteSpline(nodes, values, slopes)
-    gtab = GTable(nodes=nodes, values=values, slopes=slopes,
-                  err_estimate=tab_err, spline=spline)
+    def G(x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        jump = _edge_resultant(ctx, j, x, L2) - _edge_resultant(ctx, j, x, -L2)
+        return (scale / (2.0 * L2)) * jump
 
     def sigma_c(pts: np.ndarray) -> Matrix2:
         pts = np.asarray(pts, dtype=float)
@@ -293,13 +293,13 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int,
         # repeat each x along a column, so evaluate them once per distinct x
         xu, inv = np.unique(x, return_inverse=True)
         inv = inv.reshape(x.shape)
-        G = spline(xu)[inv]
+        Gx = G(xu)[inv]
         top = sig_S_sym(np.stack((xu, np.full_like(xu, L2)), axis=-1)).apply(_E2)[inv]
         bot = sig_S_sym(np.stack((xu, np.full_like(xu, -L2)), axis=-1)).apply(_E2)[inv]
         wt_top = ((y + L2) / (2.0 * L2))[..., None]
         wt_bot = ((L2 - y) / (2.0 * L2))[..., None]
         F = -(wt_top * top + wt_bot * bot)
-        return Matrix2(G[..., 0], F[..., 0], G[..., 1], F[..., 1])
+        return Matrix2(Gx[..., 0], F[..., 0], Gx[..., 1], F[..., 1])
 
     def sigma_total(pts: np.ndarray) -> Matrix2:
         s = sig_S_sym(pts)
@@ -308,7 +308,7 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int,
 
     diag = _dual_diagnostics(geom, sigma_total, sigma_c, ctx)
     return DualStress(j=j, m_j=mj, sigma_S=sigma_S, sigma_c=sigma_c,
-                      sigma_total=sigma_total, G_cache=gtab, diagnostics=diag)
+                      sigma_total=sigma_total, G=G, diagnostics=diag)
 
 
 def _dual_diagnostics(geom: GapGeometry, sigma_total: StressField,
@@ -397,7 +397,7 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
     if path_spec is None:
         path_spec = QuadratureSpec.for_path()
     if dual is None:
-        dual = build_dual_stress(geom, mat, j, spec)
+        dual = build_dual_stress(geom, mat, j)
 
     def cell_density(p: np.ndarray) -> np.ndarray:
         c = dual.sigma_c(p)
@@ -412,8 +412,7 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
     lin = integrate_path(boundary_curves(geom)["gamma_plus"], traction, path_spec)
 
     value = -q_ss.value - q_c.value + 2.0 * lin.value
-    qerr = (q_ss.err_estimate + q_c.err_estimate + 2.0 * lin.err_estimate
-            + dual.G_cache.err_estimate)
+    qerr = q_ss.err_estimate + q_c.err_estimate + 2.0 * lin.err_estimate
     return BoundResult(
         j=j,
         kind="lower",

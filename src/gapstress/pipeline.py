@@ -69,6 +69,11 @@ class RunConfig:
             raise ConfigError("eps_list must not be empty")
         if any(e <= 0.0 for e in self.eps_list):
             raise ConfigError("every eps must be positive")
+        # a zero tolerance would refine until the budget caps
+        for name in ("rel_tol_cell", "rel_tol_path"):
+            tol = getattr(self, name)
+            if not (np.isfinite(tol) and tol > 0.0):
+                raise ConfigError(f"{name} must be finite and positive, got {tol}")
         ordered = tuple(sorted(set(self.eps_list), reverse=True))
         if ordered != tuple(self.eps_list):
             object.__setattr__(self, "eps_list", ordered)
@@ -228,7 +233,7 @@ def compute_sweep_row(cfg: RunConfig, eps: float, j: int) -> SweepRow:
     cell_spec = cfg.cell_spec()
     path_spec = cfg.path_spec()
     up = primal_upper(geom, cfg.material, j, cell_spec)
-    dual = build_dual_stress(geom, cfg.material, j, cell_spec)
+    dual = build_dual_stress(geom, cfg.material, j)
     lo = dual_lower(geom, cfg.material, j, cell_spec, path_spec, dual)
     root = np.sqrt(eps)
     mj = m_constant(geom, cfg.material, j)
@@ -359,7 +364,7 @@ def run_verify(cfg: RunConfig, eps: float | None = None) -> list[str]:
                f"normalized {norm:.6f} (raw {raw:.6e})")
 
     for j in (1, 2):
-        dual = build_dual_stress(geom, cfg.material, j, cfg.cell_spec())
+        dual = build_dual_stress(geom, cfg.material, j)
         d = dual.diagnostics
         record(f"edge traction j={j}", d.bc_residual <= cfg.rel_tol_path,
                f"max |sigma n| on y=+-L2 is {d.bc_residual:.2e}")

@@ -29,7 +29,7 @@ from gapstress import bounds
 from gapstress.bounds import _dual_diagnostics, _singular_self_energy
 from gapstress.elasticity import Matrix2, compliance_contract, compliance_energy, energy_density
 from gapstress.kernels import KernelContext, singular_stress
-from gapstress.quadrature import integrate_cell, integrate_path
+from gapstress.quadrature import cumulative_line_table, integrate_cell, integrate_path
 
 from conftest import CELL_COARSE, CELL_FAST, PATH_FAST, UNIT, disk_geometry
 
@@ -252,7 +252,7 @@ def _sigma_c_per_point(dual, L2, pts):
     flat = np.asarray(pts, dtype=float).reshape(-1, 2)
     out = np.empty((flat.shape[0], 4))
     for n, (x, y) in enumerate(flat):
-        G = dual.G_cache(np.array([x]))[0]
+        G = dual.G(np.array([x]))[0]
         top = dual.sigma_S(np.array([[x, L2]])).apply(e2)[0]
         bot = dual.sigma_S(np.array([[x, -L2]])).apply(e2)[0]
         F = -((y + L2) / (2.0 * L2) * top + (L2 - y) / (2.0 * L2) * bot)
@@ -279,6 +279,46 @@ def test_sigma_c_matches_per_point_evaluation(j):
         got = np.stack((sc.a11, sc.a12, sc.a21, sc.a22), axis=-1)
         assert got.shape == pts.shape[:-1] + (4,)
         np.testing.assert_array_equal(got, _sigma_c_per_point(dual, g.L2, pts))
+
+
+def _edge_jump(dual, L2):
+    """Integrand of G: the edge traction jump of sigma_S over 2 L2."""
+    e2 = np.array([0.0, 1.0])
+
+    def fn(x):
+        top = dual.sigma_S(np.stack((x, np.full_like(x, L2)), axis=-1)).apply(e2)
+        bot = dual.sigma_S(np.stack((x, np.full_like(x, -L2)), axis=-1)).apply(e2)
+        return (top - bot) / (2.0 * L2)
+    return fn
+
+
+MATERIALS = {"unit": UNIT, "stiff": LameMaterial(lam=3.0, mu=0.7)}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("material", sorted(MATERIALS))
+def test_closed_form_G_matches_cumulative_table(shape, eps, j, material):
+    g = SHAPES[shape](eps)
+    dual = build_dual_stress(g, MATERIALS[material], j)
+    nodes, values, _, err = cumulative_line_table(
+        _edge_jump(dual, g.L2), -g.L1, g.L1, anchor=0.0, rel_tol=1e-12, max_width=g.L1 / 128.0)
+    G = dual.G(nodes)
+    assert G.shape == values.shape
+    assert np.abs(G - values).max() <= err + 1e-13 * np.abs(G).max()
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("j", [1, 2])
+def test_closed_form_G_derivative_is_edge_jump(shape, j):
+    g = SHAPES[shape](1e-3)
+    dual = build_dual_stress(g, UNIT, j)
+    x = np.concatenate(([0.0, 1e-9], np.random.default_rng(3).uniform(-g.L1, g.L1, 40)))
+    h = 1e-5
+    slope = (dual.G(x + h) - dual.G(x - h)) / (2.0 * h)
+    jump = _edge_jump(dual, g.L2)(x)
+    assert np.abs(slope - jump).max() <= 1e-8 * np.abs(jump).max()
 
 
 def test_dual_correction_magnitude_stable_across_sweep():
@@ -376,7 +416,7 @@ def _cubature_dual_terms(shape: str, j: int):
     the values (q_cc, q_sc) and their error estimates.
     """
     geom = SHAPES[shape](1e-2)
-    dual = build_dual_stress(geom, UNIT, j, QuadratureSpec.for_cell())
+    dual = build_dual_stress(geom, UNIT, j)
     A, B, L1, L2 = geom.half_width, geom.half_height, geom.L1, geom.L2
     half = geom.eps / 2.0
 
@@ -480,7 +520,7 @@ def test_dual_term_decomposition(j):
 
 def test_dual_lower_makes_one_cell_and_two_path_integrals(monkeypatch):
     g = disk_geometry(1e-2)
-    dual = build_dual_stress(g, UNIT, 1, CELL_COARSE)
+    dual = build_dual_stress(g, UNIT, 1)
     calls = {"cell": [], "path": 0}
     sigma_c_points = [0]
 

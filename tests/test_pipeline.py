@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,24 @@ def test_run_config_validation():
         RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2, 0.0))
     cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-3, 1e-2, 1e-3))
     assert cfg.eps_list == (1e-2, 1e-3)
+
+
+@pytest.mark.parametrize("key", ["rel_tol_cell", "rel_tol_path"])
+@pytest.mark.parametrize("tol", [0.0, math.nan, math.inf, -1e-3])
+def test_run_config_rejects_unusable_tolerance(key, tol):
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,), **{key: tol})
+
+
+@pytest.mark.parametrize("value", ["0", "nan"])
+def test_cli_zero_or_nan_tolerance_exits_2(tmp_path, capsys, value):
+    # a zero cell tolerance used to refine until the budget caps
+    p = tmp_path / "tol.cfg"
+    p.write_text(GOOD_CONFIG.replace("rel_tol_cell = 1e-3", f"rel_tol_cell = {value}"))
+    rc = cli.main(["bounds", "--config", str(p), "--j", "1", "--eps", "1e-2",
+                   "--out", str(tmp_path / "b.csv")])
+    assert rc == 2
+    assert "rel_tol_cell" in capsys.readouterr().err
 
 
 def test_effective_moduli_intervals():
@@ -410,3 +432,14 @@ def test_cli_exit_code_4_on_verification_failure(config_file, monkeypatch):
     monkeypatch.setattr(cli, "run_verify", boom)
     rc = cli.main(["verify", "--config", str(config_file)])
     assert rc == 4
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test dependency only; importing it would add ~0.5 s to
+    # every gapstress start-up
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c",
+                    "import gapstress.pipeline, sys; assert 'scipy' not in sys.modules"],
+                   env=env, check=True)
