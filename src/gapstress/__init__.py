@@ -63,6 +63,7 @@ from .bounds import (
     flux_identity_check,
     keller_test_gradient,
     m_constant,
+    pair_boundary_integral,
     primal_upper,
 )
 from .pipeline import (

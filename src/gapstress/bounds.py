@@ -57,6 +57,7 @@ __all__ = [
     "primal_upper",
     "build_dual_stress",
     "dual_lower",
+    "pair_boundary_integral",
     "flux_identity_check",
     "energy_identity_check",
 ]
@@ -317,12 +318,9 @@ def _dual_diagnostics(geom: GapGeometry, sigma_total: StressField,
 
     # traction on the horizontal edges, built to cancel exactly
     xs = np.linspace(-L1, L1, 100)
-    bc = 0.0
-    for ysign in (L2, -L2):
-        pts = np.stack((xs, np.full_like(xs, ysign)), axis=-1)
-        s = sigma_total(pts)
-        tr = np.stack((s.a12, s.a22), axis=-1)
-        bc = max(bc, float(np.abs(tr).max()))
+    edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
+    s = sigma_total(edges)
+    bc = float(np.abs(np.stack((s.a12, s.a22), axis=-1)).max())
 
     # matrix sample grid for divergence and asymmetry checks
     gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41),
@@ -340,28 +338,35 @@ def _dual_diagnostics(geom: GapGeometry, sigma_total: StressField,
     h = 6e-6 * dist
     ex = np.stack((h, np.zeros_like(h)), axis=-1)
     ey = np.stack((np.zeros_like(h), h), axis=-1)
-    sxp, sxm = sigma_total(pts + ex), sigma_total(pts - ex)
-    syp, sym_ = sigma_total(pts + ey), sigma_total(pts - ey)
+    # one call on the four shifted copies: +x, -x, +y, -y
+    s = sigma_total(np.stack((pts + ex, pts - ex, pts + ey, pts - ey)))
     inv2h = 1.0 / (2.0 * h)
-    d_col1_dx = np.stack(((sxp.a11 - sxm.a11) * inv2h, (sxp.a21 - sxm.a21) * inv2h), axis=-1)
-    d_col2_dy = np.stack(((syp.a12 - sym_.a12) * inv2h, (syp.a22 - sym_.a22) * inv2h), axis=-1)
+    d_col1_dx = np.stack(((s.a11[0] - s.a11[1]) * inv2h, (s.a21[0] - s.a21[1]) * inv2h), axis=-1)
+    d_col2_dy = np.stack(((s.a12[2] - s.a12[3]) * inv2h, (s.a22[2] - s.a22[3]) * inv2h), axis=-1)
     resid = np.abs(d_col1_dx + d_col2_dy).max(axis=-1)
     # normalize by the derivative scale |sigma| / (distance to the nearer
     # pole); the derivatives themselves all vanish at symmetry points such as
     # the gap center, where their ratio would compare rounding noise with itself
-    mag = np.max([np.abs(s.a11) + np.abs(s.a12) + np.abs(s.a21) + np.abs(s.a22)
-                  for s in (sxp, sxm, syp, sym_)], axis=0)
+    mag = (np.abs(s.a11) + np.abs(s.a12) + np.abs(s.a21) + np.abs(s.a22)).max(axis=0)
     div = float((resid * dist / mag).max())
     return Diagnostics(asymmetry_max=asym, bc_residual=bc, div_residual=div)
 
 
-def _work_integrand(ctx: KernelContext, j: int):
-    """Path integrand (sigma(q_j) n) . q_j of the pair field q_j."""
+def _pair_boundary_integrand(ctx: KernelContext, j: int):
+    """Path integrand [(sigma(q_j) n)_1, (sigma(q_j) n)_2, (sigma(q_j) n) . q_j]
+    of the pair field q_j: its traction and the traction's work, from one
+    evaluation of each kernel per node."""
     def fn(p: np.ndarray, n: np.ndarray) -> np.ndarray:
         tr = singular_stress(ctx, j, p).apply(n)
         u = singular_displacement(ctx, j, p)
-        return np.einsum("...k,...k->...", tr, u)
+        return np.concatenate((tr, np.einsum("...k,...k->...", tr, u)[..., None]), axis=-1)
     return fn
+
+
+def _work_integrand(ctx: KernelContext, j: int):
+    """Path integrand (sigma(q_j) n) . q_j of the pair field q_j."""
+    pair = _pair_boundary_integrand(ctx, j)
+    return lambda p, n: pair(p, n)[..., 2]
 
 
 def _singular_self_energy(geom: GapGeometry, mat: LameMaterial, j: int,
@@ -433,6 +438,20 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
 # ---------------------------------------------------------------------------
 
 
+def pair_boundary_integral(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
+                           spec: QuadratureSpec | None = None) -> IntegralResult:
+    """Traction flux and work of the pair field q_j on inclusion boundary i.
+
+    One path integral whose value is [flux k=1, flux k=2, work], normals
+    pointing out of the matrix region (into the inclusion); each component
+    is held to the tolerance relative to its own scale.
+    """
+    if spec is None:
+        spec = QuadratureSpec.for_path()
+    ctx = KernelContext.from_geometry(geom, mat)
+    return integrate_path(inclusion_boundary(geom, i), _pair_boundary_integrand(ctx, j), spec)
+
+
 def flux_identity_check(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
                         k: int, spec: QuadratureSpec | None = None) -> float:
     """Traction flux of the pair field q_j through one inclusion boundary.
@@ -440,15 +459,7 @@ def flux_identity_check(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
     The normal points out of the matrix region (into the inclusion); the
     exact value is (-1)^i * delta_jk.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_path()
-    ctx = KernelContext.from_geometry(geom, mat)
-    curve = inclusion_boundary(geom, i)
-
-    def fn(p: np.ndarray, n: np.ndarray) -> np.ndarray:
-        return singular_stress(ctx, j, p).apply(n)[..., k - 1]
-
-    return float(integrate_path(curve, fn, spec).value)
+    return float(pair_boundary_integral(geom, mat, i, j, spec).value[k - 1])
 
 
 def energy_identity_check(geom: GapGeometry, mat: LameMaterial, j: int,
@@ -458,11 +469,4 @@ def energy_identity_check(geom: GapGeometry, mat: LameMaterial, j: int,
     Approximates the matrix energy of q_j; the normalized combination
     m_j * result / sqrt(eps) tends to 1 as the gap closes.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_path()
-    ctx = KernelContext.from_geometry(geom, mat)
-    total = 0.0
-    for i in (1, 2):
-        curve = inclusion_boundary(geom, i)
-        total += integrate_path(curve, _work_integrand(ctx, j), spec).value
-    return float(total)
+    return float(sum(pair_boundary_integral(geom, mat, i, j, spec).value[2] for i in (1, 2)))

@@ -68,8 +68,9 @@ class QuadratureSpec:
     max_depth: int = 30
 
     def __post_init__(self) -> None:
-        if self.rel_tol < 0.0:
-            raise ValueError("rel_tol must be nonnegative")
+        # a zero or non-finite tolerance would refine until the budget caps
+        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
         if self.base_order < 2 or self.max_depth < 1:
             raise ValueError("base_order must be >= 2 and max_depth >= 1")
 
@@ -110,31 +111,40 @@ def _pairwise_total(parts: np.ndarray) -> np.ndarray:
 
 
 def _eval_path_panels(curve: Curve, integrand, seg: np.ndarray, t0: np.ndarray,
-                      t1: np.ndarray, order: int) -> np.ndarray:
-    """Gauss values of all panels at one order; returns (n_panels, n_comp)."""
-    nodes, weights = _gauss_rule(order)
-    out = None
+                      t1: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss values of all panels at ``order`` and ``2 order``.
+
+    The nodes of both orders on every panel of every segment reach the
+    integrand in one call.  Returns (lo, hi), each of shape (n_panels, n_comp).
+    """
+    rules = (_gauss_rule(order), _gauss_rule(2 * order))
+    pts, nrm, spd, groups = [], [], [], []
     for s, segment in enumerate(curve.segments):
         idx = np.nonzero(seg == s)[0]
         if idx.size == 0:
             continue
         a = t0[idx][:, None]
         b = t1[idx][:, None]
-        t = a + (b - a) * (nodes[None, :] + 1.0) / 2.0
-        flat = t.reshape(-1)
-        pts = segment.point(flat)
-        nrm = segment.normal(flat)
-        spd = segment.speed(flat)
-        f = np.asarray(integrand(pts, nrm), dtype=float)
-        if f.ndim == 1:
-            f = f[:, None]
-        ncomp = f.shape[1]
-        if out is None:
-            out = np.zeros((seg.size, ncomp))
-        vals = (f * spd[:, None]).reshape(idx.size, order, ncomp)
-        out[idx] = np.einsum("pgc,g->pc", vals, weights) * ((b - a) / 2.0)
-    if out is None:
+        flat = np.concatenate([(a + (b - a) * (nodes[None, :] + 1.0) / 2.0).reshape(-1)
+                               for nodes, _ in rules])
+        pts.append(segment.point(flat))
+        nrm.append(segment.normal(flat))
+        spd.append(segment.speed(flat))
+        groups.append((idx, (b - a) / 2.0))
+    if not groups:
         raise ValueError("curve has no segments")
+    f = np.asarray(integrand(np.concatenate(pts), np.concatenate(nrm)), dtype=float)
+    if f.ndim == 1:
+        f = f[:, None]
+    f = f * np.concatenate(spd)[:, None]
+    out = (np.zeros((seg.size, f.shape[1])), np.zeros((seg.size, f.shape[1])))
+    start = 0
+    for idx, half in groups:
+        for (nodes, weights), res in zip(rules, out):
+            stop = start + idx.size * nodes.size
+            vals = f[start:stop].reshape(idx.size, nodes.size, -1)
+            res[idx] = np.einsum("pgc,g->pc", vals, weights) * half
+            start = stop
     return out
 
 
@@ -142,31 +152,38 @@ def _adapt_panels(curve: Curve, integrand, spec: QuadratureSpec, seg: np.ndarray
                   t0: np.ndarray, t1: np.ndarray, n_est: int | None = None):
     """Greedy adaptive refinement from the given root panels.
 
-    Only the first ``n_est`` integrand components (all by default) enter the
-    error estimate and the tolerance scale; later ones are carried along.
+    Every round makes one integrand call, which evaluates both Gauss orders
+    on all new panels.  Only the first ``n_est`` integrand components (all
+    by default) enter the error estimate and the tolerance; later ones are
+    carried along.  Each estimated component is held to ``rel_tol`` times
+    its own scale, the larger of its |total| and its largest panel value:
+    a panel's error is max_c |hi - lo|_c * (largest scale / scale_c), and
+    the summed errors are held to ``rel_tol`` times the largest scale.  So
+    no component meets a looser tolerance than it would alone, and the
+    summed error bounds every component's summed pair difference.
     Returns (total, total_err, tol_eff, panels, evals): the panel sum in a
-    fixed order, the summed pair differences, the tolerance they are held
-    to, the final panel count and the number of path nodes evaluated.
+    fixed order, the summed panel errors, the tolerance they are held to,
+    the final panel count and the number of path nodes evaluated.
     """
     depth = np.zeros(seg.size, dtype=np.int32)
     order = spec.base_order
 
-    lo = _eval_path_panels(curve, integrand, seg, t0, t1, order)
-    hi = _eval_path_panels(curve, integrand, seg, t0, t1, 2 * order)
-    err = np.abs(hi - lo)[:, :n_est].max(axis=1)
+    lo, hi = _eval_path_panels(curve, integrand, seg, t0, t1, order)
+    diff = np.abs(hi - lo)[:, :n_est]
     evals = 3 * order * seg.size
 
-    def effective_tol(total: np.ndarray) -> float:
+    def panel_errors(total: np.ndarray) -> tuple[np.ndarray, float]:
         # scale by the largest panel contribution, not only the total, so
         # integrals that cancel to zero still terminate
-        scale = max(float(np.abs(total[:n_est]).max()),
-                    float(np.abs(hi[:, :n_est]).max(initial=0.0)))
-        return spec.rel_tol * scale
+        scale = np.maximum(np.abs(total[:n_est]), np.abs(hi[:, :n_est]).max(axis=0, initial=0.0))
+        largest = float(scale.max())
+        weight = np.divide(largest, scale, out=np.ones_like(scale), where=scale > 0.0)
+        return (diff * weight).max(axis=1), spec.rel_tol * largest
 
     for _ in range(_MAX_ROUNDS):
         total = _pairwise_total(hi)
+        err, tol_eff = panel_errors(total)
         total_err = float(err.sum())
-        tol_eff = effective_tol(total)
         splittable = depth < spec.max_depth
         if total_err <= tol_eff or not bool(np.any(splittable & (err > 0.0))):
             break
@@ -188,31 +205,32 @@ def _adapt_panels(curve: Curve, integrand, spec: QuadratureSpec, seg: np.ndarray
         child_t0 = np.stack((t0[chosen], mid), axis=1).reshape(-1)
         child_t1 = np.stack((mid, t1[chosen]), axis=1).reshape(-1)
         child_depth = np.repeat(depth[chosen] + 1, 2)
-        c_lo = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1, order)
-        c_hi = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1, 2 * order)
-        c_err = np.abs(c_hi - c_lo)[:, :n_est].max(axis=1)
+        c_lo, c_hi = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1, order)
         evals += 3 * order * child_seg.size
         seg = np.concatenate((seg[keep], child_seg))
         t0 = np.concatenate((t0[keep], child_t0))
         t1 = np.concatenate((t1[keep], child_t1))
         depth = np.concatenate((depth[keep], child_depth))
-        lo = np.concatenate((lo[keep], c_lo), axis=0)
         hi = np.concatenate((hi[keep], c_hi), axis=0)
-        err = np.concatenate((err[keep], c_err))
+        diff = np.concatenate((diff[keep], np.abs(c_hi - c_lo)[:, :n_est]), axis=0)
 
     # fixed summation order: sort panels by segment and parameter
     final_order = np.lexsort((t0, seg))
     total = _pairwise_total(hi[final_order])
-    total_err = float(err.sum())
-    return total, total_err, effective_tol(total), int(err.size), evals
+    err, tol_eff = panel_errors(total)
+    return total, float(err.sum()), tol_eff, int(err.size), evals
 
 
 def integrate_path(curve: Curve, integrand, spec: QuadratureSpec) -> IntegralResult:
     """Adaptive arclength integral of ``integrand(points, normals)``.
 
     The integrand may return shape (n,) or (n, m); the result value follows.
-    The error estimate is the sum of per-panel differences between the
-    embedded Gauss pair, a deliberately conservative bound.
+    Each refinement round hands the nodes of both Gauss orders on all new
+    panels of all segments to ``integrand`` in one call.  The error
+    estimate is the sum of per-panel differences between the embedded Gauss
+    pair, a deliberately conservative bound.  For a vector integrand each
+    component is held to ``rel_tol`` times its own scale, and the estimate
+    bounds the summed pair difference of every component.
     """
     nseg = len(curve.segments)
     splits0 = 4

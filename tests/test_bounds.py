@@ -20,13 +20,15 @@ from gapstress import (
     energy_identity_check,
     flux_identity_check,
     keller_test_gradient,
+    inclusion_boundary,
     m_constant,
     make_gap_geometry,
+    pair_boundary_integral,
     primal_upper,
     region_classify,
 )
 from gapstress import bounds
-from gapstress.bounds import _dual_diagnostics, _singular_self_energy
+from gapstress.bounds import _dual_diagnostics, _singular_self_energy, _work_integrand
 from gapstress.elasticity import Matrix2, compliance_contract, compliance_energy, energy_density
 from gapstress.kernels import KernelContext, singular_stress
 from gapstress.quadrature import cumulative_line_table, integrate_cell, integrate_path
@@ -570,3 +572,25 @@ def test_energy_identity_normalization(j):
     assert raw > 0.0
     normalized = m_constant(g, UNIT, j) * raw / math.sqrt(g.eps)
     assert normalized == pytest.approx(1.0, abs=0.1)
+
+
+@pytest.mark.parametrize("geom", [disk_geometry(1e-3), ellipse_geometry(1e-4)],
+                         ids=["disk", "ellipse"])
+@pytest.mark.parametrize("i,j", [(1, 1), (2, 2)])
+def test_pair_boundary_integral_matches_scalar_integrals(geom, i, j):
+    """Each component of the joint integral against its own scalar integral."""
+    spec = QuadratureSpec.for_path()
+    ctx = KernelContext.from_geometry(geom, UNIT)
+    curve = inclusion_boundary(geom, i)
+    joint = pair_boundary_integral(geom, UNIT, i, j, spec)
+    assert joint.converged and joint.value.shape == (3,)
+    scalar = [integrate_path(curve, lambda p, n, k=k: singular_stress(ctx, j, p).apply(n)[..., k],
+                             spec) for k in (0, 1)]
+    scalar.append(integrate_path(curve, _work_integrand(ctx, j), spec))
+    for got, ref in zip(joint.value, scalar):
+        assert abs(got - ref.value) <= joint.err_estimate + ref.err_estimate
+    # the identity checks read the same integral
+    assert flux_identity_check(geom, UNIT, i, j, j, spec) == joint.value[j - 1]
+    other = pair_boundary_integral(geom, UNIT, 3 - i, j, spec).value[2]
+    assert energy_identity_check(geom, UNIT, j, spec) == pytest.approx(
+        joint.value[2] + other, rel=1e-15)

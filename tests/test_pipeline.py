@@ -33,6 +33,7 @@ from gapstress import (
 )
 from gapstress import cli, pipeline
 from gapstress.pipeline import _fit_series
+from gapstress.quadrature import integrate_path
 
 from conftest import UNIT, disk_geometry
 
@@ -139,6 +140,13 @@ def test_cli_zero_or_nan_tolerance_exits_2(tmp_path, capsys, value):
                    "--out", str(tmp_path / "b.csv")])
     assert rc == 2
     assert "rel_tol_cell" in capsys.readouterr().err
+
+
+def test_parse_config_tolerance_error_names_the_file(tmp_path):
+    p = tmp_path / "tol.cfg"
+    p.write_text(GOOD_CONFIG.replace("rel_tol_cell = 1e-3", "rel_tol_cell = 0"))
+    with pytest.raises(ConfigError, match=re.escape(f"{p}: rel_tol_cell")):
+        parse_config(p)
 
 
 def test_effective_moduli_intervals():
@@ -324,6 +332,25 @@ def test_run_verify_passes_on_benchmark():
     joined = "\n".join(report)
     assert "flux" in joined
     assert "energy" in joined
+
+
+def test_run_verify_makes_one_path_integral_per_boundary_and_load(monkeypatch):
+    from gapstress import bounds
+
+    calls = []
+
+    def counted(curve, integrand, spec):
+        calls.append(curve)
+        return integrate_path(curve, integrand, spec)
+
+    monkeypatch.setattr(bounds, "integrate_path", counted)
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-3,))
+    report = run_verify(cfg)
+    assert len(calls) == 4
+    names = [line[5:].split(":")[0] for line in report if not line.startswith("info")]
+    assert names == ([f"flux i={i} j={j} k={k}" for i in (1, 2) for j in (1, 2) for k in (1, 2)]
+                     + [f"energy identity j={j}" for j in (1, 2)]
+                     + [f"{c} j={j}" for j in (1, 2) for c in ("edge traction", "divergence")])
 
 
 # ---------------------------------------------------------------------------

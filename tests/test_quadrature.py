@@ -374,9 +374,14 @@ def test_cell_grading_tracks_gap_logarithmically():
     assert panels[2] / panels[1] <= 4.0
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+def test_spec_rejects_unusable_tolerance(tol):
+    # a zero or non-finite tolerance would refine until the budget caps
+    with pytest.raises(ValueError, match="rel_tol"):
+        QuadratureSpec(rel_tol=tol)
+
+
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(base_order=1)
     with pytest.raises(ValueError):
@@ -405,3 +410,67 @@ def test_cumulative_table_vector_components():
     assert values.shape == (edges.size, 2)
     assert np.allclose(values[:, 0], np.sin(edges), atol=1e-12)
     assert np.allclose(values[:, 1], edges**3, atol=1e-12)
+
+
+def _two_segment_line():
+    """[0, 1] x {0} as two segments meeting at x = 0.4."""
+    from gapstress.geometry import _line_segment
+
+    n = (0.0, 1.0)
+    return Curve(segments=(_line_segment((0.0, 0.0), (0.4, 0.0), n),
+                           _line_segment((0.4, 0.0), (1.0, 0.0), n)))
+
+
+def test_path_integrand_sees_both_orders_in_one_call_per_round(monkeypatch):
+    import gapstress.quadrature as quadrature
+
+    curve = _two_segment_line()
+    spec = QuadratureSpec.for_path(rel_tol=1e-12)
+    sizes = []
+
+    def poly(p, n):
+        sizes.append(p.shape[0])
+        return p[..., 0] ** 5 - 2.0 * p[..., 0]
+
+    # the 8/16 pair is exact on a quintic, so the root panels converge: one
+    # call carries both orders on all 8 root panels of both segments
+    res = integrate_path(curve, poly, spec)
+    assert res.converged
+    assert res.value == pytest.approx(1.0 / 6.0 - 1.0, abs=1e-14)
+    assert sizes == [res.evals] == [3 * spec.base_order * 8]
+
+    # an endpoint singularity never meets 1e-15 in three rounds: the root
+    # evaluation plus one call per round
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", 3)
+    sizes.clear()
+
+    def root(p, n):
+        sizes.append(p.shape[0])
+        return np.sqrt(p[..., 0])
+
+    res = integrate_path(curve, root, QuadratureSpec.for_path(rel_tol=1e-15))
+    assert not res.converged
+    assert len(sizes) == 4
+    assert sum(sizes) == res.evals
+    assert all(n % (3 * spec.base_order) == 0 for n in sizes)
+
+
+def test_vector_components_keep_their_own_tolerance():
+    curve = _segment_curve((0.0, 0.0), (1.0, 0.0))
+    rel_tol = 1e-8
+    exact = np.array([1.5e6, 2.0 / 3.0])
+
+    def fn(p, n):
+        x = p[..., 0]
+        # a smooth large component next to a small one with a sqrt endpoint
+        return np.stack((1e6 * (1.0 + x), np.sqrt(x)), axis=-1)
+
+    res = integrate_path(curve, fn, QuadratureSpec.for_path(rel_tol=rel_tol))
+    assert res.converged
+    err = np.abs(res.value - exact)
+    assert np.all(err <= rel_tol * exact)
+    # the estimate bounds every component's absolute error
+    assert np.all(err <= res.err_estimate)
+    alone = integrate_path(curve, lambda p, n: np.sqrt(p[..., 0]),
+                           QuadratureSpec.for_path(rel_tol=rel_tol))
+    assert abs(res.value[1] - alone.value) <= res.err_estimate + alone.err_estimate
