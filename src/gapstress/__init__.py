@@ -40,7 +40,6 @@ from .kernels import (
     kernel_displacement,
     kernel_gradient,
     singular_displacement,
-    singular_gradient,
     singular_stress,
 )
 from .quadrature import (

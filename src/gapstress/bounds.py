@@ -37,7 +37,7 @@ from .geometry import (
     inclusion_boundary,
     region_classify,
 )
-from .kernels import KernelContext, singular_displacement, singular_stress
+from .kernels import KernelContext, _edge_resultant, singular_displacement, singular_stress
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
@@ -223,40 +223,6 @@ class DualStress:
     sigma_total: StressField
     G: Callable[[np.ndarray], np.ndarray]
     diagnostics: Diagnostics
-
-
-def _edge_resultant(ctx: KernelContext, j: int, x: np.ndarray, y: float) -> np.ndarray:
-    """Traction resultant int_0^x sigma(q_j)(s, y) e_2 ds, shape x.shape + (2,).
-
-    With z = x + i y, kappa = (lam + 3 mu) / (lam + mu), k = e_j / (2 pi (1 +
-    kappa)) (e_1 = 1, e_2 = i) and the nuclei weight c = -2 mu alpha2 a e_j,
-    q_j has the Kolosov-Muskhelishvili potentials phi = k L and psi =
-    -kappa conj(k) L + (a k + c) P, where L = log(z + a) - log(z - a) and
-    P = 1/(z + a) + 1/(z - a): 2 mu (u_1 + i u_2) = kappa phi - z conj(phi')
-    - conj(psi).  The resultant t_1 + i t_2 is i [Phi(z) - Phi(i y)] with
-    Phi = phi + z conj(phi') + conj(psi) (Muskhelishvili).  Each difference
-    is written with its factor x explicit, which keeps it accurate near 0.
-    """
-    mat = ctx.material
-    a = ctx.a
-    kappa = (mat.lam + 3.0 * mat.mu) / (mat.lam + mat.mu)
-    e_j = 1.0 if j == 1 else 1j
-    k = e_j / (2.0 * np.pi * (1.0 + kappa))
-    c = -2.0 * mat.mu * ctx.alpha2 * a * e_j
-    z = x + 1j * y
-    w = 1j * y
-    u = -2.0 * a * x / ((z - a) * (w + a))
-    # log1p(u) = L(z) - L(w); numpy's complex log1p loses the real part's
-    # relative accuracy for tiny |u|
-    dL = (0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag ** 2)
-          + 1j * np.arctan2(u.imag, 1.0 + u.real))
-    dP = -x / ((z + a) * (w + a)) - x / ((z - a) * (w - a))
-    zb, wb = np.conj(z), np.conj(w)
-    d_zphi = (np.conj(k) * 2.0 * a * x * (3.0 * y * y + 1j * y * x + a * a)
-              / ((zb * zb - a * a) * (wb * wb - a * a)))
-    d_psi = -kappa * np.conj(k) * dL + (a * k + c) * dP
-    r = 1j * (k * dL + d_zphi + np.conj(d_psi))
-    return np.stack((r.real, r.imag), axis=-1)
 
 
 def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStress:

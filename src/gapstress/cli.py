@@ -39,10 +39,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_config(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to a key = value config file")
         p.add_argument("--eps", type=float, default=None,
                        help="override: single gap width to use")
+
+    def add_common(p: argparse.ArgumentParser) -> None:
+        add_config(p)
         p.add_argument("--j", type=int, choices=(1, 2), default=None,
                        help="restrict to one load direction")
         p.add_argument("--out", default=None, help="override output CSV path")
@@ -54,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="parallel row computations (default serial)")
     p_verify = sub.add_parser("verify", help="run the identity check suite")
-    add_common(p_verify)
+    add_config(p_verify)
     p_kern = sub.add_parser("kernel-eval", help="print kernel values at points")
     p_kern.add_argument("--config", required=True)
     p_kern.add_argument("--kernel", choices=KERNEL_NAMES + ("all",), default="all")

@@ -5,6 +5,20 @@ column gives +delta times that basis vector; the traction flux of a column
 over any contour enclosing the pole, taken with the outward normal, is the
 corresponding unit vector.  Gradients are hand-derived closed forms; finite
 differences appear only in tests.
+
+The pair field q_j sums four of these nuclei: the Kelvin columns at the
+poles p1 = -a and p2 = a with opposite signs, plus two centers of dilatation
+(j = 1) or rotation (j = 2).  It is defined here once, by its
+Kolosov-Muskhelishvili potentials (Muskhelishvili, *Some Basic Problems of
+the Mathematical Theory of Elasticity*): with z = x1 + i x2,
+
+    phi = k L,   psi = -kappa conj(k) L + (a k + c) P,
+    L = log(z + a) - log(z - a),   P = 1/(z + a) + 1/(z - a),
+
+and (kappa, k, c) from ``_coefficients``.  ``singular_displacement``,
+``singular_stress`` and ``_edge_resultant`` all read them.  The individual
+nuclei serve ``gapstress kernel-eval`` and, in the tests, as the oracle for
+the potentials.
 """
 
 from __future__ import annotations
@@ -13,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elasticity import LameMaterial, Matrix2, SymTensor2, derived_constants, stress_from_gradient
+from .elasticity import LameMaterial, Matrix2, SymTensor2, derived_constants
 from .geometry import GapGeometry
 
 __all__ = [
@@ -24,7 +38,6 @@ __all__ = [
     "kernel_displacement",
     "kernel_gradient",
     "singular_displacement",
-    "singular_gradient",
     "singular_stress",
 ]
 
@@ -140,56 +153,97 @@ class KernelContext:
         return np.array([self.a, 0.0])
 
 
-def _check_j(j: int) -> None:
+def _coefficients(ctx: KernelContext, j: int) -> tuple[float, complex, complex]:
+    """(kappa, k_j, c_j) of q_j's Kolosov-Muskhelishvili potentials.
+
+    kappa = (lam + 3 mu) / (lam + mu) is the plane-strain Kolosov constant,
+    k_j = e_j / (2 pi (1 + kappa)) the point-force weight and c_j = -2 mu
+    alpha2 a e_j the weight of the two nuclei, with e_1 = 1 and e_2 = i.
+    """
     if j not in (1, 2):
         raise ValueError(f"loading index j must be 1 or 2, got {j}")
+    mat = ctx.material
+    kappa = (mat.lam + 3.0 * mat.mu) / (mat.lam + mat.mu)
+    e_j = 1.0 if j == 1 else 1j
+    k = e_j / (2.0 * np.pi * (1.0 + kappa))
+    c = -2.0 * mat.mu * ctx.alpha2 * ctx.a * e_j
+    return kappa, k, c
+
+
+def _pole_distances(ctx: KernelContext, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x1, x2 and the squared distances to p1 and p2; raises at a pole."""
+    x1, x2 = _split(x)
+    return x1, x2, _guarded_r2(x1 + ctx.a, x2), _guarded_r2(x1 - ctx.a, x2)
 
 
 def singular_displacement(ctx: KernelContext, j: int, x) -> np.ndarray:
-    """The singular test field q_j built from four nuclei of strain.
+    """The singular test field q_j, shape (..., 2).
 
     q_1 pairs opposite horizontal point forces at p1, p2 with two centers of
     dilatation; q_2 pairs vertical point forces with two centers of rotation.
     Both vanish at the origin and decay like sqrt(eps) away from the gap.
+    With z = x1 + i x2, 2 mu (u_1 + i u_2) = kappa phi - z conj(phi') -
+    conj(psi); the imaginary parts of L cancel, which leaves
+    2 kappa k Re L - z conj(phi') - conj((a k + c) P).
     """
-    _check_j(j)
-    pts = np.asarray(x, dtype=float)
-    mat = ctx.material
-    d1 = pts - ctx.p1
-    d2 = pts - ctx.p2
-    kelvin = "kelvin1" if j == 1 else "kelvin2"
-    nucleus = "radial" if j == 1 else "rotational"
-    sign = 1.0 if j == 1 else -1.0
-    out = kernel_displacement(kelvin, d1, mat) - kernel_displacement(kelvin, d2, mat)
-    out += (sign * ctx.alpha2 * ctx.a) * (
-        kernel_displacement(nucleus, d1, mat) + kernel_displacement(nucleus, d2, mat)
-    )
-    return out
-
-
-def singular_gradient(ctx: KernelContext, j: int, x) -> Matrix2:
-    """Closed-form displacement gradient of q_j."""
-    _check_j(j)
-    pts = np.asarray(x, dtype=float)
-    mat = ctx.material
-    d1 = pts - ctx.p1
-    d2 = pts - ctx.p2
-    kelvin = "kelvin1" if j == 1 else "kelvin2"
-    nucleus = "radial" if j == 1 else "rotational"
-    sign = 1.0 if j == 1 else -1.0
-    gk1 = kernel_gradient(kelvin, d1, mat)
-    gk2 = kernel_gradient(kelvin, d2, mat)
-    gn1 = kernel_gradient(nucleus, d1, mat)
-    gn2 = kernel_gradient(nucleus, d2, mat)
-    c = sign * ctx.alpha2 * ctx.a
-    return Matrix2(
-        gk1.a11 - gk2.a11 + c * (gn1.a11 + gn2.a11),
-        gk1.a12 - gk2.a12 + c * (gn1.a12 + gn2.a12),
-        gk1.a21 - gk2.a21 + c * (gn1.a21 + gn2.a21),
-        gk1.a22 - gk2.a22 + c * (gn1.a22 + gn2.a22),
-    )
+    kappa, k, c = _coefficients(ctx, j)
+    a = ctx.a
+    x1, x2, rp2, rm2 = _pole_distances(ctx, x)
+    # Re L = log|z + a| - log|z - a| = +-1/2 log1p(4 a |x1| / r^2), r the
+    # distance to the nearer pole: accurate far from the gap and near a pole
+    r2_near = np.where(x1 >= 0.0, rm2, rp2)
+    re_L = np.copysign(0.5 * np.log1p(4.0 * a * np.abs(x1) / r2_near), x1)
+    z = x1 + 1j * x2
+    iw = 1.0 / ((z + a) * (z - a))
+    phi_p = (-2.0 * a * k) * iw
+    P = 2.0 * z * iw
+    v = 2.0 * kappa * k * re_L - z * np.conj(phi_p) - np.conj((a * k + c) * P)
+    v /= 2.0 * ctx.material.mu
+    return np.stack((v.real, v.imag), axis=-1)
 
 
 def singular_stress(ctx: KernelContext, j: int, x) -> SymTensor2:
-    """Stress of q_j; divergence-free away from the two poles."""
-    return stress_from_gradient(singular_gradient(ctx, j, x), ctx.material)
+    """Stress of q_j; divergence-free away from the two poles.
+
+    sigma11 + sigma22 = 4 Re phi' and sigma22 - sigma11 + 2 i sigma12 =
+    2 (conj(z) phi'' + psi'), with phi' = -2 a k / w, phi'' = 4 a k z / w^2
+    and psi' = 2 a kappa conj(k) / w - 2 (a k + c) (z^2 + a^2) / w^2, where
+    w = (z + a)(z - a).
+    """
+    kappa, k, c = _coefficients(ctx, j)
+    a = ctx.a
+    x1, x2, _, _ = _pole_distances(ctx, x)
+    z = x1 + 1j * x2
+    iw = 1.0 / ((z + a) * (z - a))
+    iw2 = iw * iw
+    phi_p = (-2.0 * a * k) * iw
+    phi_pp = (4.0 * a * k) * z * iw2
+    psi_p = (2.0 * a * kappa * np.conj(k)) * iw - (2.0 * (a * k + c)) * (z * z + a * a) * iw2
+    tr = 4.0 * phi_p.real
+    dev = 2.0 * (np.conj(z) * phi_pp + psi_p)
+    return SymTensor2(0.5 * (tr - dev.real), 0.5 * dev.imag, 0.5 * (tr + dev.real))
+
+
+def _edge_resultant(ctx: KernelContext, j: int, x: np.ndarray, y: float) -> np.ndarray:
+    """Traction resultant int_0^x sigma(q_j)(s, y) e_2 ds, shape x.shape + (2,).
+
+    The resultant t_1 + i t_2 is i [Phi(z) - Phi(i y)] with z = x + i y and
+    Phi = phi + z conj(phi') + conj(psi) (Muskhelishvili).  Each difference
+    is written with its factor x explicit, which keeps it accurate near 0.
+    """
+    kappa, k, c = _coefficients(ctx, j)
+    a = ctx.a
+    z = x + 1j * y
+    w = 1j * y
+    u = -2.0 * a * x / ((z - a) * (w + a))
+    # log1p(u) = L(z) - L(w); numpy's complex log1p loses the real part's
+    # relative accuracy for tiny |u|
+    dL = (0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag ** 2)
+          + 1j * np.arctan2(u.imag, 1.0 + u.real))
+    dP = -x / ((z + a) * (w + a)) - x / ((z - a) * (w - a))
+    zb, wb = np.conj(z), np.conj(w)
+    d_zphi = (np.conj(k) * 2.0 * a * x * (3.0 * y * y + 1j * y * x + a * a)
+              / ((zb * zb - a * a) * (wb * wb - a * a)))
+    d_psi = -kappa * np.conj(k) * dL + (a * k + c) * dP
+    r = 1j * (k * dL + d_zphi + np.conj(d_psi))
+    return np.stack((r.real, r.imag), axis=-1)

@@ -68,8 +68,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.eps_list:
             raise ConfigError("eps_list must not be empty")
-        if any(e <= 0.0 for e in self.eps_list):
-            raise ConfigError("every eps must be positive")
+        # a nan would survive the sort below and reach the rows
+        for e in self.eps_list:
+            if not (np.isfinite(e) and e > 0.0):
+                raise ConfigError(f"every eps must be finite and positive, got {e}")
         # a zero tolerance would refine until the budget caps
         for name in ("rel_tol_cell", "rel_tol_path"):
             tol = getattr(self, name)

@@ -9,13 +9,18 @@ import pytest
 from gapstress import (
     KERNEL_NAMES,
     POLE_EXCLUSION_RADIUS,
+    Ellipse,
     KernelContext,
+    LameMaterial,
+    Matrix2,
+    SymTensor2,
     kelvin_matrix,
     kernel_displacement,
     kernel_gradient,
+    make_gap_geometry,
     singular_displacement,
-    singular_gradient,
     singular_stress,
+    stress_from_gradient,
 )
 from gapstress.geometry import Curve, PathSegment, Region, region_classify
 from gapstress.quadrature import QuadratureSpec, integrate_path
@@ -113,7 +118,7 @@ def test_pair_field_far_point_scales_like_sqrt_eps(j):
 
 
 @pytest.mark.parametrize("j", [1, 2])
-def test_pair_field_gradient_matches_displacement_fd(j):
+def test_pair_stress_matches_displacement_fd(j):
     g = disk_geometry(1e-3)
     ctx = KernelContext.from_geometry(g, UNIT)
     rng = np.random.default_rng(5)
@@ -127,14 +132,76 @@ def test_pair_field_gradient_matches_displacement_fd(j):
     ey = np.array([0.0, h])
     d1 = (singular_displacement(ctx, j, pts + ex) - singular_displacement(ctx, j, pts - ex)) / (2 * h)
     d2 = (singular_displacement(ctx, j, pts + ey) - singular_displacement(ctx, j, pts - ey)) / (2 * h)
-    gm = singular_gradient(ctx, j, pts)
-    scale = max(
-        np.abs(gm.a11).max(), np.abs(gm.a12).max(), np.abs(gm.a21).max(), np.abs(gm.a22).max()
-    )
-    assert np.abs(gm.a11 - d1[:, 0]).max() <= 2e-6 * scale
-    assert np.abs(gm.a21 - d1[:, 1]).max() <= 2e-6 * scale
-    assert np.abs(gm.a12 - d2[:, 0]).max() <= 2e-6 * scale
-    assert np.abs(gm.a22 - d2[:, 1]).max() <= 2e-6 * scale
+    fd = stress_from_gradient(Matrix2(d1[:, 0], d2[:, 0], d1[:, 1], d2[:, 1]), UNIT)
+    s = singular_stress(ctx, j, pts)
+    scale = max(np.abs(s.a11).max(), np.abs(s.a12).max(), np.abs(s.a22).max())
+    assert np.abs(s.a11 - fd.a11).max() <= 2e-6 * scale
+    assert np.abs(s.a12 - fd.a12).max() <= 2e-6 * scale
+    assert np.abs(s.a22 - fd.a22).max() <= 2e-6 * scale
+
+
+# (Kelvin column, nucleus, sign of the nucleus weight alpha2 a) of q_j
+_NUCLEI = {1: ("kelvin1", "radial", 1.0), 2: ("kelvin2", "rotational", -1.0)}
+
+
+def _nuclei_displacement(ctx, j, pts):
+    """q_j as the sum of its four nuclei of strain: the Kelvin columns at p1
+    and p2 with opposite signs plus two centers of dilatation (j = 1) or
+    rotation (j = 2)."""
+    mat = ctx.material
+    d1, d2 = pts - ctx.p1, pts - ctx.p2
+    kelvin, nucleus, sign = _NUCLEI[j]
+    return (kernel_displacement(kelvin, d1, mat) - kernel_displacement(kelvin, d2, mat)
+            + sign * ctx.alpha2 * ctx.a
+            * (kernel_displacement(nucleus, d1, mat) + kernel_displacement(nucleus, d2, mat)))
+
+
+def _nuclei_stress(ctx, j, pts) -> SymTensor2:
+    mat = ctx.material
+    d1, d2 = pts - ctx.p1, pts - ctx.p2
+    kelvin, nucleus, sign = _NUCLEI[j]
+    c = sign * ctx.alpha2 * ctx.a
+    parts = (kernel_gradient(kelvin, d1, mat), kernel_gradient(kelvin, d2, mat),
+             kernel_gradient(nucleus, d1, mat), kernel_gradient(nucleus, d2, mat))
+    entries = [k1 - k2 + c * (n1 + n2)
+               for k1, k2, n1, n2 in zip(*((g.a11, g.a12, g.a21, g.a22) for g in parts))]
+    return stress_from_gradient(Matrix2(*entries), mat)
+
+
+@pytest.mark.parametrize("shape", ["disk", "ellipse"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("lam,mu", [(1.0, 1.0), (3.0, 0.7), (-0.5, 1.0)])
+def test_pair_field_potentials_match_nuclei_sum(shape, eps, lam, mu):
+    g = (disk_geometry(eps) if shape == "disk"
+         else make_gap_geometry(Ellipse(a=1.0, b=2.0), eps=eps, L2=2.5))
+    ctx = KernelContext.from_geometry(g, LameMaterial(lam=lam, mu=mu))
+    rng = np.random.default_rng(29)
+    # the whole cell and a box around the gap, a few gap widths across
+    near = 5.0 * eps
+    pts = np.concatenate((
+        rng.uniform([-g.L1, -g.L2], [g.L1, g.L2], size=(1500, 2)),
+        rng.uniform([-near, -20.0 * g.a], [near, 20.0 * g.a], size=(500, 2)),
+    ))
+    for j in (1, 2):
+        u = singular_displacement(ctx, j, pts)
+        u_ref = _nuclei_displacement(ctx, j, pts)
+        assert np.abs(u - u_ref).max() <= 1e-12 * np.abs(u_ref).max()
+        s = singular_stress(ctx, j, pts)
+        s_ref = _nuclei_stress(ctx, j, pts)
+        got = np.stack((s.a11, s.a12, s.a22), axis=-1)
+        ref = np.stack((s_ref.a11, s_ref.a12, s_ref.a22), axis=-1)
+        assert np.all(np.abs(got - ref).max(axis=-1) <= 1e-11 * np.abs(ref).max(axis=-1))
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("pole", ["p1", "p2"])
+def test_pair_field_rejects_pole(j, pole):
+    ctx = KernelContext.from_geometry(disk_geometry(1e-3), UNIT)
+    at = getattr(ctx, pole) + np.array([0.5 * POLE_EXCLUSION_RADIUS, 0.0])
+    with pytest.raises(ValueError):
+        singular_displacement(ctx, j, at)
+    with pytest.raises(ValueError):
+        singular_stress(ctx, j, at)
 
 
 def test_pair_stress_symmetries_at_origin():

@@ -124,6 +124,29 @@ def test_run_config_validation():
     assert cfg.eps_list == (1e-2, 1e-3)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_eps_exits_2_before_any_row(value, monkeypatch, tmp_path, capsys):
+    # a nan used to sort last and fail only after the other rows were computed
+    p = tmp_path / "eps.cfg"
+    p.write_text(GOOD_CONFIG.replace("1e-2, 1e-3", f"1e-2 {value} 1e-3 1e-4"))
+    calls = []
+    for module in (pipeline, cli):
+        monkeypatch.setattr(module, "compute_sweep_row", lambda *a: calls.append(a))
+    for command in ("sweep", "bounds"):
+        assert cli.main([command, "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {p}: every eps")
+    assert calls == []
+
+
+@pytest.mark.parametrize("option", [["--out", "v.csv"], ["--j", "2"]])
+def test_cli_verify_rejects_unused_options(option, config_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--config", str(config_file), *option])
+    assert exc.value.code == 2
+    assert not (tmp_path / "v.csv").exists()
+
+
 @pytest.mark.parametrize("key", ["rel_tol_cell", "rel_tol_path"])
 @pytest.mark.parametrize("tol", [0.0, math.nan, math.inf, -1e-3])
 def test_run_config_rejects_unusable_tolerance(key, tol):
