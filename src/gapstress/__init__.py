@@ -45,12 +45,13 @@ from .kernels import (
 from .quadrature import (
     IntegralResult,
     QuadratureError,
-    QuadratureSpec,
     cumulative_line_table,
     integrate_cell,
     integrate_path,
 )
 from .bounds import (
+    REL_TOL_CELL,
+    REL_TOL_PATH,
     BoundResult,
     Diagnostics,
     DualStress,

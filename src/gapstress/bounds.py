@@ -40,7 +40,6 @@ from .geometry import (
 from .kernels import KernelContext, _edge_resultant, singular_displacement, singular_stress
 from .quadrature import (
     IntegralResult,
-    QuadratureSpec,
     cumulative_line_table,  # noqa: F401
     integrate_cell,
     integrate_path,
@@ -60,7 +59,13 @@ __all__ = [
     "pair_boundary_integral",
     "flux_identity_check",
     "energy_identity_check",
+    "REL_TOL_CELL",
+    "REL_TOL_PATH",
 ]
+
+# default relative tolerances of the cell integral and of the path integrals
+REL_TOL_CELL = 1e-6
+REL_TOL_PATH = 1e-8
 
 StressField = Callable[[np.ndarray], Matrix2]
 
@@ -165,7 +170,7 @@ class BoundResult:
 
 
 def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int,
-                 spec: QuadratureSpec | None = None) -> BoundResult:
+                 rel_tol: float = REL_TOL_CELL) -> BoundResult:
     """Stiffness form on the Keller test field: an upper value for the
     corresponding gap energy up to the reported quadrature error.
 
@@ -177,8 +182,6 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int,
     """
     if j not in (1, 2):
         raise ValueError(f"j must be 1 or 2, got {j}")
-    if spec is None:
-        spec = QuadratureSpec.for_cell()
     # C grad(psi e_j) : grad(psi e_j) = a psi_x^2 + b psi_y^2
     a, b = mat.lam + 2.0 * mat.mu, mat.mu
     if j == 2:
@@ -198,7 +201,7 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int,
     normal = (1.0, 0.0)  # unused by the density
     path = Curve(segments=tuple(_line_segment((0.0, y0), (0.0, y1), normal)
                                 for y0, y1 in zip(breaks[:-1], breaks[1:])))
-    res = integrate_path(path, density, spec)
+    res = integrate_path(path, density, rel_tol)
     return BoundResult(
         j=j,
         kind="upper",
@@ -336,7 +339,7 @@ def _work_integrand(ctx: KernelContext, j: int):
 
 
 def _singular_self_energy(geom: GapGeometry, mat: LameMaterial, j: int,
-                          path_spec: QuadratureSpec) -> IntegralResult:
+                          rel_tol: float) -> IntegralResult:
     """Matrix integral of sigma_S : C^-1 sigma_S for the scaled pair field.
 
     The pair field q_j solves the Lame system in the matrix, so by Green's
@@ -346,14 +349,14 @@ def _singular_self_energy(geom: GapGeometry, mat: LameMaterial, j: int,
     matrix_boundary = Curve(segments=tuple(
         s for c in boundary_curves(geom).values() for s in c.segments))
     ctx = KernelContext.from_geometry(geom, mat)
-    work = integrate_path(matrix_boundary, _work_integrand(ctx, j), path_spec)
+    work = integrate_path(matrix_boundary, _work_integrand(ctx, j), rel_tol)
     scale2 = m_constant(geom, mat, j) ** 2 / geom.eps
     return replace(work, value=scale2 * work.value, err_estimate=scale2 * work.err_estimate)
 
 
 def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
-               spec: QuadratureSpec | None = None,
-               path_spec: QuadratureSpec | None = None,
+               rel_tol_cell: float = REL_TOL_CELL,
+               rel_tol_path: float = REL_TOL_PATH,
                dual: DualStress | None = None) -> BoundResult:
     """Dual functional on the assembled stress: a lower value for the energy.
 
@@ -363,10 +366,6 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
     area integral of sigma_c : C^-1 (sigma_c + 2 sigma_S), and ``boundary``
     lin is the j-th traction component of the total stress on gamma_plus.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_cell()
-    if path_spec is None:
-        path_spec = QuadratureSpec.for_path()
     if dual is None:
         dual = build_dual_stress(geom, mat, j)
 
@@ -378,9 +377,9 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
     def traction(p: np.ndarray, n: np.ndarray) -> np.ndarray:
         return dual.sigma_total(p).apply(n)[..., j - 1]
 
-    q_ss = _singular_self_energy(geom, mat, j, path_spec)
-    q_c = integrate_cell(geom, cell_density, spec)
-    lin = integrate_path(boundary_curves(geom)["gamma_plus"], traction, path_spec)
+    q_ss = _singular_self_energy(geom, mat, j, rel_tol_path)
+    q_c = integrate_cell(geom, cell_density, rel_tol_cell)
+    lin = integrate_path(boundary_curves(geom)["gamma_plus"], traction, rel_tol_path)
 
     value = -q_ss.value - q_c.value + 2.0 * lin.value
     qerr = q_ss.err_estimate + q_c.err_estimate + 2.0 * lin.err_estimate
@@ -405,34 +404,32 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
 
 
 def pair_boundary_integral(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
-                           spec: QuadratureSpec | None = None) -> IntegralResult:
+                           rel_tol: float = REL_TOL_PATH) -> IntegralResult:
     """Traction flux and work of the pair field q_j on inclusion boundary i.
 
     One path integral whose value is [flux k=1, flux k=2, work], normals
     pointing out of the matrix region (into the inclusion); each component
     is held to the tolerance relative to its own scale.
     """
-    if spec is None:
-        spec = QuadratureSpec.for_path()
     ctx = KernelContext.from_geometry(geom, mat)
-    return integrate_path(inclusion_boundary(geom, i), _pair_boundary_integrand(ctx, j), spec)
+    return integrate_path(inclusion_boundary(geom, i), _pair_boundary_integrand(ctx, j), rel_tol)
 
 
 def flux_identity_check(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
-                        k: int, spec: QuadratureSpec | None = None) -> float:
+                        k: int, rel_tol: float = REL_TOL_PATH) -> float:
     """Traction flux of the pair field q_j through one inclusion boundary.
 
     The normal points out of the matrix region (into the inclusion); the
     exact value is (-1)^i * delta_jk.
     """
-    return float(pair_boundary_integral(geom, mat, i, j, spec).value[k - 1])
+    return float(pair_boundary_integral(geom, mat, i, j, rel_tol).value[k - 1])
 
 
 def energy_identity_check(geom: GapGeometry, mat: LameMaterial, j: int,
-                          spec: QuadratureSpec | None = None) -> float:
+                          rel_tol: float = REL_TOL_PATH) -> float:
     """Work integral of the pair field over both inclusion boundaries.
 
     Approximates the matrix energy of q_j; the normalized combination
     m_j * result / sqrt(eps) tends to 1 as the gap closes.
     """
-    return float(sum(pair_boundary_integral(geom, mat, i, j, spec).value[2] for i in (1, 2)))
+    return float(sum(pair_boundary_integral(geom, mat, i, j, rel_tol).value[2] for i in (1, 2)))

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration problems, 3 quadrature failures,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -68,11 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _restrict(cfg: RunConfig, eps: float | None) -> RunConfig:
-    if eps is None:
-        return cfg
-    return RunConfig(material=cfg.material, shape=cfg.shape, L2=cfg.L2,
-                     eps_list=(eps,), rel_tol_cell=cfg.rel_tol_cell,
-                     rel_tol_path=cfg.rel_tol_path, out=cfg.out)
+    return cfg if eps is None else dataclasses.replace(cfg, eps_list=(eps,))
 
 
 def _warn_unconverged(rows) -> None:

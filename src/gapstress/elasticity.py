@@ -38,6 +38,8 @@ class LameMaterial:
     mu: float
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.lam) and np.isfinite(self.mu)):
+            raise ValueError(f"Lame constants must be finite, got lam={self.lam}, mu={self.mu}")
         if not (self.mu > 0.0):
             raise ValueError(f"shear modulus must be positive, got mu={self.mu}")
         if not (self.lam + self.mu > 0.0):

@@ -42,8 +42,8 @@ class Disk:
     r0: float
 
     def __post_init__(self) -> None:
-        if not self.r0 > 0.0:
-            raise ValueError(f"disk radius must be positive, got {self.r0}")
+        if not (np.isfinite(self.r0) and self.r0 > 0.0):
+            raise ValueError(f"disk radius must be finite and positive, got {self.r0}")
 
     @property
     def kind(self) -> str:
@@ -70,8 +70,9 @@ class Ellipse:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"ellipse semi-axes must be positive, got a={self.a}, b={self.b}")
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a > 0.0 and self.b > 0.0):
+            raise ValueError(
+                f"ellipse semi-axes must be finite and positive, got a={self.a}, b={self.b}")
 
     @property
     def kind(self) -> str:
@@ -151,8 +152,10 @@ class GapGeometry:
 
 
 def make_gap_geometry(shape: InclusionShape, eps: float, L2: float) -> GapGeometry:
-    if not eps > 0.0:
-        raise ValueError(f"gap width must be positive, got eps={eps}")
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"gap width must be finite and positive, got eps={eps}")
+    if not np.isfinite(L2):
+        raise ValueError(f"cell half-height must be finite, got L2={L2}")
     if not L2 > shape.half_height:
         raise ValueError(
             f"cell half-height L2={L2} must exceed the inclusion half-height "

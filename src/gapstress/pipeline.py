@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    REL_TOL_CELL,
+    REL_TOL_PATH,
     Diagnostics,
     build_dual_stress,
     dual_lower,
@@ -24,7 +26,6 @@ from .bounds import (
 )
 from .elasticity import LameMaterial, derived_constants
 from .geometry import Disk, Ellipse, GapGeometry, InclusionShape, make_gap_geometry
-from .quadrature import QuadratureSpec
 
 __all__ = [
     "ConfigError",
@@ -61,8 +62,8 @@ class RunConfig:
     shape: InclusionShape
     L2: float
     eps_list: tuple[float, ...]
-    rel_tol_cell: float = 1e-6
-    rel_tol_path: float = 1e-8
+    rel_tol_cell: float = REL_TOL_CELL
+    rel_tol_path: float = REL_TOL_PATH
     out: str | None = None
 
     def __post_init__(self) -> None:
@@ -80,12 +81,6 @@ class RunConfig:
         ordered = tuple(sorted(set(self.eps_list), reverse=True))
         if ordered != tuple(self.eps_list):
             object.__setattr__(self, "eps_list", ordered)
-
-    def cell_spec(self) -> QuadratureSpec:
-        return QuadratureSpec.for_cell(rel_tol=self.rel_tol_cell)
-
-    def path_spec(self) -> QuadratureSpec:
-        return QuadratureSpec.for_path(rel_tol=self.rel_tol_path)
 
 
 _REQUIRED_KEYS = {"lambda", "mu", "shape", "L2", "eps_list"}
@@ -152,12 +147,11 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: eps_list is not a list of numbers") from exc
 
     L2 = as_float("L2")
-    rel_tol_cell = as_float("rel_tol_cell") if "rel_tol_cell" in entries else 1e-6
-    rel_tol_path = as_float("rel_tol_path") if "rel_tol_path" in entries else 1e-8
+    # absent tolerances take RunConfig's defaults
+    tols = {k: as_float(k) for k in ("rel_tol_cell", "rel_tol_path") if k in entries}
     try:
         cfg = RunConfig(material=material, shape=shape, L2=L2, eps_list=eps_list,
-                        rel_tol_cell=rel_tol_cell, rel_tol_path=rel_tol_path,
-                        out=entries.get("out"))
+                        out=entries.get("out"), **tols)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     # build one geometry now so dimension errors surface as config errors
@@ -233,11 +227,9 @@ class SweepRow:
 
 def compute_sweep_row(cfg: RunConfig, eps: float, j: int) -> SweepRow:
     geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
-    cell_spec = cfg.cell_spec()
-    path_spec = cfg.path_spec()
-    up = primal_upper(geom, cfg.material, j, cell_spec)
+    up = primal_upper(geom, cfg.material, j, cfg.rel_tol_cell)
     dual = build_dual_stress(geom, cfg.material, j)
-    lo = dual_lower(geom, cfg.material, j, cell_spec, path_spec, dual)
+    lo = dual_lower(geom, cfg.material, j, cfg.rel_tol_cell, cfg.rel_tol_path, dual)
     root = np.sqrt(eps)
     mj = m_constant(geom, cfg.material, j)
     # widen by the quadrature errors so the interval holds whatever the
@@ -338,7 +330,6 @@ def run_verify(cfg: RunConfig, eps: float | None = None) -> list[str]:
     if eps is None:
         eps = cfg.eps_list[0]
     geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
-    path_spec = cfg.path_spec()
     lines: list[str] = []
     failures: list[str] = []
 
@@ -349,7 +340,7 @@ def run_verify(cfg: RunConfig, eps: float | None = None) -> list[str]:
             failures.append(name)
 
     # [flux k=1, flux k=2, work] of q_j on inclusion boundary i
-    pair = {(i, j): pair_boundary_integral(geom, cfg.material, i, j, path_spec).value
+    pair = {(i, j): pair_boundary_integral(geom, cfg.material, i, j, cfg.rel_tol_path).value
             for i in (1, 2) for j in (1, 2)}
 
     for i in (1, 2):

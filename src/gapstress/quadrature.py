@@ -1,8 +1,10 @@
 """Deterministic adaptive quadrature over boundary curves and the matrix cell.
 
-Path integrals evaluate an embedded pair of Gauss orders on every panel, then
-greedily split the panels carrying most of the error estimate until the
-global estimate meets the tolerance or the depth cap is reached.  Matrix
+Both integrators take one setting, a relative tolerance; one that is not
+finite and positive raises ValueError.  Path integrals evaluate the embedded
+Gauss pair of orders _ORDER and 2 _ORDER on every panel, then greedily split
+the panels carrying most of the error estimate until the global estimate
+meets the tolerance or the panels reach _MAX_DEPTH bisections.  Matrix
 integrals use the same loop on the x-axis: the matrix is vertically simple,
 so at each outer node the integrand is integrated in y over the exact fibre
 [h(x), L2] and its mirror with one fixed Gauss template.  Evaluations are
@@ -12,7 +14,7 @@ randomness is used, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -32,7 +34,6 @@ from .geometry import (  # noqa: F401
 )
 
 __all__ = [
-    "QuadratureSpec",
     "IntegralResult",
     "QuadratureError",
     "integrate_path",
@@ -40,8 +41,13 @@ __all__ = [
     "cumulative_line_table",
 ]
 
+# Gauss pair order of both integrators, and the bisections a panel may take
+# from its root panel (outer x panels and fibre template panels alike)
+_ORDER = 8
+_MAX_DEPTH = 30
 _MAX_PATH_PANELS = 262_144
 _MAX_ROUNDS = 400
+_MAX_SPLIT = 65_536
 _EVAL_CHUNK = 8_192
 _MAX_FIBRE_ROUNDS = 12
 _OUTER_GRADING = 8.0
@@ -53,34 +59,6 @@ _TABLE_PASSES = 6
 
 class QuadratureError(RuntimeError):
     """Raised when an integral cannot be evaluated to a usable accuracy."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budget caps for one integration call.
-
-    ``max_depth`` counts bisections from a root panel; for a cell integral
-    it caps the outer x panels and the fibre template panels alike.
-    """
-
-    rel_tol: float = 1e-8
-    base_order: int = 8
-    max_depth: int = 30
-
-    def __post_init__(self) -> None:
-        # a zero or non-finite tolerance would refine until the budget caps
-        if not (np.isfinite(self.rel_tol) and self.rel_tol > 0.0):
-            raise ValueError(f"rel_tol must be finite and positive, got {self.rel_tol}")
-        if self.base_order < 2 or self.max_depth < 1:
-            raise ValueError("base_order must be >= 2 and max_depth >= 1")
-
-    @classmethod
-    def for_path(cls, rel_tol: float = 1e-8, **kw) -> "QuadratureSpec":
-        return cls(rel_tol=rel_tol, **kw)
-
-    @classmethod
-    def for_cell(cls, rel_tol: float = 1e-6, **kw) -> "QuadratureSpec":
-        return cls(rel_tol=rel_tol, **kw)
 
 
 @dataclass(frozen=True)
@@ -105,19 +83,34 @@ def _pairwise_total(parts: np.ndarray) -> np.ndarray:
     return np.sum(parts, axis=0)
 
 
+def _check_tol(rel_tol: float) -> None:
+    # a zero or non-finite tolerance would refine until the budget caps
+    if not (np.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ValueError(f"rel_tol must be finite and positive, got {rel_tol}")
+
+
+def _worst_panels(err: np.ndarray, splittable: np.ndarray, excess: float) -> np.ndarray:
+    """Sorted indices of the fewest splittable panels, worst first and ties
+    by index, whose errors sum past ``excess``; at most _MAX_SPLIT of them."""
+    ranked = np.lexsort((np.arange(err.size), -err))
+    ranked = ranked[splittable[ranked]]
+    n_split = int(np.searchsorted(np.cumsum(err[ranked]), excess)) + 1
+    return np.sort(ranked[:min(n_split, _MAX_SPLIT)])
+
+
 # ---------------------------------------------------------------------------
 # path integration
 # ---------------------------------------------------------------------------
 
 
 def _eval_path_panels(curve: Curve, integrand, seg: np.ndarray, t0: np.ndarray,
-                      t1: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss values of all panels at ``order`` and ``2 order``.
+                      t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss values of all panels at _ORDER and 2 _ORDER.
 
     The nodes of both orders on every panel of every segment reach the
     integrand in one call.  Returns (lo, hi), each of shape (n_panels, n_comp).
     """
-    rules = (_gauss_rule(order), _gauss_rule(2 * order))
+    rules = (_gauss_rule(_ORDER), _gauss_rule(2 * _ORDER))
     pts, nrm, spd, groups = [], [], [], []
     for s, segment in enumerate(curve.segments):
         idx = np.nonzero(seg == s)[0]
@@ -148,7 +141,7 @@ def _eval_path_panels(curve: Curve, integrand, seg: np.ndarray, t0: np.ndarray,
     return out
 
 
-def _adapt_panels(curve: Curve, integrand, spec: QuadratureSpec, seg: np.ndarray,
+def _adapt_panels(curve: Curve, integrand, rel_tol: float, seg: np.ndarray,
                   t0: np.ndarray, t1: np.ndarray, n_est: int | None = None):
     """Greedy adaptive refinement from the given root panels.
 
@@ -166,11 +159,9 @@ def _adapt_panels(curve: Curve, integrand, spec: QuadratureSpec, seg: np.ndarray
     the final panel count and the number of path nodes evaluated.
     """
     depth = np.zeros(seg.size, dtype=np.int32)
-    order = spec.base_order
-
-    lo, hi = _eval_path_panels(curve, integrand, seg, t0, t1, order)
+    lo, hi = _eval_path_panels(curve, integrand, seg, t0, t1)
     diff = np.abs(hi - lo)[:, :n_est]
-    evals = 3 * order * seg.size
+    evals = 3 * _ORDER * seg.size
 
     def panel_errors(total: np.ndarray) -> tuple[np.ndarray, float]:
         # scale by the largest panel contribution, not only the total, so
@@ -178,26 +169,19 @@ def _adapt_panels(curve: Curve, integrand, spec: QuadratureSpec, seg: np.ndarray
         scale = np.maximum(np.abs(total[:n_est]), np.abs(hi[:, :n_est]).max(axis=0, initial=0.0))
         largest = float(scale.max())
         weight = np.divide(largest, scale, out=np.ones_like(scale), where=scale > 0.0)
-        return (diff * weight).max(axis=1), spec.rel_tol * largest
+        return (diff * weight).max(axis=1), rel_tol * largest
 
     for _ in range(_MAX_ROUNDS):
         total = _pairwise_total(hi)
         err, tol_eff = panel_errors(total)
         total_err = float(err.sum())
-        splittable = depth < spec.max_depth
+        splittable = depth < _MAX_DEPTH
         if total_err <= tol_eff or not bool(np.any(splittable & (err > 0.0))):
             break
         if err.size > _MAX_PATH_PANELS:
             break
         # split the worst panels until the remainder would fit in the budget
-        order_idx = np.lexsort((np.arange(err.size), -err))
-        ranked = order_idx[splittable[order_idx]]
-        ranked_err = err[ranked]
-        need = total_err - 0.5 * tol_eff
-        cum = np.cumsum(ranked_err)
-        n_split = int(np.searchsorted(cum, need) + 1)
-        n_split = min(max(n_split, 1), ranked.size, 65536)
-        chosen = np.sort(ranked[:n_split])
+        chosen = _worst_panels(err, splittable, total_err - 0.5 * tol_eff)
         keep = np.ones(err.size, dtype=bool)
         keep[chosen] = False
         mid = (t0[chosen] + t1[chosen]) / 2.0
@@ -205,8 +189,8 @@ def _adapt_panels(curve: Curve, integrand, spec: QuadratureSpec, seg: np.ndarray
         child_t0 = np.stack((t0[chosen], mid), axis=1).reshape(-1)
         child_t1 = np.stack((mid, t1[chosen]), axis=1).reshape(-1)
         child_depth = np.repeat(depth[chosen] + 1, 2)
-        c_lo, c_hi = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1, order)
-        evals += 3 * order * child_seg.size
+        c_lo, c_hi = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1)
+        evals += 3 * _ORDER * child_seg.size
         seg = np.concatenate((seg[keep], child_seg))
         t0 = np.concatenate((t0[keep], child_t0))
         t1 = np.concatenate((t1[keep], child_t1))
@@ -221,7 +205,7 @@ def _adapt_panels(curve: Curve, integrand, spec: QuadratureSpec, seg: np.ndarray
     return total, float(err.sum()), tol_eff, int(err.size), evals
 
 
-def integrate_path(curve: Curve, integrand, spec: QuadratureSpec) -> IntegralResult:
+def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
     """Adaptive arclength integral of ``integrand(points, normals)``.
 
     The integrand may return shape (n,) or (n, m); the result value follows.
@@ -232,12 +216,13 @@ def integrate_path(curve: Curve, integrand, spec: QuadratureSpec) -> IntegralRes
     component is held to ``rel_tol`` times its own scale, and the estimate
     bounds the summed pair difference of every component.
     """
+    _check_tol(rel_tol)
     nseg = len(curve.segments)
     splits0 = 4
     seg = np.repeat(np.arange(nseg), splits0)
     edges = np.linspace(0.0, 1.0, splits0 + 1)
     total, total_err, tol_eff, panels, evals = _adapt_panels(
-        curve, integrand, spec, seg, np.tile(edges[:-1], nseg), np.tile(edges[1:], nseg))
+        curve, integrand, rel_tol, seg, np.tile(edges[:-1], nseg), np.tile(edges[1:], nseg))
     value = total[0] if total.size == 1 else total
     if not np.all(np.isfinite(total)):
         raise QuadratureError("path integral produced a non-finite value")
@@ -289,17 +274,16 @@ def _fibre_template(geom: GapGeometry) -> np.ndarray:
     return np.asarray(tau)
 
 
-def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, order: int,
-                     counter: list[int]):
+def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: list[int]):
     """Outer integrand over x: the Gauss pair on every fibre at once.
 
-    Returns a path integrand giving, per outer node x, the (2 order)-point
+    Returns a path integrand giving, per outer node x, the (2 _ORDER)-point
     value of the y-integral over [h(x), L2] and its mirror, followed by the
     difference between the two orders on each template panel.
     """
     a, b = tau[:-1], tau[1:]
     rules = []
-    for k in (order, 2 * order):
+    for k in (_ORDER, 2 * _ORDER):
         nodes, weights = _gauss_rule(k)
         t = a[:, None] + (b - a)[:, None] * (nodes[None, :] + 1.0) / 2.0
         rules.append((t.reshape(-1), ((b - a)[:, None] * weights[None, :] / 2.0).reshape(-1)))
@@ -328,15 +312,15 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, order: int,
         counter[0] += f.size
         # the mirror halves share the nodes, so sum them before weighting
         f = f.sum(axis=1)
-        lo = (f[:, :w_lo.size] * w_lo).reshape(x.size, n_panels, order).sum(axis=2)
-        hi = (f[:, w_lo.size:] * w_hi).reshape(x.size, n_panels, 2 * order).sum(axis=2)
+        lo = (f[:, :w_lo.size] * w_lo).reshape(x.size, n_panels, _ORDER).sum(axis=2)
+        hi = (f[:, w_lo.size:] * w_hi).reshape(x.size, n_panels, 2 * _ORDER).sum(axis=2)
         return length[:, None] * np.concatenate(
             (hi.sum(axis=1, keepdims=True), np.abs(hi - lo)), axis=1)
 
     return fibres
 
 
-def integrate_cell(geom: GapGeometry, integrand, spec: QuadratureSpec) -> IntegralResult:
+def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResult:
     """Integral of a scalar field over the matrix part of the cell.
 
     Iterated Gauss quadrature on vertical fibres.  The outer integral over
@@ -345,7 +329,7 @@ def integrate_cell(geom: GapGeometry, integrand, spec: QuadratureSpec) -> Integr
     each outer node the inner integral covers [h(x), L2] and its mirror
     with one panel template for every fibre, so each round hands all
     fibres to ``integrand`` as (n, 2) points in chunks of at most
-    _EVAL_CHUNK.  Both levels use the base_order / 2 base_order Gauss pair.
+    _EVAL_CHUNK.  Both levels use the _ORDER / 2 _ORDER Gauss pair.
 
     The error estimate is the outer pair's estimate plus the outer-weighted
     inner pair difference.  The outer loop gets half of the tolerance; while
@@ -354,31 +338,28 @@ def integrate_cell(geom: GapGeometry, integrand, spec: QuadratureSpec) -> Integr
     that jump inside the matrix converge only slowly this way; the dual
     fields are smooth there.
     """
+    _check_tol(rel_tol)
     xb = _outer_breaks(geom)
     x_axis = Curve(segments=(_line_segment((-geom.L1, 0.0), (geom.L1, 0.0), (0.0, 1.0)),))
     t = (xb + geom.L1) / (2.0 * geom.L1)
     root_seg = np.zeros(t.size - 1, dtype=np.int64)
-    outer_spec = replace(spec, rel_tol=spec.rel_tol / 2.0)
     tau = _fibre_template(geom)
     depth = np.zeros(tau.size - 1, dtype=np.int32)
     counter = [0]
     for _ in range(_MAX_FIBRE_ROUNDS):
-        fibres = _fibre_integrand(geom, integrand, tau, spec.base_order, counter)
+        fibres = _fibre_integrand(geom, integrand, tau, counter)
         total, outer_err, half_tol, panels, _ = _adapt_panels(
-            x_axis, fibres, outer_spec, root_seg, t[:-1], t[1:], n_est=1)
+            x_axis, fibres, rel_tol / 2.0, root_seg, t[:-1], t[1:], n_est=1)
         if not np.all(np.isfinite(total)):
             raise QuadratureError("cell integral produced a non-finite value")
         panel_err = total[1:]
         inner_err = float(panel_err.sum())
-        splittable = (depth < spec.max_depth) & (panel_err > 0.0)
+        splittable = (depth < _MAX_DEPTH) & (panel_err > 0.0)
         if inner_err <= half_tol or not bool(np.any(splittable)):
             break
         # bisect the worst template panels until the rest fits in half the share
-        ranked = np.lexsort((np.arange(depth.size), -panel_err))
-        ranked = ranked[splittable[ranked]]
-        n_split = int(np.searchsorted(np.cumsum(panel_err[ranked]), inner_err - 0.5 * half_tol)) + 1
         split = np.zeros(depth.size, dtype=bool)
-        split[ranked[:n_split]] = True
+        split[_worst_panels(panel_err, splittable, inner_err - 0.5 * half_tol)] = True
         tau = np.sort(np.concatenate((tau, (tau[:-1][split] + tau[1:][split]) / 2.0)))
         depth = np.repeat(depth + split, np.where(split, 2, 1))
     total_err = outer_err + inner_err

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from gapstress import Disk, GapGeometry, LameMaterial, make_gap_geometry
-from gapstress.quadrature import QuadratureSpec
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -17,9 +16,9 @@ UNIT = LameMaterial(lam=1.0, mu=1.0)
 
 # coarse tolerances keep the unit tests quick; the acceptance tests rerun the
 # relevant quantities at the production tolerances
-CELL_FAST = QuadratureSpec.for_cell(rel_tol=1e-4)
-CELL_COARSE = QuadratureSpec.for_cell(rel_tol=1e-3)
-PATH_FAST = QuadratureSpec.for_path(rel_tol=1e-6)
+CELL_FAST = 1e-4
+CELL_COARSE = 1e-3
+PATH_FAST = 1e-6
 
 
 def disk_geometry(eps: float, r0: float = 1.0, L2: float = 1.5) -> GapGeometry:

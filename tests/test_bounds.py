@@ -12,8 +12,8 @@ from scipy import integrate
 from gapstress import (
     Ellipse,
     KellerProfile,
+    REL_TOL_PATH,
     LameMaterial,
-    QuadratureSpec,
     Region,
     build_dual_stress,
     dual_lower,
@@ -110,7 +110,7 @@ class TestKellerProfile:
 @pytest.mark.parametrize("j,band", [(1, (0.90, 1.02)), (2, (0.95, 1.05))])
 def test_primal_upper_near_flux_constant(j, band):
     g = disk_geometry(1e-3)
-    res = primal_upper(g, UNIT, j, spec=CELL_FAST)
+    res = primal_upper(g, UNIT, j, rel_tol=CELL_FAST)
     scaled = res.value * math.sqrt(g.eps) / m_constant(g, UNIT, j)
     assert band[0] <= scaled <= band[1]
     assert res.converged
@@ -118,16 +118,16 @@ def test_primal_upper_near_flux_constant(j, band):
 
 
 def test_primal_upper_decreases_as_gap_opens():
-    v_wide = primal_upper(disk_geometry(1e-2), UNIT, 1, spec=CELL_FAST).value
-    v_narrow = primal_upper(disk_geometry(1e-3), UNIT, 1, spec=CELL_FAST).value
+    v_wide = primal_upper(disk_geometry(1e-2), UNIT, 1, rel_tol=CELL_FAST).value
+    v_narrow = primal_upper(disk_geometry(1e-3), UNIT, 1, rel_tol=CELL_FAST).value
     assert v_wide < v_narrow
 
 
 def test_primal_upper_curvature_scaling():
     # halving the gap curvature raises the scaled bound by sqrt(2)
     eps = 1e-3
-    v1 = primal_upper(disk_geometry(eps, r0=1.0, L2=3.0), UNIT, 2, spec=CELL_FAST).value
-    v2 = primal_upper(disk_geometry(eps, r0=2.0, L2=3.0), UNIT, 2, spec=CELL_FAST).value
+    v1 = primal_upper(disk_geometry(eps, r0=1.0, L2=3.0), UNIT, 2, rel_tol=CELL_FAST).value
+    v2 = primal_upper(disk_geometry(eps, r0=2.0, L2=3.0), UNIT, 2, rel_tol=CELL_FAST).value
     assert v2 / v1 == pytest.approx(math.sqrt(2.0), rel=0.04)
 
 
@@ -137,7 +137,7 @@ def test_primal_upper_j2_lambda_dependence_fades():
     gaps = {}
     for eps in (1e-3, 1e-4):
         vals = [
-            primal_upper(disk_geometry(eps), LameMaterial(lam=lam, mu=1.0), 2, spec=CELL_FAST).value
+            primal_upper(disk_geometry(eps), LameMaterial(lam=lam, mu=1.0), 2, CELL_FAST).value
             * math.sqrt(eps)
             for lam in (1.0, 5.0)
         ]
@@ -167,7 +167,7 @@ def test_primal_matches_quadtree_energy_density(shape, j):
     # over the matrix; it is a coarse oracle for the 1D integral in y
     g = SHAPES[shape](1e-2)
     prof = KellerProfile(g)
-    res = primal_upper(g, UNIT, j, spec=CELL_FAST)
+    res = primal_upper(g, UNIT, j, rel_tol=CELL_FAST)
     area = integrate_cell(g, lambda p: energy_density(keller_test_gradient(prof, j, p), UNIT),
                           CELL_FAST)
     assert area.converged and res.converged
@@ -191,7 +191,7 @@ def test_primal_matches_scipy_quad(shape, eps, j):
     half, half_err = integrate.quad(_keller_density(g, j), 0.0, g.L2, points=sorted(breaks),
                                     limit=1000, epsabs=0.0, epsrel=1e-13)
     oracle, oracle_err = 2.0 * half, 2.0 * half_err
-    res = primal_upper(g, UNIT, j, spec=QuadratureSpec.for_cell(rel_tol=1e-10))
+    res = primal_upper(g, UNIT, j, rel_tol=1e-10)
     assert res.converged
     assert res.quadrature_err > 0.0
     miss = abs(res.value - oracle)
@@ -202,8 +202,8 @@ def test_primal_matches_scipy_quad(shape, eps, j):
 @pytest.mark.parametrize("j", [1, 2])
 def test_primal_error_covers_at_coarse_tolerance(j):
     g = disk_geometry(1e-4)
-    fine = primal_upper(g, UNIT, j, spec=QuadratureSpec.for_cell(rel_tol=1e-10))
-    coarse = primal_upper(g, UNIT, j, spec=CELL_COARSE)
+    fine = primal_upper(g, UNIT, j, rel_tol=1e-10)
+    coarse = primal_upper(g, UNIT, j, rel_tol=CELL_COARSE)
     assert abs(coarse.value - fine.value) <= coarse.quadrature_err
     assert coarse.quadrature_err <= 1e-3 * coarse.value
 
@@ -400,7 +400,7 @@ def _fibre_self_energy(geom, j: int) -> tuple[float, float]:
 def test_singular_self_energy_matches_fibre_quadrature(shape, j):
     g = SHAPES[shape](1e-2)
     oracle, oracle_err = _fibre_self_energy(g, j)
-    res = _singular_self_energy(g, UNIT, j, QuadratureSpec.for_path())
+    res = _singular_self_energy(g, UNIT, j, REL_TOL_PATH)
     assert res.converged
     miss = abs(res.value - oracle)
     assert miss <= 1e-8 * oracle
@@ -450,10 +450,9 @@ def _cubature_dual_terms(shape: str, j: int):
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
 def test_cell_terms_match_cubature_oracle(shape, j, rel_tol, monkeypatch):
     geom, dual, oracle, oracle_err = _cubature_dual_terms(shape, j)
-    spec = QuadratureSpec.for_cell(rel_tol=rel_tol)
-    q_cc = integrate_cell(geom, lambda p: compliance_energy(dual.sigma_c(p), UNIT), spec)
+    q_cc = integrate_cell(geom, lambda p: compliance_energy(dual.sigma_c(p), UNIT), rel_tol)
     q_sc = integrate_cell(
-        geom, lambda p: compliance_contract(dual.sigma_S(p), dual.sigma_c(p), UNIT), spec)
+        geom, lambda p: compliance_contract(dual.sigma_S(p), dual.sigma_c(p), UNIT), rel_tol)
     # dual_lower's one cell integral q_c = q_cc + 2 q_sc, with its own error
     q_c = []
 
@@ -462,7 +461,7 @@ def test_cell_terms_match_cubature_oracle(shape, j, rel_tol, monkeypatch):
         return q_c[-1]
 
     monkeypatch.setattr(bounds, "integrate_cell", recording)
-    res = dual_lower(geom, UNIT, j, spec=spec, path_spec=PATH_FAST, dual=dual)
+    res = dual_lower(geom, UNIT, j, rel_tol_cell=rel_tol, rel_tol_path=PATH_FAST, dual=dual)
     assert res.terms["quad_cell"] == q_c[0].value
     cases = [(q_cc, oracle[0], oracle_err[0]), (q_sc, oracle[1], oracle_err[1]),
              (q_c[0], oracle[0] + 2.0 * oracle[1], oracle_err[0] + 2.0 * oracle_err[1])]
@@ -474,7 +473,7 @@ def test_cell_terms_match_cubature_oracle(shape, j, rel_tol, monkeypatch):
 
 def test_singular_self_energy_pinned_value():
     # nested-quadrature value at disk eps=1e-4, j=1, to the digits quoted
-    res = _singular_self_energy(disk_geometry(1e-4), UNIT, 1, QuadratureSpec.for_path())
+    res = _singular_self_energy(disk_geometry(1e-4), UNIT, 1, REL_TOL_PATH)
     assert res.converged
     miss = abs(res.value - 943.8323583)
     assert miss <= 1e-7
@@ -483,7 +482,7 @@ def test_singular_self_energy_pinned_value():
 
 def test_dual_lower_uses_green_self_energy():
     g = disk_geometry(1e-3)
-    res = dual_lower(g, UNIT, 1, spec=CELL_COARSE, path_spec=PATH_FAST)
+    res = dual_lower(g, UNIT, 1, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST)
     ref = _singular_self_energy(g, UNIT, 1, PATH_FAST)
     assert res.terms["quad_singular"] == ref.value
 
@@ -491,7 +490,7 @@ def test_dual_lower_uses_green_self_energy():
 @pytest.mark.parametrize("j,lo", [(1, 0.90), (2, 0.95)])
 def test_dual_lower_near_flux_constant(j, lo):
     g = disk_geometry(1e-3)
-    res = dual_lower(g, UNIT, j, spec=CELL_COARSE, path_spec=PATH_FAST)
+    res = dual_lower(g, UNIT, j, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST)
     scaled = res.value * math.sqrt(g.eps) / m_constant(g, UNIT, j)
     assert lo <= scaled <= 1.02
     assert res.converged
@@ -500,8 +499,8 @@ def test_dual_lower_near_flux_constant(j, lo):
 @pytest.mark.parametrize("j", [1, 2])
 def test_bounds_sandwich(j):
     g = disk_geometry(1e-3)
-    up = primal_upper(g, UNIT, j, spec=CELL_FAST)
-    lo = dual_lower(g, UNIT, j, spec=CELL_COARSE, path_spec=PATH_FAST)
+    up = primal_upper(g, UNIT, j, rel_tol=CELL_FAST)
+    lo = dual_lower(g, UNIT, j, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST)
     assert lo.value - lo.quadrature_err <= up.value + up.quadrature_err
     assert lo.value <= up.value
 
@@ -509,7 +508,7 @@ def test_bounds_sandwich(j):
 @pytest.mark.parametrize("j", [1, 2])
 def test_dual_term_decomposition(j):
     g = disk_geometry(1e-3)
-    res = dual_lower(g, UNIT, j, spec=CELL_COARSE, path_spec=PATH_FAST)
+    res = dual_lower(g, UNIT, j, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST)
     t = res.terms
     assert set(t) == {"quad_singular", "quad_cell", "boundary"}
     total = -t["quad_singular"] - t["quad_cell"] + 2.0 * t["boundary"]
@@ -540,7 +539,7 @@ def test_dual_lower_makes_one_cell_and_two_path_integrals(monkeypatch):
 
     monkeypatch.setattr(bounds, "integrate_cell", cell)
     monkeypatch.setattr(bounds, "integrate_path", path)
-    dual_lower(g, UNIT, 1, spec=CELL_COARSE, path_spec=PATH_FAST,
+    dual_lower(g, UNIT, 1, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST,
                dual=replace(dual, sigma_c=sigma_c))
     assert len(calls["cell"]) == 1
     assert calls["path"] == 2
@@ -583,18 +582,18 @@ def test_energy_identity_normalization(j):
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 2)])
 def test_pair_boundary_integral_matches_scalar_integrals(geom, i, j):
     """Each component of the joint integral against its own scalar integral."""
-    spec = QuadratureSpec.for_path()
+    tol = REL_TOL_PATH
     ctx = KernelContext.from_geometry(geom, UNIT)
     curve = inclusion_boundary(geom, i)
-    joint = pair_boundary_integral(geom, UNIT, i, j, spec)
+    joint = pair_boundary_integral(geom, UNIT, i, j, tol)
     assert joint.converged and joint.value.shape == (3,)
     scalar = [integrate_path(curve, lambda p, n, k=k: singular_stress(ctx, j, p).apply(n)[..., k],
-                             spec) for k in (0, 1)]
-    scalar.append(integrate_path(curve, _work_integrand(ctx, j), spec))
+                             tol) for k in (0, 1)]
+    scalar.append(integrate_path(curve, _work_integrand(ctx, j), tol))
     for got, ref in zip(joint.value, scalar):
         assert abs(got - ref.value) <= joint.err_estimate + ref.err_estimate
     # the identity checks read the same integral
-    assert flux_identity_check(geom, UNIT, i, j, j, spec) == joint.value[j - 1]
-    other = pair_boundary_integral(geom, UNIT, 3 - i, j, spec).value[2]
-    assert energy_identity_check(geom, UNIT, j, spec) == pytest.approx(
+    assert flux_identity_check(geom, UNIT, i, j, j, tol) == joint.value[j - 1]
+    other = pair_boundary_integral(geom, UNIT, 3 - i, j, tol).value[2]
+    assert energy_identity_check(geom, UNIT, j, tol) == pytest.approx(
         joint.value[2] + other, rel=1e-15)

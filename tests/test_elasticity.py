@@ -160,3 +160,8 @@ def test_material_validation():
         LameMaterial(lam=0.0, mu=0.0)
     with pytest.raises(ValueError):
         LameMaterial(lam=-2.0, mu=1.0)
+    # infinite constants used to pass and reach the quadrature
+    with pytest.raises(ValueError, match="finite"):
+        LameMaterial(lam=math.inf, mu=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        LameMaterial(lam=1.0, mu=math.inf)

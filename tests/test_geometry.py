@@ -22,11 +22,11 @@ from gapstress import (
     rect_matrix_area,
     region_classify,
 )
-from gapstress.quadrature import QuadratureSpec, integrate_path
+from gapstress.quadrature import integrate_path
 
 from conftest import disk_geometry
 
-PATH_TIGHT = QuadratureSpec.for_path(rel_tol=1e-10)
+PATH_TIGHT = 1e-10
 
 
 def test_disk_layout():
@@ -297,3 +297,12 @@ def test_geometry_validation():
         Disk(r0=-1.0)
     with pytest.raises(ValueError):
         Ellipse(a=0.0, b=1.0)
+    # infinite sizes used to pass and reach the quadrature
+    with pytest.raises(ValueError, match="eps=inf"):
+        make_gap_geometry(Disk(r0=1.0), eps=math.inf, L2=1.5)
+    with pytest.raises(ValueError, match="L2=inf"):
+        make_gap_geometry(Disk(r0=1.0), eps=0.01, L2=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        Disk(r0=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        Ellipse(a=math.inf, b=1.0)

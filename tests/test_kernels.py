@@ -23,7 +23,7 @@ from gapstress import (
     stress_from_gradient,
 )
 from gapstress.geometry import Curve, PathSegment, Region, region_classify
-from gapstress.quadrature import QuadratureSpec, integrate_path
+from gapstress.quadrature import integrate_path
 
 from conftest import UNIT, disk_geometry
 
@@ -312,7 +312,7 @@ def _circle_curve(center, radius):
 def test_traction_flux_contour_independent(j):
     g = disk_geometry(1e-3)
     ctx = KernelContext.from_geometry(g, UNIT)
-    spec = QuadratureSpec.for_path(rel_tol=1e-10)
+    rel_tol = 1e-10
 
     def flux(radius):
         curve = _circle_curve(ctx.p2, radius)
@@ -320,7 +320,7 @@ def test_traction_flux_contour_independent(j):
         def fn(p, n):
             return singular_stress(ctx, j, p).apply(n)
 
-        return np.asarray(integrate_path(curve, fn, spec).value)
+        return np.asarray(integrate_path(curve, fn, rel_tol).value)
 
     f_small = flux(0.5 * g.a)
     f_big = flux(0.9 * g.a)

@@ -1,6 +1,7 @@
 """Config parsing, sweep orchestration, CSV output, CLI exit codes."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import re
@@ -13,12 +14,13 @@ import pytest
 
 from gapstress import (
     CSV_HEADER,
+    REL_TOL_CELL,
+    REL_TOL_PATH,
     ConfigError,
     Disk,
     Ellipse,
     LameMaterial,
     QuadratureError,
-    QuadratureSpec,
     RunConfig,
     VerificationError,
     compute_sweep_row,
@@ -31,11 +33,13 @@ from gapstress import (
     sweep_and_fit,
     write_csv,
 )
-from gapstress import cli, pipeline
+from gapstress import cli, pipeline, quadrature
 from gapstress.pipeline import _fit_series
 from gapstress.quadrature import integrate_path
 
 from conftest import UNIT, disk_geometry
+
+SHIPPED_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 GOOD_CONFIG = """\
 # disk benchmark
@@ -110,6 +114,14 @@ def test_parse_config_ellipse_needs_axes(tmp_path):
     assert cfg.shape == Ellipse(a=1.0, b=0.8)
 
 
+def test_parse_config_defaults_the_tolerances(tmp_path):
+    p = tmp_path / "bare.cfg"
+    p.write_text("".join(line for line in GOOD_CONFIG.splitlines(keepends=True)
+                         if not line.startswith("rel_tol")))
+    cfg = parse_config(p)
+    assert (cfg.rel_tol_cell, cfg.rel_tol_path) == (REL_TOL_CELL, REL_TOL_PATH)
+
+
 def test_parse_config_missing_file(tmp_path):
     with pytest.raises(ConfigError):
         parse_config(tmp_path / "absent.cfg")
@@ -136,6 +148,44 @@ def test_cli_non_finite_eps_exits_2_before_any_row(value, monkeypatch, tmp_path,
         assert cli.main([command, "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {p}: every eps")
     assert calls == []
+
+
+@pytest.mark.parametrize("config,key,value", [
+    ("disk", "lambda", "1.0"),
+    ("disk", "mu", "1.0"),
+    ("disk", "L2", "1.5"),
+    ("ellipse", "A", "1.0"),
+])
+def test_cli_non_finite_dimension_exits_2_before_any_row(config, key, value, monkeypatch,
+                                                         tmp_path, capsys):
+    # these used to pass validation and fail in the first path integral (exit 3)
+    text = (SHIPPED_CONFIGS / f"{config}.cfg").read_text()
+    assert text.count(f"\n{key} = {value}\n") == 1
+    p = tmp_path / f"{config}.cfg"
+    p.write_text(text.replace(f"\n{key} = {value}\n", f"\n{key} = inf\n"))
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for module in (pipeline, cli):
+        monkeypatch.setattr(module, "compute_sweep_row", lambda *a: calls.append(a))
+    assert cli.main(["bounds", "--config", str(p), "--eps", "1e-3"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {p}: ")
+    assert calls == []
+
+
+def test_cli_bounds_eps_keeps_the_config_tolerances(config_file, monkeypatch, tmp_path):
+    seen = []
+    row_fn = cli.compute_sweep_row
+
+    def recording(cfg, eps, j):
+        seen.append(cfg)
+        return row_fn(cfg, eps, j)
+
+    monkeypatch.setattr(cli, "compute_sweep_row", recording)
+    assert cli.main(["bounds", "--config", str(config_file), "--eps", "1e-2", "--j", "2",
+                     "--out", str(tmp_path / "b.csv")]) == 0
+    (cfg,) = seen
+    assert (cfg.rel_tol_cell, cfg.rel_tol_path) == (1e-3, 1e-6)
+    assert cfg == dataclasses.replace(parse_config(config_file), eps_list=(1e-2,))
 
 
 @pytest.mark.parametrize("option", [["--out", "v.csv"], ["--j", "2"]])
@@ -268,9 +318,9 @@ def test_modulus_interval_widened_by_quadrature_error(j):
 
 
 def _cap_cell_depth(monkeypatch):
-    # one bisection below the root panels cannot meet a 1e-14 cell tolerance
-    monkeypatch.setattr(RunConfig, "cell_spec", lambda self: QuadratureSpec.for_cell(
-        rel_tol=1e-14, max_depth=1))
+    # one bisection below the root panels leaves the integrals of every row
+    # short of the test tolerances
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
 
 
 def test_sweep_row_flags_non_convergence(monkeypatch):
@@ -362,9 +412,9 @@ def test_run_verify_makes_one_path_integral_per_boundary_and_load(monkeypatch):
 
     calls = []
 
-    def counted(curve, integrand, spec):
+    def counted(curve, integrand, rel_tol):
         calls.append(curve)
-        return integrate_path(curve, integrand, spec)
+        return integrate_path(curve, integrand, rel_tol)
 
     monkeypatch.setattr(bounds, "integrate_path", counted)
     cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-3,))

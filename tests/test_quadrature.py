@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from gapstress import (
     Ellipse,
-    QuadratureSpec,
     Region,
     chord_halfheight,
     cumulative_line_table,
@@ -21,6 +20,7 @@ from gapstress import (
     rect_matrix_area,
     region_classify,
 )
+from gapstress import quadrature
 from gapstress.geometry import Curve, PathSegment
 
 from conftest import disk_geometry
@@ -51,7 +51,7 @@ def test_circle_arclength():
     res = integrate_path(
         inclusion_boundary(g, 1),
         lambda p, n: np.ones(p.shape[:-1]),
-        QuadratureSpec.for_path(rel_tol=1e-10),
+        1e-10,
     )
     assert res.value == pytest.approx(2.0 * math.pi, rel=1e-10)
     assert res.converged
@@ -61,7 +61,7 @@ def test_circle_arclength():
 def test_polynomial_segment_exact():
     curve = _segment_curve((0.0, 0.0), (0.0, 1.0))
     res = integrate_path(
-        curve, lambda p, n: p[..., 1] ** 3, QuadratureSpec.for_path(rel_tol=1e-12)
+        curve, lambda p, n: p[..., 1] ** 3, 1e-12
     )
     assert res.value == pytest.approx(0.25, rel=1e-14)
 
@@ -72,7 +72,7 @@ def test_near_singular_line_integral(eps):
     res = integrate_path(
         curve,
         lambda p, n: 1.0 / (eps + p[..., 1] ** 2),
-        QuadratureSpec.for_path(rel_tol=1e-10),
+        1e-10,
     )
     oracle = 2.0 / math.sqrt(eps) * math.atan(1.0 / math.sqrt(eps))
     assert res.value == pytest.approx(oracle, rel=1e-10)
@@ -84,7 +84,7 @@ def test_closed_contour_cancellation_terminates():
     # hinge on the vanishing total
     g = disk_geometry(0.01)
     res = integrate_path(
-        inclusion_boundary(g, 2), lambda p, n: n, QuadratureSpec.for_path()
+        inclusion_boundary(g, 2), lambda p, n: n, 1e-8
     )
     assert res.converged
     assert np.all(np.abs(res.value) <= 1e-10)
@@ -99,21 +99,18 @@ def test_path_error_monotone_under_tightening():
         res = integrate_path(
             curve,
             lambda p, n: 1.0 / (eps + p[..., 1] ** 2),
-            QuadratureSpec.for_path(rel_tol=rel),
+            rel,
         )
         discrepancies.append(abs(res.value - oracle))
     for coarse, fine in zip(discrepancies, discrepancies[1:]):
         assert fine <= coarse + 1e-13
 
 
-def test_path_exhaustion_reports_best_value():
+def test_path_exhaustion_reports_best_value(monkeypatch):
     eps = 1e-4
     curve = _segment_curve((0.0, -1.0), (0.0, 1.0))
-    res = integrate_path(
-        curve,
-        lambda p, n: 1.0 / (eps + p[..., 1] ** 2),
-        QuadratureSpec(rel_tol=1e-13, max_depth=2),
-    )
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 2)
+    res = integrate_path(curve, lambda p, n: 1.0 / (eps + p[..., 1] ** 2), 1e-13)
     assert not res.converged
     assert res.err_estimate > 0.0
     oracle = 2.0 / math.sqrt(eps) * math.atan(1.0 / math.sqrt(eps))
@@ -124,7 +121,7 @@ def test_matrix_cell_area():
     # both disks poke out of the vertical cell edges, leaving half of each
     g = disk_geometry(0.01)
     res = integrate_cell(
-        g, lambda p: np.ones(p.shape[:-1]), QuadratureSpec.for_cell(rel_tol=1e-6)
+        g, lambda p: np.ones(p.shape[:-1]), 1e-6
     )
     oracle = 4.0 * g.L1 * g.L2 - math.pi
     assert oracle == pytest.approx(6.03 - math.pi, rel=1e-14)
@@ -145,7 +142,7 @@ CELL_SHAPES = {"disk": disk_geometry, "ellipse": ellipse_geometry}
 def test_ellipse_matrix_cell_area():
     g = ellipse_geometry(0.01)
     res = integrate_cell(
-        g, lambda p: np.ones(p.shape[:-1]), QuadratureSpec.for_cell(rel_tol=1e-6)
+        g, lambda p: np.ones(p.shape[:-1]), 1e-6
     )
     oracle = 4.0 * g.L1 * g.L2 - math.pi * g.half_width * g.half_height
     assert res.converged
@@ -163,7 +160,7 @@ def test_cell_evaluates_only_matrix_points(shape, eps):
         seen.append(p.copy())
         return np.cos(p[..., 0]) + p[..., 1] ** 2
 
-    res = integrate_cell(g, fn, QuadratureSpec.for_cell(rel_tol=1e-6))
+    res = integrate_cell(g, fn, 1e-6)
     pts = np.concatenate(seen)
     assert pts.ndim == 2 and pts.shape[1] == 2
     assert np.all(region_classify(g, pts) == int(Region.MATRIX))
@@ -198,7 +195,7 @@ def test_integral_evals_count_the_integrand_points():
         n_path[0] += p.shape[0]
         return np.sin(p[..., 0] + 2.0 * p[..., 1])
 
-    res = integrate_path(inclusion_boundary(g, 1), path_fn, QuadratureSpec.for_path(rel_tol=1e-9))
+    res = integrate_path(inclusion_boundary(g, 1), path_fn, 1e-9)
     assert res.evals == n_path[0] > 0
 
     n_cell = [0]
@@ -207,7 +204,7 @@ def test_integral_evals_count_the_integrand_points():
         n_cell[0] += p.shape[0]
         return 1.0 / (g.eps + p[..., 0] ** 2 + p[..., 1] ** 2)
 
-    res = integrate_cell(g, cell_fn, QuadratureSpec.for_cell(rel_tol=1e-6))
+    res = integrate_cell(g, cell_fn, 1e-6)
     assert res.evals == n_cell[0] > 0
     # other constructors keep working without the count
     assert type(res)(value=1.0, err_estimate=0.0, panels_used=1, converged=True).evals == 0
@@ -223,14 +220,14 @@ def test_cell_integrand_chunks_are_bounded():
         sizes.append(p.shape[0])
         return np.ones(p.shape[0])
 
-    integrate_cell(g, fn, QuadratureSpec.for_cell(rel_tol=1e-6))
+    integrate_cell(g, fn, 1e-6)
     assert max(sizes) <= _EVAL_CHUNK
 
 
-def test_cell_depth_cap_reports_non_convergence():
+def test_cell_depth_cap_reports_non_convergence(monkeypatch):
     g = disk_geometry(1e-3)
-    res = integrate_cell(g, lambda p: 1.0 / (g.eps + p[..., 1] ** 2),
-                         QuadratureSpec(rel_tol=1e-14, max_depth=1))
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
+    res = integrate_cell(g, lambda p: 1.0 / (g.eps + p[..., 1] ** 2), 1e-14)
     assert not res.converged
     assert res.err_estimate > 0.0
     oracle = _y_profile_oracle(g, lambda y: 1.0 / (g.eps + y * y))
@@ -239,7 +236,7 @@ def test_cell_depth_cap_reports_non_convergence():
 
 def test_cell_zero_integrand():
     g = disk_geometry(0.01)
-    res = integrate_cell(g, lambda p: np.zeros(p.shape[:-1]), QuadratureSpec.for_cell())
+    res = integrate_cell(g, lambda p: np.zeros(p.shape[:-1]), 1e-6)
     assert res.value == 0.0
     assert res.err_estimate == 0.0
     assert res.converged
@@ -269,7 +266,7 @@ def test_cell_error_monotone_under_tightening():
 
     discrepancies = []
     for rel in (1e-3, 1e-4, 1e-5, 1e-6):
-        res = integrate_cell(g, fn, QuadratureSpec.for_cell(rel_tol=rel))
+        res = integrate_cell(g, fn, rel)
         discrepancies.append(abs(res.value - oracle))
     for coarse, fine in zip(discrepancies, discrepancies[1:]):
         assert fine <= coarse + 1e-13
@@ -278,8 +275,8 @@ def test_cell_error_monotone_under_tightening():
 def test_cell_asymmetric_integrands_match_profile_oracles():
     # odd parts in y and in x must come from both mirror halves and both sides
     g = disk_geometry(0.01)
-    spec = QuadratureSpec.for_cell(rel_tol=1e-9)
-    res = integrate_cell(g, lambda p: np.exp(0.7 * p[..., 1]), spec)
+    tol = 1e-9
+    res = integrate_cell(g, lambda p: np.exp(0.7 * p[..., 1]), tol)
     oracle = _y_profile_oracle(g, lambda y: math.exp(0.7 * y))
     assert res.converged
     assert abs(res.value - oracle) <= res.err_estimate + 1e-12 * oracle
@@ -288,7 +285,7 @@ def test_cell_asymmetric_integrands_match_profile_oracles():
         u = (g.L1 - abs(x)) / g.half_width
         return g.half_height * math.sqrt(max(0.0, 1.0 - u * u))
 
-    res = integrate_cell(g, lambda p: np.exp(0.3 * p[..., 0]), spec)
+    res = integrate_cell(g, lambda p: np.exp(0.3 * p[..., 0]), tol)
     oracle = quad(lambda x: 2.0 * (g.L2 - chord(x)) * math.exp(0.3 * x), -g.L1, g.L1,
                   points=[-g.eps / 2.0, g.eps / 2.0], limit=300, epsabs=0.0, epsrel=1e-13)[0]
     assert res.converged
@@ -302,7 +299,7 @@ def test_cell_refines_fibre_template_for_interior_peak():
     def peak(y):
         return 1.0 / (1e-4 + (y - 0.6) ** 2)
 
-    res = integrate_cell(g, lambda p: peak(p[..., 1]), QuadratureSpec.for_cell(rel_tol=1e-8))
+    res = integrate_cell(g, lambda p: peak(p[..., 1]), 1e-8)
     oracle = quad(lambda y: (2.0 * g.L1 - 2.0 * math.sqrt(max(0.0, 1.0 - y * y))) * peak(y),
                   -g.L2, g.L2, points=[-1.0, 0.6, 1.0], limit=300, epsabs=0.0, epsrel=1e-13)[0]
     assert res.converged
@@ -322,7 +319,7 @@ def test_cell_gap_strip_fubini_reduction():
         out[inside] = 1.0 / f[inside] ** 2
         return out
 
-    res = integrate_cell(g, strip, QuadratureSpec.for_cell(rel_tol=1e-4))
+    res = integrate_cell(g, strip, 1e-4)
     oracle = quad(lambda y: 2.0 / float(gap_halfwidth(g, y)), -g.L, g.L, limit=300)[0]
     assert res.value == pytest.approx(oracle, rel=1e-3)
 
@@ -333,8 +330,8 @@ def test_cell_determinism():
     def fn(p):
         return np.cos(3.0 * p[..., 0]) * np.exp(-p[..., 1] ** 2)
 
-    r1 = integrate_cell(g, fn, QuadratureSpec.for_cell(rel_tol=1e-5))
-    r2 = integrate_cell(g, fn, QuadratureSpec.for_cell(rel_tol=1e-5))
+    r1 = integrate_cell(g, fn, 1e-5)
+    r2 = integrate_cell(g, fn, 1e-5)
     assert r1.value == r2.value
     assert r1.err_estimate == r2.err_estimate
     assert r1.panels_used == r2.panels_used
@@ -347,8 +344,8 @@ def test_path_determinism():
     def fn(p, n):
         return np.sin(p[..., 0] + 2.0 * p[..., 1])
 
-    r1 = integrate_path(curve, fn, QuadratureSpec.for_path(rel_tol=1e-9))
-    r2 = integrate_path(curve, fn, QuadratureSpec.for_path(rel_tol=1e-9))
+    r1 = integrate_path(curve, fn, 1e-9)
+    r2 = integrate_path(curve, fn, 1e-9)
     assert r1.value == r2.value
     assert r1.err_estimate == r2.err_estimate
 
@@ -368,7 +365,7 @@ def test_cell_grading_tracks_gap_logarithmically():
         def fn(p):
             return energy_density(keller_test_gradient(prof, 1, p), UNIT) * eps
 
-        res = integrate_cell(g, fn, QuadratureSpec.for_cell(rel_tol=1e-4))
+        res = integrate_cell(g, fn, 1e-4)
         panels.append(res.panels_used)
     assert panels[1] / panels[0] <= 4.0
     assert panels[2] / panels[1] <= 4.0
@@ -376,16 +373,16 @@ def test_cell_grading_tracks_gap_logarithmically():
 
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
 def test_spec_rejects_unusable_tolerance(tol):
-    # a zero or non-finite tolerance would refine until the budget caps
-    with pytest.raises(ValueError, match="rel_tol"):
-        QuadratureSpec(rel_tol=tol)
+    # a zero or non-finite tolerance would refine until the budget caps; both
+    # integrators refuse it before evaluating anything and name the value given
+    def never(*args):
+        raise AssertionError("integrand evaluated")
 
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(base_order=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_depth=0)
+    curve = _segment_curve((0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(ValueError, match=f"rel_tol must be finite and positive, got {tol}$"):
+        integrate_path(curve, never, tol)
+    with pytest.raises(ValueError, match=f"rel_tol must be finite and positive, got {tol}$"):
+        integrate_cell(disk_geometry(0.01), never, tol)
 
 
 def test_cumulative_table_matches_antiderivative():
@@ -422,10 +419,7 @@ def _two_segment_line():
 
 
 def test_path_integrand_sees_both_orders_in_one_call_per_round(monkeypatch):
-    import gapstress.quadrature as quadrature
-
     curve = _two_segment_line()
-    spec = QuadratureSpec.for_path(rel_tol=1e-12)
     sizes = []
 
     def poly(p, n):
@@ -434,10 +428,10 @@ def test_path_integrand_sees_both_orders_in_one_call_per_round(monkeypatch):
 
     # the 8/16 pair is exact on a quintic, so the root panels converge: one
     # call carries both orders on all 8 root panels of both segments
-    res = integrate_path(curve, poly, spec)
+    res = integrate_path(curve, poly, 1e-12)
     assert res.converged
     assert res.value == pytest.approx(1.0 / 6.0 - 1.0, abs=1e-14)
-    assert sizes == [res.evals] == [3 * spec.base_order * 8]
+    assert sizes == [res.evals] == [3 * quadrature._ORDER * 8]
 
     # an endpoint singularity never meets 1e-15 in three rounds: the root
     # evaluation plus one call per round
@@ -448,11 +442,11 @@ def test_path_integrand_sees_both_orders_in_one_call_per_round(monkeypatch):
         sizes.append(p.shape[0])
         return np.sqrt(p[..., 0])
 
-    res = integrate_path(curve, root, QuadratureSpec.for_path(rel_tol=1e-15))
+    res = integrate_path(curve, root, 1e-15)
     assert not res.converged
     assert len(sizes) == 4
     assert sum(sizes) == res.evals
-    assert all(n % (3 * spec.base_order) == 0 for n in sizes)
+    assert all(n % (3 * quadrature._ORDER) == 0 for n in sizes)
 
 
 def test_vector_components_keep_their_own_tolerance():
@@ -465,12 +459,12 @@ def test_vector_components_keep_their_own_tolerance():
         # a smooth large component next to a small one with a sqrt endpoint
         return np.stack((1e6 * (1.0 + x), np.sqrt(x)), axis=-1)
 
-    res = integrate_path(curve, fn, QuadratureSpec.for_path(rel_tol=rel_tol))
+    res = integrate_path(curve, fn, rel_tol)
     assert res.converged
     err = np.abs(res.value - exact)
     assert np.all(err <= rel_tol * exact)
     # the estimate bounds every component's absolute error
     assert np.all(err <= res.err_estimate)
     alone = integrate_path(curve, lambda p, n: np.sqrt(p[..., 0]),
-                           QuadratureSpec.for_path(rel_tol=rel_tol))
+                           rel_tol)
     assert abs(res.value[1] - alone.value) <= res.err_estimate + alone.err_estimate
