@@ -199,8 +199,11 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int,
         breaks.append(geom.L + (geom.L1 - prof.f_edge) / prof.fprime_edge)
     breaks = sorted(y for y in breaks if y < geom.L2) + [geom.L2]
     normal = (1.0, 0.0)  # unused by the density
-    path = Curve(segments=tuple(_line_segment((0.0, y0), (0.0, y1), normal)
-                                for y0, y1 in zip(breaks[:-1], breaks[1:])))
+    # X grows like eps/2 + kappa0 y^2/2, so the density varies on the scale
+    # a ~ sqrt(eps r_osc) at y = 0: the first segment's root panels start there
+    path = Curve(segments=tuple(
+        _line_segment((0.0, y0), (0.0, y1), normal, (0.0,) if k == 0 else (), geom.a)
+        for k, (y0, y1) in enumerate(zip(breaks[:-1], breaks[1:]))))
     res = integrate_path(path, density, rel_tol)
     return BoundResult(
         j=j,

@@ -46,10 +46,6 @@ class Disk:
             raise ValueError(f"disk radius must be finite and positive, got {self.r0}")
 
     @property
-    def kind(self) -> str:
-        return "disk"
-
-    @property
     def half_width(self) -> float:
         return self.r0
 
@@ -73,10 +69,6 @@ class Ellipse:
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a > 0.0 and self.b > 0.0):
             raise ValueError(
                 f"ellipse semi-axes must be finite and positive, got a={self.a}, b={self.b}")
-
-    @property
-    def kind(self) -> str:
-        return "ellipse"
 
     @property
     def half_width(self) -> float:
@@ -145,10 +137,6 @@ class GapGeometry:
     @property
     def p2(self) -> tuple[float, float]:
         return (self.a, 0.0)
-
-    @property
-    def cell_area(self) -> float:
-        return 4.0 * self.L1 * self.L2
 
 
 def make_gap_geometry(shape: InclusionShape, eps: float, L2: float) -> GapGeometry:
@@ -245,6 +233,33 @@ def region_classify(geom: GapGeometry, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
+_VERTEX_GRADING = 4.0
+
+
+def _graded_breaks(start: float, stop: float, first: float, ratio: float) -> list[float]:
+    """start, then start + first ratio^k for k = 0, 1, ... while below stop."""
+    pts, step = [start], first
+    while start + step < stop:
+        pts.append(start + step)
+        step *= ratio
+    return pts
+
+
+def _vertex_breaks(vertices, dt: float) -> tuple[float, ...]:
+    """Root edges in t: the quarters, and from each gap-facing parameter in
+    ``vertices`` panels dt, 3 dt, 12 dt, ... up to an eighth each way, so
+    the adaptive loop starts at the scale where the pair field concentrates
+    and no panel is narrower than the one before it."""
+    if vertices and not dt > 0.0:
+        raise ValueError(f"the first graded panel must be positive, got {dt}")
+    edges = set(_QUARTERS)
+    for v in vertices:
+        edges.update(_graded_breaks(v, v + 0.125, dt, _VERTEX_GRADING))
+        edges.update(-e for e in _graded_breaks(-v, 0.125 - v, dt, _VERTEX_GRADING))
+    return tuple(sorted(e for e in edges if 0.0 <= e <= 1.0))
+
+
 @dataclass(frozen=True)
 class PathSegment:
     """One smooth parametrized piece of a boundary curve, t in [0, 1].
@@ -252,12 +267,14 @@ class PathSegment:
     ``point`` maps t -> (..., 2) coordinates, ``speed`` gives |dgamma/dt| for
     the arclength weight and ``normal`` the unit normal pointing out of the
     matrix region (into an inclusion on inclusion arcs, out of the cell on
-    cell edges).
+    cell edges).  ``breaks`` are the edges in t of the root panels that
+    path integration starts from.
     """
 
     point: Callable[[np.ndarray], np.ndarray]
     speed: Callable[[np.ndarray], np.ndarray]
     normal: Callable[[np.ndarray], np.ndarray]
+    breaks: tuple[float, ...] = _QUARTERS
 
 
 @dataclass(frozen=True)
@@ -265,8 +282,12 @@ class Curve:
     segments: tuple[PathSegment, ...]
 
 
-def _ellipse_arc(cx: float, A: float, B: float, th0: float, th1: float) -> PathSegment:
-    """Arc of the ellipse centered (cx, 0); normal points into the inclusion."""
+def _ellipse_arc(cx: float, A: float, B: float, th0: float, th1: float,
+                 vertices: tuple[float, ...] = (), first: float = 0.0) -> PathSegment:
+    """Arc of the ellipse centered (cx, 0); normal points into the inclusion.
+
+    Root panels grow from the gap-facing angles ``vertices`` (0 or pi mod
+    2 pi, where the speed is B), the first spanning arclength ``first``."""
     span = th1 - th0
 
     def point(t: np.ndarray) -> np.ndarray:
@@ -285,10 +306,13 @@ def _ellipse_arc(cx: float, A: float, B: float, th0: float, th1: float) -> PathS
         # outward of the ellipse is (nx, ny)/norm; matrix-outward is the flip
         return np.stack((-nx / norm, -ny / norm), axis=-1)
 
-    return PathSegment(point=point, speed=speed, normal=normal)
+    breaks = _vertex_breaks([(th - th0) / span for th in vertices], first / (abs(span) * B))
+    return PathSegment(point=point, speed=speed, normal=normal, breaks=breaks)
 
 
-def _line_segment(p0, p1, n) -> PathSegment:
+def _line_segment(p0, p1, n, vertices: tuple[float, ...] = (), first: float = 0.0) -> PathSegment:
+    """Segment p0 -> p1 with normal n; root panels are graded away from the
+    parameters t in ``vertices``, the first of length ``first``."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -306,7 +330,8 @@ def _line_segment(p0, p1, n) -> PathSegment:
         t = np.asarray(t, dtype=float)
         return np.broadcast_to(n, t.shape + (2,)).copy()
 
-    return PathSegment(point=point, speed=speed, normal=normal)
+    breaks = _vertex_breaks(vertices, first / length if vertices else 0.0)
+    return PathSegment(point=point, speed=speed, normal=normal, breaks=breaks)
 
 
 def boundary_curves(geom: GapGeometry) -> dict[str, Curve]:
@@ -324,14 +349,14 @@ def boundary_curves(geom: GapGeometry) -> dict[str, Curve]:
     gamma_plus = Curve(
         segments=(
             _line_segment((L1, L2), (L1, B), (1.0, 0.0)),
-            _ellipse_arc(L1, A, B, np.pi / 2.0, 3.0 * np.pi / 2.0),
+            _ellipse_arc(L1, A, B, np.pi / 2.0, 3.0 * np.pi / 2.0, (np.pi,), geom.a),
             _line_segment((L1, -B), (L1, -L2), (1.0, 0.0)),
         )
     )
     gamma_minus = Curve(
         segments=(
             _line_segment((-L1, L2), (-L1, B), (-1.0, 0.0)),
-            _ellipse_arc(-L1, A, B, np.pi / 2.0, -np.pi / 2.0),
+            _ellipse_arc(-L1, A, B, np.pi / 2.0, -np.pi / 2.0, (0.0,), geom.a),
             _line_segment((-L1, -B), (-L1, -L2), (-1.0, 0.0)),
         )
     )
@@ -349,8 +374,9 @@ def inclusion_boundary(geom: GapGeometry, which: int) -> Curve:
     """Full closed boundary of inclusion 1 or 2, normal pointing into it."""
     if which not in (1, 2):
         raise ValueError(f"inclusion index must be 1 or 2, got {which}")
-    cx = geom.L1 if which == 2 else -geom.L1
-    arc = _ellipse_arc(cx, geom.half_width, geom.half_height, 0.0, 2.0 * np.pi)
+    # the gap-facing vertex is at theta = pi on D2 and at theta = 0 = 2 pi on D1
+    cx, vertices = (geom.L1, (np.pi,)) if which == 2 else (-geom.L1, (0.0, 2.0 * np.pi))
+    arc = _ellipse_arc(cx, geom.half_width, geom.half_height, 0.0, 2.0 * np.pi, vertices, geom.a)
     return Curve(segments=(arc,))
 
 

@@ -278,11 +278,18 @@ def _fit_series(eps: np.ndarray, values: np.ndarray, target: float) -> SeriesFit
 def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1, 2)
                   ) -> tuple[list[SweepRow], dict[int, dict[str, SeriesFit]]]:
     """Compute the sweep rows of the given loads (eps descending, j
-    ascending) and fit both bound series per j against (1/sqrt(eps), 1)."""
+    ascending) and fit both bound series per j against (1/sqrt(eps), 1).
+
+    Rows run in a pool of at most ``workers`` processes, and never more
+    processes than rows; one worker runs them serially in this process.
+    """
     if len(cfg.eps_list) < 3:
         raise ConfigError("a sweep needs at least 3 gap widths for the fit")
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     loads = tuple(sorted(set(loads)))
     payloads = [(cfg, eps, j) for eps in cfg.eps_list for j in loads]
+    workers = min(workers, len(payloads))
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_row_worker, payloads))

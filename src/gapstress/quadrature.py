@@ -1,20 +1,23 @@
 """Deterministic adaptive quadrature over boundary curves and the matrix cell.
 
 Both integrators take one setting, a relative tolerance; one that is not
-finite and positive raises ValueError.  Path integrals evaluate the embedded
-Gauss pair of orders _ORDER and 2 _ORDER on every panel, then greedily split
-the panels carrying most of the error estimate until the global estimate
-meets the tolerance or the panels reach _MAX_DEPTH bisections.  Matrix
-integrals use the same loop on the x-axis: the matrix is vertically simple,
-so at each outer node the integrand is integrated in y over the exact fibre
-[h(x), L2] and its mirror with one fixed Gauss template.  Evaluations are
-batched across panels, traversal and summation order are fixed, and no
-randomness is used, so repeated runs are bit-identical.
+finite and positive raises ValueError.  Path integrals start from the root
+panels each curve segment carries (``PathSegment.breaks``: its quarters and,
+on inclusion arcs and the primal path, panels graded from the gap vertex at
+the pole offset's scale).  They evaluate the embedded Gauss pair of orders
+_ORDER and 2 _ORDER on every panel, then greedily split the panels carrying
+most of the error estimate until the global estimate meets the tolerance or
+the panels reach _MAX_DEPTH bisections.  Matrix integrals use the same loop
+on the x-axis: the matrix is vertically simple, so at each outer node the
+integrand is integrated in y over the exact fibre [h(x), L2] and its mirror
+with one fixed Gauss template.  Evaluations are batched across panels,
+traversal and summation order are fixed, and no randomness is used, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -26,6 +29,7 @@ import numpy as np
 from .geometry import (  # noqa: F401
     Curve,
     GapGeometry,
+    _graded_breaks,
     _line_segment,
     chord_halfheight,
     rect_classify,
@@ -52,8 +56,7 @@ _EVAL_CHUNK = 8_192
 _MAX_FIBRE_ROUNDS = 12
 _OUTER_GRADING = 8.0
 _FIBRE_GRADING = 4.0
-# Gauss pair order and refinement passes of cumulative_line_table
-_TABLE_ORDER = 8
+# refinement passes of cumulative_line_table
 _TABLE_PASSES = 6
 
 
@@ -63,24 +66,21 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """``evals`` counts the integrand points the integral evaluated."""
+    """``evals`` counts the integrand points the integral evaluated and
+    ``rounds`` the adaptive rounds, one integrand call each."""
 
     value: object
     err_estimate: float
     panels_used: int
     converged: bool
     evals: int = 0
+    rounds: int = 0
 
 
 @lru_cache(maxsize=32)
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return nodes, weights
-
-
-def _pairwise_total(parts: np.ndarray) -> np.ndarray:
-    # np.sum on a float64 array uses pairwise accumulation with a fixed order
-    return np.sum(parts, axis=0)
 
 
 def _check_tol(rel_tol: float) -> None:
@@ -141,9 +141,8 @@ def _eval_path_panels(curve: Curve, integrand, seg: np.ndarray, t0: np.ndarray,
     return out
 
 
-def _adapt_panels(curve: Curve, integrand, rel_tol: float, seg: np.ndarray,
-                  t0: np.ndarray, t1: np.ndarray, n_est: int | None = None):
-    """Greedy adaptive refinement from the given root panels.
+def _adapt_panels(curve: Curve, integrand, rel_tol: float, n_est: int | None = None):
+    """Greedy adaptive refinement from the root panels of every segment.
 
     Every round makes one integrand call, which evaluates both Gauss orders
     on all new panels.  Only the first ``n_est`` integrand components (all
@@ -154,14 +153,20 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, seg: np.ndarray,
     the summed errors are held to ``rel_tol`` times the largest scale.  So
     no component meets a looser tolerance than it would alone, and the
     summed error bounds every component's summed pair difference.
-    Returns (total, total_err, tol_eff, panels, evals): the panel sum in a
-    fixed order, the summed panel errors, the tolerance they are held to,
-    the final panel count and the number of path nodes evaluated.
+    Returns (total, total_err, tol_eff, panels, evals, rounds): the panel
+    sum in a fixed order, the summed panel errors, the tolerance they are
+    held to, the final panel count, the number of path nodes evaluated and
+    the number of integrand calls.
     """
+    edges = [np.asarray(s.breaks, dtype=float) for s in curve.segments]
+    seg = np.concatenate([np.full(e.size - 1, k) for k, e in enumerate(edges)])
+    t0 = np.concatenate([e[:-1] for e in edges])
+    t1 = np.concatenate([e[1:] for e in edges])
     depth = np.zeros(seg.size, dtype=np.int32)
     lo, hi = _eval_path_panels(curve, integrand, seg, t0, t1)
     diff = np.abs(hi - lo)[:, :n_est]
     evals = 3 * _ORDER * seg.size
+    rounds = 1
 
     def panel_errors(total: np.ndarray) -> tuple[np.ndarray, float]:
         # scale by the largest panel contribution, not only the total, so
@@ -172,7 +177,8 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, seg: np.ndarray,
         return (diff * weight).max(axis=1), rel_tol * largest
 
     for _ in range(_MAX_ROUNDS):
-        total = _pairwise_total(hi)
+        # np.sum on a float64 array uses pairwise accumulation in a fixed order
+        total = np.sum(hi, axis=0)
         err, tol_eff = panel_errors(total)
         total_err = float(err.sum())
         splittable = depth < _MAX_DEPTH
@@ -191,6 +197,7 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, seg: np.ndarray,
         child_depth = np.repeat(depth[chosen] + 1, 2)
         c_lo, c_hi = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1)
         evals += 3 * _ORDER * child_seg.size
+        rounds += 1
         seg = np.concatenate((seg[keep], child_seg))
         t0 = np.concatenate((t0[keep], child_t0))
         t1 = np.concatenate((t1[keep], child_t1))
@@ -200,16 +207,17 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, seg: np.ndarray,
 
     # fixed summation order: sort panels by segment and parameter
     final_order = np.lexsort((t0, seg))
-    total = _pairwise_total(hi[final_order])
+    total = np.sum(hi[final_order], axis=0)
     err, tol_eff = panel_errors(total)
-    return total, float(err.sum()), tol_eff, int(err.size), evals
+    return total, float(err.sum()), tol_eff, int(err.size), evals, rounds
 
 
 def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
     """Adaptive arclength integral of ``integrand(points, normals)``.
 
     The integrand may return shape (n,) or (n, m); the result value follows.
-    Each refinement round hands the nodes of both Gauss orders on all new
+    Refinement starts from each segment's root panels (``breaks``).  Each
+    refinement round hands the nodes of both Gauss orders on all new
     panels of all segments to ``integrand`` in one call.  The error
     estimate is the sum of per-panel differences between the embedded Gauss
     pair, a deliberately conservative bound.  For a vector integrand each
@@ -217,12 +225,7 @@ def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
     bounds the summed pair difference of every component.
     """
     _check_tol(rel_tol)
-    nseg = len(curve.segments)
-    splits0 = 4
-    seg = np.repeat(np.arange(nseg), splits0)
-    edges = np.linspace(0.0, 1.0, splits0 + 1)
-    total, total_err, tol_eff, panels, evals = _adapt_panels(
-        curve, integrand, rel_tol, seg, np.tile(edges[:-1], nseg), np.tile(edges[1:], nseg))
+    total, total_err, tol_eff, panels, evals, rounds = _adapt_panels(curve, integrand, rel_tol)
     value = total[0] if total.size == 1 else total
     if not np.all(np.isfinite(total)):
         raise QuadratureError("path integral produced a non-finite value")
@@ -232,46 +235,13 @@ def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
         panels_used=panels,
         converged=bool(total_err <= tol_eff),
         evals=evals,
+        rounds=rounds,
     )
 
 
 # ---------------------------------------------------------------------------
 # cell integration on vertical fibres
 # ---------------------------------------------------------------------------
-
-
-def _outer_breaks(geom: GapGeometry) -> np.ndarray:
-    """0, +-eps/2 and +-(eps/2 + eps g^k) up to +-L1, g = _OUTER_GRADING.
-
-    The chord half-height has its square-root onset at |x| = eps/2 and the
-    pair field varies on the scale eps next to it, so the root panels grow
-    geometrically away from the onset.
-    """
-    half = geom.eps / 2.0
-    pts = [0.0, half]
-    step = geom.eps
-    while half + step < geom.L1:
-        pts.append(half + step)
-        step *= _OUTER_GRADING
-    pts.append(geom.L1)
-    pts = np.asarray(pts)
-    return np.concatenate((-pts[:0:-1], pts))
-
-
-def _fibre_template(geom: GapGeometry) -> np.ndarray:
-    """Breakpoints in tau of the fibre y = h + (L2 - h) tau, tau in [0, 1].
-
-    Panels start at sqrt(eps) (the y-scale of the pair field at the gap,
-    in units of the longest fibre) and grow by _FIBRE_GRADING away from the
-    inclusion.
-    """
-    tau = [0.0]
-    step = np.sqrt(geom.eps) / geom.L2
-    while step < 0.5:
-        tau.append(step)
-        step *= _FIBRE_GRADING
-    tau.append(1.0)
-    return np.asarray(tau)
 
 
 def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: list[int]):
@@ -339,17 +309,24 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     fields are smooth there.
     """
     _check_tol(rel_tol)
-    xb = _outer_breaks(geom)
-    x_axis = Curve(segments=(_line_segment((-geom.L1, 0.0), (geom.L1, 0.0), (0.0, 1.0)),))
-    t = (xb + geom.L1) / (2.0 * geom.L1)
-    root_seg = np.zeros(t.size - 1, dtype=np.int64)
-    tau = _fibre_template(geom)
+    # h(x) has its square-root onset at |x| = eps/2, where the pair field
+    # varies on the scale eps: outer root panels grow away from the onsets
+    xb = np.asarray([0.0] + _graded_breaks(geom.eps / 2.0, geom.L1, geom.eps, _OUTER_GRADING)
+                    + [geom.L1])
+    xb = np.concatenate((-xb[:0:-1], xb))
+    x_axis = Curve(segments=(replace(_line_segment((-geom.L1, 0.0), (geom.L1, 0.0), (0.0, 1.0)),
+                                     breaks=tuple((xb + geom.L1) / (2.0 * geom.L1))),))
+    # fibre y = h + (L2 - h) tau: template panels start at sqrt(eps), the
+    # pair field's y-scale at the gap, and grow up to half the fibre
+    tau = np.asarray(_graded_breaks(0.0, 0.5, np.sqrt(geom.eps) / geom.L2, _FIBRE_GRADING) + [1.0])
     depth = np.zeros(tau.size - 1, dtype=np.int32)
     counter = [0]
+    rounds = 0
     for _ in range(_MAX_FIBRE_ROUNDS):
         fibres = _fibre_integrand(geom, integrand, tau, counter)
-        total, outer_err, half_tol, panels, _ = _adapt_panels(
-            x_axis, fibres, rel_tol / 2.0, root_seg, t[:-1], t[1:], n_est=1)
+        total, outer_err, half_tol, panels, _, outer_rounds = _adapt_panels(
+            x_axis, fibres, rel_tol / 2.0, n_est=1)
+        rounds += outer_rounds
         if not np.all(np.isfinite(total)):
             raise QuadratureError("cell integral produced a non-finite value")
         panel_err = total[1:]
@@ -369,6 +346,7 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
         panels_used=panels,
         converged=bool(total_err <= 2.0 * half_tol),
         evals=counter[0],
+        rounds=rounds,
     )
 
 
@@ -395,17 +373,13 @@ def cumulative_line_table(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi:
     n0 = max(int(np.ceil((hi - lo) / max_width)), 8)
     edges = np.unique(np.concatenate((np.linspace(lo, hi, n0 + 1), [anchor])))
 
+    # the path rule on the x-axis, whose parameter t is x itself
+    axis = Curve(segments=(_line_segment((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),))
+
     def panel_values(a, b):
-        out = []
-        for nd, wt in (_gauss_rule(_TABLE_ORDER), _gauss_rule(2 * _TABLE_ORDER)):
-            t = a[:, None] + (b - a)[:, None] * (nd[None, :] + 1.0) / 2.0
-            f = np.asarray(fn(t.reshape(-1)), dtype=float)
-            if f.ndim == 1:
-                f = f[:, None]
-            f = f.reshape(a.size, nd.size, -1)
-            out.append(np.einsum("pgc,g->pc", f, wt) * ((b - a) / 2.0)[:, None])
-        err = np.abs(out[1] - out[0]).max(axis=1)
-        return out[1], err
+        p_lo, p_hi = _eval_path_panels(axis, lambda p, _n: fn(p[:, 0]),
+                                       np.zeros(a.size, dtype=np.int64), a, b)
+        return p_hi, np.abs(p_hi - p_lo).max(axis=1)
 
     for _ in range(_TABLE_PASSES):
         a, b = edges[:-1], edges[1:]

@@ -30,6 +30,7 @@ from gapstress import (
 from gapstress import bounds
 from gapstress.bounds import _dual_diagnostics, _singular_self_energy, _work_integrand
 from gapstress.elasticity import Matrix2, compliance_contract, compliance_energy, energy_density
+from gapstress.geometry import Curve
 from gapstress.kernels import KernelContext, singular_stress
 from gapstress.quadrature import cumulative_line_table, integrate_cell, integrate_path
 
@@ -597,3 +598,89 @@ def test_pair_boundary_integral_matches_scalar_integrals(geom, i, j):
     other = pair_boundary_integral(geom, UNIT, 3 - i, j, tol).value[2]
     assert energy_identity_check(geom, UNIT, j, tol) == pytest.approx(
         joint.value[2] + other, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# root panels graded at the gap vertex
+# ---------------------------------------------------------------------------
+
+SHIPPED_WIDTHS = (1e-2, 1e-3, 1e-4, 1e-5)
+QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+def test_graded_path_errors_cover_a_tight_reference(shape, eps):
+    g = SHAPES[shape](eps)
+    for i in (1, 2):
+        for j in (1, 2):
+            got = pair_boundary_integral(g, UNIT, i, j)
+            ref = pair_boundary_integral(g, UNIT, i, j, 1e-11)
+            assert got.converged and ref.converged
+            assert np.all(np.abs(got.value - ref.value) <= got.err_estimate), (i, j)
+    for j in (1, 2):
+        got, ref = primal_upper(g, UNIT, j), primal_upper(g, UNIT, j, 1e-11)
+        assert got.converged
+        assert abs(got.value - ref.value) <= got.quadrature_err
+        got = _singular_self_energy(g, UNIT, j, REL_TOL_PATH)
+        ref = _singular_self_energy(g, UNIT, j, 1e-11)
+        assert got.converged
+        assert abs(got.value - ref.value) <= got.err_estimate
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_gap_path_integrals_converge_in_few_rounds(shape):
+    # from uniform quarters the pair integrals took 5-9 rounds, bisecting
+    # down to the gap; q_ss runs on the arcs of the matrix boundary
+    for eps in SHIPPED_WIDTHS:
+        g = SHAPES[shape](eps)
+        for j in (1, 2):
+            results = [pair_boundary_integral(g, UNIT, i, j) for i in (1, 2)]
+            results.append(_singular_self_energy(g, UNIT, j, REL_TOL_PATH))
+            for res in results:
+                assert res.converged
+                assert 2 <= res.rounds <= 3, (eps, j, res.rounds)
+
+
+def _quarter_roots(curve):
+    return Curve(segments=tuple(replace(s, breaks=QUARTERS) for s in curve.segments))
+
+
+def test_graded_roots_save_evals_on_the_identity_grid(monkeypatch):
+    def grid_evals():
+        total = 0
+        for shape, make in SHAPES.items():
+            for eps in np.logspace(-2.0, -5.0, 13):
+                g = make(float(eps))
+                total += sum(pair_boundary_integral(g, UNIT, i, j).evals
+                             for i in (1, 2) for j in (1, 2))
+        return total
+
+    graded = grid_evals()
+    monkeypatch.setattr(bounds, "inclusion_boundary",
+                        lambda g, i: _quarter_roots(inclusion_boundary(g, i)))
+    uniform = grid_evals()
+    assert graded <= 0.8 * uniform
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_primal_path_is_graded_at_the_gap_center(shape, monkeypatch):
+    g = SHAPES[shape](1e-4)
+    calls = []
+
+    def spy(curve, integrand, rel_tol):
+        calls.append((curve, integrand, rel_tol))
+        return integrate_path(curve, integrand, rel_tol)
+
+    monkeypatch.setattr(bounds, "integrate_path", spy)
+    primal_upper(g, UNIT, 1)
+    ((path, density, tol),) = calls
+    first = path.segments[0]
+    assert np.array_equal(first.point(np.array(0.0)), [0.0, 0.0])
+    # the first root panel spans the pole offset
+    assert float(first.speed(np.array(0.0))) * first.breaks[1] == pytest.approx(g.a, rel=1e-12)
+    assert all(s.breaks == QUARTERS for s in path.segments[1:])
+    graded = integrate_path(path, density, tol)
+    uniform = integrate_path(_quarter_roots(path), density, tol)
+    assert graded.rounds < uniform.rounds
+    assert abs(graded.value - uniform.value) <= graded.err_estimate + uniform.err_estimate

@@ -195,6 +195,49 @@ def test_normal_at_gap_vertex_of_second_inclusion():
     assert best[1] @ np.array([1.0, 0.0]) > 0.999
 
 
+def _gap_facing_arcs(g):
+    """(arc, {t of a gap-facing vertex: its abscissa}) for every inclusion arc."""
+    curves = boundary_curves(g)
+    x1, x2 = -g.eps / 2.0, g.eps / 2.0
+    return [(inclusion_boundary(g, 2).segments[0], {0.5: x2}),
+            (inclusion_boundary(g, 1).segments[0], {0.0: x1, 1.0: x1}),
+            (curves["gamma_plus"].segments[1], {0.5: x2}),
+            (curves["gamma_minus"].segments[1], {0.5: x1})]
+
+
+@pytest.mark.parametrize("shape", [Disk(r0=1.0), Ellipse(a=1.0, b=2.0)], ids=["disk", "ellipse"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+def test_arc_root_panels_start_at_the_gap_vertex(shape, eps):
+    g = make_gap_geometry(shape, eps, L2=2.5)
+    for arc, vertices in _gap_facing_arcs(g):
+        b = np.asarray(arc.breaks)
+        assert b[0] == 0.0 and b[-1] == 1.0 and np.all(np.diff(b) > 0.0)
+        assert {0.25, 0.5, 0.75} <= set(arc.breaks)
+        for v, x in vertices.items():
+            assert v in arc.breaks
+            # the vertex is the point of the arc on the gap
+            assert np.allclose(arc.point(np.array(v)), [x, 0.0], atol=1e-12)
+            k = arc.breaks.index(v)
+            for nb in (b[i] for i in (k - 1, k + 1) if 0 <= i < b.size):
+                lo, hi = sorted((v, nb))
+                # the first panel's arclength at the vertex is the pole offset
+                assert float(arc.speed(np.array(v))) * (hi - lo) == pytest.approx(g.a, rel=1e-12)
+                length = quad(lambda t: float(arc.speed(np.array(t))), lo, hi)[0]
+                assert length == pytest.approx(g.a, rel=(g.a / g.half_height) ** 2)
+    # the root panels never shrink away from the vertex
+    widths = np.diff(np.asarray(inclusion_boundary(g, 2).segments[0].breaks))
+    assert np.all(np.diff(widths[widths.size // 2:]) >= 0.0)
+    assert np.allclose(widths, widths[::-1], rtol=1e-9, atol=0.0)
+
+
+def test_straight_cell_edges_keep_quarter_root_panels():
+    g = disk_geometry(1e-3)
+    curves = boundary_curves(g)
+    edges = [curves["edge_top"].segments[0], curves["edge_bottom"].segments[0],
+             curves["gamma_plus"].segments[0], curves["gamma_plus"].segments[2]]
+    assert all(seg.breaks == (0.0, 0.25, 0.5, 0.75, 1.0) for seg in edges)
+
+
 def test_closed_inclusion_boundary_flux_of_constant_vanishes():
     g = disk_geometry(0.01)
     curve = inclusion_boundary(g, 1)

@@ -317,10 +317,13 @@ def test_modulus_interval_widened_by_quadrature_error(j):
     assert (hi - lo) - (raw[1] - raw[0]) == pytest.approx(factor * row.quad_err, rel=1e-6)
 
 
-def _cap_cell_depth(monkeypatch):
-    # one bisection below the root panels leaves the integrals of every row
-    # short of the test tolerances
-    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
+def _force_non_convergence(monkeypatch) -> float:
+    """Forbid bisection below the root panels; returns a path tolerance that
+    the root panels of every test row then fall short of.  (The root panels
+    are graded at the gap vertex, so at the test tolerances they alone
+    converge.)"""
+    monkeypatch.setattr(quadrature, "_MAX_DEPTH", 0)
+    return 1e-12
 
 
 def test_sweep_row_flags_non_convergence(monkeypatch):
@@ -330,8 +333,8 @@ def test_sweep_row_flags_non_convergence(monkeypatch):
     )
     good = compute_sweep_row(cfg, 1e-2, 1)
     assert good.converged
-    _cap_cell_depth(monkeypatch)
-    row = compute_sweep_row(cfg, 1e-2, 1)
+    tight = _force_non_convergence(monkeypatch)
+    row = compute_sweep_row(dataclasses.replace(cfg, rel_tol_path=tight), 1e-2, 1)
     assert not row.converged
     # the last CSV column carries the flag
     assert CSV_HEADER.split(",")[-1] == "converged"
@@ -387,6 +390,51 @@ def test_sweep_and_fit_one_load(monkeypatch):
     assert fits[2] == full_fits[2]
     with pytest.raises(ValueError):
         sweep_and_fit(cfg, loads=(3,))
+
+
+def test_sweep_pool_never_exceeds_the_rows(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    cfg = RunConfig(
+        material=UNIT, shape=Disk(r0=1.0), L2=1.5,
+        eps_list=(1e-2, 3e-3, 1e-3),
+        rel_tol_cell=1e-3, rel_tol_path=1e-6,
+    )
+    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial, _ = sweep_and_fit(cfg, workers=1, loads=(2,))
+    assert sizes == []
+    for workers, size in ((2, 2), (64, 3)):
+        rows, _ = sweep_and_fit(cfg, workers=workers, loads=(2,))
+        assert sizes[-1] == size
+        assert [r.csv_line() for r in rows] == [r.csv_line() for r in serial]
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match="workers"):
+            sweep_and_fit(cfg, workers=workers)
+    assert len(sizes) == 2
+
+
+def test_cli_sweep_rejects_zero_workers(tmp_path, capsys):
+    p = tmp_path / "s.cfg"
+    p.write_text(GOOD_CONFIG.replace("1e-2, 1e-3", "1e-2, 3e-3, 1e-3"))
+    out = tmp_path / "o.csv"
+    assert cli.main(["sweep", "--config", str(p), "--workers", "0", "--out", str(out)]) == 2
+    assert "workers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_needs_three_gap_widths():
@@ -452,7 +500,8 @@ def test_cli_warns_once_per_unconverged_row(command, n_rows, monkeypatch, tmp_pa
     assert cli.main(["bounds", "--config", str(p), "--j", "2", "--out", str(out)]) == 0
     assert "warning" not in capsys.readouterr().err
 
-    _cap_cell_depth(monkeypatch)
+    tight = _force_non_convergence(monkeypatch)
+    p.write_text(p.read_text().replace("rel_tol_path = 1e-6", f"rel_tol_path = {tight}"))
     assert cli.main([command, "--config", str(p), "--out", str(out)]) == 0
     warnings = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("warning:")]
     assert len(warnings) == n_rows

@@ -210,6 +210,36 @@ def test_integral_evals_count_the_integrand_points():
     assert type(res)(value=1.0, err_estimate=0.0, panels_used=1, converged=True).evals == 0
 
 
+def test_integral_rounds_count_the_integrand_calls(monkeypatch):
+    g = disk_geometry(1e-3)
+    n_path = [0]
+
+    def path_fn(p, n):
+        n_path[0] += 1
+        return np.sin(p[..., 0] + 2.0 * p[..., 1])
+
+    res = integrate_path(inclusion_boundary(g, 1), path_fn, 1e-12)
+    assert res.rounds == n_path[0] > 1
+
+    # a cell integral sums the outer rounds over its fibre rounds
+    n_outer, n_fibre = [0], [0]
+    make_fibres = quadrature._fibre_integrand
+
+    def counting(*args):
+        n_fibre[0] += 1
+        fibres = make_fibres(*args)
+
+        def outer(p, n):
+            n_outer[0] += 1
+            return fibres(p, n)
+        return outer
+
+    monkeypatch.setattr(quadrature, "_fibre_integrand", counting)
+    res = integrate_cell(g, lambda p: np.exp(-((p[..., 1] - 0.7) / 0.05) ** 2), 1e-8)
+    assert res.converged
+    assert res.rounds == n_outer[0] > n_fibre[0] > 1
+
+
 def test_cell_integrand_chunks_are_bounded():
     from gapstress.quadrature import _EVAL_CHUNK
 
@@ -444,7 +474,7 @@ def test_path_integrand_sees_both_orders_in_one_call_per_round(monkeypatch):
 
     res = integrate_path(curve, root, 1e-15)
     assert not res.converged
-    assert len(sizes) == 4
+    assert len(sizes) == 4 == res.rounds
     assert sum(sizes) == res.evals
     assert all(n % (3 * quadrature._ORDER) == 0 for n in sizes)
 
