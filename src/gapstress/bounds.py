@@ -160,11 +160,8 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class BoundResult:
-    j: int
-    kind: str
     value: float
     quadrature_err: float
-    diagnostics: Diagnostics
     converged: bool = True
     terms: Mapping[str, float] | None = None
 
@@ -206,11 +203,8 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int,
         for k, (y0, y1) in enumerate(zip(breaks[:-1], breaks[1:]))))
     res = integrate_path(path, density, rel_tol)
     return BoundResult(
-        j=j,
-        kind="upper",
         value=2.0 * float(res.value),
         quadrature_err=2.0 * res.err_estimate,
-        diagnostics=Diagnostics(),
         converged=res.converged,
     )
 
@@ -222,9 +216,7 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int,
 
 @dataclass(frozen=True)
 class DualStress:
-    j: int
-    m_j: float
-    sigma_S: StressField
+    sigma_S: Callable[[np.ndarray], SymTensor2]
     sigma_c: StressField
     sigma_total: StressField
     G: Callable[[np.ndarray], np.ndarray]
@@ -241,17 +233,13 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
     so that the total traction vanishes identically on y = +-L2 and each
     row stays divergence free.
     """
-    mj = m_constant(geom, mat, j)
-    scale = mj / np.sqrt(geom.eps)
+    scale = m_constant(geom, mat, j) / np.sqrt(geom.eps)
     ctx = KernelContext.from_geometry(geom, mat)
     L2 = geom.L2
 
-    def sig_S_sym(pts: np.ndarray) -> SymTensor2:
+    def sigma_S(pts: np.ndarray) -> SymTensor2:
         s = singular_stress(ctx, j, pts)
         return SymTensor2(scale * s.a11, scale * s.a12, scale * s.a22)
-
-    def sigma_S(pts: np.ndarray) -> Matrix2:
-        return sig_S_sym(pts).as_matrix()
 
     def G(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -267,25 +255,25 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
         xu, inv = np.unique(x, return_inverse=True)
         inv = inv.reshape(x.shape)
         Gx = G(xu)[inv]
-        top = sig_S_sym(np.stack((xu, np.full_like(xu, L2)), axis=-1)).apply(_E2)[inv]
-        bot = sig_S_sym(np.stack((xu, np.full_like(xu, -L2)), axis=-1)).apply(_E2)[inv]
+        top = sigma_S(np.stack((xu, np.full_like(xu, L2)), axis=-1)).apply(_E2)[inv]
+        bot = sigma_S(np.stack((xu, np.full_like(xu, -L2)), axis=-1)).apply(_E2)[inv]
         wt_top = ((y + L2) / (2.0 * L2))[..., None]
         wt_bot = ((L2 - y) / (2.0 * L2))[..., None]
         F = -(wt_top * top + wt_bot * bot)
         return Matrix2(Gx[..., 0], F[..., 0], Gx[..., 1], F[..., 1])
 
     def sigma_total(pts: np.ndarray) -> Matrix2:
-        s = sig_S_sym(pts)
+        s = sigma_S(pts)
         c = sigma_c(pts)
         return Matrix2(s.a11 + c.a11, s.a12 + c.a12, s.a12 + c.a21, s.a22 + c.a22)
 
-    diag = _dual_diagnostics(geom, sigma_total, sigma_c, ctx)
-    return DualStress(j=j, m_j=mj, sigma_S=sigma_S, sigma_c=sigma_c,
-                      sigma_total=sigma_total, G=G, diagnostics=diag)
+    diag = _dual_diagnostics(geom, sigma_total, sigma_c)
+    return DualStress(sigma_S=sigma_S, sigma_c=sigma_c, sigma_total=sigma_total,
+                      G=G, diagnostics=diag)
 
 
 def _dual_diagnostics(geom: GapGeometry, sigma_total: StressField,
-                      sigma_c: StressField, ctx: KernelContext) -> Diagnostics:
+                      sigma_c: StressField) -> Diagnostics:
     L1, L2 = geom.L1, geom.L2
 
     # traction on the horizontal edges, built to cancel exactly
@@ -305,8 +293,8 @@ def _dual_diagnostics(geom: GapGeometry, sigma_total: StressField,
 
     # central differences with a step tied to the distance from the poles,
     # which keeps truncation and rounding both far below the target
-    dist = np.minimum(np.linalg.norm(pts - ctx.p1, axis=-1),
-                      np.linalg.norm(pts - ctx.p2, axis=-1))
+    dist = np.minimum(np.linalg.norm(pts - geom.p1, axis=-1),
+                      np.linalg.norm(pts - geom.p2, axis=-1))
     h = 6e-6 * dist
     ex = np.stack((h, np.zeros_like(h)), axis=-1)
     ey = np.stack((np.zeros_like(h), h), axis=-1)
@@ -387,11 +375,8 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
     value = -q_ss.value - q_c.value + 2.0 * lin.value
     qerr = q_ss.err_estimate + q_c.err_estimate + 2.0 * lin.err_estimate
     return BoundResult(
-        j=j,
-        kind="lower",
         value=float(value),
         quadrature_err=float(qerr),
-        diagnostics=dual.diagnostics,
         converged=all(r.converged for r in (q_ss, q_c, lin)),
         terms={
             "quad_singular": float(q_ss.value),

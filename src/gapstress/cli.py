@@ -72,10 +72,13 @@ def _restrict(cfg: RunConfig, eps: float | None) -> RunConfig:
     return cfg if eps is None else dataclasses.replace(cfg, eps_list=(eps,))
 
 
-def _warn_unconverged(rows) -> None:
+def _warn(rows) -> None:
     for row in rows:
         if not row.converged:
             print(f"warning: eps={row.eps:g} j={row.j} did not converge", file=sys.stderr)
+        if row.modulus_interval[0] > row.modulus_interval[1]:
+            print(f"warning: eps={row.eps:g} j={row.j} lower bound exceeds upper bound",
+                  file=sys.stderr)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -83,7 +86,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     eps = cfg.eps_list[0]
     js = (args.j,) if args.j else (1, 2)
     rows = [compute_sweep_row(cfg, eps, j) for j in js]
-    _warn_unconverged(rows)
+    _warn(rows)
     geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
     lead = fk_asymptotic(geom, cfg.material)
     dc = derived_constants(cfg.material)
@@ -115,7 +118,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _restrict(parse_config(args.config), args.eps)
     loads = (args.j,) if args.j else (1, 2)
     rows, fits = sweep_and_fit(cfg, workers=args.workers, loads=loads)
-    _warn_unconverged(rows)
+    _warn(rows)
     out = args.out or cfg.out
     if out:
         write_csv(rows, out)

@@ -64,10 +64,6 @@ class Matrix2:
     def trace(self) -> Any:
         return self.a11 + self.a22
 
-    def asymmetry(self) -> Any:
-        """Absolute difference of the two off-diagonal entries."""
-        return np.abs(self.a12 - self.a21)
-
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Matrix-vector product; ``v`` has shape (..., 2)."""
         v1, v2 = v[..., 0], v[..., 1]
@@ -92,9 +88,6 @@ class SymTensor2:
     def apply(self, v: np.ndarray) -> np.ndarray:
         v1, v2 = v[..., 0], v[..., 1]
         return np.stack((self.a11 * v1 + self.a12 * v2, self.a12 * v1 + self.a22 * v2), axis=-1)
-
-    def as_matrix(self) -> Matrix2:
-        return Matrix2(self.a11, self.a12, self.a12, self.a22)
 
 
 @dataclass(frozen=True)

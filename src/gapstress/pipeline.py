@@ -287,6 +287,8 @@ def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1,
         raise ConfigError("a sweep needs at least 3 gap widths for the fit")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
+    if not loads:
+        raise ConfigError(f"a sweep needs at least one load, got loads={loads!r}")
     loads = tuple(sorted(set(loads)))
     payloads = [(cfg, eps, j) for eps in cfg.eps_list for j in loads]
     workers = min(workers, len(payloads))

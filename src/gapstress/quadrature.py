@@ -1,6 +1,6 @@
 """Deterministic adaptive quadrature over boundary curves and the matrix cell.
 
-Both integrators take one setting, a relative tolerance; one that is not
+Every routine here takes one setting, a relative tolerance; one that is not
 finite and positive raises ValueError.  Path integrals start from the root
 panels each curve segment carries (``PathSegment.breaks``: its quarters and,
 on inclusion arcs and the primal path, panels graded from the gap vertex at
@@ -10,7 +10,9 @@ most of the error estimate until the global estimate meets the tolerance or
 the panels reach _MAX_DEPTH bisections.  Matrix integrals use the same loop
 on the x-axis: the matrix is vertically simple, so at each outer node the
 integrand is integrated in y over the exact fibre [h(x), L2] and its mirror
-with one fixed Gauss template.  Evaluations are batched across panels,
+with one fixed Gauss template.  The cumulative table, the test oracle of
+the dual correction G, runs the loop on the x-axis too and sums its final
+panels outward from 0.  Evaluations are batched across panels,
 traversal and summation order are fixed, and no randomness is used, so
 repeated runs are bit-identical.
 """
@@ -24,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 # rect_classify, rect_matrix_area and region_classify are not called here;
-# they stay bound because gapbench's tracer wraps them at their names in this
-# module
+# they stay bound because gapbench's tracer wraps them at these names
 from .geometry import (  # noqa: F401
     Curve,
     GapGeometry,
@@ -56,8 +57,6 @@ _EVAL_CHUNK = 8_192
 _MAX_FIBRE_ROUNDS = 12
 _OUTER_GRADING = 8.0
 _FIBRE_GRADING = 4.0
-# refinement passes of cumulative_line_table
-_TABLE_PASSES = 6
 
 
 class QuadratureError(RuntimeError):
@@ -153,10 +152,11 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, n_est: int | None = N
     the summed errors are held to ``rel_tol`` times the largest scale.  So
     no component meets a looser tolerance than it would alone, and the
     summed error bounds every component's summed pair difference.
-    Returns (total, total_err, tol_eff, panels, evals, rounds): the panel
-    sum in a fixed order, the summed panel errors, the tolerance they are
-    held to, the final panel count, the number of path nodes evaluated and
-    the number of integrand calls.
+    Returns (total, total_err, tol_eff, t0, t1, values, evals, rounds): the
+    panel sum in a fixed order, the summed panel errors, the tolerance they
+    are held to, the final panels sorted by segment and parameter (edges
+    t0, t1 and the 2 _ORDER values, one row each), the number of path nodes
+    evaluated and the number of integrand calls.
     """
     edges = [np.asarray(s.breaks, dtype=float) for s in curve.segments]
     seg = np.concatenate([np.full(e.size - 1, k) for k, e in enumerate(edges)])
@@ -206,10 +206,11 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, n_est: int | None = N
         diff = np.concatenate((diff[keep], np.abs(c_hi - c_lo)[:, :n_est]), axis=0)
 
     # fixed summation order: sort panels by segment and parameter
-    final_order = np.lexsort((t0, seg))
-    total = np.sum(hi[final_order], axis=0)
+    order = np.lexsort((t0, seg))
+    hi = hi[order]
+    total = np.sum(hi, axis=0)
     err, tol_eff = panel_errors(total)
-    return total, float(err.sum()), tol_eff, int(err.size), evals, rounds
+    return total, float(err.sum()), tol_eff, t0[order], t1[order], hi, evals, rounds
 
 
 def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
@@ -225,14 +226,13 @@ def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
     bounds the summed pair difference of every component.
     """
     _check_tol(rel_tol)
-    total, total_err, tol_eff, panels, evals, rounds = _adapt_panels(curve, integrand, rel_tol)
-    value = total[0] if total.size == 1 else total
+    total, total_err, tol_eff, t0, _, _, evals, rounds = _adapt_panels(curve, integrand, rel_tol)
     if not np.all(np.isfinite(total)):
         raise QuadratureError("path integral produced a non-finite value")
     return IntegralResult(
-        value=float(value) if np.ndim(value) == 0 else value,
+        value=float(total[0]) if total.size == 1 else total,
         err_estimate=total_err,
-        panels_used=panels,
+        panels_used=t0.size,
         converged=bool(total_err <= tol_eff),
         evals=evals,
         rounds=rounds,
@@ -324,7 +324,7 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     rounds = 0
     for _ in range(_MAX_FIBRE_ROUNDS):
         fibres = _fibre_integrand(geom, integrand, tau, counter)
-        total, outer_err, half_tol, panels, _, outer_rounds = _adapt_panels(
+        total, outer_err, half_tol, x0, _, _, _, outer_rounds = _adapt_panels(
             x_axis, fibres, rel_tol / 2.0, n_est=1)
         rounds += outer_rounds
         if not np.all(np.isfinite(total)):
@@ -343,7 +343,7 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     return IntegralResult(
         value=float(total[0]),
         err_estimate=total_err,
-        panels_used=panels,
+        panels_used=x0.size,
         converged=bool(total_err <= 2.0 * half_tol),
         evals=counter[0],
         rounds=rounds,
@@ -356,48 +356,25 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
 
 
 def cumulative_line_table(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-                          anchor: float = 0.0, rel_tol: float = 1e-10,
-                          max_width: float | None = None):
-    """Tabulate F(x) = integral of ``fn`` from ``anchor`` to x over [lo, hi].
+                          rel_tol: float):
+    """Tabulate F(x) = integral of ``fn`` from 0 to x over [lo, hi].
 
-    ``fn`` maps (n,) positions to (n, m) integrand values.  Returns
-    (nodes, cumulative values (n, m), slopes (n, m), err) where the err is
-    the summed embedded-pair estimate of all panels.  Panel widths are kept
-    below ``max_width`` so a cubic Hermite interpolant built on the table
-    keeps an accurate derivative everywhere.
+    ``fn`` maps (n,) positions to (n, m) values.  The path loop refines the
+    x-axis from root panels split at 0, and the table sums its final panels
+    outward from 0.  Returns (nodes, F (n, m), ``fn`` at the nodes (n, m),
+    err), err being the path loop's summed embedded-pair estimate.
     """
-    if not (lo < hi and lo <= anchor <= hi):
-        raise ValueError("need lo < hi with the anchor inside the interval")
-    if max_width is None:
-        max_width = (hi - lo) / 64.0
-    n0 = max(int(np.ceil((hi - lo) / max_width)), 8)
-    edges = np.unique(np.concatenate((np.linspace(lo, hi, n0 + 1), [anchor])))
-
-    # the path rule on the x-axis, whose parameter t is x itself
-    axis = Curve(segments=(_line_segment((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),))
-
-    def panel_values(a, b):
-        p_lo, p_hi = _eval_path_panels(axis, lambda p, _n: fn(p[:, 0]),
-                                       np.zeros(a.size, dtype=np.int64), a, b)
-        return p_hi, np.abs(p_hi - p_lo).max(axis=1)
-
-    for _ in range(_TABLE_PASSES):
-        a, b = edges[:-1], edges[1:]
-        inc, err = panel_values(a, b)
-        scale = float(np.abs(inc).sum(axis=0).max()) or 1.0
-        bad = err > rel_tol * scale * ((b - a) / (hi - lo))
-        if not np.any(bad):
-            break
-        edges = np.unique(np.concatenate((edges, (a[bad] + b[bad]) / 2.0)))
-    a, b = edges[:-1], edges[1:]
-    inc, err = panel_values(a, b)
-
-    ncomp = inc.shape[1]
-    values = np.zeros((edges.size, ncomp))
-    ia = int(np.searchsorted(edges, anchor))
-    values[ia + 1:] = np.cumsum(inc[ia:], axis=0)
-    values[:ia] = -np.cumsum(inc[:ia][::-1], axis=0)[::-1]
-    slopes = np.asarray(fn(edges), dtype=float)
-    if slopes.ndim == 1:
-        slopes = slopes[:, None]
-    return edges, values, slopes, float(err.sum())
+    _check_tol(rel_tol)
+    if not (lo <= 0.0 <= hi and lo < hi):
+        raise ValueError(f"need lo < hi with 0 inside [lo, hi], got [{lo}, {hi}]")
+    # a line whose parameter t is x itself
+    axis = replace(_line_segment((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+                   breaks=tuple(np.unique([lo, 0.0, hi])))
+    _, err, _, t0, t1, inc, _, _ = _adapt_panels(
+        Curve(segments=(axis,)), lambda p, _n: fn(p[:, 0]), rel_tol)
+    edges = np.append(t0, t1[-1])
+    values = np.zeros((edges.size, inc.shape[1]))
+    i0 = int(np.searchsorted(edges, 0.0))
+    values[i0 + 1:] = np.cumsum(inc[i0:], axis=0)
+    values[:i0] = -np.cumsum(inc[:i0][::-1], axis=0)[::-1]
+    return edges, values, np.asarray(fn(edges), dtype=float).reshape(edges.size, -1), err

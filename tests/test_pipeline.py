@@ -437,6 +437,12 @@ def test_cli_sweep_rejects_zero_workers(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_an_empty_load_set():
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2, 3e-3, 1e-3))
+    with pytest.raises(ConfigError, match=re.escape("loads=()")):
+        sweep_and_fit(cfg, loads=())
+
+
 def test_sweep_needs_three_gap_widths():
     cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2, 1e-3))
     with pytest.raises(ConfigError):
@@ -507,6 +513,25 @@ def test_cli_warns_once_per_unconverged_row(command, n_rows, monkeypatch, tmp_pa
     assert len(warnings) == n_rows
     assert warnings[0] == "warning: eps=0.01 j=1 did not converge"
     assert len(out.read_text().splitlines()) == 1 + n_rows
+
+
+@pytest.mark.parametrize("command,n_rows", [("bounds", 1), ("sweep", 4)])
+def test_cli_warns_once_per_empty_bracket(command, n_rows, tmp_path, capsys):
+    # the ellipse's j=2 dual value exceeds its primal value at every shipped
+    # width, so its mu* interval is empty; the rows still reach the CSV
+    out = tmp_path / "o.csv"
+    argv = ["--config", str(SHIPPED_CONFIGS / "ellipse.cfg"), "--j", "2", "--out", str(out)]
+    if command == "bounds":
+        argv += ["--eps", "1e-2"]
+    assert cli.main([command] + argv) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == n_rows
+    assert warnings[0] == "warning: eps=0.01 j=2 lower bound exceeds upper bound"
+    assert all(w.endswith("lower bound exceeds upper bound") for w in warnings)
+    assert len(out.read_text().splitlines()) == 1 + n_rows
+    disk = ["--config", str(SHIPPED_CONFIGS / "disk.cfg"), "--out", str(out)]
+    assert cli.main([command] + disk + (["--eps", "1e-2"] if command == "bounds" else [])) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_sweep_one_load_computes_only_its_rows(monkeypatch, tmp_path, capsys):

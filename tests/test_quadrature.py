@@ -404,7 +404,8 @@ def test_cell_grading_tracks_gap_logarithmically():
 @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
 def test_spec_rejects_unusable_tolerance(tol):
     # a zero or non-finite tolerance would refine until the budget caps; both
-    # integrators refuse it before evaluating anything and name the value given
+    # integrators and the table refuse it before evaluating anything and name
+    # the value given
     def never(*args):
         raise AssertionError("integrand evaluated")
 
@@ -413,11 +414,13 @@ def test_spec_rejects_unusable_tolerance(tol):
         integrate_path(curve, never, tol)
     with pytest.raises(ValueError, match=f"rel_tol must be finite and positive, got {tol}$"):
         integrate_cell(disk_geometry(0.01), never, tol)
+    with pytest.raises(ValueError, match=f"rel_tol must be finite and positive, got {tol}$"):
+        cumulative_line_table(never, -1.0, 2.0, tol)
 
 
 def test_cumulative_table_matches_antiderivative():
     edges, values, slopes, err = cumulative_line_table(
-        lambda x: np.cos(x), -2.0, 2.0, anchor=0.0, rel_tol=1e-12
+        lambda x: np.cos(x), -2.0, 2.0, rel_tol=1e-12
     )
     assert edges[0] == -2.0 and edges[-1] == 2.0
     assert np.all(np.diff(edges) > 0.0)
@@ -433,10 +436,31 @@ def test_cumulative_table_vector_components():
     def fn(x):
         return np.stack((np.cos(x), 3.0 * x * x), axis=-1)
 
-    edges, values, slopes, err = cumulative_line_table(fn, 0.0, 1.5, anchor=0.0, rel_tol=1e-12)
+    edges, values, slopes, err = cumulative_line_table(fn, 0.0, 1.5, rel_tol=1e-12)
     assert values.shape == (edges.size, 2)
     assert np.allclose(values[:, 0], np.sin(edges), atol=1e-12)
     assert np.allclose(values[:, 1], edges**3, atol=1e-12)
+
+
+def test_cumulative_table_error_covers_a_kink_at_zero():
+    # sqrt|x| has an unbounded slope at the root break 0, so the loop refines
+    # towards it from both sides
+    edges, values, _, err = cumulative_line_table(
+        lambda x: np.sqrt(np.abs(x)), -1.0, 2.0, rel_tol=1e-10)
+    assert edges[0] == -1.0 and edges[-1] == 2.0 and 0.0 in edges
+    assert np.all(np.diff(edges) > 0.0)
+    exact = (2.0 / 3.0) * np.sign(edges) * np.abs(edges) ** 1.5
+    assert np.abs(values[:, 0] - exact).max() <= err
+    assert err <= 1e-9
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (0.0, 0.0), (1.0, -1.0), (0.5, 2.0), (-2.0, -0.5)])
+def test_cumulative_table_needs_zero_inside_a_proper_interval(lo, hi):
+    def never(x):
+        raise AssertionError("integrand evaluated")
+
+    with pytest.raises(ValueError, match="need lo < hi with 0 inside"):
+        cumulative_line_table(never, lo, hi, 1e-8)
 
 
 def _two_segment_line():
