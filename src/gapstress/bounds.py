@@ -267,29 +267,24 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
         c = sigma_c(pts)
         return Matrix2(s.a11 + c.a11, s.a12 + c.a12, s.a12 + c.a21, s.a22 + c.a22)
 
-    diag = _dual_diagnostics(geom, sigma_total, sigma_c)
+    diag = _dual_diagnostics(geom, sigma_S, sigma_c)
     return DualStress(sigma_S=sigma_S, sigma_c=sigma_c, sigma_total=sigma_total,
                       G=G, diagnostics=diag)
 
 
-def _dual_diagnostics(geom: GapGeometry, sigma_total: StressField,
+def _dual_diagnostics(geom: GapGeometry, sigma_S: Callable[[np.ndarray], SymTensor2],
                       sigma_c: StressField) -> Diagnostics:
     L1, L2 = geom.L1, geom.L2
 
     # traction on the horizontal edges, built to cancel exactly
     xs = np.linspace(-L1, L1, 100)
     edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
-    s = sigma_total(edges)
-    bc = float(np.abs(np.stack((s.a12, s.a22), axis=-1)).max())
 
     # matrix sample grid for divergence and asymmetry checks
     gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41),
                          np.linspace(-L2 * 0.995, L2 * 0.995, 41), indexing="ij")
     pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
     pts = pts[region_classify(geom, pts) == int(Region.MATRIX)]
-
-    sc = sigma_c(pts)
-    asym = float(np.abs(sc.a12 - sc.a21).max())
 
     # central differences with a step tied to the distance from the poles,
     # which keeps truncation and rounding both far below the target
@@ -298,8 +293,15 @@ def _dual_diagnostics(geom: GapGeometry, sigma_total: StressField,
     h = 6e-6 * dist
     ex = np.stack((h, np.zeros_like(h)), axis=-1)
     ey = np.stack((np.zeros_like(h), h), axis=-1)
-    # one call on the four shifted copies: +x, -x, +y, -y
-    s = sigma_total(np.stack((pts + ex, pts - ex, pts + ey, pts - ey)))
+    # one call of each field on every sample: the edges, the grid and its
+    # four shifted copies +x, -x, +y, -y
+    samples = np.concatenate((edges, pts, pts + ex, pts - ex, pts + ey, pts - ey))
+    S, C = sigma_S(samples), sigma_c(samples)
+    s = Matrix2(S.a11 + C.a11, S.a12 + C.a12, S.a12 + C.a21, S.a22 + C.a22)
+    n_e, n = edges.shape[0], pts.shape[0]
+    bc = float(np.abs(np.stack((s.a12[:n_e], s.a22[:n_e]), axis=-1)).max())
+    asym = float(np.abs(C.a12[n_e:n_e + n] - C.a21[n_e:n_e + n]).max())
+    s = Matrix2(*(a[n_e + n:].reshape(4, n) for a in (s.a11, s.a12, s.a21, s.a22)))
     inv2h = 1.0 / (2.0 * h)
     d_col1_dx = np.stack(((s.a11[0] - s.a11[1]) * inv2h, (s.a21[0] - s.a21[1]) * inv2h), axis=-1)
     d_col2_dy = np.stack(((s.a12[2] - s.a12[3]) * inv2h, (s.a22[2] - s.a22[3]) * inv2h), axis=-1)
@@ -391,16 +393,20 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
 # ---------------------------------------------------------------------------
 
 
-def pair_boundary_integral(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
+def pair_boundary_integral(geom: GapGeometry, mat: LameMaterial, i: int,
                            rel_tol: float = REL_TOL_PATH) -> IntegralResult:
-    """Traction flux and work of the pair field q_j on inclusion boundary i.
+    """Traction flux and work of both pair fields on inclusion boundary i.
 
-    One path integral whose value is [flux k=1, flux k=2, work], normals
-    pointing out of the matrix region (into the inclusion); each component
-    is held to the tolerance relative to its own scale.
+    One path integral whose value has shape (2, 3): row j - 1 is [flux
+    k=1, flux k=2, work] of q_j, normals pointing out of the matrix region
+    (into the inclusion); each component is held to the tolerance relative
+    to its own scale.
     """
     ctx = KernelContext.from_geometry(geom, mat)
-    return integrate_path(inclusion_boundary(geom, i), _pair_boundary_integrand(ctx, j), rel_tol)
+    loads = [_pair_boundary_integrand(ctx, j) for j in (1, 2)]
+    res = integrate_path(inclusion_boundary(geom, i),
+                         lambda p, n: np.concatenate([f(p, n) for f in loads], axis=-1), rel_tol)
+    return replace(res, value=res.value.reshape(2, 3))
 
 
 def flux_identity_check(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
@@ -410,7 +416,7 @@ def flux_identity_check(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
     The normal points out of the matrix region (into the inclusion); the
     exact value is (-1)^i * delta_jk.
     """
-    return float(pair_boundary_integral(geom, mat, i, j, rel_tol).value[k - 1])
+    return float(pair_boundary_integral(geom, mat, i, rel_tol).value[j - 1, k - 1])
 
 
 def energy_identity_check(geom: GapGeometry, mat: LameMaterial, j: int,
@@ -420,4 +426,5 @@ def energy_identity_check(geom: GapGeometry, mat: LameMaterial, j: int,
     Approximates the matrix energy of q_j; the normalized combination
     m_j * result / sqrt(eps) tends to 1 as the gap closes.
     """
-    return float(sum(pair_boundary_integral(geom, mat, i, j, rel_tol).value[2] for i in (1, 2)))
+    return float(sum(pair_boundary_integral(geom, mat, i, rel_tol).value[j - 1, 2]
+                     for i in (1, 2)))

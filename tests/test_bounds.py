@@ -29,7 +29,8 @@ from gapstress import (
 )
 from gapstress import bounds
 from gapstress.bounds import _dual_diagnostics, _singular_self_energy, _work_integrand
-from gapstress.elasticity import Matrix2, compliance_contract, compliance_energy, energy_density
+from gapstress.elasticity import (Matrix2, SymTensor2, compliance_contract, compliance_energy,
+                                  energy_density)
 from gapstress.geometry import Curve
 from gapstress.kernels import KernelContext, singular_stress
 from gapstress.quadrature import cumulative_line_table, integrate_cell, integrate_path
@@ -310,6 +311,14 @@ def test_closed_form_G_matches_cumulative_table(shape, eps, j, material):
     G = dual.G(nodes)
     assert G.shape == values.shape
     assert np.abs(G - values).max() <= err + 1e-13 * np.abs(G).max()
+    # the table stops at a few nodes, so also run it to interior points and
+    # compare G with its endpoint value there
+    for x in (-0.9 * g.L1, -0.4 * g.L1, -0.05 * g.L1, 1e-3 * g.L1, 0.3 * g.L1, 0.7 * g.L1):
+        lo, hi = (x, 0.0) if x < 0.0 else (0.0, x)
+        _, part, _, part_err = cumulative_line_table(_edge_jump(dual, g.L2), lo, hi, rel_tol=1e-12)
+        end = part[0] if x < 0.0 else part[-1]
+        Gx = dual.G(np.array([x]))[0]
+        assert np.abs(Gx - end).max() <= part_err + 1e-13 * np.abs(G).max(), x
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -360,13 +369,68 @@ def test_divergence_check_flags_a_divergent_field(shape, j):
     g = SHAPES[shape](10.0 ** -2.5)
     dual = build_dual_stress(g, UNIT, j)
 
-    def defective(p):
-        # a uniform divergence of 1e-3 in the first row
-        s = dual.sigma_total(p)
-        return Matrix2(s.a11 + 1e-3 * p[..., 0], s.a12, s.a21, s.a22)
+    # a uniform divergence of 1e-3 in the first row, in either part
+    def defective_S(p):
+        s = dual.sigma_S(p)
+        return SymTensor2(s.a11 + 1e-3 * p[..., 0], s.a12, s.a22)
 
-    diag = _dual_diagnostics(g, defective, dual.sigma_c)
-    assert diag.div_residual > 1e-5
+    def defective_c(p):
+        c = dual.sigma_c(p)
+        return Matrix2(c.a11 + 1e-3 * p[..., 0], c.a12, c.a21, c.a22)
+
+    assert _dual_diagnostics(g, defective_S, dual.sigma_c).div_residual > 1e-5
+    assert _dual_diagnostics(g, dual.sigma_S, defective_c).div_residual > 1e-5
+
+
+def _per_copy_diagnostics(geom, sigma_total, sigma_c):
+    """The diagnostics with one field call per sample set: the edges, the
+    grid (sigma_c only) and the four shifted copies of the grid."""
+    L1, L2 = geom.L1, geom.L2
+    xs = np.linspace(-L1, L1, 100)
+    edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
+    s = sigma_total(edges)
+    bc = float(np.abs(np.stack((s.a12, s.a22), axis=-1)).max())
+    gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41),
+                         np.linspace(-L2 * 0.995, L2 * 0.995, 41), indexing="ij")
+    pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
+    pts = pts[region_classify(geom, pts) == int(Region.MATRIX)]
+    sc = sigma_c(pts)
+    asym = float(np.abs(sc.a12 - sc.a21).max())
+    dist = np.minimum(np.linalg.norm(pts - geom.p1, axis=-1),
+                      np.linalg.norm(pts - geom.p2, axis=-1))
+    h = 6e-6 * dist
+    ex = np.stack((h, np.zeros_like(h)), axis=-1)
+    ey = np.stack((np.zeros_like(h), h), axis=-1)
+    s = sigma_total(np.stack((pts + ex, pts - ex, pts + ey, pts - ey)))
+    inv2h = 1.0 / (2.0 * h)
+    d_col1_dx = np.stack(((s.a11[0] - s.a11[1]) * inv2h, (s.a21[0] - s.a21[1]) * inv2h), axis=-1)
+    d_col2_dy = np.stack(((s.a12[2] - s.a12[3]) * inv2h, (s.a22[2] - s.a22[3]) * inv2h), axis=-1)
+    resid = np.abs(d_col1_dx + d_col2_dy).max(axis=-1)
+    mag = (np.abs(s.a11) + np.abs(s.a12) + np.abs(s.a21) + np.abs(s.a22)).max(axis=0)
+    div = float((resid * dist / mag).max())
+    return asym, bc, div
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+def test_dual_diagnostics_call_each_field_once(shape, eps, j):
+    g = SHAPES[shape](eps)
+    dual = build_dual_stress(g, UNIT, j)
+    calls = {"S": 0, "c": 0}
+
+    def counted(key, field):
+        def fn(p):
+            calls[key] += 1
+            return field(p)
+        return fn
+
+    d = _dual_diagnostics(g, counted("S", dual.sigma_S), counted("c", dual.sigma_c))
+    assert calls == {"S": 1, "c": 1}
+    assert d == dual.diagnostics
+    got = (d.asymmetry_max, d.bc_residual, d.div_residual)
+    want = _per_copy_diagnostics(g, dual.sigma_total, dual.sigma_c)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _fibre_self_energy(geom, j: int) -> tuple[float, float]:
@@ -549,9 +613,9 @@ def test_dual_lower_makes_one_cell_and_two_path_integrals(monkeypatch):
 
 
 @functools.lru_cache(maxsize=None)
-def _disk_pair_flux(i: int, j: int) -> np.ndarray:
-    """Both flux components of q_j on boundary i, from one path integral."""
-    return pair_boundary_integral(disk_geometry(1e-3), UNIT, i, j).value[:2]
+def _disk_pair_flux(i: int) -> np.ndarray:
+    """Both flux components of q_1 and q_2 on boundary i, from one path integral."""
+    return pair_boundary_integral(disk_geometry(1e-3), UNIT, i).value[:, :2]
 
 
 @pytest.mark.parametrize(
@@ -566,7 +630,7 @@ def _disk_pair_flux(i: int, j: int) -> np.ndarray:
     ],
 )
 def test_flux_identity(i, j, k, expected):
-    assert _disk_pair_flux(i, j)[k - 1] == pytest.approx(expected, abs=1e-6)
+    assert _disk_pair_flux(i)[j - 1, k - 1] == pytest.approx(expected, abs=1e-6)
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -582,22 +646,26 @@ def test_energy_identity_normalization(j):
                          ids=["disk", "ellipse"])
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 2)])
 def test_pair_boundary_integral_matches_scalar_integrals(geom, i, j):
-    """Each component of the joint integral against its own scalar integral."""
+    """Each component of the joint integral, both loads, against its own
+    scalar integral; the identity checks of load j read row j - 1."""
     tol = REL_TOL_PATH
     ctx = KernelContext.from_geometry(geom, UNIT)
     curve = inclusion_boundary(geom, i)
-    joint = pair_boundary_integral(geom, UNIT, i, j, tol)
-    assert joint.converged and joint.value.shape == (3,)
-    scalar = [integrate_path(curve, lambda p, n, k=k: singular_stress(ctx, j, p).apply(n)[..., k],
-                             tol) for k in (0, 1)]
-    scalar.append(integrate_path(curve, _work_integrand(ctx, j), tol))
-    for got, ref in zip(joint.value, scalar):
-        assert abs(got - ref.value) <= joint.err_estimate + ref.err_estimate
+    joint = pair_boundary_integral(geom, UNIT, i, tol)
+    assert joint.converged and joint.value.shape == (2, 3)
+    for load in (1, 2):
+        scalar = [integrate_path(
+            curve, lambda p, n, k=k: singular_stress(ctx, load, p).apply(n)[..., k], tol)
+            for k in (0, 1)]
+        scalar.append(integrate_path(curve, _work_integrand(ctx, load), tol))
+        for got, ref in zip(joint.value[load - 1], scalar):
+            assert abs(got - ref.value) <= joint.err_estimate + ref.err_estimate
     # the identity checks read the same integral
-    assert flux_identity_check(geom, UNIT, i, j, j, tol) == joint.value[j - 1]
-    other = pair_boundary_integral(geom, UNIT, 3 - i, j, tol).value[2]
+    for k in (1, 2):
+        assert flux_identity_check(geom, UNIT, i, j, k, tol) == joint.value[j - 1, k - 1]
+    other = pair_boundary_integral(geom, UNIT, 3 - i, tol).value[j - 1, 2]
     assert energy_identity_check(geom, UNIT, j, tol) == pytest.approx(
-        joint.value[2] + other, rel=1e-15)
+        joint.value[j - 1, 2] + other, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +681,10 @@ QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
 def test_graded_path_errors_cover_a_tight_reference(shape, eps):
     g = SHAPES[shape](eps)
     for i in (1, 2):
-        for j in (1, 2):
-            got = pair_boundary_integral(g, UNIT, i, j)
-            ref = pair_boundary_integral(g, UNIT, i, j, 1e-11)
-            assert got.converged and ref.converged
-            assert np.all(np.abs(got.value - ref.value) <= got.err_estimate), (i, j)
+        got = pair_boundary_integral(g, UNIT, i)
+        ref = pair_boundary_integral(g, UNIT, i, 1e-11)
+        assert got.converged and ref.converged
+        assert np.all(np.abs(got.value - ref.value) <= got.err_estimate), i
     for j in (1, 2):
         got, ref = primal_upper(g, UNIT, j), primal_upper(g, UNIT, j, 1e-11)
         assert got.converged
@@ -634,12 +701,11 @@ def test_gap_path_integrals_converge_in_few_rounds(shape):
     # down to the gap; q_ss runs on the arcs of the matrix boundary
     for eps in SHIPPED_WIDTHS:
         g = SHAPES[shape](eps)
-        for j in (1, 2):
-            results = [pair_boundary_integral(g, UNIT, i, j) for i in (1, 2)]
-            results.append(_singular_self_energy(g, UNIT, j, REL_TOL_PATH))
-            for res in results:
-                assert res.converged
-                assert 2 <= res.rounds <= 3, (eps, j, res.rounds)
+        results = [pair_boundary_integral(g, UNIT, i) for i in (1, 2)]
+        results += [_singular_self_energy(g, UNIT, j, REL_TOL_PATH) for j in (1, 2)]
+        for res in results:
+            assert res.converged
+            assert 2 <= res.rounds <= 3, (eps, res.rounds)
 
 
 def _quarter_roots(curve):
@@ -652,8 +718,7 @@ def test_graded_roots_save_evals_on_the_identity_grid(monkeypatch):
         for shape, make in SHAPES.items():
             for eps in np.logspace(-2.0, -5.0, 13):
                 g = make(float(eps))
-                total += sum(pair_boundary_integral(g, UNIT, i, j).evals
-                             for i in (1, 2) for j in (1, 2))
+                total += sum(pair_boundary_integral(g, UNIT, i).evals for i in (1, 2))
         return total
 
     graded = grid_evals()
