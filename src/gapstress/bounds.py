@@ -69,8 +69,6 @@ REL_TOL_PATH = 1e-8
 
 StressField = Callable[[np.ndarray], Matrix2]
 
-_E2 = np.array([0.0, 1.0])
-
 
 def m_constant(geom: GapGeometry, mat: LameMaterial, j: int) -> float:
     """Load constant m_j of the dual construction; m_j/sqrt(eps) is the
@@ -250,17 +248,19 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
         pts = np.asarray(pts, dtype=float)
         x = pts[..., 0]
         y = pts[..., 1]
-        # G and the two edge tractions depend on x alone, and tensor rules
-        # repeat each x along a column, so evaluate them once per distinct x
+        # G and the two edge tractions depend on x alone, and fibres repeat
+        # each x along a column, so evaluate them once per distinct x: one
+        # pair-field call on both edge lines, read component by component
         xu, inv = np.unique(x, return_inverse=True)
         inv = inv.reshape(x.shape)
-        Gx = G(xu)[inv]
-        top = sigma_S(np.stack((xu, np.full_like(xu, L2)), axis=-1)).apply(_E2)[inv]
-        bot = sigma_S(np.stack((xu, np.full_like(xu, -L2)), axis=-1)).apply(_E2)[inv]
-        wt_top = ((y + L2) / (2.0 * L2))[..., None]
-        wt_bot = ((L2 - y) / (2.0 * L2))[..., None]
-        F = -(wt_top * top + wt_bot * bot)
-        return Matrix2(Gx[..., 0], F[..., 0], Gx[..., 1], F[..., 1])
+        n = xu.size
+        Gu = G(xu)
+        edges = singular_stress(ctx, j, np.stack((np.tile(xu, 2), np.repeat((L2, -L2), n)), -1))
+        wt_top = (y + L2) / (2.0 * L2)
+        wt_bot = (L2 - y) / (2.0 * L2)
+        F0 = -(wt_top * (scale * edges.a12[:n])[inv] + wt_bot * (scale * edges.a12[n:])[inv])
+        F1 = -(wt_top * (scale * edges.a22[:n])[inv] + wt_bot * (scale * edges.a22[n:])[inv])
+        return Matrix2(Gu[:, 0][inv], F0, Gu[:, 1][inv], F1)
 
     def sigma_total(pts: np.ndarray) -> Matrix2:
         s = sigma_S(pts)

@@ -10,9 +10,10 @@ most of the error estimate until the global estimate meets the tolerance or
 the panels reach _MAX_DEPTH bisections.  Matrix integrals use the same loop
 on the x-axis: the matrix is vertically simple, so at each outer node the
 integrand is integrated in y over the exact fibre [h(x), L2] and its mirror
-with one fixed Gauss template.  The cumulative table, the test oracle of
-the dual correction G, runs the loop on the x-axis too and sums its final
-panels outward from 0.  Evaluations are batched across panels,
+with one panel template: the outer loop keeps the Gauss pair 8/16, the
+fibres use the Gauss-Kronrod pair 7/15.  The cumulative table, the test
+oracle of the dual correction G, runs the loop on the x-axis too and sums
+its final panels outward from 0.  Evaluations are batched across panels,
 traversal and summation order are fixed, and no randomness is used, so
 repeated runs are bit-identical.
 """
@@ -46,8 +47,9 @@ __all__ = [
     "cumulative_line_table",
 ]
 
-# Gauss pair order of both integrators, and the bisections a panel may take
-# from its root panel (outer x panels and fibre template panels alike)
+# Gauss pair order of the path loop (and so of the outer x loop), and the
+# bisections a panel may take from its root panel (outer x panels and fibre
+# template panels alike)
 _ORDER = 8
 _MAX_DEPTH = 30
 _MAX_PATH_PANELS = 262_144
@@ -80,6 +82,31 @@ class IntegralResult:
 def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return nodes, weights
+
+
+def _mirror(half: tuple[float, ...], sign: float) -> np.ndarray:
+    """Full rule table, ascending in the node, from its half on [0, 1]
+    listed from the outermost node to the centre."""
+    h = np.asarray(half)
+    return np.concatenate((sign * h[:-1], h[::-1]))
+
+
+# Gauss-Kronrod 7/15 pair of the fibre template (QUADPACK qk15): the 15
+# Kronrod nodes contain the 7 Gauss nodes, whose G7 weights sit at odd
+# positions of the half table and are 0 at the Kronrod-only nodes
+_K15_NODES = _mirror((0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                      0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                      0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                      0.207784955007898467600689403773245, 0.0), -1.0)
+_K15_WEIGHTS = _mirror((0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                        0.204432940075298892414161999234649, 0.209482141084727828012999174891714),
+                       1.0)
+_G7_WEIGHTS = _mirror((0.0, 0.129484966168869693270611432679082, 0.0,
+                       0.279705391489276667901467771423780, 0.0,
+                       0.381830050505118944950369775488975, 0.0,
+                       0.417959183673469387755102040816327), 1.0)
 
 
 def _check_tol(rel_tol: float) -> None:
@@ -245,20 +272,17 @@ def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
 
 
 def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: list[int]):
-    """Outer integrand over x: the Gauss pair on every fibre at once.
+    """Outer integrand over x: the Kronrod 7/15 pair on every fibre at once.
 
-    Returns a path integrand giving, per outer node x, the (2 _ORDER)-point
-    value of the y-integral over [h(x), L2] and its mirror, followed by the
-    difference between the two orders on each template panel.
+    Returns a path integrand giving, per outer node x, the Kronrod value of
+    the y-integral over [h(x), L2] and its mirror, followed by |K15 - G7|
+    on each template panel.
     """
     a, b = tau[:-1], tau[1:]
-    rules = []
-    for k in (_ORDER, 2 * _ORDER):
-        nodes, weights = _gauss_rule(k)
-        t = a[:, None] + (b - a)[:, None] * (nodes[None, :] + 1.0) / 2.0
-        rules.append((t.reshape(-1), ((b - a)[:, None] * weights[None, :] / 2.0).reshape(-1)))
-    t_all = np.concatenate((rules[0][0], rules[1][0]))
-    w_lo, w_hi = rules[0][1], rules[1][1]
+    half = ((b - a) / 2.0)[:, None]
+    t_all = (a[:, None] + half * (_K15_NODES[None, :] + 1.0)).reshape(-1)
+    w_k = (half * _K15_WEIGHTS[None, :]).reshape(-1)
+    w_diff = (half * (_K15_WEIGHTS - _G7_WEIGHTS)[None, :]).reshape(-1)
     n_panels = a.size
     m = t_all.size
 
@@ -282,10 +306,9 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: lis
         counter[0] += f.size
         # the mirror halves share the nodes, so sum them before weighting
         f = f.sum(axis=1)
-        lo = (f[:, :w_lo.size] * w_lo).reshape(x.size, n_panels, _ORDER).sum(axis=2)
-        hi = (f[:, w_lo.size:] * w_hi).reshape(x.size, n_panels, 2 * _ORDER).sum(axis=2)
-        return length[:, None] * np.concatenate(
-            (hi.sum(axis=1, keepdims=True), np.abs(hi - lo)), axis=1)
+        value = (f * w_k).sum(axis=1, keepdims=True)
+        diff = np.abs((f * w_diff).reshape(x.size, n_panels, _K15_NODES.size).sum(axis=2))
+        return length[:, None] * np.concatenate((value, diff), axis=1)
 
     return fibres
 
@@ -293,16 +316,18 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: lis
 def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResult:
     """Integral of a scalar field over the matrix part of the cell.
 
-    Iterated Gauss quadrature on vertical fibres.  The outer integral over
+    Iterated quadrature on vertical fibres.  The outer integral over
     x in [-L1, L1] runs the adaptive path loop on the x-axis from root
     panels graded geometrically away from the chord onsets at +-eps/2.  At
     each outer node the inner integral covers [h(x), L2] and its mirror
     with one panel template for every fibre, so each round hands all
     fibres to ``integrand`` as (n, 2) points in chunks of at most
-    _EVAL_CHUNK.  Both levels use the _ORDER / 2 _ORDER Gauss pair.
+    _EVAL_CHUNK.  The outer loop uses the _ORDER / 2 _ORDER Gauss pair, the
+    fibres the Gauss-Kronrod 7/15 pair: the fibre value is K15, and K15
+    contains the G7 nodes, so its estimate costs no extra points.
 
     The error estimate is the outer pair's estimate plus the outer-weighted
-    inner pair difference.  The outer loop gets half of the tolerance; while
+    inner |K15 - G7|.  The outer loop gets half of the tolerance; while
     the inner share exceeds the other half, the template panels carrying
     most of it are bisected and the outer integral is redone.  Integrands
     that jump inside the matrix converge only slowly this way; the dual

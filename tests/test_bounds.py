@@ -265,24 +265,36 @@ def _sigma_c_per_point(dual, L2, pts):
 
 
 @pytest.mark.parametrize("j", [1, 2])
-def test_sigma_c_matches_per_point_evaluation(j):
-    g = disk_geometry(1e-3)
-    dual = build_dual_stress(g, UNIT, j)
-    # tensor Gauss grid: every x repeats along its column
-    nodes = np.polynomial.legendre.leggauss(8)[0]
-    gx, gy = np.meshgrid(0.02 + 0.01 * nodes, 0.5 + 0.4 * nodes, indexing="ij")
-    tensor = np.stack((gx.ravel(), gy.ravel()), axis=-1)
-    rng = np.random.default_rng(11)
-    scattered = rng.uniform([-g.L1, -g.L2], [g.L1, g.L2], size=(200, 2))
-    scattered = scattered[region_classify(g, scattered) == Region.MATRIX][:50]
-    shaped = np.stack(np.meshgrid(np.linspace(-0.8, 0.8, 4), np.linspace(-1.2, 1.2, 5),
-                                  indexing="ij"), axis=-1)
-    assert shaped.shape == (4, 5, 2)
-    for pts in (tensor, scattered, shaped):
-        sc = dual.sigma_c(pts)
-        got = np.stack((sc.a11, sc.a12, sc.a21, sc.a22), axis=-1)
-        assert got.shape == pts.shape[:-1] + (4,)
-        np.testing.assert_array_equal(got, _sigma_c_per_point(dual, g.L2, pts))
+def test_sigma_c_matches_per_point_evaluation(j, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2].shape)
+        return singular_stress(*args)
+
+    for make_geometry in SHAPES.values():
+        g = make_geometry(1e-3)
+        dual = build_dual_stress(g, UNIT, j)
+        # tensor Gauss grid: every x repeats along its column
+        nodes = np.polynomial.legendre.leggauss(8)[0]
+        gx, gy = np.meshgrid(0.02 + 0.01 * nodes, 0.5 + 0.4 * nodes, indexing="ij")
+        tensor = np.stack((gx.ravel(), gy.ravel()), axis=-1)
+        rng = np.random.default_rng(11)
+        scattered = rng.uniform([-g.L1, -g.L2], [g.L1, g.L2], size=(200, 2))
+        scattered = scattered[region_classify(g, scattered) == Region.MATRIX][:50]
+        shaped = np.stack(np.meshgrid(np.linspace(-0.8, 0.8, 4), np.linspace(-1.2, 1.2, 5),
+                                      indexing="ij"), axis=-1)
+        assert shaped.shape == (4, 5, 2)
+        for pts in (tensor, scattered, shaped):
+            # one pair-field call per sigma_c call, on both edge lines at once
+            calls.clear()
+            monkeypatch.setattr(bounds, "singular_stress", counting)
+            sc = dual.sigma_c(pts)
+            monkeypatch.setattr(bounds, "singular_stress", singular_stress)
+            assert calls == [(2 * np.unique(pts[..., 0]).size, 2)]
+            got = np.stack((sc.a11, sc.a12, sc.a21, sc.a22), axis=-1)
+            assert got.shape == pts.shape[:-1] + (4,)
+            np.testing.assert_array_equal(got, _sigma_c_per_point(dual, g.L2, pts))
 
 
 def _edge_jump(dual, L2):
@@ -534,6 +546,27 @@ def test_cell_terms_match_cubature_oracle(shape, j, rel_tol, monkeypatch):
         assert got.converged
         assert got.err_estimate <= rel_tol * abs(got.value)
         assert abs(got.value - ref) <= got.err_estimate + ref_err
+
+
+@pytest.mark.parametrize("shape", ["disk", "ellipse"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+def test_cell_density_error_covers_a_tight_reference(shape, eps, j):
+    # the fibre estimate |K15 - G7| plus the outer 8/16 estimate must cover
+    # the miss of the dual cell density q_c at the tolerances a row uses
+    geom = SHAPES[shape](eps)
+    dual = build_dual_stress(geom, UNIT, j)
+
+    def density(p):
+        c = dual.sigma_c(p)
+        return compliance_energy(c, UNIT) + 2.0 * compliance_contract(dual.sigma_S(p), c, UNIT)
+
+    ref = integrate_cell(geom, density, 1e-10)
+    assert ref.converged
+    for rel_tol in (1e-3, 1e-6):
+        res = integrate_cell(geom, density, rel_tol)
+        assert res.converged
+        assert abs(res.value - ref.value) <= res.err_estimate, rel_tol
 
 
 def test_singular_self_energy_pinned_value():

@@ -187,7 +187,7 @@ def test_chord_halfheight_matches_exact_strip_area():
     assert float(chord_halfheight(g, g.L1)) == pytest.approx(g.half_height, rel=1e-15)
 
 
-def test_integral_evals_count_the_integrand_points():
+def test_integral_evals_count_the_integrand_points(monkeypatch):
     g = disk_geometry(1e-3)
     n_path = [0]
 
@@ -204,10 +204,55 @@ def test_integral_evals_count_the_integrand_points():
         n_cell[0] += p.shape[0]
         return 1.0 / (g.eps + p[..., 0] ** 2 + p[..., 1] ** 2)
 
+    templates, outer_nodes = [], [0]
+    make_fibres = quadrature._fibre_integrand
+
+    def counting(geom, integrand, tau, counter):
+        templates.append(tau.size - 1)
+        fibres = make_fibres(geom, integrand, tau, counter)
+
+        def outer(p, n):
+            outer_nodes[0] += p.shape[0]
+            return fibres(p, n)
+        return outer
+
+    monkeypatch.setattr(quadrature, "_fibre_integrand", counting)
     res = integrate_cell(g, cell_fn, 1e-6)
     assert res.evals == n_cell[0] > 0
+    # converged on its root template, the integral evaluates the 15 Kronrod
+    # nodes of every template panel on each fibre and its mirror, at every
+    # node the outer 8/16 loop visited
+    assert res.converged and len(templates) == 1
+    assert outer_nodes[0] % (3 * quadrature._ORDER) == 0
+    assert res.evals == 2 * 15 * templates[0] * outer_nodes[0]
     # other constructors keep working without the count
     assert type(res)(value=1.0, err_estimate=0.0, panels_used=1, converged=True).evals == 0
+
+
+def test_kronrod_table():
+    nodes, wk, wg = quadrature._K15_NODES, quadrature._K15_WEIGHTS, quadrature._G7_WEIGHTS
+    assert nodes.shape == wk.shape == wg.shape == (15,)
+    assert np.all(np.diff(nodes) > 0.0)
+    np.testing.assert_array_equal(nodes, -nodes[::-1])
+    np.testing.assert_array_equal(wk, wk[::-1])
+    np.testing.assert_array_equal(wg, wg[::-1])
+    assert math.fsum(wk) == pytest.approx(2.0, abs=1e-15)
+    assert math.fsum(wg) == pytest.approx(2.0, abs=1e-15)
+    # the Gauss nodes are every other Kronrod node, and 0 weights the rest
+    gauss = wg != 0.0
+    np.testing.assert_array_equal(gauss, np.arange(15) % 2 == 1)
+    g_nodes, g_weights = np.polynomial.legendre.leggauss(7)
+    np.testing.assert_allclose(nodes[gauss], g_nodes, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(wg[gauss], g_weights, rtol=0.0, atol=1e-15)
+    # K15 is exact through degree 22 (3 n + 1 for n = 7), G7 through 13
+    for weights, degree in ((wk, 22), (wg, 13)):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            got = math.fsum(weights * nodes ** k)
+            assert abs(got - exact) <= 1e-14 * max(exact, 1.0), (degree, k)
+    # and neither rule is exact one even degree further
+    assert abs(math.fsum(wk * nodes ** 24) - 2.0 / 25.0) > 1e-10
+    assert abs(math.fsum(wg * nodes ** 14) - 2.0 / 15.0) > 1e-6
 
 
 def test_integral_rounds_count_the_integrand_calls(monkeypatch):
