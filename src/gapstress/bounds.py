@@ -241,8 +241,10 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
 
     def G(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        jump = _edge_resultant(ctx, j, x, L2) - _edge_resultant(ctx, j, x, -L2)
-        return (scale / (2.0 * L2)) * jump
+        n = x.size
+        # one call on both edge lines
+        r = _edge_resultant(ctx, j, np.tile(x, 2), np.repeat((L2, -L2), n))
+        return (scale / (2.0 * L2)) * (r[:n] - r[n:])
 
     def sigma_c(pts: np.ndarray) -> Matrix2:
         pts = np.asarray(pts, dtype=float)

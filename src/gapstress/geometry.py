@@ -234,7 +234,7 @@ def region_classify(geom: GapGeometry, points) -> np.ndarray:
 
 
 _QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
-_VERTEX_GRADING = 4.0
+_VERTEX_GRADING = 2.5
 
 
 def _graded_breaks(start: float, stop: float, first: float, ratio: float) -> list[float]:
@@ -248,7 +248,7 @@ def _graded_breaks(start: float, stop: float, first: float, ratio: float) -> lis
 
 def _vertex_breaks(vertices, dt: float) -> tuple[float, ...]:
     """Root edges in t: the quarters, and from each gap-facing parameter in
-    ``vertices`` panels dt, 3 dt, 12 dt, ... up to an eighth each way, so
+    ``vertices`` panels dt, 1.5 dt, 3.75 dt, ... up to an eighth each way, so
     the adaptive loop starts at the scale where the pair field concentrates
     and no panel is narrower than the one before it."""
     if vertices and not dt > 0.0:

@@ -224,8 +224,9 @@ def singular_stress(ctx: KernelContext, j: int, x) -> SymTensor2:
     return SymTensor2(0.5 * (tr - dev.real), 0.5 * dev.imag, 0.5 * (tr + dev.real))
 
 
-def _edge_resultant(ctx: KernelContext, j: int, x: np.ndarray, y: float) -> np.ndarray:
-    """Traction resultant int_0^x sigma(q_j)(s, y) e_2 ds, shape x.shape + (2,).
+def _edge_resultant(ctx: KernelContext, j: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Traction resultant int_0^x sigma(q_j)(s, y) e_2 ds on the line at
+    height y; x and y broadcast together, and a last axis of 2 is added.
 
     The resultant t_1 + i t_2 is i [Phi(z) - Phi(i y)] with z = x + i y and
     Phi = phi + z conj(phi') + conj(psi) (Muskhelishvili).  Each difference

@@ -1,27 +1,27 @@
 """Deterministic adaptive quadrature over boundary curves and the matrix cell.
 
 Every routine here takes one setting, a relative tolerance; one that is not
-finite and positive raises ValueError.  Path integrals start from the root
-panels each curve segment carries (``PathSegment.breaks``: its quarters and,
-on inclusion arcs and the primal path, panels graded from the gap vertex at
-the pole offset's scale).  They evaluate the embedded Gauss pair of orders
-_ORDER and 2 _ORDER on every panel, then greedily split the panels carrying
-most of the error estimate until the global estimate meets the tolerance or
-the panels reach _MAX_DEPTH bisections.  Matrix integrals use the same loop
-on the x-axis: the matrix is vertically simple, so at each outer node the
-integrand is integrated in y over the exact fibre [h(x), L2] and its mirror
-with one panel template: the outer loop keeps the Gauss pair 8/16, the
-fibres use the Gauss-Kronrod pair 7/15.  The cumulative table, the test
-oracle of the dual correction G, runs the loop on the x-axis too and sums
-its final panels outward from 0.  Evaluations are batched across panels,
-traversal and summation order are fixed, and no randomness is used, so
-repeated runs are bit-identical.
+finite and positive raises ValueError.  One embedded rule serves every
+panel: the Gauss-Kronrod pair 7/15, whose panel value is K15 and whose
+panel error is |K15 - G7|, from 15 points a panel.  Path integrals start
+from the root panels each curve segment carries (``PathSegment.breaks``:
+its quarters and, on inclusion arcs and the primal path, panels graded
+from the gap vertex at the pole offset's scale).  They evaluate the rule on
+every panel, then greedily split the panels carrying most of the error
+estimate until the global estimate meets the tolerance or the panels reach
+_MAX_DEPTH bisections.  Matrix integrals use the same loop on the x-axis:
+the matrix is vertically simple, so at each outer node the integrand is
+integrated in y over the exact fibre [h(x), L2] and its mirror with one
+panel template of the same rule.  The cumulative table, the test oracle of
+the dual correction G, runs the loop on the x-axis too and sums its final
+panels outward from 0.  Evaluations are batched across panels, traversal
+and summation order are fixed, and no randomness is used, so repeated runs
+are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -47,10 +47,8 @@ __all__ = [
     "cumulative_line_table",
 ]
 
-# Gauss pair order of the path loop (and so of the outer x loop), and the
-# bisections a panel may take from its root panel (outer x panels and fibre
-# template panels alike)
-_ORDER = 8
+# bisections a panel may take from its root panel (path panels, outer x
+# panels and fibre template panels alike)
 _MAX_DEPTH = 30
 _MAX_PATH_PANELS = 262_144
 _MAX_ROUNDS = 400
@@ -78,12 +76,6 @@ class IntegralResult:
     rounds: int = 0
 
 
-@lru_cache(maxsize=32)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return nodes, weights
-
-
 def _mirror(half: tuple[float, ...], sign: float) -> np.ndarray:
     """Full rule table, ascending in the node, from its half on [0, 1]
     listed from the outermost node to the centre."""
@@ -91,7 +83,7 @@ def _mirror(half: tuple[float, ...], sign: float) -> np.ndarray:
     return np.concatenate((sign * h[:-1], h[::-1]))
 
 
-# Gauss-Kronrod 7/15 pair of the fibre template (QUADPACK qk15): the 15
+# Gauss-Kronrod 7/15 pair of every panel (QUADPACK qk15): the 15
 # Kronrod nodes contain the 7 Gauss nodes, whose G7 weights sit at odd
 # positions of the half table and are 0 at the Kronrod-only nodes
 _K15_NODES = _mirror((0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
@@ -107,6 +99,8 @@ _G7_WEIGHTS = _mirror((0.0, 0.129484966168869693270611432679082, 0.0,
                        0.279705391489276667901467771423780, 0.0,
                        0.381830050505118944950369775488975, 0.0,
                        0.417959183673469387755102040816327), 1.0)
+# weights of a panel's value and of its error: a K15 and a K15 - G7 column
+_RULE = np.stack((_K15_WEIGHTS, _K15_WEIGHTS - _G7_WEIGHTS), axis=1)
 
 
 def _check_tol(rel_tol: float) -> None:
@@ -131,12 +125,12 @@ def _worst_panels(err: np.ndarray, splittable: np.ndarray, excess: float) -> np.
 
 def _eval_path_panels(curve: Curve, integrand, seg: np.ndarray, t0: np.ndarray,
                       t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss values of all panels at _ORDER and 2 _ORDER.
+    """K15 values and |K15 - G7| differences of all panels.
 
-    The nodes of both orders on every panel of every segment reach the
-    integrand in one call.  Returns (lo, hi), each of shape (n_panels, n_comp).
+    The 15 Kronrod nodes of every panel of every segment reach the
+    integrand in one call.  Returns (value, diff), each of shape
+    (n_panels, n_comp).
     """
-    rules = (_gauss_rule(_ORDER), _gauss_rule(2 * _ORDER))
     pts, nrm, spd, groups = [], [], [], []
     for s, segment in enumerate(curve.segments):
         idx = np.nonzero(seg == s)[0]
@@ -144,45 +138,42 @@ def _eval_path_panels(curve: Curve, integrand, seg: np.ndarray, t0: np.ndarray,
             continue
         a = t0[idx][:, None]
         b = t1[idx][:, None]
-        flat = np.concatenate([(a + (b - a) * (nodes[None, :] + 1.0) / 2.0).reshape(-1)
-                               for nodes, _ in rules])
+        flat = (a + (b - a) * (_K15_NODES[None, :] + 1.0) / 2.0).reshape(-1)
         pts.append(segment.point(flat))
         nrm.append(segment.normal(flat))
         spd.append(segment.speed(flat))
-        groups.append((idx, (b - a) / 2.0))
+        groups.append(idx)
     if not groups:
         raise ValueError("curve has no segments")
     f = np.asarray(integrand(np.concatenate(pts), np.concatenate(nrm)), dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     f = f * np.concatenate(spd)[:, None]
-    out = (np.zeros((seg.size, f.shape[1])), np.zeros((seg.size, f.shape[1])))
-    start = 0
-    for idx, half in groups:
-        for (nodes, weights), res in zip(rules, out):
-            stop = start + idx.size * nodes.size
-            vals = f[start:stop].reshape(idx.size, nodes.size, -1)
-            res[idx] = np.einsum("pgc,g->pc", vals, weights) * half
-            start = stop
-    return out
+    idx = np.concatenate(groups)
+    # one weighted sum over all panels, (n, 15, c) against (15, 2), then one
+    # scatter back to the panel order
+    sums = np.tensordot(f.reshape(idx.size, _K15_NODES.size, -1), _RULE, axes=(1, 0))
+    out = np.empty((seg.size,) + sums.shape[1:])
+    out[idx] = sums * ((t1[idx] - t0[idx]) / 2.0)[:, None, None]
+    return out[..., 0], np.abs(out[..., 1])
 
 
 def _adapt_panels(curve: Curve, integrand, rel_tol: float, n_est: int | None = None):
     """Greedy adaptive refinement from the root panels of every segment.
 
-    Every round makes one integrand call, which evaluates both Gauss orders
-    on all new panels.  Only the first ``n_est`` integrand components (all
-    by default) enter the error estimate and the tolerance; later ones are
-    carried along.  Each estimated component is held to ``rel_tol`` times
+    Every round makes one integrand call on the 15 Kronrod nodes of all new
+    panels.  Only the first ``n_est`` integrand components (all by default)
+    enter the error estimate and the tolerance; later ones are carried
+    along.  Each estimated component is held to ``rel_tol`` times
     its own scale, the larger of its |total| and its largest panel value:
-    a panel's error is max_c |hi - lo|_c * (largest scale / scale_c), and
+    a panel's error is max_c |K15 - G7|_c * (largest scale / scale_c), and
     the summed errors are held to ``rel_tol`` times the largest scale.  So
     no component meets a looser tolerance than it would alone, and the
-    summed error bounds every component's summed pair difference.
+    summed error bounds every component's summed |K15 - G7|.
     Returns (total, total_err, tol_eff, t0, t1, values, evals, rounds): the
     panel sum in a fixed order, the summed panel errors, the tolerance they
     are held to, the final panels sorted by segment and parameter (edges
-    t0, t1 and the 2 _ORDER values, one row each), the number of path nodes
+    t0, t1 and the K15 values, one row each), the number of path nodes
     evaluated and the number of integrand calls.
     """
     edges = [np.asarray(s.breaks, dtype=float) for s in curve.segments]
@@ -190,22 +181,22 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, n_est: int | None = N
     t0 = np.concatenate([e[:-1] for e in edges])
     t1 = np.concatenate([e[1:] for e in edges])
     depth = np.zeros(seg.size, dtype=np.int32)
-    lo, hi = _eval_path_panels(curve, integrand, seg, t0, t1)
-    diff = np.abs(hi - lo)[:, :n_est]
-    evals = 3 * _ORDER * seg.size
+    val, diff = _eval_path_panels(curve, integrand, seg, t0, t1)
+    diff = diff[:, :n_est]
+    evals = _K15_NODES.size * seg.size
     rounds = 1
 
     def panel_errors(total: np.ndarray) -> tuple[np.ndarray, float]:
         # scale by the largest panel contribution, not only the total, so
         # integrals that cancel to zero still terminate
-        scale = np.maximum(np.abs(total[:n_est]), np.abs(hi[:, :n_est]).max(axis=0, initial=0.0))
+        scale = np.maximum(np.abs(total[:n_est]), np.abs(val[:, :n_est]).max(axis=0, initial=0.0))
         largest = float(scale.max())
         weight = np.divide(largest, scale, out=np.ones_like(scale), where=scale > 0.0)
         return (diff * weight).max(axis=1), rel_tol * largest
 
     for _ in range(_MAX_ROUNDS):
         # np.sum on a float64 array uses pairwise accumulation in a fixed order
-        total = np.sum(hi, axis=0)
+        total = np.sum(val, axis=0)
         err, tol_eff = panel_errors(total)
         total_err = float(err.sum())
         splittable = depth < _MAX_DEPTH
@@ -222,22 +213,22 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, n_est: int | None = N
         child_t0 = np.stack((t0[chosen], mid), axis=1).reshape(-1)
         child_t1 = np.stack((mid, t1[chosen]), axis=1).reshape(-1)
         child_depth = np.repeat(depth[chosen] + 1, 2)
-        c_lo, c_hi = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1)
-        evals += 3 * _ORDER * child_seg.size
+        c_val, c_diff = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1)
+        evals += _K15_NODES.size * child_seg.size
         rounds += 1
         seg = np.concatenate((seg[keep], child_seg))
         t0 = np.concatenate((t0[keep], child_t0))
         t1 = np.concatenate((t1[keep], child_t1))
         depth = np.concatenate((depth[keep], child_depth))
-        hi = np.concatenate((hi[keep], c_hi), axis=0)
-        diff = np.concatenate((diff[keep], np.abs(c_hi - c_lo)[:, :n_est]), axis=0)
+        val = np.concatenate((val[keep], c_val), axis=0)
+        diff = np.concatenate((diff[keep], c_diff[:, :n_est]), axis=0)
 
     # fixed summation order: sort panels by segment and parameter
     order = np.lexsort((t0, seg))
-    hi = hi[order]
-    total = np.sum(hi, axis=0)
+    val = val[order]
+    total = np.sum(val, axis=0)
     err, tol_eff = panel_errors(total)
-    return total, float(err.sum()), tol_eff, t0[order], t1[order], hi, evals, rounds
+    return total, float(err.sum()), tol_eff, t0[order], t1[order], val, evals, rounds
 
 
 def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
@@ -245,12 +236,12 @@ def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
 
     The integrand may return shape (n,) or (n, m); the result value follows.
     Refinement starts from each segment's root panels (``breaks``).  Each
-    refinement round hands the nodes of both Gauss orders on all new
-    panels of all segments to ``integrand`` in one call.  The error
-    estimate is the sum of per-panel differences between the embedded Gauss
-    pair, a deliberately conservative bound.  For a vector integrand each
-    component is held to ``rel_tol`` times its own scale, and the estimate
-    bounds the summed pair difference of every component.
+    refinement round hands the 15 Kronrod nodes of all new panels of all
+    segments to ``integrand`` in one call.  The value is K15 and the error
+    estimate the sum of per-panel |K15 - G7|, a deliberately conservative
+    bound.  For a vector integrand each component is held to ``rel_tol``
+    times its own scale, and the estimate bounds the summed |K15 - G7| of
+    every component.
     """
     _check_tol(rel_tol)
     total, total_err, tol_eff, t0, _, _, evals, rounds = _adapt_panels(curve, integrand, rel_tol)
@@ -281,8 +272,8 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: lis
     a, b = tau[:-1], tau[1:]
     half = ((b - a) / 2.0)[:, None]
     t_all = (a[:, None] + half * (_K15_NODES[None, :] + 1.0)).reshape(-1)
-    w_k = (half * _K15_WEIGHTS[None, :]).reshape(-1)
-    w_diff = (half * (_K15_WEIGHTS - _G7_WEIGHTS)[None, :]).reshape(-1)
+    w_k = (half * _RULE[:, 0]).reshape(-1)
+    w_diff = (half * _RULE[:, 1]).reshape(-1)
     n_panels = a.size
     m = t_all.size
 
@@ -322,11 +313,11 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     each outer node the inner integral covers [h(x), L2] and its mirror
     with one panel template for every fibre, so each round hands all
     fibres to ``integrand`` as (n, 2) points in chunks of at most
-    _EVAL_CHUNK.  The outer loop uses the _ORDER / 2 _ORDER Gauss pair, the
-    fibres the Gauss-Kronrod 7/15 pair: the fibre value is K15, and K15
-    contains the G7 nodes, so its estimate costs no extra points.
+    _EVAL_CHUNK.  Outer panels and template panels use the same
+    Gauss-Kronrod 7/15 rule: the value is K15, and K15 contains the G7
+    nodes, so its estimate costs no extra points.
 
-    The error estimate is the outer pair's estimate plus the outer-weighted
+    The error estimate is the outer |K15 - G7| plus the outer-weighted
     inner |K15 - G7|.  The outer loop gets half of the tolerance; while
     the inner share exceeds the other half, the template panels carrying
     most of it are bisected and the outer integral is redone.  Integrands

@@ -221,9 +221,9 @@ def test_integral_evals_count_the_integrand_points(monkeypatch):
     assert res.evals == n_cell[0] > 0
     # converged on its root template, the integral evaluates the 15 Kronrod
     # nodes of every template panel on each fibre and its mirror, at every
-    # node the outer 8/16 loop visited
+    # node the outer loop visited, 15 a panel
     assert res.converged and len(templates) == 1
-    assert outer_nodes[0] % (3 * quadrature._ORDER) == 0
+    assert outer_nodes[0] % 15 == 0
     assert res.evals == 2 * 15 * templates[0] * outer_nodes[0]
     # other constructors keep working without the count
     assert type(res)(value=1.0, err_estimate=0.0, panels_used=1, converged=True).evals == 0
@@ -517,7 +517,7 @@ def _two_segment_line():
                            _line_segment((0.4, 0.0), (1.0, 0.0), n)))
 
 
-def test_path_integrand_sees_both_orders_in_one_call_per_round(monkeypatch):
+def test_path_integrand_sees_the_kronrod_nodes_in_one_call_per_round(monkeypatch):
     curve = _two_segment_line()
     sizes = []
 
@@ -525,12 +525,12 @@ def test_path_integrand_sees_both_orders_in_one_call_per_round(monkeypatch):
         sizes.append(p.shape[0])
         return p[..., 0] ** 5 - 2.0 * p[..., 0]
 
-    # the 8/16 pair is exact on a quintic, so the root panels converge: one
-    # call carries both orders on all 8 root panels of both segments
+    # the 7/15 pair is exact on a quintic, so the root panels converge: one
+    # call carries the 15 Kronrod nodes of all 8 root panels of both segments
     res = integrate_path(curve, poly, 1e-12)
     assert res.converged
     assert res.value == pytest.approx(1.0 / 6.0 - 1.0, abs=1e-14)
-    assert sizes == [res.evals] == [3 * quadrature._ORDER * 8]
+    assert sizes == [res.evals] == [15 * 8]
 
     # an endpoint singularity never meets 1e-15 in three rounds: the root
     # evaluation plus one call per round
@@ -545,7 +545,43 @@ def test_path_integrand_sees_both_orders_in_one_call_per_round(monkeypatch):
     assert not res.converged
     assert len(sizes) == 4 == res.rounds
     assert sum(sizes) == res.evals
-    assert all(n % (3 * quadrature._ORDER) == 0 for n in sizes)
+    assert all(n % 15 == 0 for n in sizes)
+
+
+def test_path_loop_uses_the_kronrod_pair(monkeypatch):
+    curve = _two_segment_line()
+
+    # G7 and K15 are both exact through degree 13: the root panels agree to
+    # rounding and converge in one call
+    res = integrate_path(curve, lambda p, n: p[..., 0] ** 13 - 3.0 * p[..., 0] ** 7 + p[..., 0],
+                         1e-12)
+    assert res.converged and res.rounds == 1 and res.evals == 15 * 8
+    assert res.value == pytest.approx(1.0 / 14.0 - 3.0 / 8.0 + 0.5, rel=1e-14)
+
+    # K15 is exact through degree 22 and G7 is not, so the value is exact
+    # whatever panels a loose tolerance leaves the loop on
+    t22 = np.polynomial.Chebyshev.basis(22, domain=[0.0, 1.0])
+    res = integrate_path(curve, lambda p, n: 1.0 + t22(p[..., 0]), 1e-3)
+    assert res.converged and res.err_estimate > 1e-8
+    assert res.value == pytest.approx(1.0 - 1.0 / 483.0, rel=1e-14)
+
+    # the root-panel estimate is the sum of |K15 - G7| over the root panels
+    def fn(x):
+        return 1.0 / (x + 0.05)
+
+    expected = 0.0
+    for segment in curve.segments:
+        edges = segment.point(np.asarray(segment.breaks))[:, 0]
+        for a, b in zip(edges[:-1], edges[1:]):
+            f = fn(a + (b - a) * (quadrature._K15_NODES + 1.0) / 2.0)
+            k15 = (b - a) / 2.0 * math.fsum(quadrature._K15_WEIGHTS * f)
+            g7 = (b - a) / 2.0 * math.fsum(quadrature._G7_WEIGHTS * f)
+            expected += abs(k15 - g7)
+    monkeypatch.setattr(quadrature, "_MAX_ROUNDS", 0)
+    res = integrate_path(curve, lambda p, n: fn(p[..., 0]), 1e-12)
+    assert not res.converged and res.rounds == 1 and res.panels_used == 8
+    assert res.err_estimate == pytest.approx(expected, rel=1e-10)
+    assert expected > 1e-9
 
 
 def test_vector_components_keep_their_own_tolerance():
