@@ -29,9 +29,10 @@ from .elasticity import (  # noqa: F401
 from .geometry import (
     Curve,
     GapGeometry,
+    PathSegment,
     Region,
+    _ellipse_arc,
     _line_segment,
-    boundary_curves,
     gap_halfwidth,
     gap_halfwidth_deriv,
     inclusion_boundary,
@@ -295,15 +296,16 @@ def _dual_diagnostics(geom: GapGeometry, sigma_S: Callable[[np.ndarray], SymTens
     h = 6e-6 * dist
     ex = np.stack((h, np.zeros_like(h)), axis=-1)
     ey = np.stack((np.zeros_like(h), h), axis=-1)
-    # one call of each field on every sample: the edges, the grid and its
-    # four shifted copies +x, -x, +y, -y
-    samples = np.concatenate((edges, pts, pts + ex, pts - ex, pts + ey, pts - ey))
-    S, C = sigma_S(samples), sigma_c(samples)
-    s = Matrix2(S.a11 + C.a11, S.a12 + C.a12, S.a12 + C.a21, S.a22 + C.a22)
-    n_e, n = edges.shape[0], pts.shape[0]
+    # one call of each field: both on the edges and the grid's four shifted
+    # copies +x, -x, +y, -y, and sigma_c also on the grid itself, where only
+    # its asymmetry is read (sigma_S is symmetric by construction)
+    stencil = np.concatenate((edges, pts + ex, pts - ex, pts + ey, pts - ey))
+    n_e, n, m = edges.shape[0], pts.shape[0], stencil.shape[0]
+    S, C = sigma_S(stencil), sigma_c(np.concatenate((stencil, pts)))
+    asym = float(np.abs(C.a12[m:] - C.a21[m:]).max())
+    s = Matrix2(S.a11 + C.a11[:m], S.a12 + C.a12[:m], S.a12 + C.a21[:m], S.a22 + C.a22[:m])
     bc = float(np.abs(np.stack((s.a12[:n_e], s.a22[:n_e]), axis=-1)).max())
-    asym = float(np.abs(C.a12[n_e:n_e + n] - C.a21[n_e:n_e + n]).max())
-    s = Matrix2(*(a[n_e + n:].reshape(4, n) for a in (s.a11, s.a12, s.a21, s.a22)))
+    s = Matrix2(*(a[n_e:].reshape(4, n) for a in (s.a11, s.a12, s.a21, s.a22)))
     inv2h = 1.0 / (2.0 * h)
     d_col1_dx = np.stack(((s.a11[0] - s.a11[1]) * inv2h, (s.a21[0] - s.a21[1]) * inv2h), axis=-1)
     d_col2_dy = np.stack(((s.a12[2] - s.a12[3]) * inv2h, (s.a22[2] - s.a22[3]) * inv2h), axis=-1)
@@ -333,6 +335,17 @@ def _work_integrand(ctx: KernelContext, j: int):
     return lambda p, n: pair(p, n)[..., 2]
 
 
+def _quarter_boundary(geom: GapGeometry) -> tuple[PathSegment, ...]:
+    """The matrix boundary in the quarter cell x >= 0, y >= 0: the top edge
+    (0, L2) -> (L1, L2), then the upper half of gamma_plus, which is the
+    right edge (L1, L2) -> (L1, B) and the arc of D2 from theta = pi/2 to
+    the gap vertex at pi, graded there with first panel ``geom.a``."""
+    L1, L2, B = geom.L1, geom.L2, geom.half_height
+    return (_line_segment((0.0, L2), (L1, L2), (0.0, 1.0)),
+            _line_segment((L1, L2), (L1, B), (1.0, 0.0)),
+            _ellipse_arc(L1, geom.half_width, B, np.pi / 2.0, np.pi, (np.pi,), geom.a))
+
+
 def _singular_self_energy(geom: GapGeometry, mat: LameMaterial, j: int,
                           rel_tol: float) -> IntegralResult:
     """Matrix integral of sigma_S : C^-1 sigma_S for the scaled pair field.
@@ -340,13 +353,14 @@ def _singular_self_energy(geom: GapGeometry, mat: LameMaterial, j: int,
     The pair field q_j solves the Lame system in the matrix, so by Green's
     identity the integral equals (m_j / sqrt(eps))^2 times the work of its
     traction on the matrix boundary, normals pointing out of the matrix.
+    The work density is even in x and in y, so that is 4 times the work on
+    the quarter boundary.
     """
-    matrix_boundary = Curve(segments=tuple(
-        s for c in boundary_curves(geom).values() for s in c.segments))
     ctx = KernelContext.from_geometry(geom, mat)
-    work = integrate_path(matrix_boundary, _work_integrand(ctx, j), rel_tol)
-    scale2 = m_constant(geom, mat, j) ** 2 / geom.eps
-    return replace(work, value=scale2 * work.value, err_estimate=scale2 * work.err_estimate)
+    work = integrate_path(Curve(segments=_quarter_boundary(geom)), _work_integrand(ctx, j),
+                          rel_tol)
+    scale = 4.0 * m_constant(geom, mat, j) ** 2 / geom.eps
+    return replace(work, value=scale * work.value, err_estimate=scale * work.err_estimate)
 
 
 def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
@@ -360,6 +374,9 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
     the singular part (a Green boundary integral), ``quad_cell`` q_c is the
     area integral of sigma_c : C^-1 (sigma_c + 2 sigma_S), and ``boundary``
     lin is the j-th traction component of the total stress on gamma_plus.
+    Every density is even under x -> -x and y -> -y, so q_c is 4 times the
+    integral over the quarter cell, lin twice the integral over the upper
+    half of gamma_plus, and each error estimate is scaled alike.
     """
     if dual is None:
         dual = build_dual_stress(geom, mat, j)
@@ -374,18 +391,18 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
 
     q_ss = _singular_self_energy(geom, mat, j, rel_tol_path)
     q_c = integrate_cell(geom, cell_density, rel_tol_cell)
-    lin = integrate_path(boundary_curves(geom)["gamma_plus"], traction, rel_tol_path)
+    lin = integrate_path(Curve(segments=_quarter_boundary(geom)[1:]), traction, rel_tol_path)
 
-    value = -q_ss.value - q_c.value + 2.0 * lin.value
-    qerr = q_ss.err_estimate + q_c.err_estimate + 2.0 * lin.err_estimate
+    value = -q_ss.value - 4.0 * q_c.value + 4.0 * lin.value
+    qerr = q_ss.err_estimate + 4.0 * q_c.err_estimate + 4.0 * lin.err_estimate
     return BoundResult(
         value=float(value),
         quadrature_err=float(qerr),
         converged=all(r.converged for r in (q_ss, q_c, lin)),
         terms={
             "quad_singular": float(q_ss.value),
-            "quad_cell": float(q_c.value),
-            "boundary": float(lin.value),
+            "quad_cell": float(4.0 * q_c.value),
+            "boundary": float(2.0 * lin.value),
         },
     )
 

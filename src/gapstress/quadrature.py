@@ -9,9 +9,10 @@ its quarters and, on inclusion arcs and the primal path, panels graded
 from the gap vertex at the pole offset's scale).  They evaluate the rule on
 every panel, then greedily split the panels carrying most of the error
 estimate until the global estimate meets the tolerance or the panels reach
-_MAX_DEPTH bisections.  Matrix integrals use the same loop on the x-axis:
-the matrix is vertically simple, so at each outer node the integrand is
-integrated in y over the exact fibre [h(x), L2] and its mirror with one
+_MAX_DEPTH bisections.  Matrix integrals cover the quarter cell x >= 0,
+y >= 0, whose four mirror images make up the cell, and use the same loop
+on [0, L1]: the matrix is vertically simple, so at each outer node the
+integrand is integrated in y over the exact fibre [h(x), L2] with one
 panel template of the same rule.  The cumulative table, the test oracle of
 the dual correction G, runs the loop on the x-axis too and sums its final
 panels outward from 0.  Evaluations are batched across panels, traversal
@@ -266,8 +267,8 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: lis
     """Outer integrand over x: the Kronrod 7/15 pair on every fibre at once.
 
     Returns a path integrand giving, per outer node x, the Kronrod value of
-    the y-integral over [h(x), L2] and its mirror, followed by |K15 - G7|
-    on each template panel.
+    the y-integral over [h(x), L2], followed by |K15 - G7| on each template
+    panel.
     """
     a, b = tau[:-1], tau[1:]
     half = ((b - a) / 2.0)[:, None]
@@ -281,22 +282,19 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: lis
         x = pts[:, 0]
         h = chord_halfheight(geom, x)
         length = geom.L2 - h
-        # points are built for whole fibres, upper half then mirror, about
-        # 16 chunks at a time, and reach the integrand in chunks of at most
-        # _EVAL_CHUNK, so memory stays flat
-        f = np.empty((x.size, 2, m))
-        group = max(16 * _EVAL_CHUNK // (2 * m), 1)
+        # points are built for whole fibres, about 16 chunks at a time, and
+        # reach the integrand in chunks of at most _EVAL_CHUNK, so memory
+        # stays flat
+        f = np.empty((x.size, m))
+        group = max(16 * _EVAL_CHUNK // m, 1)
         for s in range(0, x.size, group):
             y = h[s:s + group, None] + length[s:s + group, None] * t_all[None, :]
-            y = np.stack((y, -y), axis=1)
-            p = np.stack((np.broadcast_to(x[s:s + group, None, None], y.shape), y), axis=-1)
+            p = np.stack((np.broadcast_to(x[s:s + group, None], y.shape), y), axis=-1)
             p = p.reshape(-1, 2)
             out = f[s:s + group].reshape(-1)
             for c in range(0, p.shape[0], _EVAL_CHUNK):
                 out[c:c + _EVAL_CHUNK] = integrand(p[c:c + _EVAL_CHUNK])
         counter[0] += f.size
-        # the mirror halves share the nodes, so sum them before weighting
-        f = f.sum(axis=1)
         value = (f * w_k).sum(axis=1, keepdims=True)
         diff = np.abs((f * w_diff).reshape(x.size, n_panels, _K15_NODES.size).sum(axis=2))
         return length[:, None] * np.concatenate((value, diff), axis=1)
@@ -305,17 +303,20 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: lis
 
 
 def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResult:
-    """Integral of a scalar field over the matrix part of the cell.
+    """Integral of a scalar field over the matrix part of the quarter cell
+    x >= 0, y >= 0.
 
+    The cell is symmetric under x -> -x and y -> -y, so an integrand even
+    in both has a quarter of its cell integral here; the cell integral of
+    any other integrand is this integral of its four-fold symmetrization.
     Iterated quadrature on vertical fibres.  The outer integral over
-    x in [-L1, L1] runs the adaptive path loop on the x-axis from root
-    panels graded geometrically away from the chord onsets at +-eps/2.  At
-    each outer node the inner integral covers [h(x), L2] and its mirror
-    with one panel template for every fibre, so each round hands all
-    fibres to ``integrand`` as (n, 2) points in chunks of at most
-    _EVAL_CHUNK.  Outer panels and template panels use the same
-    Gauss-Kronrod 7/15 rule: the value is K15, and K15 contains the G7
-    nodes, so its estimate costs no extra points.
+    x in [0, L1] runs the adaptive path loop on the x-axis from root panels
+    graded geometrically away from the chord onset at eps/2.  At each outer
+    node the inner integral covers [h(x), L2] with one panel template for
+    every fibre, so each round hands all fibres to ``integrand`` as (n, 2)
+    points in chunks of at most _EVAL_CHUNK.  Outer panels and template
+    panels use the same Gauss-Kronrod 7/15 rule: the value is K15, and K15
+    contains the G7 nodes, so its estimate costs no extra points.
 
     The error estimate is the outer |K15 - G7| plus the outer-weighted
     inner |K15 - G7|.  The outer loop gets half of the tolerance; while
@@ -325,13 +326,11 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     fields are smooth there.
     """
     _check_tol(rel_tol)
-    # h(x) has its square-root onset at |x| = eps/2, where the pair field
-    # varies on the scale eps: outer root panels grow away from the onsets
-    xb = np.asarray([0.0] + _graded_breaks(geom.eps / 2.0, geom.L1, geom.eps, _OUTER_GRADING)
-                    + [geom.L1])
-    xb = np.concatenate((-xb[:0:-1], xb))
-    x_axis = Curve(segments=(replace(_line_segment((-geom.L1, 0.0), (geom.L1, 0.0), (0.0, 1.0)),
-                                     breaks=tuple((xb + geom.L1) / (2.0 * geom.L1))),))
+    # h(x) has its square-root onset at x = eps/2, where the pair field
+    # varies on the scale eps: outer root panels grow away from the onset
+    xb = [0.0] + _graded_breaks(geom.eps / 2.0, geom.L1, geom.eps, _OUTER_GRADING) + [geom.L1]
+    x_axis = Curve(segments=(replace(_line_segment((0.0, 0.0), (geom.L1, 0.0), (0.0, 1.0)),
+                                     breaks=tuple(np.asarray(xb) / geom.L1)),))
     # fibre y = h + (L2 - h) tau: template panels start at sqrt(eps), the
     # pair field's y-scale at the gap, and grow up to half the fibre
     tau = np.asarray(_graded_breaks(0.0, 0.5, np.sqrt(geom.eps) / geom.L2, _FIBRE_GRADING) + [1.0])

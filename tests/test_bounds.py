@@ -12,6 +12,7 @@ from scipy import integrate
 from gapstress import (
     Ellipse,
     KellerProfile,
+    REL_TOL_CELL,
     REL_TOL_PATH,
     LameMaterial,
     Region,
@@ -31,11 +32,12 @@ from gapstress import bounds
 from gapstress.bounds import _dual_diagnostics, _singular_self_energy, _work_integrand
 from gapstress.elasticity import (Matrix2, SymTensor2, compliance_contract, compliance_energy,
                                   energy_density)
-from gapstress.geometry import Curve
+from gapstress.geometry import Curve, boundary_curves, chord_halfheight
 from gapstress.kernels import KernelContext, _edge_resultant, singular_stress
 from gapstress.quadrature import cumulative_line_table, integrate_cell, integrate_path
 
 from conftest import CELL_COARSE, CELL_FAST, PATH_FAST, UNIT, disk_geometry
+from oracles import REFLECTIONS, matrix_boundary, quarter_to_cell, whole_cell_integral
 
 
 def ellipse_geometry(eps: float):
@@ -170,8 +172,9 @@ def test_primal_matches_quadtree_energy_density(shape, j):
     g = SHAPES[shape](1e-2)
     prof = KellerProfile(g)
     res = primal_upper(g, UNIT, j, rel_tol=CELL_FAST)
-    area = integrate_cell(g, lambda p: energy_density(keller_test_gradient(prof, j, p), UNIT),
-                          CELL_FAST)
+    # the density is even in x and in y
+    area = quarter_to_cell(integrate_cell(
+        g, lambda p: energy_density(keller_test_gradient(prof, j, p), UNIT), CELL_FAST))
     assert area.converged and res.converged
     assert abs(res.value - area.value) <= area.err_estimate
 
@@ -536,9 +539,11 @@ def _cubature_dual_terms(shape: str, j: int):
 @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
 def test_cell_terms_match_cubature_oracle(shape, j, rel_tol, monkeypatch):
     geom, dual, oracle, oracle_err = _cubature_dual_terms(shape, j)
-    q_cc = integrate_cell(geom, lambda p: compliance_energy(dual.sigma_c(p), UNIT), rel_tol)
-    q_sc = integrate_cell(
-        geom, lambda p: compliance_contract(dual.sigma_S(p), dual.sigma_c(p), UNIT), rel_tol)
+    # both densities are even in x and in y, so each is 4 times its quarter
+    q_cc = quarter_to_cell(integrate_cell(
+        geom, lambda p: compliance_energy(dual.sigma_c(p), UNIT), rel_tol))
+    q_sc = quarter_to_cell(integrate_cell(
+        geom, lambda p: compliance_contract(dual.sigma_S(p), dual.sigma_c(p), UNIT), rel_tol))
     # dual_lower's one cell integral q_c = q_cc + 2 q_sc, with its own error
     q_c = []
 
@@ -548,13 +553,27 @@ def test_cell_terms_match_cubature_oracle(shape, j, rel_tol, monkeypatch):
 
     monkeypatch.setattr(bounds, "integrate_cell", recording)
     res = dual_lower(geom, UNIT, j, rel_tol_cell=rel_tol, rel_tol_path=PATH_FAST, dual=dual)
-    assert res.terms["quad_cell"] == q_c[0].value
+    assert res.terms["quad_cell"] == 4.0 * q_c[0].value
     cases = [(q_cc, oracle[0], oracle_err[0]), (q_sc, oracle[1], oracle_err[1]),
-             (q_c[0], oracle[0] + 2.0 * oracle[1], oracle_err[0] + 2.0 * oracle_err[1])]
+             (quarter_to_cell(q_c[0]), oracle[0] + 2.0 * oracle[1],
+              oracle_err[0] + 2.0 * oracle_err[1])]
     for got, ref, ref_err in cases:
         assert got.converged
         assert got.err_estimate <= rel_tol * abs(got.value)
         assert abs(got.value - ref) <= got.err_estimate + ref_err
+
+
+def _dual_cell_density(dual, mat):
+    """dual_lower's cell density sigma_c : C^-1 (sigma_c + 2 sigma_S)."""
+    def density(p):
+        c = dual.sigma_c(p)
+        return compliance_energy(c, mat) + 2.0 * compliance_contract(dual.sigma_S(p), c, mat)
+    return density
+
+
+def _traction(dual, j: int):
+    """dual_lower's load density: the j-th traction component of the total stress."""
+    return lambda p, n: dual.sigma_total(p).apply(n)[..., j - 1]
 
 
 @pytest.mark.parametrize("shape", ["disk", "ellipse"])
@@ -564,18 +583,110 @@ def test_cell_density_error_covers_a_tight_reference(shape, eps, j):
     # the fibre estimate |K15 - G7| plus the outer one must cover
     # the miss of the dual cell density q_c at the tolerances a row uses
     geom = SHAPES[shape](eps)
-    dual = build_dual_stress(geom, UNIT, j)
-
-    def density(p):
-        c = dual.sigma_c(p)
-        return compliance_energy(c, UNIT) + 2.0 * compliance_contract(dual.sigma_S(p), c, UNIT)
-
+    density = _dual_cell_density(build_dual_stress(geom, UNIT, j), UNIT)
     ref = integrate_cell(geom, density, 1e-10)
     assert ref.converged
     for rel_tol in (1e-3, 1e-6):
         res = integrate_cell(geom, density, rel_tol)
         assert res.converged
         assert abs(res.value - ref.value) <= res.err_estimate, rel_tol
+
+
+# ---------------------------------------------------------------------------
+# the dual functional on the symmetry quarter of the cell
+# ---------------------------------------------------------------------------
+
+PARITY_MATERIALS = {"unit": UNIT, "lame 3/0.7": LameMaterial(3.0, 0.7)}
+
+
+def _quarter_samples(geom, n: int = 400):
+    """Matrix points of the open quarter cell, crowded towards the gap, and
+    points with their normals on the quarter boundary (top edge, then the
+    upper half of gamma_plus)."""
+    rng = np.random.default_rng(0)
+    x = geom.L1 * rng.random(n) ** 3
+    h = chord_halfheight(geom, x)
+    cell = np.stack((x, h + (geom.L2 - h) * rng.random(n) ** 3), axis=-1)
+    t = rng.random(n) ** 2
+
+    def on(segs):
+        return (np.concatenate([s.point(t) for s in segs]),
+                np.concatenate([s.normal(t) for s in segs]))
+
+    segments = bounds._quarter_boundary(geom)
+    return cell, on(segments), on(segments[1:])
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("mat", sorted(PARITY_MATERIALS))
+def test_dual_densities_are_even_in_x_and_y(shape, eps, j, mat):
+    # the premise of the quarter: dual_lower integrates each density over
+    # one quarter of the cell (one half of gamma_plus) and multiplies by 4 (2)
+    geom = SHAPES[shape](eps)
+    mat = PARITY_MATERIALS[mat]
+    dual = build_dual_stress(geom, mat, j)
+    ctx = KernelContext.from_geometry(geom, mat)
+    cell, (q, n), (q_plus, n_plus) = _quarter_samples(geom)
+    densities = [(lambda r: _dual_cell_density(dual, mat)(cell * r)),
+                 (lambda r: _work_integrand(ctx, j)(q * r, n * r)),
+                 (lambda r: _traction(dual, j)(q_plus * r, n_plus * r))]
+    for k, density in enumerate(densities):
+        f = [density(r) for r in REFLECTIONS]
+        top = np.abs(f[0]).max()
+        assert top > 0.0
+        # the traction on gamma_minus, the x mirror of gamma_plus, is opposite
+        # (the two inclusions carry opposite loads); lin reads gamma_plus only
+        signs = (-1.0, 1.0, -1.0) if k == 2 else (1.0, 1.0, 1.0)
+        for r, sign in enumerate(signs, start=1):
+            assert np.abs(f[r] - sign * f[0]).max() <= 1e-12 * top, (k, r)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("tol_cell,tol_path", [(CELL_COARSE, PATH_FAST),
+                                               (REL_TOL_CELL, REL_TOL_PATH)])
+def test_quarter_terms_match_whole_domain_oracles(shape, eps, j, tol_cell, tol_path,
+                                                  monkeypatch):
+    # 4 x the quarter q_c, 4 x the quarter q_ss and 2 x the half lin against
+    # the mirrored fibres over [-L1, L1], the eight-piece matrix boundary and
+    # the whole gamma_plus
+    geom = SHAPES[shape](eps)
+    dual = build_dual_stress(geom, UNIT, j)
+    cells, paths = [], []
+
+    def cell(*args):
+        cells.append(integrate_cell(*args))
+        return cells[-1]
+
+    def path(*args):
+        paths.append(integrate_path(*args))
+        return paths[-1]
+
+    monkeypatch.setattr(bounds, "integrate_cell", cell)
+    monkeypatch.setattr(bounds, "integrate_path", path)
+    res = dual_lower(geom, UNIT, j, rel_tol_cell=tol_cell, rel_tol_path=tol_path, dual=dual)
+    (q_c,), (work, lin) = cells, paths
+    scale2 = m_constant(geom, UNIT, j) ** 2 / geom.eps
+    assert res.terms == {"quad_singular": 4.0 * scale2 * work.value,
+                         "quad_cell": 4.0 * q_c.value, "boundary": 2.0 * lin.value}
+    assert res.quadrature_err == pytest.approx(
+        4.0 * (scale2 * work.err_estimate + q_c.err_estimate + lin.err_estimate), rel=1e-14)
+
+    ctx = KernelContext.from_geometry(geom, UNIT)
+    cases = [
+        (4.0 * q_c.value, 4.0 * q_c.err_estimate,
+         whole_cell_integral(geom, _dual_cell_density(dual, UNIT), tol_cell)),
+        (4.0 * work.value, 4.0 * work.err_estimate,
+         integrate_path(matrix_boundary(geom), _work_integrand(ctx, j), tol_path)),
+        (2.0 * lin.value, 2.0 * lin.err_estimate,
+         integrate_path(boundary_curves(geom)["gamma_plus"], _traction(dual, j), tol_path)),
+    ]
+    for k, (got, err, oracle) in enumerate(cases):
+        assert oracle.converged, k
+        assert abs(got - oracle.value) <= err + oracle.err_estimate, k
 
 
 def test_singular_self_energy_pinned_value():

@@ -24,6 +24,7 @@ from gapstress import quadrature
 from gapstress.geometry import Curve, PathSegment
 
 from conftest import disk_geometry
+from oracles import four_fold, quarter_to_cell
 
 
 def _segment_curve(p0, p1):
@@ -118,11 +119,12 @@ def test_path_exhaustion_reports_best_value(monkeypatch):
 
 
 def test_matrix_cell_area():
-    # both disks poke out of the vertical cell edges, leaving half of each
+    # both disks poke out of the vertical cell edges, leaving half of each;
+    # the quarter cell holds a quarter of that matrix
     g = disk_geometry(0.01)
-    res = integrate_cell(
+    res = quarter_to_cell(integrate_cell(
         g, lambda p: np.ones(p.shape[:-1]), 1e-6
-    )
+    ))
     oracle = 4.0 * g.L1 * g.L2 - math.pi
     assert oracle == pytest.approx(6.03 - math.pi, rel=1e-14)
     assert res.converged
@@ -141,9 +143,9 @@ CELL_SHAPES = {"disk": disk_geometry, "ellipse": ellipse_geometry}
 
 def test_ellipse_matrix_cell_area():
     g = ellipse_geometry(0.01)
-    res = integrate_cell(
+    res = quarter_to_cell(integrate_cell(
         g, lambda p: np.ones(p.shape[:-1]), 1e-6
-    )
+    ))
     oracle = 4.0 * g.L1 * g.L2 - math.pi * g.half_width * g.half_height
     assert res.converged
     assert abs(res.value - oracle) <= res.err_estimate
@@ -165,6 +167,8 @@ def test_cell_evaluates_only_matrix_points(shape, eps):
     assert pts.ndim == 2 and pts.shape[1] == 2
     assert np.all(region_classify(g, pts) == int(Region.MATRIX))
     assert res.evals == pts.shape[0]
+    # the quarter cell x >= 0, y >= 0 only
+    assert np.all(pts >= 0.0)
     # the fibres reach down to the inclusions and up to the cell edges
     gap = np.abs(pts[:, 0]) < g.eps / 2.0
     assert np.abs(pts[gap, 1]).min() < 1e-2 * math.sqrt(eps)
@@ -220,11 +224,11 @@ def test_integral_evals_count_the_integrand_points(monkeypatch):
     res = integrate_cell(g, cell_fn, 1e-6)
     assert res.evals == n_cell[0] > 0
     # converged on its root template, the integral evaluates the 15 Kronrod
-    # nodes of every template panel on each fibre and its mirror, at every
-    # node the outer loop visited, 15 a panel
+    # nodes of every template panel on each fibre, at every node the outer
+    # loop visited, 15 a panel
     assert res.converged and len(templates) == 1
     assert outer_nodes[0] % 15 == 0
-    assert res.evals == 2 * 15 * templates[0] * outer_nodes[0]
+    assert res.evals == 15 * templates[0] * outer_nodes[0]
     # other constructors keep working without the count
     assert type(res)(value=1.0, err_estimate=0.0, panels_used=1, converged=True).evals == 0
 
@@ -302,7 +306,7 @@ def test_cell_integrand_chunks_are_bounded():
 def test_cell_depth_cap_reports_non_convergence(monkeypatch):
     g = disk_geometry(1e-3)
     monkeypatch.setattr(quadrature, "_MAX_DEPTH", 1)
-    res = integrate_cell(g, lambda p: 1.0 / (g.eps + p[..., 1] ** 2), 1e-14)
+    res = quarter_to_cell(integrate_cell(g, lambda p: 1.0 / (g.eps + p[..., 1] ** 2), 1e-14))
     assert not res.converged
     assert res.err_estimate > 0.0
     oracle = _y_profile_oracle(g, lambda y: 1.0 / (g.eps + y * y))
@@ -341,17 +345,18 @@ def test_cell_error_monotone_under_tightening():
 
     discrepancies = []
     for rel in (1e-3, 1e-4, 1e-5, 1e-6):
-        res = integrate_cell(g, fn, rel)
+        res = quarter_to_cell(integrate_cell(g, fn, rel))
         discrepancies.append(abs(res.value - oracle))
     for coarse, fine in zip(discrepancies, discrepancies[1:]):
         assert fine <= coarse + 1e-13
 
 
 def test_cell_asymmetric_integrands_match_profile_oracles():
-    # odd parts in y and in x must come from both mirror halves and both sides
+    # odd parts in y and in x must come from both mirror halves and both
+    # sides: the quarter integral of the four-fold symmetrization
     g = disk_geometry(0.01)
     tol = 1e-9
-    res = integrate_cell(g, lambda p: np.exp(0.7 * p[..., 1]), tol)
+    res = integrate_cell(g, four_fold(lambda p: np.exp(0.7 * p[..., 1])), tol)
     oracle = _y_profile_oracle(g, lambda y: math.exp(0.7 * y))
     assert res.converged
     assert abs(res.value - oracle) <= res.err_estimate + 1e-12 * oracle
@@ -360,7 +365,7 @@ def test_cell_asymmetric_integrands_match_profile_oracles():
         u = (g.L1 - abs(x)) / g.half_width
         return g.half_height * math.sqrt(max(0.0, 1.0 - u * u))
 
-    res = integrate_cell(g, lambda p: np.exp(0.3 * p[..., 0]), tol)
+    res = integrate_cell(g, four_fold(lambda p: np.exp(0.3 * p[..., 0])), tol)
     oracle = quad(lambda x: 2.0 * (g.L2 - chord(x)) * math.exp(0.3 * x), -g.L1, g.L1,
                   points=[-g.eps / 2.0, g.eps / 2.0], limit=300, epsabs=0.0, epsrel=1e-13)[0]
     assert res.converged
@@ -374,7 +379,7 @@ def test_cell_refines_fibre_template_for_interior_peak():
     def peak(y):
         return 1.0 / (1e-4 + (y - 0.6) ** 2)
 
-    res = integrate_cell(g, lambda p: peak(p[..., 1]), 1e-8)
+    res = integrate_cell(g, four_fold(lambda p: peak(p[..., 1])), 1e-8)
     oracle = quad(lambda y: (2.0 * g.L1 - 2.0 * math.sqrt(max(0.0, 1.0 - y * y))) * peak(y),
                   -g.L2, g.L2, points=[-1.0, 0.6, 1.0], limit=300, epsabs=0.0, epsrel=1e-13)[0]
     assert res.converged
@@ -394,7 +399,7 @@ def test_cell_gap_strip_fubini_reduction():
         out[inside] = 1.0 / f[inside] ** 2
         return out
 
-    res = integrate_cell(g, strip, 1e-4)
+    res = quarter_to_cell(integrate_cell(g, strip, 1e-4))
     oracle = quad(lambda y: 2.0 / float(gap_halfwidth(g, y)), -g.L, g.L, limit=300)[0]
     assert res.value == pytest.approx(oracle, rel=1e-3)
 
