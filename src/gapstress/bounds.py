@@ -1,15 +1,16 @@
 """Primal and dual test fields for the two gap energies.
 
-The primal side evaluates the stiffness form on a Keller-type profile that
-interpolates the boundary loading across the gap.  The dual side assembles a
-statically admissible stress from the scaled singular pair field plus an
-explicit divergence-free correction that cancels the traction on the
-horizontal cell edges.  Evaluating the two variational functionals brackets
-each energy from above and below.
+The primal side evaluates, in closed form, the stiffness form on a
+Keller-type profile that interpolates the boundary loading across the gap.
+The dual side assembles a statically admissible stress from the scaled
+singular pair field plus an explicit divergence-free correction that cancels
+the traction on the horizontal cell edges.  Evaluating the two variational
+functionals brackets each energy from above and below.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
@@ -165,16 +166,17 @@ class BoundResult:
     terms: Mapping[str, float] | None = None
 
 
-def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int,
-                 rel_tol: float = REL_TOL_CELL) -> BoundResult:
-    """Stiffness form on the Keller test field: an upper value for the
-    corresponding gap energy up to the reported quadrature error.
+def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int) -> BoundResult:
+    """Stiffness form on the Keller test field, in closed form: an upper
+    value for the corresponding gap energy.
 
     The test gradient is linear in x across the band |x| < X(y) and zero
-    outside it, so the x integral is closed form and the energy is
-    E_j = 2 int_0^L2 [a / (2X) + b X'^2 / (6X)] dy.  The y integral runs on
-    the straight path x = 0, split where X' jumps: at y = L, where X leaves
-    the gap profile, and where its tangent extension reaches L1.
+    outside it, so the energy is E_j = 2 int_0^L2 [a / (2X) + b X'^2 / (6X)] dy,
+    elementary on each piece of X: the gap arc up to y = L, where
+    y = B sin(theta) gives X = c - A cos(theta) with c = eps/2 + A; the
+    tangent extension, linear in y, up to y2 = min(y_cap, L2), where it
+    reaches L1 at y_cap; and the cap X = L1 above y_cap.  The reported error
+    is a rounding bound, 64 ulp of twice the sum of the terms' magnitudes.
     """
     if j not in (1, 2):
         raise ValueError(f"j must be 1 or 2, got {j}")
@@ -183,29 +185,25 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int,
     if j == 2:
         a, b = b, a
     prof = KellerProfile(geom)
-
-    def density(pts: np.ndarray, _n: np.ndarray) -> np.ndarray:
-        y = pts[..., 1]
-        X = prof.halfwidth(y)
-        Xp = prof.halfwidth_deriv(y)
-        return a / (2.0 * X) + b * Xp * Xp / (6.0 * X)
-
-    breaks = [0.0, geom.L]
-    if prof.fprime_edge > 0.0:
-        breaks.append(geom.L + (geom.L1 - prof.f_edge) / prof.fprime_edge)
-    breaks = sorted(y for y in breaks if y < geom.L2) + [geom.L2]
-    normal = (1.0, 0.0)  # unused by the density
-    # X grows like eps/2 + kappa0 y^2/2, so the density varies on the scale
-    # a ~ sqrt(eps r_osc) at y = 0: the first segment's root panels start there
-    path = Curve(segments=tuple(
-        _line_segment((0.0, y0), (0.0, y1), normal, (0.0,) if k == 0 else (), geom.a)
-        for k, (y0, y1) in enumerate(zip(breaks[:-1], breaks[1:]))))
-    res = integrate_path(path, density, rel_tol)
-    return BoundResult(
-        value=2.0 * float(res.value),
-        quadrature_err=2.0 * res.err_estimate,
-        converged=res.converged,
+    f, fp = prof.f_edge, prof.fprime_edge
+    A, B, L, L1, L2 = geom.half_width, geom.half_height, geom.L, geom.L1, geom.L2
+    h = geom.eps / 2.0
+    c = h + A
+    s2 = h * (2.0 * A + h)  # c^2 - A^2 without the cancellation
+    th = math.asin(L / B)
+    # T = int_0^th dtheta / (c - A cos theta)
+    T = 2.0 / math.sqrt(s2) * math.atan(math.sqrt((2.0 * A + h) / h) * math.tan(th / 2.0))
+    y_cap = L + (L1 - f) / fp
+    arc_b = b * A * A / (6.0 * B)
+    terms = (  # the arc's a-term, its b-term, the tangent extension and the cap
+        a * B * c * T / (2.0 * A), -a * B * th / (2.0 * A),
+        arc_b * math.log(1.0 / math.cos(th) + math.tan(th)) / c,
+        -arc_b * s2 * T / (A * c), arc_b * th / A,
+        (a / (2.0 * fp) + b * fp / 6.0) * math.log(min(f + fp * (L2 - L), L1) / f),
+        a * max(L2 - y_cap, 0.0) / (2.0 * L1),
     )
+    return BoundResult(value=2.0 * sum(terms),
+                       quadrature_err=64.0 * np.finfo(float).eps * 2.0 * sum(map(abs, terms)))
 
 
 # ---------------------------------------------------------------------------

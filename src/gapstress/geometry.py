@@ -310,9 +310,8 @@ def _ellipse_arc(cx: float, A: float, B: float, th0: float, th1: float,
     return PathSegment(point=point, speed=speed, normal=normal, breaks=breaks)
 
 
-def _line_segment(p0, p1, n, vertices: tuple[float, ...] = (), first: float = 0.0) -> PathSegment:
-    """Segment p0 -> p1 with normal n; root panels are graded away from the
-    parameters t in ``vertices``, the first of length ``first``."""
+def _line_segment(p0, p1, n) -> PathSegment:
+    """Segment p0 -> p1 with normal n, on the quarter root panels."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -330,8 +329,7 @@ def _line_segment(p0, p1, n, vertices: tuple[float, ...] = (), first: float = 0.
         t = np.asarray(t, dtype=float)
         return np.broadcast_to(n, t.shape + (2,)).copy()
 
-    breaks = _vertex_breaks(vertices, first / length if vertices else 0.0)
-    return PathSegment(point=point, speed=speed, normal=normal, breaks=breaks)
+    return PathSegment(point=point, speed=speed, normal=normal)
 
 
 def boundary_curves(geom: GapGeometry) -> dict[str, Curve]:

@@ -5,11 +5,11 @@ finite and positive raises ValueError.  One embedded rule serves every
 panel: the Gauss-Kronrod pair 7/15, whose panel value is K15 and whose
 panel error is |K15 - G7|, from 15 points a panel.  Path integrals start
 from the root panels each curve segment carries (``PathSegment.breaks``:
-its quarters and, on inclusion arcs and the primal path, panels graded
-from the gap vertex at the pole offset's scale).  They evaluate the rule on
-every panel, then greedily split the panels carrying most of the error
-estimate until the global estimate meets the tolerance or the panels reach
-_MAX_DEPTH bisections.  Matrix integrals cover the quarter cell x >= 0,
+its quarters and, on inclusion arcs, panels graded from the gap vertex at
+the pole offset's scale).  They evaluate the rule on every panel, then
+greedily split the panels carrying most of the error estimate until the
+global estimate meets the tolerance or the panels reach _MAX_DEPTH
+bisections.  Matrix integrals cover the quarter cell x >= 0,
 y >= 0, whose four mirror images make up the cell, and use the same loop
 on [0, L1]: the matrix is vertically simple, so at each outer node the
 integrand is integrated in y over the exact fibre [h(x), L2] with one

@@ -1,21 +1,25 @@
-"""Whole-domain forms of the dual integrals, kept as test oracles.
+"""Test oracles: whole-domain forms of the dual integrals, and the Keller
+primal energy as a quadrature.
 
 ``integrate_cell`` and the dual's path integrals cover one symmetry quarter
 of the cell (one half of gamma_plus).  The forms here cover the whole
 domain: the two-sided fibre integral over x in [-L1, L1] with each fibre
 [h(x), L2] stacked with its mirror, and the matrix boundary made of all
-eight pieces of ``boundary_curves``.
+eight pieces of ``boundary_curves``.  ``primal_upper`` is closed form; its
+oracles integrate the y-density of the same energy, once with the adaptive
+path loop and once with mpmath at high precision.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 
-from gapstress import quadrature
-from gapstress.geometry import (Curve, _graded_breaks, _line_segment, boundary_curves,
-                                chord_halfheight)
-from gapstress.quadrature import _K15_NODES, _RULE, IntegralResult
+from gapstress import KellerProfile, quadrature
+from gapstress.geometry import (Curve, _graded_breaks, _line_segment, _vertex_breaks,
+                                boundary_curves, chord_halfheight)
+from gapstress.quadrature import _K15_NODES, _RULE, IntegralResult, integrate_path
 
 # the four reflections of the cell: identity, x -> -x, y -> -y and both
 REFLECTIONS = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
@@ -93,3 +97,69 @@ def whole_cell_integral(geom, integrand, rel_tol: float) -> IntegralResult:
     total_err = outer_err + inner_err
     return IntegralResult(value=float(total[0]), err_estimate=total_err, panels_used=x0.size,
                           converged=bool(total_err <= 2.0 * half_tol), evals=counter[0])
+
+
+def _keller_coefficients(mat, j: int) -> tuple[float, float]:
+    """(a, b) of the Keller density a / (2X) + b X'^2 / (6X) for load j."""
+    if j not in (1, 2):
+        raise ValueError(f"j must be 1 or 2, got {j}")
+    a, b = mat.lam + 2.0 * mat.mu, mat.mu
+    return (a, b) if j == 1 else (b, a)
+
+
+def primal_path_integral(geom, mat, j: int, rel_tol: float) -> IntegralResult:
+    """E_j = 2 int_0^L2 [a / (2X) + b X'^2 / (6X)] dy by the adaptive path
+    loop on the straight path x = 0, split where X' jumps: at y = L, and
+    where the tangent extension reaches L1.  The first segment's root panels
+    are graded at y = 0 from the pole offset a, the scale of the density."""
+    a, b = _keller_coefficients(mat, j)
+    prof = KellerProfile(geom)
+
+    def density(pts: np.ndarray, _n: np.ndarray) -> np.ndarray:
+        y = pts[..., 1]
+        X = prof.halfwidth(y)
+        Xp = prof.halfwidth_deriv(y)
+        return a / (2.0 * X) + b * Xp * Xp / (6.0 * X)
+
+    breaks = [0.0, geom.L, geom.L + (geom.L1 - prof.f_edge) / prof.fprime_edge]
+    breaks = sorted(y for y in breaks if y < geom.L2) + [geom.L2]
+    normal = (1.0, 0.0)  # unused by the density
+    segments = [_line_segment((0.0, y0), (0.0, y1), normal)
+                for y0, y1 in zip(breaks[:-1], breaks[1:])]
+    segments[0] = replace(segments[0], breaks=_vertex_breaks((0.0,), geom.a / breaks[1]))
+    res = integrate_path(Curve(segments=tuple(segments)), density, rel_tol)
+    return replace(res, value=2.0 * res.value, err_estimate=2.0 * res.err_estimate)
+
+
+def primal_mpmath(geom, mat, j: int, dps: int = 40) -> float:
+    """E_j by mpmath quadrature at ``dps`` digits, with X, its tangent
+    extension and the cap point evaluated at that precision from the
+    geometry; the arc is split geometrically from y = 0 at the scale a."""
+    a, b = _keller_coefficients(mat, j)
+    with mpmath.workdps(dps):
+        mp = mpmath.mpf
+        A, B, h = mp(geom.half_width), mp(geom.half_height), mp(geom.eps) / 2
+        L, L1, L2 = mp(geom.L), mp(geom.L1), mp(geom.L2)
+
+        def arc(y):
+            return h + A * (1 - mpmath.sqrt(1 - (y / B) ** 2))
+
+        f = arc(L)
+        fp = A * L / (B * B * mpmath.sqrt(1 - (L / B) ** 2))
+        y_cap = L + (L1 - f) / fp
+
+        def density(y):
+            if y <= L:
+                X, Xp = arc(y), A * y / (B * B * mpmath.sqrt(1 - (y / B) ** 2))
+            elif y <= y_cap:
+                X, Xp = f + fp * (y - L), fp
+            else:
+                X, Xp = L1, 0
+            return a / (2 * X) + b * Xp ** 2 / (6 * X)
+
+        pts, step = [mp(0)], mp(geom.a)
+        while step < L:
+            pts.append(step)
+            step *= 2
+        pts += [L] + ([y_cap] if y_cap < L2 else []) + [L2]
+        return float(2 * mpmath.quad(density, pts))

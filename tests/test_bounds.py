@@ -37,7 +37,9 @@ from gapstress.kernels import KernelContext, _edge_resultant, singular_stress
 from gapstress.quadrature import cumulative_line_table, integrate_cell, integrate_path
 
 from conftest import CELL_COARSE, CELL_FAST, PATH_FAST, UNIT, disk_geometry
-from oracles import REFLECTIONS, matrix_boundary, quarter_to_cell, whole_cell_integral
+import oracles
+from oracles import (REFLECTIONS, matrix_boundary, primal_mpmath, primal_path_integral,
+                     quarter_to_cell, whole_cell_integral)
 
 
 def ellipse_geometry(eps: float):
@@ -114,7 +116,7 @@ class TestKellerProfile:
 @pytest.mark.parametrize("j,band", [(1, (0.90, 1.02)), (2, (0.95, 1.05))])
 def test_primal_upper_near_flux_constant(j, band):
     g = disk_geometry(1e-3)
-    res = primal_upper(g, UNIT, j, rel_tol=CELL_FAST)
+    res = primal_upper(g, UNIT, j)
     scaled = res.value * math.sqrt(g.eps) / m_constant(g, UNIT, j)
     assert band[0] <= scaled <= band[1]
     assert res.converged
@@ -122,16 +124,16 @@ def test_primal_upper_near_flux_constant(j, band):
 
 
 def test_primal_upper_decreases_as_gap_opens():
-    v_wide = primal_upper(disk_geometry(1e-2), UNIT, 1, rel_tol=CELL_FAST).value
-    v_narrow = primal_upper(disk_geometry(1e-3), UNIT, 1, rel_tol=CELL_FAST).value
+    v_wide = primal_upper(disk_geometry(1e-2), UNIT, 1).value
+    v_narrow = primal_upper(disk_geometry(1e-3), UNIT, 1).value
     assert v_wide < v_narrow
 
 
 def test_primal_upper_curvature_scaling():
     # halving the gap curvature raises the scaled bound by sqrt(2)
     eps = 1e-3
-    v1 = primal_upper(disk_geometry(eps, r0=1.0, L2=3.0), UNIT, 2, rel_tol=CELL_FAST).value
-    v2 = primal_upper(disk_geometry(eps, r0=2.0, L2=3.0), UNIT, 2, rel_tol=CELL_FAST).value
+    v1 = primal_upper(disk_geometry(eps, r0=1.0, L2=3.0), UNIT, 2).value
+    v2 = primal_upper(disk_geometry(eps, r0=2.0, L2=3.0), UNIT, 2).value
     assert v2 / v1 == pytest.approx(math.sqrt(2.0), rel=0.04)
 
 
@@ -141,7 +143,7 @@ def test_primal_upper_j2_lambda_dependence_fades():
     gaps = {}
     for eps in (1e-3, 1e-4):
         vals = [
-            primal_upper(disk_geometry(eps), LameMaterial(lam=lam, mu=1.0), 2, CELL_FAST).value
+            primal_upper(disk_geometry(eps), LameMaterial(lam=lam, mu=1.0), 2).value
             * math.sqrt(eps)
             for lam in (1.0, 5.0)
         ]
@@ -171,7 +173,7 @@ def test_primal_matches_quadtree_energy_density(shape, j):
     # over the matrix; it is a coarse oracle for the 1D integral in y
     g = SHAPES[shape](1e-2)
     prof = KellerProfile(g)
-    res = primal_upper(g, UNIT, j, rel_tol=CELL_FAST)
+    res = primal_upper(g, UNIT, j)
     # the density is even in x and in y
     area = quarter_to_cell(integrate_cell(
         g, lambda p: energy_density(keller_test_gradient(prof, j, p), UNIT), CELL_FAST))
@@ -181,6 +183,12 @@ def test_primal_matches_quadtree_energy_density(shape, j):
 
 # in the tall cell the tangent extension of X reaches L1 below L2
 PRIMAL_SHAPES = {**SHAPES, "tall disk": lambda eps: disk_geometry(eps, L2=3.0)}
+PRIMAL_MATERIALS = {"unit": UNIT, "lame": LameMaterial(3.0, 0.7)}
+
+
+@functools.lru_cache(maxsize=None)
+def _primal_mpmath(shape: str, eps: float, j: int, mat: str = "unit") -> float:
+    return primal_mpmath(PRIMAL_SHAPES[shape](eps), PRIMAL_MATERIALS[mat], j)
 
 
 @pytest.mark.parametrize("shape", sorted(PRIMAL_SHAPES))
@@ -193,24 +201,45 @@ def test_primal_matches_scipy_quad(shape, eps, j):
     while y < g.L2:
         breaks.append(y)
         y *= 2.0
-    half, half_err = integrate.quad(_keller_density(g, j), 0.0, g.L2, points=sorted(breaks),
-                                    limit=1000, epsabs=0.0, epsrel=1e-13)
-    oracle, oracle_err = 2.0 * half, 2.0 * half_err
-    res = primal_upper(g, UNIT, j, rel_tol=1e-10)
+    half, _ = integrate.quad(_keller_density(g, j), 0.0, g.L2, points=sorted(breaks),
+                             limit=1000, epsabs=0.0, epsrel=1e-13)
+    oracle = 2.0 * half
+    res = primal_upper(g, UNIT, j)
     assert res.converged
     assert res.quadrature_err > 0.0
-    miss = abs(res.value - oracle)
-    assert miss <= 1e-10 * oracle
-    assert miss <= res.quadrature_err + oracle_err
+    assert abs(res.value - oracle) <= 1e-10 * oracle
+    # quad at epsrel 1e-13 misses by up to ~5e-13 relative while reporting
+    # ~1e-14, so the error bar is held against the 40-digit value
+    assert abs(res.value - _primal_mpmath(shape, eps, j)) <= res.quadrature_err
+
+
+@pytest.mark.parametrize("shape", sorted(PRIMAL_SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("mat", sorted(PRIMAL_MATERIALS))
+def test_primal_closed_form_matches_quadratures(shape, eps, j, mat):
+    g = PRIMAL_SHAPES[shape](eps)
+    prof = KellerProfile(g)
+    y_cap = g.L + (g.L1 - prof.f_edge) / prof.fprime_edge
+    # the tall cell reaches the cap X = L1, the shipped cells do not
+    assert (y_cap < g.L2) == (shape == "tall disk")
+    res = primal_upper(g, PRIMAL_MATERIALS[mat], j)
+    assert res.converged
+    assert abs(res.value - _primal_mpmath(shape, eps, j, mat)) <= res.quadrature_err
+    assert res.quadrature_err <= 1e-13 * res.value
+    path = primal_path_integral(g, PRIMAL_MATERIALS[mat], j, 1e-11)
+    assert path.converged
+    assert abs(res.value - path.value) <= path.err_estimate
 
 
 @pytest.mark.parametrize("j", [1, 2])
 def test_primal_error_covers_at_coarse_tolerance(j):
+    # the path integral of the Keller density peaks at the gap center
     g = disk_geometry(1e-4)
-    fine = primal_upper(g, UNIT, j, rel_tol=1e-10)
-    coarse = primal_upper(g, UNIT, j, rel_tol=CELL_COARSE)
-    assert abs(coarse.value - fine.value) <= coarse.quadrature_err
-    assert coarse.quadrature_err <= 1e-3 * coarse.value
+    fine = primal_path_integral(g, UNIT, j, 1e-10)
+    coarse = primal_path_integral(g, UNIT, j, CELL_COARSE)
+    assert abs(coarse.value - fine.value) <= coarse.err_estimate
+    assert coarse.err_estimate <= 1e-3 * coarse.value
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -717,7 +746,7 @@ def test_dual_lower_near_flux_constant(j, lo):
 @pytest.mark.parametrize("j", [1, 2])
 def test_bounds_sandwich(j):
     g = disk_geometry(1e-3)
-    up = primal_upper(g, UNIT, j, rel_tol=CELL_FAST)
+    up = primal_upper(g, UNIT, j)
     lo = dual_lower(g, UNIT, j, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST)
     assert lo.value - lo.quadrature_err <= up.value + up.quadrature_err
     assert lo.value <= up.value
@@ -839,9 +868,10 @@ def test_graded_path_errors_cover_a_tight_reference(shape, eps):
         assert got.converged and ref.converged
         assert np.all(np.abs(got.value - ref.value) <= got.err_estimate), i
     for j in (1, 2):
-        got, ref = primal_upper(g, UNIT, j), primal_upper(g, UNIT, j, 1e-11)
+        got = primal_path_integral(g, UNIT, j, REL_TOL_CELL)
+        ref = primal_path_integral(g, UNIT, j, 1e-11)
         assert got.converged
-        assert abs(got.value - ref.value) <= got.quadrature_err
+        assert abs(got.value - ref.value) <= got.err_estimate
         got = _singular_self_energy(g, UNIT, j, REL_TOL_PATH)
         ref = _singular_self_energy(g, UNIT, j, 1e-11)
         assert got.converged
@@ -890,8 +920,8 @@ def test_primal_path_is_graded_at_the_gap_center(shape, monkeypatch):
         calls.append((curve, integrand, rel_tol))
         return integrate_path(curve, integrand, rel_tol)
 
-    monkeypatch.setattr(bounds, "integrate_path", spy)
-    primal_upper(g, UNIT, 1)
+    monkeypatch.setattr(oracles, "integrate_path", spy)
+    primal_path_integral(g, UNIT, 1, REL_TOL_CELL)
     ((path, density, tol),) = calls
     first = path.segments[0]
     assert np.array_equal(first.point(np.array(0.0)), [0.0, 0.0])
