@@ -16,9 +16,12 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-# energy_density and cumulative_line_table are not called here; they stay
-# bound because gapbench's tracer wraps every integrator, kernel and density
-# at its name in this module
+# energy_density, cumulative_line_table and singular_displacement are not
+# called here; they stay bound because gapbench's tracer wraps every
+# integrator, kernel and density at its name in this module.  The pair
+# integrals and the diagnostics assemble the pair fields from _PairTerms,
+# shared by stress and displacement and by both loads, so the tracer sees
+# singular_stress only in sigma_S and sigma_c
 from .elasticity import (  # noqa: F401
     LameMaterial,
     Matrix2,
@@ -39,7 +42,14 @@ from .geometry import (
     inclusion_boundary,
     region_classify,
 )
-from .kernels import KernelContext, _edge_resultant, singular_displacement, singular_stress
+from .kernels import (  # noqa: F401
+    KernelContext,
+    _EdgeTerms,
+    _PairTerms,
+    _edge_resultant,
+    singular_displacement,
+    singular_stress,
+)
 from .quadrature import (
     IntegralResult,
     cumulative_line_table,  # noqa: F401
@@ -220,6 +230,41 @@ class DualStress:
     diagnostics: Diagnostics
 
 
+def _dual_scale(geom: GapGeometry, mat: LameMaterial, j: int) -> float:
+    """Factor m_j / sqrt(eps) of the pair field in the dual stress."""
+    return m_constant(geom, mat, j) / np.sqrt(geom.eps)
+
+
+def _scaled(s: SymTensor2, scale: float) -> SymTensor2:
+    return SymTensor2(scale * s.a11, scale * s.a12, scale * s.a22)
+
+
+def _edge_lines(pts: np.ndarray, L2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct abscissae xu of the points on both edge lines, y = +L2
+    then y = -L2, as coordinate arrays x, y; and the index of each point's
+    abscissa in xu, shaped like the points."""
+    xu, inv = np.unique(pts[..., 0], return_inverse=True)
+    return inv.reshape(pts.shape[:-1]), np.tile(xu, 2), np.repeat((L2, -L2), xu.size)
+
+
+def _edge_jump(r: np.ndarray, scale: float, L2: float) -> np.ndarray:
+    """G at xu from the pair field's traction resultant r on both edge lines."""
+    n = r.shape[0] // 2
+    return (scale / (2.0 * L2)) * (r[:n] - r[n:])
+
+
+def _correction(y: np.ndarray, inv: np.ndarray, L2: float, scale: float,
+                Gu: np.ndarray, edges: SymTensor2) -> Matrix2:
+    """sigma_c at points of ordinate y and abscissa xu[inv], from G at xu and
+    the unscaled pair stress on both edge lines at xu."""
+    n = Gu.shape[0]
+    wt_top = (y + L2) / (2.0 * L2)
+    wt_bot = (L2 - y) / (2.0 * L2)
+    F0 = -(wt_top * (scale * edges.a12[:n])[inv] + wt_bot * (scale * edges.a12[n:])[inv])
+    F1 = -(wt_top * (scale * edges.a22[:n])[inv] + wt_bot * (scale * edges.a22[n:])[inv])
+    return Matrix2(Gu[:, 0][inv], F0, Gu[:, 1][inv], F1)
+
+
 def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStress:
     """Assemble the admissible dual stress for load j.
 
@@ -230,107 +275,122 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
     so that the total traction vanishes identically on y = +-L2 and each
     row stays divergence free.
     """
-    scale = m_constant(geom, mat, j) / np.sqrt(geom.eps)
+    scale = _dual_scale(geom, mat, j)
     ctx = KernelContext.from_geometry(geom, mat)
     L2 = geom.L2
 
     def sigma_S(pts: np.ndarray) -> SymTensor2:
-        s = singular_stress(ctx, j, pts)
-        return SymTensor2(scale * s.a11, scale * s.a12, scale * s.a22)
+        return _scaled(singular_stress(ctx, j, pts), scale)
 
     def G(x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        n = x.size
         # one call on both edge lines
-        r = _edge_resultant(ctx, j, np.tile(x, 2), np.repeat((L2, -L2), n))
-        return (scale / (2.0 * L2)) * (r[:n] - r[n:])
+        return _edge_jump(_edge_resultant(ctx, j, np.tile(x, 2), np.repeat((L2, -L2), x.size)),
+                          scale, L2)
 
     def sigma_c(pts: np.ndarray) -> Matrix2:
         pts = np.asarray(pts, dtype=float)
-        x = pts[..., 0]
-        y = pts[..., 1]
         # G and the two edge tractions depend on x alone, and fibres repeat
         # each x along a column, so evaluate them once per distinct x: one
         # pair-field call on both edge lines, read component by component
-        xu, inv = np.unique(x, return_inverse=True)
-        inv = inv.reshape(x.shape)
-        n = xu.size
-        Gu = G(xu)
-        edges = singular_stress(ctx, j, np.stack((np.tile(xu, 2), np.repeat((L2, -L2), n)), -1))
-        wt_top = (y + L2) / (2.0 * L2)
-        wt_bot = (L2 - y) / (2.0 * L2)
-        F0 = -(wt_top * (scale * edges.a12[:n])[inv] + wt_bot * (scale * edges.a12[n:])[inv])
-        F1 = -(wt_top * (scale * edges.a22[:n])[inv] + wt_bot * (scale * edges.a22[n:])[inv])
-        return Matrix2(Gu[:, 0][inv], F0, Gu[:, 1][inv], F1)
+        inv, ex, ey = _edge_lines(pts, L2)
+        return _correction(pts[..., 1], inv, L2, scale,
+                           _edge_jump(_edge_resultant(ctx, j, ex, ey), scale, L2),
+                           singular_stress(ctx, j, np.stack((ex, ey), -1)))
 
     def sigma_total(pts: np.ndarray) -> Matrix2:
         s = sigma_S(pts)
         c = sigma_c(pts)
         return Matrix2(s.a11 + c.a11, s.a12 + c.a12, s.a12 + c.a21, s.a22 + c.a22)
 
-    diag = _dual_diagnostics(geom, sigma_S, sigma_c)
     return DualStress(sigma_S=sigma_S, sigma_c=sigma_c, sigma_total=sigma_total,
-                      G=G, diagnostics=diag)
+                      G=G, diagnostics=_dual_diagnostics(geom, mat, (j,))[j])
 
 
-def _dual_diagnostics(geom: GapGeometry, sigma_S: Callable[[np.ndarray], SymTensor2],
-                      sigma_c: StressField) -> Diagnostics:
-    L1, L2 = geom.L1, geom.L2
+class _DiagnosticSamples:
+    """Where the dual diagnostics sample the stress, and how they read it.
 
-    # traction on the horizontal edges, built to cancel exactly
-    xs = np.linspace(-L1, L1, 100)
-    edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
+    The edge traction is read on 100 points of each horizontal edge, where
+    it is built to cancel exactly.  Asymmetry and divergence are read on the
+    matrix points of a 41 x 41 grid: sigma_S and sigma_c are both evaluated
+    on ``stencil`` (the edges and the grid's four shifted copies +x, -x, +y,
+    -y, for central differences), and sigma_c also on the grid itself,
+    where only its asymmetry is read (sigma_S is symmetric by
+    construction); ``with_grid`` is the stencil followed by the grid.
+    """
 
-    # matrix sample grid for divergence and asymmetry checks
-    gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41),
-                         np.linspace(-L2 * 0.995, L2 * 0.995, 41), indexing="ij")
-    pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
-    pts = pts[region_classify(geom, pts) == int(Region.MATRIX)]
+    def __init__(self, geom: GapGeometry) -> None:
+        L1, L2 = geom.L1, geom.L2
+        xs = np.linspace(-L1, L1, 100)
+        edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
+        gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41),
+                             np.linspace(-L2 * 0.995, L2 * 0.995, 41), indexing="ij")
+        pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
+        pts = pts[region_classify(geom, pts) == int(Region.MATRIX)]
+        # central differences with a step tied to the distance from the
+        # poles, which keeps truncation and rounding both far below the target
+        self.dist = np.minimum(np.linalg.norm(pts - geom.p1, axis=-1),
+                               np.linalg.norm(pts - geom.p2, axis=-1))
+        self.h = 6e-6 * self.dist
+        ex = np.stack((self.h, np.zeros_like(self.h)), axis=-1)
+        ey = np.stack((np.zeros_like(self.h), self.h), axis=-1)
+        self.stencil = np.concatenate((edges, pts + ex, pts - ex, pts + ey, pts - ey))
+        self.with_grid = np.concatenate((self.stencil, pts))
+        self.n_e, self.n = edges.shape[0], pts.shape[0]
 
-    # central differences with a step tied to the distance from the poles,
-    # which keeps truncation and rounding both far below the target
-    dist = np.minimum(np.linalg.norm(pts - geom.p1, axis=-1),
-                      np.linalg.norm(pts - geom.p2, axis=-1))
-    h = 6e-6 * dist
-    ex = np.stack((h, np.zeros_like(h)), axis=-1)
-    ey = np.stack((np.zeros_like(h), h), axis=-1)
-    # one call of each field: both on the edges and the grid's four shifted
-    # copies +x, -x, +y, -y, and sigma_c also on the grid itself, where only
-    # its asymmetry is read (sigma_S is symmetric by construction)
-    stencil = np.concatenate((edges, pts + ex, pts - ex, pts + ey, pts - ey))
-    n_e, n, m = edges.shape[0], pts.shape[0], stencil.shape[0]
-    S, C = sigma_S(stencil), sigma_c(np.concatenate((stencil, pts)))
-    asym = float(np.abs(C.a12[m:] - C.a21[m:]).max())
-    s = Matrix2(S.a11 + C.a11[:m], S.a12 + C.a12[:m], S.a12 + C.a21[:m], S.a22 + C.a22[:m])
-    bc = float(np.abs(np.stack((s.a12[:n_e], s.a22[:n_e]), axis=-1)).max())
-    s = Matrix2(*(a[n_e:].reshape(4, n) for a in (s.a11, s.a12, s.a21, s.a22)))
-    inv2h = 1.0 / (2.0 * h)
-    d_col1_dx = np.stack(((s.a11[0] - s.a11[1]) * inv2h, (s.a21[0] - s.a21[1]) * inv2h), axis=-1)
-    d_col2_dy = np.stack(((s.a12[2] - s.a12[3]) * inv2h, (s.a22[2] - s.a22[3]) * inv2h), axis=-1)
-    resid = np.abs(d_col1_dx + d_col2_dy).max(axis=-1)
-    # normalize by the derivative scale |sigma| / (distance to the nearer
-    # pole); the derivatives themselves all vanish at symmetry points such as
-    # the gap center, where their ratio would compare rounding noise with itself
-    mag = (np.abs(s.a11) + np.abs(s.a12) + np.abs(s.a21) + np.abs(s.a22)).max(axis=0)
-    div = float((resid * dist / mag).max())
-    return Diagnostics(asymmetry_max=asym, bc_residual=bc, div_residual=div)
+    def read(self, S: SymTensor2, C: Matrix2) -> Diagnostics:
+        """The diagnostics of sigma_S + sigma_c from S on ``stencil`` and C
+        on ``with_grid``."""
+        n_e, n, m = self.n_e, self.n, self.stencil.shape[0]
+        asym = float(np.abs(C.a12[m:] - C.a21[m:]).max())
+        s = Matrix2(S.a11 + C.a11[:m], S.a12 + C.a12[:m], S.a12 + C.a21[:m], S.a22 + C.a22[:m])
+        bc = float(np.abs(np.stack((s.a12[:n_e], s.a22[:n_e]), axis=-1)).max())
+        s = Matrix2(*(a[n_e:].reshape(4, n) for a in (s.a11, s.a12, s.a21, s.a22)))
+        inv2h = 1.0 / (2.0 * self.h)
+        d_col1_dx = np.stack(((s.a11[0] - s.a11[1]) * inv2h, (s.a21[0] - s.a21[1]) * inv2h), -1)
+        d_col2_dy = np.stack(((s.a12[2] - s.a12[3]) * inv2h, (s.a22[2] - s.a22[3]) * inv2h), -1)
+        resid = np.abs(d_col1_dx + d_col2_dy).max(axis=-1)
+        # normalize by the derivative scale |sigma| / (distance to the nearer
+        # pole); the derivatives themselves all vanish at symmetry points such
+        # as the gap center, where their ratio would compare rounding noise
+        # with itself
+        mag = (np.abs(s.a11) + np.abs(s.a12) + np.abs(s.a21) + np.abs(s.a22)).max(axis=0)
+        div = float((resid * self.dist / mag).max())
+        return Diagnostics(asymmetry_max=asym, bc_residual=bc, div_residual=div)
 
 
-def _pair_boundary_integrand(ctx: KernelContext, j: int):
-    """Path integrand [(sigma(q_j) n)_1, (sigma(q_j) n)_2, (sigma(q_j) n) . q_j]
-    of the pair field q_j: its traction and the traction's work, from one
-    evaluation of each kernel per node."""
-    def fn(p: np.ndarray, n: np.ndarray) -> np.ndarray:
-        tr = singular_stress(ctx, j, p).apply(n)
-        u = singular_displacement(ctx, j, p)
-        return np.concatenate((tr, np.einsum("...k,...k->...", tr, u)[..., None]), axis=-1)
-    return fn
+def _dual_diagnostics(geom: GapGeometry, mat: LameMaterial,
+                      loads: tuple[int, ...]) -> dict[int, Diagnostics]:
+    """The diagnostics of the dual stress of each load, from one set of
+    samples: the pair-field terms on the stencil and on the edge lines at the
+    distinct abscissae are evaluated once, and each load's sigma_S and
+    sigma_c are assembled from them."""
+    samples = _DiagnosticSamples(geom)
+    ctx = KernelContext.from_geometry(geom, mat)
+    inv, ex, ey = _edge_lines(samples.with_grid, geom.L2)
+    on_stencil = _PairTerms(ctx, samples.stencil)
+    on_edges = _PairTerms(ctx, np.stack((ex, ey), -1))
+    resultant = _EdgeTerms(ctx, ex, ey)
+    out = {}
+    for j in loads:
+        scale = _dual_scale(geom, mat, j)
+        C = _correction(samples.with_grid[..., 1], inv, geom.L2, scale,
+                        _edge_jump(resultant.resultant(j), scale, geom.L2), on_edges.stress(j))
+        out[j] = samples.read(_scaled(on_stencil.stress(j), scale), C)
+    return out
+
+
+def _traction_work(terms: _PairTerms, j: int, n: np.ndarray) -> np.ndarray:
+    """[(sigma(q_j) n)_1, (sigma(q_j) n)_2, (sigma(q_j) n) . q_j] of the pair
+    field q_j: its traction and the traction's work, at the terms' points."""
+    tr = terms.stress(j).apply(n)
+    u = terms.displacement(j)
+    return np.concatenate((tr, np.einsum("...k,...k->...", tr, u)[..., None]), axis=-1)
 
 
 def _work_integrand(ctx: KernelContext, j: int):
     """Path integrand (sigma(q_j) n) . q_j of the pair field q_j."""
-    pair = _pair_boundary_integrand(ctx, j)
-    return lambda p, n: pair(p, n)[..., 2]
+    return lambda p, n: _traction_work(_PairTerms(ctx, p), j, n)[..., 2]
 
 
 def _quarter_boundary(geom: GapGeometry) -> tuple[PathSegment, ...]:
@@ -420,9 +480,12 @@ def pair_boundary_integral(geom: GapGeometry, mat: LameMaterial, i: int,
     to its own scale.
     """
     ctx = KernelContext.from_geometry(geom, mat)
-    loads = [_pair_boundary_integrand(ctx, j) for j in (1, 2)]
-    res = integrate_path(inclusion_boundary(geom, i),
-                         lambda p, n: np.concatenate([f(p, n) for f in loads], axis=-1), rel_tol)
+
+    def fn(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+        terms = _PairTerms(ctx, p)
+        return np.concatenate([_traction_work(terms, j, n) for j in (1, 2)], axis=-1)
+
+    res = integrate_path(inclusion_boundary(geom, i), fn, rel_tol)
     return replace(res, value=res.value.reshape(2, 3))
 
 

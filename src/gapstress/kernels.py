@@ -15,10 +15,17 @@ the Mathematical Theory of Elasticity*): with z = x1 + i x2,
     phi = k L,   psi = -kappa conj(k) L + (a k + c) P,
     L = log(z + a) - log(z - a),   P = 1/(z + a) + 1/(z - a),
 
-and (kappa, k, c) from ``_coefficients``.  ``singular_displacement``,
-``singular_stress`` and ``_edge_resultant`` all read them.  The individual
-nuclei serve ``gapstress kernel-eval`` and, in the tests, as the oracle for
-the potentials.
+and (kappa, k, c) from ``_coefficients``.  The two loads differ only in
+these coefficients, so each field is split in two: ``_PairTerms`` evaluates
+the load-independent terms at one point set once (the pole guard, z and
+1/w), and its ``stress``/``displacement`` assemble one load's field from
+them; ``_EdgeTerms`` does the same for the edge-traction resultant (the
+differences of L and P, with their logs and arctangents, and the
+z conj(phi') polynomial and denominator).  A caller that needs several
+loads or both fields at one point set builds the terms once;
+``singular_displacement``, ``singular_stress`` and ``_edge_resultant`` are
+the terms and one assembly.  The individual nuclei serve ``gapstress
+kernel-eval`` and, in the tests, as the oracle for the potentials.
 """
 
 from __future__ import annotations
@@ -170,10 +177,52 @@ def _coefficients(ctx: KernelContext, j: int) -> tuple[float, complex, complex]:
     return kappa, k, c
 
 
-def _pole_distances(ctx: KernelContext, x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """x1, x2 and the squared distances to p1 and p2; raises at a pole."""
-    x1, x2 = _split(x)
-    return x1, x2, _guarded_r2(x1 + ctx.a, x2), _guarded_r2(x1 - ctx.a, x2)
+class _PairTerms:
+    """The load-independent terms of the pair fields at one point set.
+
+    The loads differ only in the coefficients (k_j, c_j), so the pole guard,
+    z and 1/w are evaluated once here; ``stress`` and ``displacement``
+    assemble one load's field from them.  The terms only one field reads
+    (1/w^2, z^2 + a^2 and conj(z) for the stress, P and Re L for the
+    displacement) are temporaries of that assembly: kept alive with the
+    shared ones they slow the one-load callers more than recomputing them
+    costs the two-load ones.
+    """
+
+    def __init__(self, ctx: KernelContext, x) -> None:
+        x1, x2 = _split(x)
+        a = ctx.a
+        self._ctx, self._x1 = ctx, x1
+        # |x1| - a is -(x1 + a) for x1 < 0 exactly, so this is the squared
+        # distance to the nearer pole, and the only one the guard needs
+        self._r2_near = _guarded_r2(np.abs(x1) - a, x2)
+        self.z = x1 + 1j * x2
+        self.iw = 1.0 / ((self.z + a) * (self.z - a))
+
+    def displacement(self, j: int) -> np.ndarray:
+        """q_j, shape (..., 2); see ``singular_displacement``."""
+        kappa, k, c = _coefficients(self._ctx, j)
+        a, x1, z, iw = self._ctx.a, self._x1, self.z, self.iw
+        # Re L = log|z + a| - log|z - a| = +-1/2 log1p(4 a |x1| / r^2), r the
+        # distance to the nearer pole: accurate far from the gap and near a pole
+        re_L = np.copysign(0.5 * np.log1p(4.0 * a * np.abs(x1) / self._r2_near), x1)
+        phi_p = (-2.0 * a * k) * iw
+        P = 2.0 * z * iw
+        v = 2.0 * kappa * k * re_L - z * np.conj(phi_p) - np.conj((a * k + c) * P)
+        v /= 2.0 * self._ctx.material.mu
+        return np.stack((v.real, v.imag), axis=-1)
+
+    def stress(self, j: int) -> SymTensor2:
+        """Stress of q_j; see ``singular_stress``."""
+        kappa, k, c = _coefficients(self._ctx, j)
+        a, z, iw = self._ctx.a, self.z, self.iw
+        iw2 = iw * iw
+        phi_p = (-2.0 * a * k) * iw
+        phi_pp = (4.0 * a * k) * z * iw2
+        psi_p = (2.0 * a * kappa * np.conj(k)) * iw - (2.0 * (a * k + c)) * (z * z + a * a) * iw2
+        tr = 4.0 * phi_p.real
+        dev = 2.0 * (np.conj(z) * phi_pp + psi_p)
+        return SymTensor2(0.5 * (tr - dev.real), 0.5 * dev.imag, 0.5 * (tr + dev.real))
 
 
 def singular_displacement(ctx: KernelContext, j: int, x) -> np.ndarray:
@@ -186,20 +235,7 @@ def singular_displacement(ctx: KernelContext, j: int, x) -> np.ndarray:
     conj(psi); the imaginary parts of L cancel, which leaves
     2 kappa k Re L - z conj(phi') - conj((a k + c) P).
     """
-    kappa, k, c = _coefficients(ctx, j)
-    a = ctx.a
-    x1, x2, rp2, rm2 = _pole_distances(ctx, x)
-    # Re L = log|z + a| - log|z - a| = +-1/2 log1p(4 a |x1| / r^2), r the
-    # distance to the nearer pole: accurate far from the gap and near a pole
-    r2_near = np.where(x1 >= 0.0, rm2, rp2)
-    re_L = np.copysign(0.5 * np.log1p(4.0 * a * np.abs(x1) / r2_near), x1)
-    z = x1 + 1j * x2
-    iw = 1.0 / ((z + a) * (z - a))
-    phi_p = (-2.0 * a * k) * iw
-    P = 2.0 * z * iw
-    v = 2.0 * kappa * k * re_L - z * np.conj(phi_p) - np.conj((a * k + c) * P)
-    v /= 2.0 * ctx.material.mu
-    return np.stack((v.real, v.imag), axis=-1)
+    return _PairTerms(ctx, x).displacement(j)
 
 
 def singular_stress(ctx: KernelContext, j: int, x) -> SymTensor2:
@@ -210,41 +246,46 @@ def singular_stress(ctx: KernelContext, j: int, x) -> SymTensor2:
     and psi' = 2 a kappa conj(k) / w - 2 (a k + c) (z^2 + a^2) / w^2, where
     w = (z + a)(z - a).
     """
-    kappa, k, c = _coefficients(ctx, j)
-    a = ctx.a
-    x1, x2, _, _ = _pole_distances(ctx, x)
-    z = x1 + 1j * x2
-    iw = 1.0 / ((z + a) * (z - a))
-    iw2 = iw * iw
-    phi_p = (-2.0 * a * k) * iw
-    phi_pp = (4.0 * a * k) * z * iw2
-    psi_p = (2.0 * a * kappa * np.conj(k)) * iw - (2.0 * (a * k + c)) * (z * z + a * a) * iw2
-    tr = 4.0 * phi_p.real
-    dev = 2.0 * (np.conj(z) * phi_pp + psi_p)
-    return SymTensor2(0.5 * (tr - dev.real), 0.5 * dev.imag, 0.5 * (tr + dev.real))
+    return _PairTerms(ctx, x).stress(j)
 
 
-def _edge_resultant(ctx: KernelContext, j: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Traction resultant int_0^x sigma(q_j)(s, y) e_2 ds on the line at
-    height y; x and y broadcast together, and a last axis of 2 is added.
+class _EdgeTerms:
+    """The load-independent terms of the traction resultant on the line at
+    height y, from x = 0 to x; x and y broadcast together.
 
     The resultant t_1 + i t_2 is i [Phi(z) - Phi(i y)] with z = x + i y and
     Phi = phi + z conj(phi') + conj(psi) (Muskhelishvili).  Each difference
     is written with its factor x explicit, which keeps it accurate near 0.
+    dL = L(z) - L(i y), dP = P(z) - P(i y) and the polynomial and
+    denominator of the z conj(phi') difference are shared by the loads.
     """
-    kappa, k, c = _coefficients(ctx, j)
-    a = ctx.a
-    z = x + 1j * y
-    w = 1j * y
-    u = -2.0 * a * x / ((z - a) * (w + a))
-    # log1p(u) = L(z) - L(w); numpy's complex log1p loses the real part's
-    # relative accuracy for tiny |u|
-    dL = (0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag ** 2)
-          + 1j * np.arctan2(u.imag, 1.0 + u.real))
-    dP = -x / ((z + a) * (w + a)) - x / ((z - a) * (w - a))
-    zb, wb = np.conj(z), np.conj(w)
-    d_zphi = (np.conj(k) * 2.0 * a * x * (3.0 * y * y + 1j * y * x + a * a)
-              / ((zb * zb - a * a) * (wb * wb - a * a)))
-    d_psi = -kappa * np.conj(k) * dL + (a * k + c) * dP
-    r = 1j * (k * dL + d_zphi + np.conj(d_psi))
-    return np.stack((r.real, r.imag), axis=-1)
+
+    def __init__(self, ctx: KernelContext, x: np.ndarray, y: np.ndarray) -> None:
+        a = ctx.a
+        self._ctx, self._x = ctx, x
+        z = x + 1j * y
+        w = 1j * y
+        u = -2.0 * a * x / ((z - a) * (w + a))
+        # log1p(u) = L(z) - L(w); numpy's complex log1p loses the real part's
+        # relative accuracy for tiny |u|
+        self.dL = (0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag ** 2)
+                   + 1j * np.arctan2(u.imag, 1.0 + u.real))
+        self.dP = -x / ((z + a) * (w + a)) - x / ((z - a) * (w - a))
+        zb, wb = np.conj(z), np.conj(w)
+        self.zphi_num = 3.0 * y * y + 1j * y * x + a * a
+        self.zphi_den = (zb * zb - a * a) * (wb * wb - a * a)
+
+    def resultant(self, j: int) -> np.ndarray:
+        """The resultant of q_j, with a last axis of 2 added."""
+        kappa, k, c = _coefficients(self._ctx, j)
+        a = self._ctx.a
+        d_zphi = np.conj(k) * 2.0 * a * self._x * self.zphi_num / self.zphi_den
+        d_psi = -kappa * np.conj(k) * self.dL + (a * k + c) * self.dP
+        r = 1j * (k * self.dL + d_zphi + np.conj(d_psi))
+        return np.stack((r.real, r.imag), axis=-1)
+
+
+def _edge_resultant(ctx: KernelContext, j: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Traction resultant int_0^x sigma(q_j)(s, y) e_2 ds on the line at
+    height y; x and y broadcast together, and a last axis of 2 is added."""
+    return _EdgeTerms(ctx, x, y).resultant(j)

@@ -8,6 +8,11 @@ domain: the two-sided fibre integral over x in [-L1, L1] with each fibre
 eight pieces of ``boundary_curves``.  ``primal_upper`` is closed form; its
 oracles integrate the y-density of the same energy, once with the adaptive
 path loop and once with mpmath at high precision.
+
+The pair fields are also kept here one load and one field at a time, as
+they were written before ``kernels._PairTerms`` shared their terms: the
+shared evaluation must reproduce them bit for bit, and so must the dual
+fields and diagnostics built on them.
 """
 from __future__ import annotations
 
@@ -16,9 +21,10 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 
-from gapstress import KellerProfile, quadrature
+from gapstress import KellerProfile, Matrix2, SymTensor2, m_constant, quadrature
 from gapstress.geometry import (Curve, _graded_breaks, _line_segment, _vertex_breaks,
                                 boundary_curves, chord_halfheight)
+from gapstress.kernels import KernelContext, _coefficients, _guarded_r2, _split
 from gapstress.quadrature import _K15_NODES, _RULE, IntegralResult, integrate_path
 
 # the four reflections of the cell: identity, x -> -x, y -> -y and both
@@ -163,3 +169,90 @@ def primal_mpmath(geom, mat, j: int, dps: int = 40) -> float:
             step *= 2
         pts += [L] + ([y_cap] if y_cap < L2 else []) + [L2]
         return float(2 * mpmath.quad(density, pts))
+
+
+def _pole_distances(ctx, x):
+    """x1, x2 and the squared distances to p1 and p2; raises at a pole."""
+    x1, x2 = _split(x)
+    return x1, x2, _guarded_r2(x1 + ctx.a, x2), _guarded_r2(x1 - ctx.a, x2)
+
+
+def pair_displacement_per_load(ctx, j: int, x) -> np.ndarray:
+    """q_j, shape (..., 2), from its own evaluation of every term."""
+    kappa, k, c = _coefficients(ctx, j)
+    a = ctx.a
+    x1, x2, rp2, rm2 = _pole_distances(ctx, x)
+    r2_near = np.where(x1 >= 0.0, rm2, rp2)
+    re_L = np.copysign(0.5 * np.log1p(4.0 * a * np.abs(x1) / r2_near), x1)
+    z = x1 + 1j * x2
+    iw = 1.0 / ((z + a) * (z - a))
+    phi_p = (-2.0 * a * k) * iw
+    P = 2.0 * z * iw
+    v = 2.0 * kappa * k * re_L - z * np.conj(phi_p) - np.conj((a * k + c) * P)
+    v /= 2.0 * ctx.material.mu
+    return np.stack((v.real, v.imag), axis=-1)
+
+
+def pair_stress_per_load(ctx, j: int, x) -> SymTensor2:
+    """Stress of q_j from its own evaluation of every term."""
+    kappa, k, c = _coefficients(ctx, j)
+    a = ctx.a
+    x1, x2, _, _ = _pole_distances(ctx, x)
+    z = x1 + 1j * x2
+    iw = 1.0 / ((z + a) * (z - a))
+    iw2 = iw * iw
+    phi_p = (-2.0 * a * k) * iw
+    phi_pp = (4.0 * a * k) * z * iw2
+    psi_p = (2.0 * a * kappa * np.conj(k)) * iw - (2.0 * (a * k + c)) * (z * z + a * a) * iw2
+    tr = 4.0 * phi_p.real
+    dev = 2.0 * (np.conj(z) * phi_pp + psi_p)
+    return SymTensor2(0.5 * (tr - dev.real), 0.5 * dev.imag, 0.5 * (tr + dev.real))
+
+
+def edge_resultant_per_load(ctx, j: int, x, y) -> np.ndarray:
+    """Traction resultant of q_j on the line at height y, from x = 0 to x,
+    from its own evaluation of every term."""
+    kappa, k, c = _coefficients(ctx, j)
+    a = ctx.a
+    z = x + 1j * y
+    w = 1j * y
+    u = -2.0 * a * x / ((z - a) * (w + a))
+    dL = (0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag ** 2)
+          + 1j * np.arctan2(u.imag, 1.0 + u.real))
+    dP = -x / ((z + a) * (w + a)) - x / ((z - a) * (w - a))
+    zb, wb = np.conj(z), np.conj(w)
+    d_zphi = (np.conj(k) * 2.0 * a * x * (3.0 * y * y + 1j * y * x + a * a)
+              / ((zb * zb - a * a) * (wb * wb - a * a)))
+    d_psi = -kappa * np.conj(k) * dL + (a * k + c) * dP
+    r = 1j * (k * dL + d_zphi + np.conj(d_psi))
+    return np.stack((r.real, r.imag), axis=-1)
+
+
+def dual_fields_per_load(geom, mat, j: int):
+    """sigma_total and sigma_c of load j, point by point from the per-load
+    fields: G from the edge resultants at (x, +-L2), F from the edge
+    tractions there."""
+    ctx = KernelContext.from_geometry(geom, mat)
+    scale = m_constant(geom, mat, j) / np.sqrt(geom.eps)
+    L2 = geom.L2
+
+    def sigma_c(pts):
+        x, y = pts[..., 0], pts[..., 1]
+        top, bot = np.full_like(x, L2), np.full_like(x, -L2)
+        G = (scale / (2.0 * L2)) * (edge_resultant_per_load(ctx, j, x, top)
+                                    - edge_resultant_per_load(ctx, j, x, bot))
+        st = pair_stress_per_load(ctx, j, np.stack((x, top), -1))
+        sb = pair_stress_per_load(ctx, j, np.stack((x, bot), -1))
+        wt_top = (y + L2) / (2.0 * L2)
+        wt_bot = (L2 - y) / (2.0 * L2)
+        F0 = -(wt_top * (scale * st.a12) + wt_bot * (scale * sb.a12))
+        F1 = -(wt_top * (scale * st.a22) + wt_bot * (scale * sb.a22))
+        return Matrix2(G[..., 0], F0, G[..., 1], F1)
+
+    def sigma_total(pts):
+        s = pair_stress_per_load(ctx, j, pts)
+        c = sigma_c(pts)
+        return Matrix2(scale * s.a11 + c.a11, scale * s.a12 + c.a12,
+                       scale * s.a12 + c.a21, scale * s.a22 + c.a22)
+
+    return sigma_total, sigma_c

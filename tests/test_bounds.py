@@ -29,7 +29,8 @@ from gapstress import (
     region_classify,
 )
 from gapstress import bounds
-from gapstress.bounds import _dual_diagnostics, _singular_self_energy, _work_integrand
+from gapstress.bounds import (_DiagnosticSamples, _dual_diagnostics, _singular_self_energy,
+                              _work_integrand)
 from gapstress.elasticity import (Matrix2, SymTensor2, compliance_contract, compliance_energy,
                                   energy_density)
 from gapstress.geometry import Curve, boundary_curves, chord_halfheight
@@ -431,8 +432,14 @@ def test_divergence_check_flags_a_divergent_field(shape, j):
         c = dual.sigma_c(p)
         return Matrix2(c.a11 + 1e-3 * p[..., 0], c.a12, c.a21, c.a22)
 
-    assert _dual_diagnostics(g, defective_S, dual.sigma_c).div_residual > 1e-5
-    assert _dual_diagnostics(g, dual.sigma_S, defective_c).div_residual > 1e-5
+    samples = _DiagnosticSamples(g)
+
+    def diagnostics(sigma_S, sigma_c):
+        return samples.read(sigma_S(samples.stencil), sigma_c(samples.with_grid))
+
+    assert diagnostics(dual.sigma_S, dual.sigma_c) == dual.diagnostics
+    assert diagnostics(defective_S, dual.sigma_c).div_residual > 1e-5
+    assert diagnostics(dual.sigma_S, defective_c).div_residual > 1e-5
 
 
 def _per_copy_diagnostics(geom, sigma_total, sigma_c):
@@ -467,23 +474,50 @@ def _per_copy_diagnostics(geom, sigma_total, sigma_c):
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("eps", [1e-2, 1e-5])
 @pytest.mark.parametrize("j", [1, 2])
-def test_dual_diagnostics_call_each_field_once(shape, eps, j):
+def test_dual_diagnostics_call_each_field_once(shape, eps, j, monkeypatch):
     g = SHAPES[shape](eps)
     dual = build_dual_stress(g, UNIT, j)
-    calls = {"S": 0, "c": 0}
-
-    def counted(key, field):
-        def fn(p):
-            calls[key] += 1
-            return field(p)
-        return fn
-
-    d = _dual_diagnostics(g, counted("S", dual.sigma_S), counted("c", dual.sigma_c))
-    assert calls == {"S": 1, "c": 1}
+    # one evaluation of each field on all samples reads as one per sample set
+    samples = _DiagnosticSamples(g)
+    d = samples.read(dual.sigma_S(samples.stencil), dual.sigma_c(samples.with_grid))
     assert d == dual.diagnostics
     got = (d.asymmetry_max, d.bc_residual, d.div_residual)
     want = _per_copy_diagnostics(g, dual.sigma_total, dual.sigma_c)
     assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    # both loads: the grid is classified once, and the pair-field terms are
+    # built once on the stencil and once on the edge lines
+    calls = {}
+
+    def counted(name):
+        fn = getattr(bounds, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        monkeypatch.setattr(bounds, name, wrapper)
+
+    for name in ("region_classify", "_PairTerms", "_EdgeTerms", "singular_stress",
+                 "_edge_resultant"):
+        counted(name)
+    _dual_diagnostics(g, UNIT, (1, 2))
+    assert calls == {"region_classify": 1, "_PairTerms": 2, "_EdgeTerms": 1}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-5])
+def test_two_load_diagnostics_match_per_load_fields(shape, eps):
+    # both loads from one set of shared terms give, bit for bit, each load's
+    # own diagnostics and those of the per-load fields sampled set by set
+    g = SHAPES[shape](eps)
+    both = _dual_diagnostics(g, UNIT, (1, 2))
+    assert set(both) == {1, 2}
+    for j in (1, 2):
+        assert both[j] == build_dual_stress(g, UNIT, j).diagnostics
+        d = both[j]
+        got = (d.asymmetry_max, d.bc_residual, d.div_residual)
+        want = _per_copy_diagnostics(g, *oracles.dual_fields_per_load(g, UNIT, j))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _fibre_self_energy(geom, j: int) -> tuple[float, float]:

@@ -23,9 +23,11 @@ from gapstress import (
     stress_from_gradient,
 )
 from gapstress.geometry import Curve, PathSegment, Region, region_classify
+from gapstress.kernels import _EdgeTerms, _PairTerms, _edge_resultant
 from gapstress.quadrature import integrate_path
 
 from conftest import UNIT, disk_geometry
+import oracles
 
 
 def test_kelvin_at_unit_x():
@@ -202,6 +204,57 @@ def test_pair_field_rejects_pole(j, pole):
         singular_displacement(ctx, j, at)
     with pytest.raises(ValueError):
         singular_stress(ctx, j, at)
+    # the shared terms of both loads guard once, for every field of either
+    with pytest.raises(ValueError):
+        _PairTerms(ctx, np.stack((np.zeros(2), at)))
+
+
+def _shared_term_points(geom, kind):
+    if kind == "scattered":
+        return _matrix_points(geom, 200, seed=23, pole_margin=0.0)
+    if kind == "near-pole":
+        rng = np.random.default_rng(29)
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=40)
+        r = 10.0 ** rng.uniform(-11.0, -9.0, size=40)
+        offsets = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
+        on_axis = np.array([[1e-9, 0.0], [-1e-9, 0.0], [0.0, 1e-9]])
+        return np.concatenate([p + np.concatenate((offsets, on_axis))
+                               for p in (geom.p1, geom.p2)])
+    return np.stack(np.meshgrid(np.linspace(-0.8, 0.8, 4), np.linspace(-1.2, 1.2, 5),
+                                indexing="ij"), axis=-1)
+
+
+@pytest.mark.parametrize("shape", ["disk", "ellipse"])
+@pytest.mark.parametrize("kind", ["scattered", "near-pole", "shaped"])
+def test_shared_terms_match_per_load_fields(shape, kind):
+    geom = (disk_geometry(1e-3) if shape == "disk"
+            else make_gap_geometry(Ellipse(a=1.0, b=2.0), eps=1e-5, L2=2.5))
+    ctx = KernelContext.from_geometry(geom, LameMaterial(lam=2.0, mu=0.7))
+    pts = _shared_term_points(geom, kind)
+    assert kind != "shaped" or pts.shape == (4, 5, 2)
+    # one set of terms for both fields of both loads, the loads in reverse
+    # order, against each field of each load evaluated on its own
+    terms = _PairTerms(ctx, pts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edges = _EdgeTerms(ctx, pts[..., 0], pts[..., 1])
+    for j in (2, 1):
+        want_s = oracles.pair_stress_per_load(ctx, j, pts)
+        want_u = oracles.pair_displacement_per_load(ctx, j, pts)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_r = oracles.edge_resultant_per_load(ctx, j, pts[..., 0], pts[..., 1])
+            got_r = (edges.resultant(j), _edge_resultant(ctx, j, pts[..., 0], pts[..., 1]))
+        for s in (terms.stress(j), singular_stress(ctx, j, pts)):
+            for got, want in zip((s.a11, s.a12, s.a22), (want_s.a11, want_s.a12, want_s.a22)):
+                assert got.shape == pts.shape[:-1]
+                assert np.array_equal(got, want)
+        assert np.array_equal(terms.displacement(j), want_u)
+        assert np.array_equal(singular_displacement(ctx, j, pts), want_u)
+        # the line through p1 meets the resultant's log singularity there,
+        # so near p1 it reads -inf or nan: equal where it is finite, and
+        # non-finite at the same points
+        assert np.isfinite(want_r).any()
+        for got in got_r:
+            np.testing.assert_array_equal(got, want_r)
 
 
 def test_pair_stress_symmetries_at_origin():

@@ -23,6 +23,7 @@ from gapstress import (
     QuadratureError,
     RunConfig,
     VerificationError,
+    build_dual_stress,
     compute_sweep_row,
     effective_moduli,
     fk_asymptotic,
@@ -478,6 +479,30 @@ def test_run_verify_makes_one_path_integral_per_boundary(monkeypatch):
     assert names == ([f"flux i={i} j={j} k={k}" for i in (1, 2) for j in (1, 2) for k in (1, 2)]
                      + [f"energy identity j={j}" for j in (1, 2)]
                      + [f"{c} j={j}" for j in (1, 2) for c in ("edge traction", "divergence")])
+
+
+def test_run_verify_checks_both_loads_diagnostics_in_one_call(monkeypatch):
+    calls = {"diagnostics": [], "build_dual_stress": 0}
+    diagnostics = pipeline._dual_diagnostics
+
+    def counted_diagnostics(geom, mat, loads):
+        calls["diagnostics"].append(loads)
+        return diagnostics(geom, mat, loads)
+
+    def counted_build(*args):
+        calls["build_dual_stress"] += 1
+        return build_dual_stress(*args)
+
+    monkeypatch.setattr(pipeline, "_dual_diagnostics", counted_diagnostics)
+    monkeypatch.setattr(pipeline, "build_dual_stress", counted_build)
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-3,))
+    report = run_verify(cfg)
+    assert calls == {"diagnostics": [(1, 2)], "build_dual_stress": 0}
+    g = make_gap_geometry(cfg.shape, 1e-3, cfg.L2)
+    for j in (1, 2):
+        d = build_dual_stress(g, UNIT, j).diagnostics
+        assert f"ok   edge traction j={j}: max |sigma n| on y=+-L2 is {d.bc_residual:.2e}" in report
+        assert f"ok   divergence j={j}: relative residual {d.div_residual:.2e}" in report
 
 
 # ---------------------------------------------------------------------------
