@@ -470,23 +470,30 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
 # ---------------------------------------------------------------------------
 
 
-def pair_boundary_integral(geom: GapGeometry, mat: LameMaterial, i: int,
+def pair_boundary_integral(geom: GapGeometry, mat: LameMaterial,
                            rel_tol: float = REL_TOL_PATH) -> IntegralResult:
-    """Traction flux and work of both pair fields on inclusion boundary i.
+    """Traction flux and work of both pair fields on both inclusion boundaries.
 
-    One path integral whose value has shape (2, 3): row j - 1 is [flux
-    k=1, flux k=2, work] of q_j, normals pointing out of the matrix region
-    (into the inclusion); each component is held to the tolerance relative
-    to its own scale.
+    One path integral whose value has shape (2, 2, 3): entry [i - 1, j - 1]
+    is [flux k=1, flux k=2, work] of q_j on boundary i, normals pointing out
+    of the matrix region (into the inclusion).  The path is D2's boundary;
+    x -> -x maps it onto D1's with the same speed, so each node also stands
+    for its mirror image on D1, with the mirrored normal, and the field is
+    evaluated at both.  Each of the 12 components is held to the tolerance
+    relative to its own scale.
     """
     ctx = KernelContext.from_geometry(geom, mat)
+    flip = np.array([-1.0, 1.0])
 
     def fn(p: np.ndarray, n: np.ndarray) -> np.ndarray:
-        terms = _PairTerms(ctx, p)
-        return np.concatenate([_traction_work(terms, j, n) for j in (1, 2)], axis=-1)
+        terms = _PairTerms(ctx, np.concatenate((p * flip, p)))
+        both = np.concatenate((n * flip, n))
+        out = np.concatenate([_traction_work(terms, j, both) for j in (1, 2)], axis=-1)
+        # the D1 block, then the D2 block, side by side at each node
+        return np.concatenate(np.split(out, 2), axis=-1)
 
-    res = integrate_path(inclusion_boundary(geom, i), fn, rel_tol)
-    return replace(res, value=res.value.reshape(2, 3))
+    res = integrate_path(inclusion_boundary(geom, 2), fn, rel_tol)
+    return replace(res, value=res.value.reshape(2, 2, 3))
 
 
 def flux_identity_check(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
@@ -496,15 +503,18 @@ def flux_identity_check(geom: GapGeometry, mat: LameMaterial, i: int, j: int,
     The normal points out of the matrix region (into the inclusion); the
     exact value is (-1)^i * delta_jk.
     """
-    return float(pair_boundary_integral(geom, mat, i, rel_tol).value[j - 1, k - 1])
+    if i not in (1, 2):
+        raise ValueError(f"inclusion index must be 1 or 2, got {i}")
+    return float(pair_boundary_integral(geom, mat, rel_tol).value[i - 1, j - 1, k - 1])
 
 
 def energy_identity_check(geom: GapGeometry, mat: LameMaterial, j: int,
                           rel_tol: float = REL_TOL_PATH) -> float:
     """Work integral of the pair field over both inclusion boundaries.
 
-    Approximates the matrix energy of q_j; the normalized combination
-    m_j * result / sqrt(eps) tends to 1 as the gap closes.
+    Sums the work entries of the one path integral of
+    ``pair_boundary_integral``.  Approximates the matrix energy of q_j; the
+    normalized combination m_j * result / sqrt(eps) tends to 1 as the gap
+    closes.
     """
-    return float(sum(pair_boundary_integral(geom, mat, i, rel_tol).value[j - 1, 2]
-                     for i in (1, 2)))
+    return float(pair_boundary_integral(geom, mat, rel_tol).value[:, j - 1, 2].sum())

@@ -349,21 +349,20 @@ def run_verify(cfg: RunConfig, eps: float | None = None) -> list[str]:
         if not ok:
             failures.append(name)
 
-    # row j - 1 is [flux k=1, flux k=2, work] of q_j on inclusion boundary i
-    pair = {i: pair_boundary_integral(geom, cfg.material, i, cfg.rel_tol_path).value
-            for i in (1, 2)}
+    # entry [i - 1, j - 1] is [flux k=1, flux k=2, work] of q_j on inclusion boundary i
+    pair = pair_boundary_integral(geom, cfg.material, cfg.rel_tol_path).value
 
     for i in (1, 2):
         for j in (1, 2):
             for k in (1, 2):
-                got = float(pair[i][j - 1, k - 1])
+                got = float(pair[i - 1, j - 1, k - 1])
                 want = (-1.0) ** i * (1.0 if j == k else 0.0)
                 err = abs(got - want)
                 record(f"flux i={i} j={j} k={k}", err <= 1e-6,
                        f"value {got:+.9f}, expected {want:+.0f}, |err| {err:.2e}")
 
     for j in (1, 2):
-        raw = float(pair[1][j - 1, 2] + pair[2][j - 1, 2])
+        raw = float(pair[0, j - 1, 2] + pair[1, j - 1, 2])
         mj = m_constant(geom, cfg.material, j)
         norm = mj * raw / np.sqrt(eps)
         record(f"energy identity j={j}", 0.9 <= norm <= 1.1 and raw > 0.0,

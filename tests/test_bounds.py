@@ -829,9 +829,9 @@ def test_dual_lower_makes_one_cell_and_two_path_integrals(monkeypatch):
 
 
 @functools.lru_cache(maxsize=None)
-def _disk_pair_flux(i: int) -> np.ndarray:
-    """Both flux components of q_1 and q_2 on boundary i, from one path integral."""
-    return pair_boundary_integral(disk_geometry(1e-3), UNIT, i).value[:, :2]
+def _disk_pair_flux() -> np.ndarray:
+    """Both flux components of q_1 and q_2 on both boundaries, from one path integral."""
+    return pair_boundary_integral(disk_geometry(1e-3), UNIT).value[..., :2]
 
 
 @pytest.mark.parametrize(
@@ -846,7 +846,7 @@ def _disk_pair_flux(i: int) -> np.ndarray:
     ],
 )
 def test_flux_identity(i, j, k, expected):
-    assert _disk_pair_flux(i)[j - 1, k - 1] == pytest.approx(expected, abs=1e-6)
+    assert _disk_pair_flux()[i - 1, j - 1, k - 1] == pytest.approx(expected, abs=1e-6)
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -862,26 +862,68 @@ def test_energy_identity_normalization(j):
                          ids=["disk", "ellipse"])
 @pytest.mark.parametrize("i,j", [(1, 1), (2, 2)])
 def test_pair_boundary_integral_matches_scalar_integrals(geom, i, j):
-    """Each component of the joint integral, both loads, against its own
-    scalar integral; the identity checks of load j read row j - 1."""
+    """Boundary i's six entries of the joint integral, both loads, each
+    against its own scalar integral on boundary i's own parametrization (D1
+    is graded at theta = 0 and 2 pi, not mirrored from D2); the identity
+    checks of load j read entry [i - 1, j - 1]."""
     tol = REL_TOL_PATH
     ctx = KernelContext.from_geometry(geom, UNIT)
     curve = inclusion_boundary(geom, i)
-    joint = pair_boundary_integral(geom, UNIT, i, tol)
-    assert joint.converged and joint.value.shape == (2, 3)
+    joint = pair_boundary_integral(geom, UNIT, tol)
+    assert joint.converged and joint.value.shape == (2, 2, 3)
     for load in (1, 2):
         scalar = [integrate_path(
             curve, lambda p, n, k=k: singular_stress(ctx, load, p).apply(n)[..., k], tol)
             for k in (0, 1)]
         scalar.append(integrate_path(curve, _work_integrand(ctx, load), tol))
-        for got, ref in zip(joint.value[load - 1], scalar):
+        for got, ref in zip(joint.value[i - 1, load - 1], scalar):
+            assert ref.converged
             assert abs(got - ref.value) <= joint.err_estimate + ref.err_estimate
     # the identity checks read the same integral
     for k in (1, 2):
-        assert flux_identity_check(geom, UNIT, i, j, k, tol) == joint.value[j - 1, k - 1]
-    other = pair_boundary_integral(geom, UNIT, 3 - i, tol).value[j - 1, 2]
+        assert flux_identity_check(geom, UNIT, i, j, k, tol) == joint.value[i - 1, j - 1, k - 1]
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            flux_identity_check(geom, UNIT, bad, j, 1, tol)
     assert energy_identity_check(geom, UNIT, j, tol) == pytest.approx(
-        joint.value[j - 1, 2] + other, rel=1e-15)
+        joint.value[0, j - 1, 2] + joint.value[1, j - 1, 2], rel=1e-15)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_pair_integrand_evaluates_d1_at_mirror_images(shape, monkeypatch):
+    """The field is evaluated on both boundaries: the first half of each
+    integrand call's points lies on D1 and the second on D2, each with that
+    boundary's own normal, pointing into the inclusion."""
+    g = SHAPES[shape](1e-3)
+    seen = []
+
+    def spy(terms, j, n):
+        seen.append((np.stack((terms.z.real, terms.z.imag), axis=-1), n))
+        return traction_work(terms, j, n)
+
+    traction_work = bounds._traction_work
+    monkeypatch.setattr(bounds, "_traction_work", spy)
+    pair_boundary_integral(g, UNIT)
+    assert seen
+    A, B = g.half_width, g.half_height
+    for p, n in seen:
+        half = p.shape[0] // 2
+        assert p.shape[0] == 2 * half and n.shape == p.shape
+        for i, cx, rows in ((1, -g.L1, slice(None, half)), (2, g.L1, slice(half, None))):
+
+            def level(q):
+                return ((q[:, 0] - cx) / A) ** 2 + (q[:, 1] / B) ** 2
+
+            # on the ellipse of inclusion i
+            assert np.all(np.abs(level(p[rows]) - 1.0) <= 1e-12), i
+            # the point and normal of inclusion_boundary(g, i) at the same angle
+            x, y = p[rows, 0], p[rows, 1]
+            t = np.mod(np.arctan2(y / B, (x - cx) / A), 2.0 * np.pi) / (2.0 * np.pi)
+            segment = inclusion_boundary(g, i).segments[0]
+            assert np.allclose(segment.point(t), p[rows], rtol=0.0, atol=1e-12), i
+            assert np.allclose(segment.normal(t), n[rows], rtol=0.0, atol=1e-12), i
+            # pointing into inclusion i (half of which lies outside the cell)
+            assert np.all(level(p[rows] + 1e-6 * min(A, B) * n[rows]) < 1.0), i
 
 
 # ---------------------------------------------------------------------------
@@ -896,11 +938,10 @@ QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
 @pytest.mark.parametrize("eps", [1e-2, 1e-5])
 def test_graded_path_errors_cover_a_tight_reference(shape, eps):
     g = SHAPES[shape](eps)
-    for i in (1, 2):
-        got = pair_boundary_integral(g, UNIT, i)
-        ref = pair_boundary_integral(g, UNIT, i, 1e-11)
-        assert got.converged and ref.converged
-        assert np.all(np.abs(got.value - ref.value) <= got.err_estimate), i
+    got = pair_boundary_integral(g, UNIT)
+    ref = pair_boundary_integral(g, UNIT, 1e-11)
+    assert got.converged and ref.converged
+    assert np.all(np.abs(got.value - ref.value) <= got.err_estimate)
     for j in (1, 2):
         got = primal_path_integral(g, UNIT, j, REL_TOL_CELL)
         ref = primal_path_integral(g, UNIT, j, 1e-11)
@@ -918,7 +959,7 @@ def test_gap_path_integrals_converge_in_few_rounds(shape):
     # down to the gap; q_ss runs on the arcs of the matrix boundary
     for eps in SHIPPED_WIDTHS:
         g = SHAPES[shape](eps)
-        results = [pair_boundary_integral(g, UNIT, i) for i in (1, 2)]
+        results = [pair_boundary_integral(g, UNIT)]
         results += [_singular_self_energy(g, UNIT, j, REL_TOL_PATH) for j in (1, 2)]
         for res in results:
             assert res.converged
@@ -935,7 +976,7 @@ def test_graded_roots_save_evals_on_the_identity_grid(monkeypatch):
         for shape, make in SHAPES.items():
             for eps in np.logspace(-2.0, -5.0, 13):
                 g = make(float(eps))
-                total += sum(pair_boundary_integral(g, UNIT, i).evals for i in (1, 2))
+                total += pair_boundary_integral(g, UNIT).evals
         return total
 
     graded = grid_evals()

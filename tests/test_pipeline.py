@@ -462,7 +462,7 @@ def test_run_verify_passes_on_benchmark():
     assert "energy" in joined
 
 
-def test_run_verify_makes_one_path_integral_per_boundary(monkeypatch):
+def test_run_verify_makes_one_path_integral(monkeypatch):
     from gapstress import bounds
 
     calls = []
@@ -474,7 +474,7 @@ def test_run_verify_makes_one_path_integral_per_boundary(monkeypatch):
     monkeypatch.setattr(bounds, "integrate_path", counted)
     cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-3,))
     report = run_verify(cfg)
-    assert len(calls) == 2
+    assert len(calls) == 1
     names = [line[5:].split(":")[0] for line in report if not line.startswith("info")]
     assert names == ([f"flux i={i} j={j} k={k}" for i in (1, 2) for j in (1, 2) for k in (1, 2)]
                      + [f"energy identity j={j}" for j in (1, 2)]
