@@ -46,6 +46,7 @@ from .kernels import (  # noqa: F401
     KernelContext,
     _EdgeTerms,
     _PairTerms,
+    _centre_force,
     _edge_resultant,
     singular_displacement,
     singular_stress,
@@ -225,7 +226,6 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int) -> BoundResult:
 class DualStress:
     sigma_S: Callable[[np.ndarray], SymTensor2]
     sigma_c: StressField
-    sigma_total: StressField
     G: Callable[[np.ndarray], np.ndarray]
     diagnostics: Diagnostics
 
@@ -298,13 +298,8 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
                            _edge_jump(_edge_resultant(ctx, j, ex, ey), scale, L2),
                            singular_stress(ctx, j, np.stack((ex, ey), -1)))
 
-    def sigma_total(pts: np.ndarray) -> Matrix2:
-        s = sigma_S(pts)
-        c = sigma_c(pts)
-        return Matrix2(s.a11 + c.a11, s.a12 + c.a12, s.a12 + c.a21, s.a22 + c.a22)
-
-    return DualStress(sigma_S=sigma_S, sigma_c=sigma_c, sigma_total=sigma_total,
-                      G=G, diagnostics=_dual_diagnostics(geom, mat, (j,))[j])
+    return DualStress(sigma_S=sigma_S, sigma_c=sigma_c, G=G,
+                      diagnostics=_dual_diagnostics(geom, mat, (j,))[j])
 
 
 class _DiagnosticSamples:
@@ -395,9 +390,8 @@ def _work_integrand(ctx: KernelContext, j: int):
 
 def _quarter_boundary(geom: GapGeometry) -> tuple[PathSegment, ...]:
     """The matrix boundary in the quarter cell x >= 0, y >= 0: the top edge
-    (0, L2) -> (L1, L2), then the upper half of gamma_plus, which is the
-    right edge (L1, L2) -> (L1, B) and the arc of D2 from theta = pi/2 to
-    the gap vertex at pi, graded there with first panel ``geom.a``."""
+    (0, L2) -> (L1, L2), the right edge (L1, L2) -> (L1, B) and the arc of D2
+    from theta = pi/2 to the gap vertex at pi, graded there with first panel ``geom.a``."""
     L1, L2, B = geom.L1, geom.L2, geom.half_height
     return (_line_segment((0.0, L2), (L1, L2), (0.0, 1.0)),
             _line_segment((L1, L2), (L1, B), (1.0, 0.0)),
@@ -431,38 +425,32 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
     -q_ss - q_c + 2 lin: ``quad_singular`` q_ss is the compliance energy of
     the singular part (a Green boundary integral), ``quad_cell`` q_c is the
     area integral of sigma_c : C^-1 (sigma_c + 2 sigma_S), and ``boundary``
-    lin is the j-th traction component of the total stress on gamma_plus.
-    Every density is even under x -> -x and y -> -y, so q_c is 4 times the
-    integral over the quarter cell, lin twice the integral over the upper
-    half of gamma_plus, and each error estimate is scaled alike.
+    lin is the j-th traction component of the total stress on gamma_plus:
+    its force across x = 0, |y| <= L2, as sigma is divergence free in the
+    matrix half cell x >= 0 and free of traction on y = +-L2.  That is
+    m_j / sqrt(eps) times the pair field's force (``_centre_force``), with a
+    bar of 64 ulp of its terms' magnitudes, plus sigma_c's, 2 L2 G(0) = 0.
+    The cell density is even in x and in y, so q_c and its error estimate
+    are 4 times those over the quarter cell.
     """
     if dual is None:
         dual = build_dual_stress(geom, mat, j)
 
     def cell_density(p: np.ndarray) -> np.ndarray:
         c = dual.sigma_c(p)
-        s = dual.sigma_S(p)
-        return compliance_energy(c, mat) + 2.0 * compliance_contract(s, c, mat)
-
-    def traction(p: np.ndarray, n: np.ndarray) -> np.ndarray:
-        return dual.sigma_total(p).apply(n)[..., j - 1]
+        return compliance_energy(c, mat) + 2.0 * compliance_contract(dual.sigma_S(p), c, mat)
 
     q_ss = _singular_self_energy(geom, mat, j, rel_tol_path)
     q_c = integrate_cell(geom, cell_density, rel_tol_cell)
-    lin = integrate_path(Curve(segments=_quarter_boundary(geom)[1:]), traction, rel_tol_path)
-
-    value = -q_ss.value - 4.0 * q_c.value + 4.0 * lin.value
-    qerr = q_ss.err_estimate + 4.0 * q_c.err_estimate + 4.0 * lin.err_estimate
+    force, magnitude = _centre_force(geom.a, geom.L2)
+    scale = _dual_scale(geom, mat, j)
+    lin, lin_bar = scale * force, 64.0 * np.finfo(float).eps * scale * magnitude
     return BoundResult(
-        value=float(value),
-        quadrature_err=float(qerr),
-        converged=all(r.converged for r in (q_ss, q_c, lin)),
-        terms={
-            "quad_singular": float(q_ss.value),
-            "quad_cell": float(4.0 * q_c.value),
-            "boundary": float(2.0 * lin.value),
-        },
-    )
+        value=float(-q_ss.value - 4.0 * q_c.value + 2.0 * lin),
+        quadrature_err=float(q_ss.err_estimate + 4.0 * q_c.err_estimate + 2.0 * lin_bar),
+        converged=q_ss.converged and q_c.converged,
+        terms={"quad_singular": float(q_ss.value), "quad_cell": float(4.0 * q_c.value),
+               "boundary": float(lin)})
 
 
 # ---------------------------------------------------------------------------

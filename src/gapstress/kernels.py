@@ -289,3 +289,15 @@ def _edge_resultant(ctx: KernelContext, j: int, x: np.ndarray, y: np.ndarray) ->
     """Traction resultant int_0^x sigma(q_j)(s, y) e_2 ds on the line at
     height y; x and y broadcast together, and a last axis of 2 is added."""
     return _EdgeTerms(ctx, x, y).resultant(j)
+
+
+def _centre_force(a: float, L2: float) -> tuple[float, float]:
+    """Force int sigma(q_j)(0, y) e_1 dy of q_j, poles at +-a, across x = 0,
+    |y| <= L2, as a multiple of e_j, and its terms' magnitudes: it is
+    -i [Phi(i L2) - Phi(-i L2)] as in ``_EdgeTerms``, plus e_j, the point force
+    of L's cut between the poles.  On x = 0, L = -2 i atan(a / y), and the rest
+    of Phi is a multiple of conj(2 a k + c) = 0.  A correction must add its own
+    force across x = 0: the roadmap's Airy correction adds (4 L2 C(0), -2 L2 s(0) + 4 L2^3 D'(0)).
+    """
+    terms = (1.0, -2.0 / np.pi * np.arctan(a / L2))
+    return sum(terms), sum(map(abs, terms))

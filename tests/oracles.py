@@ -1,13 +1,16 @@
 """Test oracles: whole-domain forms of the dual integrals, and the Keller
 primal energy as a quadrature.
 
-``integrate_cell`` and the dual's path integrals cover one symmetry quarter
-of the cell (one half of gamma_plus).  The forms here cover the whole
-domain: the two-sided fibre integral over x in [-L1, L1] with each fibre
-[h(x), L2] stacked with its mirror, and the matrix boundary made of all
-eight pieces of ``boundary_curves``.  ``primal_upper`` is closed form; its
-oracles integrate the y-density of the same energy, once with the adaptive
-path loop and once with mpmath at high precision.
+``integrate_cell`` and the dual's Green path integral cover one symmetry
+quarter of the cell.  The forms here cover the whole domain: the two-sided
+fibre integral over x in [-L1, L1] with each fibre [h(x), L2] stacked with
+its mirror, and the matrix boundary made of all eight pieces of
+``boundary_curves``.  ``primal_upper`` is closed form; its oracles integrate
+the y-density of the same energy, once with the adaptive path loop and once
+with mpmath at high precision.  The dual's load term is closed form too; its
+oracles are the traction integral of the total stress on gamma_plus, which
+``dual_lower`` evaluated before, and the force across x = 0 from mpmath's
+Kolosov-Muskhelishvili Phi.
 
 The pair fields are also kept here one load and one field at a time, as
 they were written before ``kernels._PairTerms`` shared their terms: the
@@ -256,3 +259,37 @@ def dual_fields_per_load(geom, mat, j: int):
                        scale * s.a12 + c.a21, scale * s.a22 + c.a22)
 
     return sigma_total, sigma_c
+
+
+def total_stress(dual, pts) -> Matrix2:
+    """sigma_S + sigma_c of a ``DualStress`` at the points."""
+    s, c = dual.sigma_S(pts), dual.sigma_c(pts)
+    return Matrix2(s.a11 + c.a11, s.a12 + c.a12, s.a12 + c.a21, s.a22 + c.a22)
+
+
+def gamma_plus_load(geom, dual, j: int, rel_tol: float) -> IntegralResult:
+    """The dual's load term by quadrature: the j-th traction component of
+    the total stress, integrated over the whole of gamma_plus."""
+    return integrate_path(boundary_curves(geom)["gamma_plus"],
+                          lambda p, n: total_stress(dual, p).apply(n)[..., j - 1], rel_tol)
+
+
+def centre_force_mpmath(geom, mat, j: int, dps: int = 40) -> float:
+    """The j-th component of q_j's force across x = 0, |y| <= L2, times
+    m_j / sqrt(eps), at ``dps`` digits: e_j - i [Phi(i L2) - Phi(-i L2)] with
+    Phi = phi + z conj(phi') + conj(psi) from the potentials' principal logs
+    and every coefficient of ``_coefficients``."""
+    kappa, k, c = _coefficients(KernelContext.from_geometry(geom, mat), j)
+    with mpmath.workdps(dps):
+        a, k, c, kappa = mpmath.mpf(geom.a), mpmath.mpc(k), mpmath.mpc(c), mpmath.mpf(kappa)
+
+        def Phi(z):
+            L = mpmath.log(z + a) - mpmath.log(z - a)
+            w = (z + a) * (z - a)
+            psi = -kappa * mpmath.conj(k) * L + (a * k + c) * 2 * z / w
+            return k * L + z * mpmath.conj(-2 * a * k / w) + mpmath.conj(psi)
+
+        y = mpmath.mpf(geom.L2)
+        force = (1 if j == 1 else 1j) - 1j * (Phi(1j * y) - Phi(-1j * y))
+        scale = mpmath.mpf(m_constant(geom, mat, j)) / mpmath.sqrt(mpmath.mpf(geom.eps))
+        return float(scale * (force.real if j == 1 else force.imag))

@@ -1,5 +1,6 @@
 """The benchmark tracer wraps gapstress functions at their lookup sites;
-only such a site may bind an import that its module never uses."""
+only such a site may bind an import that its module never uses.  The
+benchmark's identities workload counts the checks of one ``run_verify``."""
 from __future__ import annotations
 
 import ast
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from gapstress import parse_config, run_verify
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "gapbench" / "tracing.py"
+WORKLOADS = ROOT / "gapbench" / "workloads.py"
 
 
 def _sites():
@@ -51,3 +55,21 @@ def test_unused_imports_are_tracer_sites():
 
 def test_unused_import_guard_sees_an_added_import():
     assert _unused_imports("import os\nfrom math import pi, tau\nx = tau\n") == {"os", "pi"}
+
+
+def _checks_per_verify() -> int:
+    """CHECKS_PER_VERIFY of the benchmark's workloads, read without importing
+    the benchmark package."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CHECKS_PER_VERIFY" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no CHECKS_PER_VERIFY in {WORKLOADS}")
+
+
+def test_run_verify_makes_the_checks_the_benchmark_counts():
+    # the identities workload raises when a passing run_verify reports a
+    # different number of checks than it counts
+    lines = run_verify(parse_config(ROOT / "configs" / "disk.cfg"), eps=1e-4)
+    checks = [line for line in lines if not line.startswith("info")]
+    assert len(checks) == _checks_per_verify()

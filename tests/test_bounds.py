@@ -4,6 +4,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +29,13 @@ from gapstress import (
     primal_upper,
     region_classify,
 )
-from gapstress import bounds
+from gapstress import bounds, parse_config
 from gapstress.bounds import (_DiagnosticSamples, _dual_diagnostics, _singular_self_energy,
                               _work_integrand)
 from gapstress.elasticity import (Matrix2, SymTensor2, compliance_contract, compliance_energy,
                                   energy_density)
-from gapstress.geometry import Curve, boundary_curves, chord_halfheight
-from gapstress.kernels import KernelContext, _edge_resultant, singular_stress
+from gapstress.geometry import Curve, chord_halfheight
+from gapstress.kernels import KernelContext, _centre_force, _edge_resultant, singular_stress
 from gapstress.quadrature import cumulative_line_table, integrate_cell, integrate_path
 
 from conftest import CELL_COARSE, CELL_FAST, PATH_FAST, UNIT, disk_geometry
@@ -275,7 +276,7 @@ def test_dual_stress_cancels_edge_traction():
     x = np.linspace(-g.L1, g.L1, 101)
     for ysign in (g.L2, -g.L2):
         pts = np.stack((x, np.full_like(x, ysign)), axis=-1)
-        tot = dual.sigma_total(pts)
+        tot = oracles.total_stress(dual, pts)
         traction = np.stack((tot.a12, tot.a22), axis=-1)
         sing = dual.sigma_S(pts)
         scale = max(np.abs(sing.a12).max(), np.abs(sing.a22).max())
@@ -482,7 +483,7 @@ def test_dual_diagnostics_call_each_field_once(shape, eps, j, monkeypatch):
     d = samples.read(dual.sigma_S(samples.stencil), dual.sigma_c(samples.with_grid))
     assert d == dual.diagnostics
     got = (d.asymmetry_max, d.bc_residual, d.div_residual)
-    want = _per_copy_diagnostics(g, dual.sigma_total, dual.sigma_c)
+    want = _per_copy_diagnostics(g, lambda p: oracles.total_stress(dual, p), dual.sigma_c)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
     # both loads: the grid is classified once, and the pair-field terms are
@@ -634,11 +635,6 @@ def _dual_cell_density(dual, mat):
     return density
 
 
-def _traction(dual, j: int):
-    """dual_lower's load density: the j-th traction component of the total stress."""
-    return lambda p, n: dual.sigma_total(p).apply(n)[..., j - 1]
-
-
 @pytest.mark.parametrize("shape", ["disk", "ellipse"])
 @pytest.mark.parametrize("eps", [1e-2, 1e-5])
 @pytest.mark.parametrize("j", [1, 2])
@@ -662,10 +658,17 @@ def test_cell_density_error_covers_a_tight_reference(shape, eps, j):
 PARITY_MATERIALS = {"unit": UNIT, "lame 3/0.7": LameMaterial(3.0, 0.7)}
 
 
+def _closed_form_load(geom, mat, j: int) -> tuple[float, float]:
+    """dual_lower's load term, m_j / sqrt(eps) times the pair field's force
+    across x = 0, and its rounding bar, 64 ulp of the terms' magnitudes."""
+    force, magnitude = _centre_force(geom.a, geom.L2)
+    scale = m_constant(geom, mat, j) / np.sqrt(geom.eps)
+    return scale * force, 64.0 * np.finfo(float).eps * scale * magnitude
+
+
 def _quarter_samples(geom, n: int = 400):
     """Matrix points of the open quarter cell, crowded towards the gap, and
-    points with their normals on the quarter boundary (top edge, then the
-    upper half of gamma_plus)."""
+    points with their normals on the quarter boundary."""
     rng = np.random.default_rng(0)
     x = geom.L1 * rng.random(n) ** 3
     h = chord_halfheight(geom, x)
@@ -676,8 +679,7 @@ def _quarter_samples(geom, n: int = 400):
         return (np.concatenate([s.point(t) for s in segs]),
                 np.concatenate([s.normal(t) for s in segs]))
 
-    segments = bounds._quarter_boundary(geom)
-    return cell, on(segments), on(segments[1:])
+    return cell, on(bounds._quarter_boundary(geom))
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -686,24 +688,20 @@ def _quarter_samples(geom, n: int = 400):
 @pytest.mark.parametrize("mat", sorted(PARITY_MATERIALS))
 def test_dual_densities_are_even_in_x_and_y(shape, eps, j, mat):
     # the premise of the quarter: dual_lower integrates each density over
-    # one quarter of the cell (one half of gamma_plus) and multiplies by 4 (2)
+    # one quarter of the cell and multiplies by 4
     geom = SHAPES[shape](eps)
     mat = PARITY_MATERIALS[mat]
     dual = build_dual_stress(geom, mat, j)
     ctx = KernelContext.from_geometry(geom, mat)
-    cell, (q, n), (q_plus, n_plus) = _quarter_samples(geom)
+    cell, (q, n) = _quarter_samples(geom)
     densities = [(lambda r: _dual_cell_density(dual, mat)(cell * r)),
-                 (lambda r: _work_integrand(ctx, j)(q * r, n * r)),
-                 (lambda r: _traction(dual, j)(q_plus * r, n_plus * r))]
+                 (lambda r: _work_integrand(ctx, j)(q * r, n * r))]
     for k, density in enumerate(densities):
         f = [density(r) for r in REFLECTIONS]
         top = np.abs(f[0]).max()
         assert top > 0.0
-        # the traction on gamma_minus, the x mirror of gamma_plus, is opposite
-        # (the two inclusions carry opposite loads); lin reads gamma_plus only
-        signs = (-1.0, 1.0, -1.0) if k == 2 else (1.0, 1.0, 1.0)
-        for r, sign in enumerate(signs, start=1):
-            assert np.abs(f[r] - sign * f[0]).max() <= 1e-12 * top, (k, r)
+        for r in (1, 2, 3):
+            assert np.abs(f[r] - f[0]).max() <= 1e-12 * top, (k, r)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -713,9 +711,9 @@ def test_dual_densities_are_even_in_x_and_y(shape, eps, j, mat):
                                                (REL_TOL_CELL, REL_TOL_PATH)])
 def test_quarter_terms_match_whole_domain_oracles(shape, eps, j, tol_cell, tol_path,
                                                   monkeypatch):
-    # 4 x the quarter q_c, 4 x the quarter q_ss and 2 x the half lin against
-    # the mirrored fibres over [-L1, L1], the eight-piece matrix boundary and
-    # the whole gamma_plus
+    # 4 x the quarter q_c and 4 x the quarter q_ss against the mirrored
+    # fibres over [-L1, L1] and the eight-piece matrix boundary, and the
+    # closed-form load term against the traction integral on gamma_plus
     geom = SHAPES[shape](eps)
     dual = build_dual_stress(geom, UNIT, j)
     cells, paths = [], []
@@ -731,12 +729,13 @@ def test_quarter_terms_match_whole_domain_oracles(shape, eps, j, tol_cell, tol_p
     monkeypatch.setattr(bounds, "integrate_cell", cell)
     monkeypatch.setattr(bounds, "integrate_path", path)
     res = dual_lower(geom, UNIT, j, rel_tol_cell=tol_cell, rel_tol_path=tol_path, dual=dual)
-    (q_c,), (work, lin) = cells, paths
+    (q_c,), (work,) = cells, paths
     scale2 = m_constant(geom, UNIT, j) ** 2 / geom.eps
+    lin, bar = _closed_form_load(geom, UNIT, j)
     assert res.terms == {"quad_singular": 4.0 * scale2 * work.value,
-                         "quad_cell": 4.0 * q_c.value, "boundary": 2.0 * lin.value}
+                         "quad_cell": 4.0 * q_c.value, "boundary": lin}
     assert res.quadrature_err == pytest.approx(
-        4.0 * (scale2 * work.err_estimate + q_c.err_estimate + lin.err_estimate), rel=1e-14)
+        4.0 * (scale2 * work.err_estimate + q_c.err_estimate) + 2.0 * bar, rel=1e-14)
 
     ctx = KernelContext.from_geometry(geom, UNIT)
     cases = [
@@ -744,12 +743,60 @@ def test_quarter_terms_match_whole_domain_oracles(shape, eps, j, tol_cell, tol_p
          whole_cell_integral(geom, _dual_cell_density(dual, UNIT), tol_cell)),
         (4.0 * work.value, 4.0 * work.err_estimate,
          integrate_path(matrix_boundary(geom), _work_integrand(ctx, j), tol_path)),
-        (2.0 * lin.value, 2.0 * lin.err_estimate,
-         integrate_path(boundary_curves(geom)["gamma_plus"], _traction(dual, j), tol_path)),
+        (lin, bar, oracles.gamma_plus_load(geom, dual, j, tol_path)),
     ]
     for k, (got, err, oracle) in enumerate(cases):
         assert oracle.converged, k
         assert abs(got - oracle.value) <= err + oracle.err_estimate, k
+
+
+# ---------------------------------------------------------------------------
+# the dual's load term in closed form
+# ---------------------------------------------------------------------------
+
+SHIPPED_CONFIGS = ("configs/disk.cfg", "configs/ellipse.cfg")
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("mat", sorted(PARITY_MATERIALS))
+def test_closed_form_load_matches_gamma_plus_integral(shape, eps, j, mat):
+    # the traction integral on gamma_plus that the closed form replaces, at
+    # a tight tolerance: the force across x = 0 must fall within its estimate
+    geom = SHAPES[shape](eps)
+    mat = PARITY_MATERIALS[mat]
+    lin, bar = _closed_form_load(geom, mat, j)
+    oracle = oracles.gamma_plus_load(geom, build_dual_stress(geom, mat, j), j, 1e-12)
+    assert oracle.converged
+    assert 0.0 < bar <= 1e-13 * lin
+    assert abs(lin - oracle.value) <= oracle.err_estimate + bar
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("mat", sorted(PARITY_MATERIALS))
+def test_closed_form_load_matches_mpmath_phi(shape, eps, j, mat):
+    # e_j - i [Phi(i L2) - Phi(-i L2)] at 40 digits, with every coefficient,
+    # so the terms the closed form drops must vanish to the bar
+    geom = SHAPES[shape](eps)
+    mat = PARITY_MATERIALS[mat]
+    lin, bar = _closed_form_load(geom, mat, j)
+    assert abs(lin - oracles.centre_force_mpmath(geom, mat, j)) <= bar
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS)
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+def test_sigma_c_carries_no_force_across_the_centre_line(path, eps, j):
+    # dual_lower takes the load term from sigma_S alone: sigma_c's force
+    # across x = 0 is 2 L2 G(0), and G is a resultant from x = 0
+    cfg = parse_config(ROOT / path)
+    geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
+    G0 = build_dual_stress(geom, cfg.material, j).G(np.array([0.0]))
+    assert G0.tolist() == [[0.0, 0.0]]
 
 
 def test_singular_self_energy_pinned_value():
@@ -800,7 +847,7 @@ def test_dual_term_decomposition(j):
     assert abs(t["quad_cell"]) <= 0.05 * t["quad_singular"]
 
 
-def test_dual_lower_makes_one_cell_and_two_path_integrals(monkeypatch):
+def test_dual_lower_makes_one_cell_and_one_path_integral(monkeypatch):
     g = disk_geometry(1e-2)
     dual = build_dual_stress(g, UNIT, 1)
     calls = {"cell": [], "path": 0}
@@ -822,9 +869,11 @@ def test_dual_lower_makes_one_cell_and_two_path_integrals(monkeypatch):
     monkeypatch.setattr(bounds, "integrate_path", path)
     dual_lower(g, UNIT, 1, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST,
                dual=replace(dual, sigma_c=sigma_c))
+    # the cell integral q_c and the Green path integral q_ss; the load term
+    # is closed form
     assert len(calls["cell"]) == 1
-    assert calls["path"] == 2
-    # sigma_c runs once per cell node; the traction uses sigma_total
+    assert calls["path"] == 1
+    # sigma_c runs once per cell node and nowhere else
     assert sigma_c_points[0] == calls["cell"][0].evals
 
 
