@@ -307,19 +307,27 @@ class _DiagnosticSamples:
 
     The edge traction is read on 100 points of each horizontal edge, where
     it is built to cancel exactly.  Asymmetry and divergence are read on the
-    matrix points of a 41 x 41 grid: sigma_S and sigma_c are both evaluated
-    on ``stencil`` (the edges and the grid's four shifted copies +x, -x, +y,
-    -y, for central differences), and sigma_c also on the grid itself,
-    where only its asymmetry is read (sigma_S is symmetric by
-    construction); ``with_grid`` is the stencil followed by the grid.
+    matrix points of the symmetry quarter of a 41 x 41 grid: its last 21
+    abscissae and last 21 ordinates, from the gap centre (a rounding error
+    off it) to the cell corner.  The two nuclei of strain mirror each other
+    across the gap, so every component of sigma_S + sigma_c is even or odd in
+    x and in y, and the quantities whose maxima are read are even in both:
+    the quarter's maxima are the whole grid's, up to rounding.  sigma_S and
+    sigma_c are both evaluated on ``stencil`` (the edges and the grid's four
+    shifted copies +x, -x, +y, -y, for central differences), and sigma_c
+    also on the grid itself, where only its asymmetry is read (sigma_S is
+    symmetric by construction); ``with_grid`` is the stencil followed by
+    the grid.
     """
 
     def __init__(self, geom: GapGeometry) -> None:
         L1, L2 = geom.L1, geom.L2
         xs = np.linspace(-L1, L1, 100)
         edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
-        gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41),
-                             np.linspace(-L2 * 0.995, L2 * 0.995, 41), indexing="ij")
+        # sliced by index, not by sign, so the gap centre's sample stays
+        # where the whole grid has it
+        gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41)[20:],
+                             np.linspace(-L2 * 0.995, L2 * 0.995, 41)[20:], indexing="ij")
         pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
         pts = pts[region_classify(geom, pts) == int(Region.MATRIX)]
         # central differences with a step tied to the distance from the

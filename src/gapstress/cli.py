@@ -184,6 +184,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return 3
     except VerificationError as exc:
+        for line in exc.lines:
+            print(line)
         print(f"verification failure: {exc}", file=sys.stderr)
         return 4
 

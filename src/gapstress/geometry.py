@@ -123,10 +123,6 @@ class GapGeometry:
         return self.shape.half_height
 
     @property
-    def center1(self) -> tuple[float, float]:
-        return (-self.L1, 0.0)
-
-    @property
     def center2(self) -> tuple[float, float]:
         return (self.L1, 0.0)
 

@@ -54,7 +54,12 @@ class ConfigError(Exception):
 
 
 class VerificationError(Exception):
-    """One or more identity checks failed."""
+    """One or more identity checks failed; ``lines`` is the report of every
+    check, as ``run_verify`` would have returned it."""
+
+    def __init__(self, message: str, lines: list[str] | None = None) -> None:
+        super().__init__(message)
+        self.lines = lines or []
 
 
 @dataclass(frozen=True)
@@ -330,7 +335,8 @@ def write_csv(rows: list[SweepRow], path: str | Path) -> None:
 
 
 def run_verify(cfg: RunConfig, eps: float | None = None) -> list[str]:
-    """Identity checks at one gap width; raises VerificationError on failure.
+    """Identity checks at one gap width; raises VerificationError, carrying
+    the report lines, on failure.
 
     Returns the per-check report lines (also useful for logging).  The flux
     identity is exact, the energy identity has an O(sqrt(eps)) correction,
@@ -379,5 +385,5 @@ def run_verify(cfg: RunConfig, eps: float | None = None) -> list[str]:
 
     if failures:
         raise VerificationError(
-            f"{len(failures)} verification check(s) failed: " + ", ".join(failures))
+            f"{len(failures)} verification check(s) failed: " + ", ".join(failures), lines)
     return lines

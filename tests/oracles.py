@@ -15,7 +15,10 @@ Kolosov-Muskhelishvili Phi.
 The pair fields are also kept here one load and one field at a time, as
 they were written before ``kernels._PairTerms`` shared their terms: the
 shared evaluation must reproduce them bit for bit, and so must the dual
-fields and diagnostics built on them.
+fields and diagnostics built on them.  The diagnostics are kept with one
+field call per sample set, on the symmetry quarter of the 41 x 41 grid that
+``bounds._DiagnosticSamples`` samples, or on the whole grid, whose maxima
+the quarter must reproduce up to rounding.
 """
 from __future__ import annotations
 
@@ -24,9 +27,9 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 
-from gapstress import KellerProfile, Matrix2, SymTensor2, m_constant, quadrature
+from gapstress import KellerProfile, Matrix2, Region, SymTensor2, m_constant, quadrature
 from gapstress.geometry import (Curve, _graded_breaks, _line_segment, _vertex_breaks,
-                                boundary_curves, chord_halfheight)
+                                boundary_curves, chord_halfheight, region_classify)
 from gapstress.kernels import KernelContext, _coefficients, _guarded_r2, _split
 from gapstress.quadrature import _K15_NODES, _RULE, IntegralResult, integrate_path
 
@@ -265,6 +268,39 @@ def total_stress(dual, pts) -> Matrix2:
     """sigma_S + sigma_c of a ``DualStress`` at the points."""
     s, c = dual.sigma_S(pts), dual.sigma_c(pts)
     return Matrix2(s.a11 + c.a11, s.a12 + c.a12, s.a12 + c.a21, s.a22 + c.a22)
+
+
+def per_copy_diagnostics(geom, sigma_total, sigma_c, quarter: bool = False
+                         ) -> tuple[float, float, float]:
+    """(asymmetry_max, bc_residual, div_residual) with one field call per
+    sample set: the 200 edge points, the matrix points of the 41 x 41 grid
+    (sigma_c only) and the grid's four shifted copies.  With ``quarter`` the
+    grid is its symmetry quarter, its last 21 abscissae and ordinates."""
+    L1, L2 = geom.L1, geom.L2
+    xs = np.linspace(-L1, L1, 100)
+    edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
+    s = sigma_total(edges)
+    bc = float(np.abs(np.stack((s.a12, s.a22), axis=-1)).max())
+    keep = slice(20 if quarter else 0, None)
+    gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41)[keep],
+                         np.linspace(-L2 * 0.995, L2 * 0.995, 41)[keep], indexing="ij")
+    pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
+    pts = pts[region_classify(geom, pts) == int(Region.MATRIX)]
+    sc = sigma_c(pts)
+    asym = float(np.abs(sc.a12 - sc.a21).max())
+    dist = np.minimum(np.linalg.norm(pts - geom.p1, axis=-1),
+                      np.linalg.norm(pts - geom.p2, axis=-1))
+    h = 6e-6 * dist
+    ex = np.stack((h, np.zeros_like(h)), axis=-1)
+    ey = np.stack((np.zeros_like(h), h), axis=-1)
+    s = sigma_total(np.stack((pts + ex, pts - ex, pts + ey, pts - ey)))
+    inv2h = 1.0 / (2.0 * h)
+    d_col1_dx = np.stack(((s.a11[0] - s.a11[1]) * inv2h, (s.a21[0] - s.a21[1]) * inv2h), axis=-1)
+    d_col2_dy = np.stack(((s.a12[2] - s.a12[3]) * inv2h, (s.a22[2] - s.a22[3]) * inv2h), axis=-1)
+    resid = np.abs(d_col1_dx + d_col2_dy).max(axis=-1)
+    mag = (np.abs(s.a11) + np.abs(s.a12) + np.abs(s.a21) + np.abs(s.a22)).max(axis=0)
+    div = float((resid * dist / mag).max())
+    return asym, bc, div
 
 
 def gamma_plus_load(geom, dual, j: int, rel_tol: float) -> IntegralResult:

@@ -411,8 +411,9 @@ def test_dual_correction_magnitude_stable_across_sweep():
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("j", [1, 2])
 def test_divergence_check_passes_at_symmetry_sample(shape, j):
-    # at this width the 41 x 41 sample grid has a point a rounding error off
-    # the gap center, where every first derivative of sigma vanishes
+    # at this width the quarter of the 41 x 41 sample grid has a point a
+    # rounding error off the gap center, where every first derivative of
+    # sigma vanishes
     g = SHAPES[shape](10.0 ** -2.5)
     dual = build_dual_stress(g, UNIT, j)
     assert dual.diagnostics.div_residual <= 1e-5
@@ -443,35 +444,6 @@ def test_divergence_check_flags_a_divergent_field(shape, j):
     assert diagnostics(dual.sigma_S, defective_c).div_residual > 1e-5
 
 
-def _per_copy_diagnostics(geom, sigma_total, sigma_c):
-    """The diagnostics with one field call per sample set: the edges, the
-    grid (sigma_c only) and the four shifted copies of the grid."""
-    L1, L2 = geom.L1, geom.L2
-    xs = np.linspace(-L1, L1, 100)
-    edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
-    s = sigma_total(edges)
-    bc = float(np.abs(np.stack((s.a12, s.a22), axis=-1)).max())
-    gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41),
-                         np.linspace(-L2 * 0.995, L2 * 0.995, 41), indexing="ij")
-    pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
-    pts = pts[region_classify(geom, pts) == int(Region.MATRIX)]
-    sc = sigma_c(pts)
-    asym = float(np.abs(sc.a12 - sc.a21).max())
-    dist = np.minimum(np.linalg.norm(pts - geom.p1, axis=-1),
-                      np.linalg.norm(pts - geom.p2, axis=-1))
-    h = 6e-6 * dist
-    ex = np.stack((h, np.zeros_like(h)), axis=-1)
-    ey = np.stack((np.zeros_like(h), h), axis=-1)
-    s = sigma_total(np.stack((pts + ex, pts - ex, pts + ey, pts - ey)))
-    inv2h = 1.0 / (2.0 * h)
-    d_col1_dx = np.stack(((s.a11[0] - s.a11[1]) * inv2h, (s.a21[0] - s.a21[1]) * inv2h), axis=-1)
-    d_col2_dy = np.stack(((s.a12[2] - s.a12[3]) * inv2h, (s.a22[2] - s.a22[3]) * inv2h), axis=-1)
-    resid = np.abs(d_col1_dx + d_col2_dy).max(axis=-1)
-    mag = (np.abs(s.a11) + np.abs(s.a12) + np.abs(s.a21) + np.abs(s.a22)).max(axis=0)
-    div = float((resid * dist / mag).max())
-    return asym, bc, div
-
-
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("eps", [1e-2, 1e-5])
 @pytest.mark.parametrize("j", [1, 2])
@@ -483,7 +455,8 @@ def test_dual_diagnostics_call_each_field_once(shape, eps, j, monkeypatch):
     d = samples.read(dual.sigma_S(samples.stencil), dual.sigma_c(samples.with_grid))
     assert d == dual.diagnostics
     got = (d.asymmetry_max, d.bc_residual, d.div_residual)
-    want = _per_copy_diagnostics(g, lambda p: oracles.total_stress(dual, p), dual.sigma_c)
+    want = oracles.per_copy_diagnostics(g, lambda p: oracles.total_stress(dual, p),
+                                        dual.sigma_c, quarter=True)
     assert [v.hex() for v in got] == [v.hex() for v in want]
 
     # both loads: the grid is classified once, and the pair-field terms are
@@ -517,8 +490,29 @@ def test_two_load_diagnostics_match_per_load_fields(shape, eps):
         assert both[j] == build_dual_stress(g, UNIT, j).diagnostics
         d = both[j]
         got = (d.asymmetry_max, d.bc_residual, d.div_residual)
-        want = _per_copy_diagnostics(g, *oracles.dual_fields_per_load(g, UNIT, j))
+        want = oracles.per_copy_diagnostics(g, *oracles.dual_fields_per_load(g, UNIT, j),
+                                            quarter=True)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 10.0 ** -2.5, 1e-3, 1e-5])
+def test_quarter_diagnostics_read_the_whole_grid(shape, eps):
+    # the quarter's samples are a subset of the whole grid's, so no
+    # diagnostic reads higher; the maxima read are of quantities even in x
+    # and in y, so the asymmetry and the edge traction read the same, and
+    # the divergence, finite-difference noise, close to it
+    g = SHAPES[shape](eps)
+    both = _dual_diagnostics(g, UNIT, (1, 2))
+    for j in (1, 2):
+        dual = build_dual_stress(g, UNIT, j)
+        asym, bc, div = oracles.per_copy_diagnostics(
+            g, lambda p: oracles.total_stress(dual, p), dual.sigma_c)
+        d = both[j]
+        assert d.asymmetry_max <= asym and d.bc_residual <= bc and d.div_residual <= div
+        assert abs(d.asymmetry_max - asym) <= 1e-13 * asym
+        assert d.bc_residual == bc
+        assert d.div_residual >= 0.5 * div
 
 
 def _fibre_self_energy(geom, j: int) -> tuple[float, float]:
@@ -702,6 +696,35 @@ def test_dual_densities_are_even_in_x_and_y(shape, eps, j, mat):
         assert top > 0.0
         for r in (1, 2, 3):
             assert np.abs(f[r] - f[0]).max() <= 1e-12 * top, (k, r)
+
+
+# sign of each component (a11, a12, a21, a22) of sigma_S + sigma_c under
+# x -> -x and under y -> -y
+PARITY = {1: np.array([1.0, -1.0, -1.0, 1.0]), 2: np.array([-1.0, 1.0, 1.0, -1.0])}
+
+
+def _components(m: Matrix2) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(m.a11, m.a12, m.a21, m.a22), axis=-1)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+def test_dual_stress_components_have_one_parity_per_load(shape, eps, j):
+    # the premise of the diagnostics' quarter grid: the pair of nuclei
+    # mirrors across the gap, so each component of the total stress, and
+    # of sigma_c, is even or odd in x and in y, the same way in both; a
+    # component that vanishes identically (G1 for j = 1, G0 for j = 2)
+    # passes either way
+    geom = SHAPES[shape](eps)
+    dual = build_dual_stress(geom, UNIT, j)
+    cell, _ = _quarter_samples(geom)
+    for field in (lambda p: oracles.total_stress(dual, p), dual.sigma_c):
+        f = [_components(field(cell * r)) for r in REFLECTIONS]
+        top = np.abs(f[0]).max(axis=0)
+        assert np.all(top[PARITY[j] > 0.0] > 0.0)
+        for r in (1, 2):
+            assert np.all(np.abs(f[r] - PARITY[j] * f[0]).max(axis=0) <= 1e-12 * top), r
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

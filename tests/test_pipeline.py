@@ -633,6 +633,21 @@ def test_cli_exit_code_4_on_verification_failure(config_file, monkeypatch):
     assert rc == 4
 
 
+def test_cli_verify_prints_its_report_on_exit_4(capsys):
+    # the disk's j=1 energy identity fails at its widest width; the report
+    # still shows every check and the failing value
+    rc = cli.main(["verify", "--config", str(SHIPPED_CONFIGS / "disk.cfg"), "--eps", "1e-2"])
+    assert rc == 4
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [ln for ln in lines if ln.startswith("FAIL")] == [
+        "FAIL energy identity j=1: normalized 1.159995 (raw 1.230793e-02)"]
+    assert sum(ln.startswith("ok   ") for ln in lines) == 13
+    assert "all verification checks passed" not in captured.out
+    assert captured.err == ("verification failure: 1 verification check(s) failed: "
+                            "energy identity j=1\n")
+
+
 def test_import_loads_no_scipy():
     # SciPy is a test dependency only; importing it would add ~0.5 s to
     # every gapstress start-up
