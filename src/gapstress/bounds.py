@@ -16,12 +16,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-# energy_density, cumulative_line_table and singular_displacement are not
-# called here; they stay bound because gapbench's tracer wraps every
-# integrator, kernel and density at its name in this module.  The pair
-# integrals and the diagnostics assemble the pair fields from _PairTerms,
-# shared by stress and displacement and by both loads, so the tracer sees
-# singular_stress only in sigma_S and sigma_c
+# energy_density, integrate_cell, cumulative_line_table and
+# singular_displacement are not called here; they stay bound because
+# gapbench's tracer wraps every integrator, kernel and density at its name
+# in this module.  The pair integrals, the diagnostics and the cell term
+# assemble the pair fields from _PairTerms, shared by stress and
+# displacement and by both loads, so the tracer sees singular_stress only in
+# sigma_S and sigma_c
 from .elasticity import (  # noqa: F401
     LameMaterial,
     Matrix2,
@@ -37,6 +38,7 @@ from .geometry import (
     Region,
     _ellipse_arc,
     _line_segment,
+    chord_halfheight,
     gap_halfwidth,
     gap_halfwidth_deriv,
     inclusion_boundary,
@@ -45,6 +47,7 @@ from .geometry import (
 from .kernels import (  # noqa: F401
     KernelContext,
     _EdgeTerms,
+    _FibreTerms,
     _PairTerms,
     _centre_force,
     _edge_resultant,
@@ -53,8 +56,9 @@ from .kernels import (  # noqa: F401
 )
 from .quadrature import (
     IntegralResult,
+    _fibre_breaks,
     cumulative_line_table,  # noqa: F401
-    integrate_cell,
+    integrate_cell,  # noqa: F401
     integrate_path,
 )
 
@@ -239,41 +243,43 @@ def _scaled(s: SymTensor2, scale: float) -> SymTensor2:
     return SymTensor2(scale * s.a11, scale * s.a12, scale * s.a22)
 
 
-def _edge_lines(pts: np.ndarray, L2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct abscissae xu of the points on both edge lines, y = +L2
-    then y = -L2, as coordinate arrays x, y; and the index of each point's
-    abscissa in xu, shaped like the points."""
-    xu, inv = np.unique(pts[..., 0], return_inverse=True)
-    return inv.reshape(pts.shape[:-1]), np.tile(xu, 2), np.repeat((L2, -L2), xu.size)
+def _affine_coefficients(j: int, scale: float, L2: float, traction: SymTensor2,
+                         resultant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, alpha, beta) of sigma_c at abscissae x, each of shape (n, 2),
+    from the unscaled pair stress ``traction`` at (x, L2) and the pair
+    field's traction resultant there.
+
+    sigma_c has first column G(x) and second column alpha(x) + beta(x) y / L2.
+    G is the cumulative traction jump across the horizontal edges, scaled
+    and over 2 L2, and the second column interpolates minus the scaled edge
+    tractions linearly in y, so the total traction vanishes on y = +-L2 and
+    each row stays divergence free.  Each component of sigma(q_j) e_2, and of
+    its resultant, is even or odd in y, so the values at y = -L2 follow from
+    those at L2: sigma_12 is odd for j = 1 and sigma_22 for j = 2.
+    """
+    odd = np.array([j == 1, j == 2], dtype=float)
+    t = np.stack((traction.a12, traction.a22), axis=-1)
+    return (scale / L2) * odd * resultant, -scale * (1.0 - odd) * t, -scale * odd * t
 
 
-def _edge_jump(r: np.ndarray, scale: float, L2: float) -> np.ndarray:
-    """G at xu from the pair field's traction resultant r on both edge lines."""
-    n = r.shape[0] // 2
-    return (scale / (2.0 * L2)) * (r[:n] - r[n:])
-
-
-def _correction(y: np.ndarray, inv: np.ndarray, L2: float, scale: float,
-                Gu: np.ndarray, edges: SymTensor2) -> Matrix2:
-    """sigma_c at points of ordinate y and abscissa xu[inv], from G at xu and
-    the unscaled pair stress on both edge lines at xu."""
-    n = Gu.shape[0]
-    wt_top = (y + L2) / (2.0 * L2)
-    wt_bot = (L2 - y) / (2.0 * L2)
-    F0 = -(wt_top * (scale * edges.a12[:n])[inv] + wt_bot * (scale * edges.a12[n:])[inv])
-    F1 = -(wt_top * (scale * edges.a22[:n])[inv] + wt_bot * (scale * edges.a22[n:])[inv])
-    return Matrix2(Gu[:, 0][inv], F0, Gu[:, 1][inv], F1)
+def _correction(y: np.ndarray, inv: np.ndarray, L2: float, G: np.ndarray,
+                alpha: np.ndarray, beta: np.ndarray) -> Matrix2:
+    """sigma_c at points of ordinate y and abscissa xu[inv], from its
+    coefficients at xu (``_affine_coefficients``)."""
+    eta = y / L2
+    return Matrix2(G[:, 0][inv], alpha[:, 0][inv] + beta[:, 0][inv] * eta,
+                   G[:, 1][inv], alpha[:, 1][inv] + beta[:, 1][inv] * eta)
 
 
 def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStress:
     """Assemble the admissible dual stress for load j.
 
     The singular part is the pair field scaled by m_j/sqrt(eps).  The
-    correction has first column G(x), the cumulative traction jump across
-    the horizontal edges in closed form (``_edge_resultant``), and second
-    column F(x, y), the linear interpolant in y of minus the edge tractions,
-    so that the total traction vanishes identically on y = +-L2 and each
-    row stays divergence free.
+    correction sigma_c is affine in y at each x (``_affine_coefficients``):
+    its first column G(x) is the cumulative traction jump across the
+    horizontal edges in closed form (``_edge_resultant``), and its second
+    column interpolates minus the edge tractions, so that the total traction
+    vanishes identically on y = +-L2 and each row stays divergence free.
     """
     scale = _dual_scale(geom, mat, j)
     ctx = KernelContext.from_geometry(geom, mat)
@@ -282,21 +288,20 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
     def sigma_S(pts: np.ndarray) -> SymTensor2:
         return _scaled(singular_stress(ctx, j, pts), scale)
 
+    def coefficients(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        top = np.stack((x, np.full_like(x, L2)), axis=-1)
+        return _affine_coefficients(j, scale, L2, singular_stress(ctx, j, top),
+                                    _edge_resultant(ctx, j, x, L2))
+
     def G(x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        # one call on both edge lines
-        return _edge_jump(_edge_resultant(ctx, j, np.tile(x, 2), np.repeat((L2, -L2), x.size)),
-                          scale, L2)
+        return coefficients(np.asarray(x, dtype=float))[0]
 
     def sigma_c(pts: np.ndarray) -> Matrix2:
         pts = np.asarray(pts, dtype=float)
-        # G and the two edge tractions depend on x alone, and fibres repeat
-        # each x along a column, so evaluate them once per distinct x: one
-        # pair-field call on both edge lines, read component by component
-        inv, ex, ey = _edge_lines(pts, L2)
-        return _correction(pts[..., 1], inv, L2, scale,
-                           _edge_jump(_edge_resultant(ctx, j, ex, ey), scale, L2),
-                           singular_stress(ctx, j, np.stack((ex, ey), -1)))
+        # the coefficients depend on x alone, and fibres repeat each x along
+        # a column, so evaluate them once per distinct x
+        xu, inv = np.unique(pts[..., 0], return_inverse=True)
+        return _correction(pts[..., 1], inv.reshape(pts.shape[:-1]), L2, *coefficients(xu))
 
     return DualStress(sigma_S=sigma_S, sigma_c=sigma_c, G=G,
                       diagnostics=_dual_diagnostics(geom, mat, (j,))[j])
@@ -365,20 +370,21 @@ class _DiagnosticSamples:
 def _dual_diagnostics(geom: GapGeometry, mat: LameMaterial,
                       loads: tuple[int, ...]) -> dict[int, Diagnostics]:
     """The diagnostics of the dual stress of each load, from one set of
-    samples: the pair-field terms on the stencil and on the edge lines at the
-    distinct abscissae are evaluated once, and each load's sigma_S and
-    sigma_c are assembled from them."""
+    samples: the pair-field terms on the stencil and on the upper edge line
+    at the distinct abscissae are evaluated once, and each load's sigma_S
+    and sigma_c are assembled from them."""
     samples = _DiagnosticSamples(geom)
     ctx = KernelContext.from_geometry(geom, mat)
-    inv, ex, ey = _edge_lines(samples.with_grid, geom.L2)
+    L2 = geom.L2
+    xu, inv = np.unique(samples.with_grid[..., 0], return_inverse=True)
     on_stencil = _PairTerms(ctx, samples.stencil)
-    on_edges = _PairTerms(ctx, np.stack((ex, ey), -1))
-    resultant = _EdgeTerms(ctx, ex, ey)
+    on_edge = _PairTerms(ctx, np.stack((xu, np.full_like(xu, L2)), -1))
+    resultant = _EdgeTerms(ctx, xu, L2)
     out = {}
     for j in loads:
         scale = _dual_scale(geom, mat, j)
-        C = _correction(samples.with_grid[..., 1], inv, geom.L2, scale,
-                        _edge_jump(resultant.resultant(j), scale, geom.L2), on_edges.stress(j))
+        C = _correction(samples.with_grid[..., 1], inv, L2, *_affine_coefficients(
+            j, scale, L2, on_edge.stress(j), resultant.resultant(j)))
         out[j] = samples.read(_scaled(on_stencil.stress(j), scale), C)
     return out
 
@@ -406,6 +412,25 @@ def _quarter_boundary(geom: GapGeometry) -> tuple[PathSegment, ...]:
             _ellipse_arc(L1, geom.half_width, B, np.pi / 2.0, np.pi, (np.pi,), geom.a))
 
 
+def _fibre_axis(geom: GapGeometry) -> Curve:
+    """The x-axis from 0 to L1 on the root breaks of ``_fibre_breaks``:
+    straight across the gap, where the fibres start at h = 0, then
+    x = eps/2 + A t^2 for t in [0, 1], which makes the chord
+    h = B t sqrt(2 - t^2) analytic at its square-root onset x = eps/2."""
+    half, A = geom.eps / 2.0, geom.half_width
+    xb = _fibre_breaks(geom)
+    gap = replace(_line_segment((0.0, 0.0), (half, 0.0), (0.0, 1.0)), breaks=(0.0, 1.0))
+
+    def point(t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.stack((half + A * t * t, np.zeros_like(t)), axis=-1)
+
+    beside = PathSegment(point=point, speed=lambda t: 2.0 * A * np.asarray(t, dtype=float),
+                         normal=lambda t: np.broadcast_to((0.0, 1.0), np.shape(t) + (2,)),
+                         breaks=tuple(np.sqrt((xb[1:-1] - half) / A)) + (1.0,))
+    return Curve(segments=(gap, beside))
+
+
 def _singular_self_energy(geom: GapGeometry, mat: LameMaterial, j: int,
                           rel_tol: float) -> IntegralResult:
     """Matrix integral of sigma_S : C^-1 sigma_S for the scaled pair field.
@@ -423,33 +448,64 @@ def _singular_self_energy(geom: GapGeometry, mat: LameMaterial, j: int,
     return replace(work, value=scale * work.value, err_estimate=scale * work.err_estimate)
 
 
+def _cell_energy(geom: GapGeometry, mat: LameMaterial, j: int,
+                 rel_tol: float) -> IntegralResult:
+    """Integral of sigma_c : C^-1 (sigma_c + 2 sigma_S) over the matrix part
+    of the quarter cell x >= 0, y >= 0, as one path integral over x in
+    [0, L1] on ``_fibre_axis``.
+
+    At each x the fibre [h(x), L2] is integrated exactly.  sigma_c is
+    c0 + eta c1 with eta = y / L2, c0 = (G, alpha) and c1 = (0, beta) by
+    columns, so its energy is a quadratic in eta whose moments are
+    elementary, and the cross term needs only the integrals of sigma_S and of
+    eta sigma_S along the fibre (``kernels._FibreTerms``).  The pair terms
+    at (x, L2) serve both the edge traction and the fibre's upper end.
+    """
+    ctx = KernelContext.from_geometry(geom, mat)
+    scale = _dual_scale(geom, mat, j)
+    L2 = geom.L2
+
+    def fibres(pts: np.ndarray, _normals: np.ndarray) -> np.ndarray:
+        x = pts[:, 0]
+        h = chord_halfheight(geom, x)
+        fibre = _FibreTerms(ctx, x, h, L2)
+        G, alpha, beta = _affine_coefficients(j, scale, L2, fibre.upper_stress(j),
+                                              _EdgeTerms(ctx, x, L2).resultant(j))
+        c0 = Matrix2(G[:, 0], alpha[:, 0], G[:, 1], alpha[:, 1])
+        c1 = Matrix2(0.0, beta[:, 0], 0.0, beta[:, 1])
+        s0, s1 = fibre.moments(j)
+        # int_h^L2 eta^k dy for k = 0, 1, 2
+        eta = h / L2
+        n0, n1, n2 = L2 * (1.0 - eta), L2 * (1.0 - eta ** 2) / 2.0, L2 * (1.0 - eta ** 3) / 3.0
+        return (n0 * compliance_energy(c0, mat) + 2.0 * n1 * compliance_contract(c0, c1, mat)
+                + n2 * compliance_energy(c1, mat)
+                + 2.0 * compliance_contract(_scaled(s0, scale), c0, mat)
+                + 2.0 * compliance_contract(_scaled(s1, scale / L2), c1, mat))
+
+    return integrate_path(_fibre_axis(geom), fibres, rel_tol)
+
+
 def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
                rel_tol_cell: float = REL_TOL_CELL,
-               rel_tol_path: float = REL_TOL_PATH,
-               dual: DualStress | None = None) -> BoundResult:
+               rel_tol_path: float = REL_TOL_PATH) -> BoundResult:
     """Dual functional on the assembled stress: a lower value for the energy.
 
     The functional is quadratic in sigma = sigma_S + sigma_c, so its value is
     -q_ss - q_c + 2 lin: ``quad_singular`` q_ss is the compliance energy of
-    the singular part (a Green boundary integral), ``quad_cell`` q_c is the
-    area integral of sigma_c : C^-1 (sigma_c + 2 sigma_S), and ``boundary``
-    lin is the j-th traction component of the total stress on gamma_plus:
-    its force across x = 0, |y| <= L2, as sigma is divergence free in the
-    matrix half cell x >= 0 and free of traction on y = +-L2.  That is
-    m_j / sqrt(eps) times the pair field's force (``_centre_force``), with a
-    bar of 64 ulp of its terms' magnitudes, plus sigma_c's, 2 L2 G(0) = 0.
-    The cell density is even in x and in y, so q_c and its error estimate
-    are 4 times those over the quarter cell.
+    the singular part (a Green boundary integral at ``rel_tol_path``),
+    ``quad_cell`` q_c is the area integral of sigma_c : C^-1 (sigma_c +
+    2 sigma_S), an x integral over exact fibres at ``rel_tol_cell``
+    (``_cell_energy``), and ``boundary`` lin is the j-th traction component
+    of the total stress on gamma_plus: its force across x = 0, |y| <= L2, as
+    sigma is divergence free in the matrix half cell x >= 0 and free of
+    traction on y = +-L2.  That is m_j / sqrt(eps) times the pair field's
+    force (``_centre_force``), with a bar of 64 ulp of its terms'
+    magnitudes, plus sigma_c's, 2 L2 G(0) = 0.  The cell density is even in
+    x and in y, so q_c and its error estimate are 4 times those over the
+    quarter cell.
     """
-    if dual is None:
-        dual = build_dual_stress(geom, mat, j)
-
-    def cell_density(p: np.ndarray) -> np.ndarray:
-        c = dual.sigma_c(p)
-        return compliance_energy(c, mat) + 2.0 * compliance_contract(dual.sigma_S(p), c, mat)
-
     q_ss = _singular_self_energy(geom, mat, j, rel_tol_path)
-    q_c = integrate_cell(geom, cell_density, rel_tol_cell)
+    q_c = _cell_energy(geom, mat, j, rel_tol_cell)
     force, magnitude = _centre_force(geom.a, geom.L2)
     scale = _dual_scale(geom, mat, j)
     lin, lin_bar = scale * force, 64.0 * np.finfo(float).eps * scale * magnitude

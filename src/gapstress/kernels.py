@@ -21,7 +21,9 @@ the load-independent terms at one point set once (the pole guard, z and
 1/w), and its ``stress``/``displacement`` assemble one load's field from
 them; ``_EdgeTerms`` does the same for the edge-traction resultant (the
 differences of L and P, with their logs and arctangents, and the
-z conj(phi') polynomial and denominator).  A caller that needs several
+z conj(phi') polynomial and denominator), and ``_FibreTerms`` for the
+primitives of the stress along vertical fibres, from which the dual's cell
+term integrates each fibre exactly.  A caller that needs several
 loads or both fields at one point set builds the terms once;
 ``singular_displacement``, ``singular_stress`` and ``_edge_resultant`` are
 the terms and one assembly.  The individual nuclei serve ``gapstress
@@ -283,6 +285,65 @@ class _EdgeTerms:
         d_psi = -kappa * np.conj(k) * self.dL + (a * k + c) * self.dP
         r = 1j * (k * self.dL + d_zphi + np.conj(d_psi))
         return np.stack((r.real, r.imag), axis=-1)
+
+
+class _FibreTerms(_PairTerms):
+    """The pair terms at both ends of the vertical fibres from (x, y0) up to
+    (x, y1), upper ends first (x, y0 and y1 broadcast together, to one
+    dimension), plus the load-independent terms of the stress's primitives
+    along them.
+
+    On a vertical line dz = i dy, conj(z) = 2x - z and y = -i (z - x), so
+    with T = sigma11 + sigma22 and D = sigma22 - sigma11 + 2 i sigma12, and
+    Phi1, Psi1 primitives of phi and psi,
+
+        int T dy = 4 Im phi,          int D dy = -2 i [conj(z) phi' + phi + psi],
+        int y T dy = -4 Re[(z - x) phi - Phi1],
+        int y D dy = -2 [g phi' - (3x - 2z) phi - 2 Phi1 + (z - x) psi - Psi1],
+
+    with g = (z - x)(2x - z), Phi1 = k I, Psi1 = -kappa conj(k) I +
+    (a k + c)(log(z + a) + log(z - a)) and I = (z + a) log(z + a) -
+    (z - a) log(z - a).  Principal logs: a fibre end on the real axis
+    between the poles must carry y = +0, the upper side of L's cut.
+    """
+
+    def __init__(self, ctx: KernelContext, x, y0, y1) -> None:
+        x, y0, y1 = np.broadcast_arrays(x, y0, y1)
+        self.n = x.size
+        super().__init__(ctx, np.stack((np.concatenate((x, x)), np.concatenate((y1, y0))), -1))
+        a = ctx.a
+        log_p, log_m = np.log(self.z + a), np.log(self.z - a)
+        self.L = log_p - log_m
+        self.I = (self.z + a) * log_p - (self.z - a) * log_m
+        self.log_w = log_p + log_m
+
+    def upper_stress(self, j: int) -> SymTensor2:
+        """Stress of q_j at the upper ends (x, y1)."""
+        s, n = self.stress(j), self.n
+        return SymTensor2(s.a11[:n], s.a12[:n], s.a22[:n])
+
+    def moments(self, j: int) -> tuple[SymTensor2, SymTensor2]:
+        """The integrals of sigma(q_j) and of y sigma(q_j) in y along the
+        fibres: the primitives of T, D, y T and y D at the upper ends minus
+        those at the lower ends."""
+        kappa, k, c = _coefficients(self._ctx, j)
+        a, z, iw = self._ctx.a, self.z, self.iw
+        # on the vertical line z - x = i y, 2x - z = conj(z) and 3x - 2z = conj(z) - i y
+        iy, zb = 1j * z.imag, np.conj(z)
+        phi = k * self.L
+        phi_p = (-2.0 * a * k) * iw
+        psi = -kappa * np.conj(k) * self.L + (2.0 * (a * k + c)) * z * iw
+        Phi1 = k * self.I
+        Psi1 = -kappa * np.conj(k) * self.I + (a * k + c) * self.log_w
+        p = np.stack((4.0 * phi.imag,
+                      -2j * (zb * phi_p + phi + psi),
+                      -4.0 * (iy * phi - Phi1).real,
+                      -2.0 * (iy * zb * phi_p - (zb - iy) * phi - 2.0 * Phi1 + iy * psi - Psi1)),
+                     axis=-1)
+        m = p[:self.n] - p[self.n:]
+        T, D, yT, yD = m[:, 0].real, m[:, 1], m[:, 2].real, m[:, 3]
+        return (SymTensor2(0.5 * (T - D.real), 0.5 * D.imag, 0.5 * (T + D.real)),
+                SymTensor2(0.5 * (yT - yD.real), 0.5 * yD.imag, 0.5 * (yT + yD.real)))
 
 
 def _edge_resultant(ctx: KernelContext, j: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -235,7 +235,7 @@ def compute_sweep_row(cfg: RunConfig, eps: float, j: int) -> SweepRow:
     geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
     up = primal_upper(geom, cfg.material, j)
     dual = build_dual_stress(geom, cfg.material, j)
-    lo = dual_lower(geom, cfg.material, j, cfg.rel_tol_cell, cfg.rel_tol_path, dual)
+    lo = dual_lower(geom, cfg.material, j, cfg.rel_tol_cell, cfg.rel_tol_path)
     root = np.sqrt(eps)
     mj = m_constant(geom, cfg.material, j)
     # widen by the quadrature errors so the interval holds whatever the

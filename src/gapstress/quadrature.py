@@ -9,12 +9,16 @@ its quarters and, on inclusion arcs, panels graded from the gap vertex at
 the pole offset's scale).  They evaluate the rule on every panel, then
 greedily split the panels carrying most of the error estimate until the
 global estimate meets the tolerance or the panels reach _MAX_DEPTH
-bisections.  Matrix integrals cover the quarter cell x >= 0,
-y >= 0, whose four mirror images make up the cell, and use the same loop
-on [0, L1]: the matrix is vertically simple, so at each outer node the
-integrand is integrated in y over the exact fibre [h(x), L2] with one
-panel template of the same rule.  The cumulative table, the test oracle of
-the dual correction G, runs the loop on the x-axis too and sums its final
+bisections.  The matrix is vertically simple: at each x in [0, L1] the
+quarter cell x >= 0, y >= 0 (whose four mirror images make up the cell)
+holds the exact fibre [h(x), L2], and the fibres' root panels in x
+(``_fibre_breaks``) grow away from the chord onset at eps/2.  The dual's
+cell term integrates each fibre in closed form, so it is one path integral
+over x on those breaks (``bounds._cell_energy``).  ``integrate_cell``, the
+cell integrator for any integrand and the tests' oracle of that term, runs
+the same loop on [0, L1] and integrates every fibre in y with one panel
+template of the same rule.  The cumulative table, the test oracle of the
+dual correction G, runs the loop on the x-axis too and sums its final
 panels outward from 0.  Evaluations are batched across panels, traversal
 and summation order are fixed, and no randomness is used, so repeated runs
 are bit-identical.
@@ -302,6 +306,15 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: lis
     return fibres
 
 
+def _fibre_breaks(geom: GapGeometry) -> np.ndarray:
+    """Root panel edges in x of an integral over the quarter cell's fibres.
+    h(x) has its square-root onset at x = eps/2, where the pair field varies
+    on the scale eps, so they are 0, eps/2 and then eps/2 + eps 8^k, growing
+    _OUTER_GRADING-fold away from the onset, up to L1."""
+    return np.asarray([0.0] + _graded_breaks(geom.eps / 2.0, geom.L1, geom.eps, _OUTER_GRADING)
+                      + [geom.L1])
+
+
 def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResult:
     """Integral of a scalar field over the matrix part of the quarter cell
     x >= 0, y >= 0.
@@ -310,13 +323,14 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     in both has a quarter of its cell integral here; the cell integral of
     any other integrand is this integral of its four-fold symmetrization.
     Iterated quadrature on vertical fibres.  The outer integral over
-    x in [0, L1] runs the adaptive path loop on the x-axis from root panels
-    graded geometrically away from the chord onset at eps/2.  At each outer
-    node the inner integral covers [h(x), L2] with one panel template for
-    every fibre, so each round hands all fibres to ``integrand`` as (n, 2)
-    points in chunks of at most _EVAL_CHUNK.  Outer panels and template
-    panels use the same Gauss-Kronrod 7/15 rule: the value is K15, and K15
-    contains the G7 nodes, so its estimate costs no extra points.
+    x in [0, L1] runs the adaptive path loop on the x-axis from the root
+    panels of ``_fibre_breaks``, graded away from the chord onset at eps/2.
+    At each outer node the inner integral covers [h(x), L2] with one panel
+    template for every fibre, so each round hands all fibres to
+    ``integrand`` as (n, 2) points in chunks of at most _EVAL_CHUNK.
+    Outer panels and template panels use the same Gauss-Kronrod 7/15 rule:
+    the value is K15, and K15 contains the G7 nodes, so its estimate costs
+    no extra points.
 
     The error estimate is the outer |K15 - G7| plus the outer-weighted
     inner |K15 - G7|.  The outer loop gets half of the tolerance; while
@@ -326,11 +340,8 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     fields are smooth there.
     """
     _check_tol(rel_tol)
-    # h(x) has its square-root onset at x = eps/2, where the pair field
-    # varies on the scale eps: outer root panels grow away from the onset
-    xb = [0.0] + _graded_breaks(geom.eps / 2.0, geom.L1, geom.eps, _OUTER_GRADING) + [geom.L1]
     x_axis = Curve(segments=(replace(_line_segment((0.0, 0.0), (geom.L1, 0.0), (0.0, 1.0)),
-                                     breaks=tuple(np.asarray(xb) / geom.L1)),))
+                                     breaks=tuple(_fibre_breaks(geom) / geom.L1)),))
     # fibre y = h + (L2 - h) tau: template panels start at sqrt(eps), the
     # pair field's y-scale at the gap, and grow up to half the fibre
     tau = np.asarray(_graded_breaks(0.0, 0.5, np.sqrt(geom.eps) / geom.L2, _FIBRE_GRADING) + [1.0])

@@ -12,6 +12,10 @@ oracles are the traction integral of the total stress on gamma_plus, which
 ``dual_lower`` evaluated before, and the force across x = 0 from mpmath's
 Kolosov-Muskhelishvili Phi.
 
+The integrals of the pair stress along vertical fibres, which the dual's
+cell term takes in closed form (``kernels._FibreTerms``), are kept here
+as a tight adaptive path integral of the stress itself.
+
 The pair fields are also kept here one load and one field at a time, as
 they were written before ``kernels._PairTerms`` shared their terms: the
 shared evaluation must reproduce them bit for bit, and so must the dual
@@ -30,7 +34,8 @@ import numpy as np
 from gapstress import KellerProfile, Matrix2, Region, SymTensor2, m_constant, quadrature
 from gapstress.geometry import (Curve, _graded_breaks, _line_segment, _vertex_breaks,
                                 boundary_curves, chord_halfheight, region_classify)
-from gapstress.kernels import KernelContext, _coefficients, _guarded_r2, _split
+from gapstress.kernels import (KernelContext, _coefficients, _guarded_r2, _split,
+                               singular_stress)
 from gapstress.quadrature import _K15_NODES, _RULE, IntegralResult, integrate_path
 
 # the four reflections of the cell: identity, x -> -x, y -> -y and both
@@ -109,6 +114,25 @@ def whole_cell_integral(geom, integrand, rel_tol: float) -> IntegralResult:
     total_err = outer_err + inner_err
     return IntegralResult(value=float(total[0]), err_estimate=total_err, panels_used=x0.size,
                           converged=bool(total_err <= 2.0 * half_tol), evals=counter[0])
+
+
+def fibre_moments_quadrature(ctx, j: int, x: float, y0: float, y1: float,
+                             rel_tol: float) -> IntegralResult:
+    """The integrals of sigma(q_j) and of y sigma(q_j) along the vertical
+    segment from (x, y0) to (x, y1), by the adaptive path loop; value
+    [s11, s12, s22, y s11, y s12, y s22].  The root panels grow 2-fold from
+    y0, starting at a quarter of the pole offset, the scale on which the
+    field varies near the gap."""
+    segment = _line_segment((x, y0), (x, y1), (1.0, 0.0))
+    length = y1 - y0
+    segment = replace(segment, breaks=tuple(_graded_breaks(0.0, 1.0, ctx.a / (4.0 * length), 2.0)
+                                            + [1.0]))
+
+    def fn(p: np.ndarray, _n: np.ndarray) -> np.ndarray:
+        s, y = singular_stress(ctx, j, p), p[:, 1]
+        return np.stack((s.a11, s.a12, s.a22, y * s.a11, y * s.a12, y * s.a22), axis=-1)
+
+    return integrate_path(Curve(segments=(segment,)), fn, rel_tol)
 
 
 def _keller_coefficients(mat, j: int) -> tuple[float, float]:
@@ -236,24 +260,25 @@ def edge_resultant_per_load(ctx, j: int, x, y) -> np.ndarray:
 
 def dual_fields_per_load(geom, mat, j: int):
     """sigma_total and sigma_c of load j, point by point from the per-load
-    fields: G from the edge resultants at (x, +-L2), F from the edge
-    tractions there."""
+    fields: G from the edge resultant at (x, L2), the second column
+    alpha + beta y / L2 from the edge traction there, the values at -L2
+    following from the load's parity (sigma_12 odd in y for j = 1, sigma_22
+    for j = 2)."""
     ctx = KernelContext.from_geometry(geom, mat)
     scale = m_constant(geom, mat, j) / np.sqrt(geom.eps)
     L2 = geom.L2
+    odd = np.array([j == 1, j == 2], dtype=float)
 
     def sigma_c(pts):
         x, y = pts[..., 0], pts[..., 1]
-        top, bot = np.full_like(x, L2), np.full_like(x, -L2)
-        G = (scale / (2.0 * L2)) * (edge_resultant_per_load(ctx, j, x, top)
-                                    - edge_resultant_per_load(ctx, j, x, bot))
+        top = np.full_like(x, L2)
         st = pair_stress_per_load(ctx, j, np.stack((x, top), -1))
-        sb = pair_stress_per_load(ctx, j, np.stack((x, bot), -1))
-        wt_top = (y + L2) / (2.0 * L2)
-        wt_bot = (L2 - y) / (2.0 * L2)
-        F0 = -(wt_top * (scale * st.a12) + wt_bot * (scale * sb.a12))
-        F1 = -(wt_top * (scale * st.a22) + wt_bot * (scale * sb.a22))
-        return Matrix2(G[..., 0], F0, G[..., 1], F1)
+        t = np.stack((st.a12, st.a22), axis=-1)
+        G = (scale / L2) * odd * edge_resultant_per_load(ctx, j, x, top)
+        alpha, beta = -scale * (1.0 - odd) * t, -scale * odd * t
+        eta = y / L2
+        return Matrix2(G[..., 0], alpha[..., 0] + beta[..., 0] * eta,
+                       G[..., 1], alpha[..., 1] + beta[..., 1] * eta)
 
     def sigma_total(pts):
         s = pair_stress_per_load(ctx, j, pts)

@@ -30,8 +30,8 @@ from gapstress import (
     region_classify,
 )
 from gapstress import bounds, parse_config
-from gapstress.bounds import (_DiagnosticSamples, _dual_diagnostics, _singular_self_energy,
-                              _work_integrand)
+from gapstress.bounds import (_cell_energy, _DiagnosticSamples, _dual_diagnostics,
+                              _singular_self_energy, _work_integrand)
 from gapstress.elasticity import (Matrix2, SymTensor2, compliance_contract, compliance_energy,
                                   energy_density)
 from gapstress.geometry import Curve, chord_halfheight
@@ -283,19 +283,57 @@ def test_dual_stress_cancels_edge_traction():
         assert np.abs(traction).max() <= 1e-10 * scale
 
 
-def _sigma_c_per_point(dual, L2, pts):
-    """The correction field evaluated one point at a time, as
-    (..., [c11, c12, c21, c22])."""
-    e2 = np.array([0.0, 1.0])
+def _sigma_c_per_point(geom, mat, j, pts):
+    """The correction field evaluated one point at a time from its affine
+    coefficients, as (..., [c11, c12, c21, c22])."""
+    ctx = KernelContext.from_geometry(geom, mat)
+    scale = m_constant(geom, mat, j) / np.sqrt(geom.eps)
+    L2 = geom.L2
     flat = np.asarray(pts, dtype=float).reshape(-1, 2)
     out = np.empty((flat.shape[0], 4))
     for n, (x, y) in enumerate(flat):
-        G = dual.G(np.array([x]))[0]
-        top = dual.sigma_S(np.array([[x, L2]])).apply(e2)[0]
-        bot = dual.sigma_S(np.array([[x, -L2]])).apply(e2)[0]
-        F = -((y + L2) / (2.0 * L2) * top + (L2 - y) / (2.0 * L2) * bot)
+        G, alpha, beta = (c[0] for c in bounds._affine_coefficients(
+            j, scale, L2, singular_stress(ctx, j, np.array([[x, L2]])),
+            _edge_resultant(ctx, j, np.array([x]), L2)))
+        F = alpha + beta * (y / L2)
         out[n] = (G[0], F[0], G[1], F[1])
     return out.reshape(np.shape(pts)[:-1] + (4,))
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("material", ["unit", "stiff"])
+def test_sigma_c_is_the_affine_form_of_its_coefficients(shape, eps, j, material):
+    # sigma_c, the diagnostics and the cell term all read _affine_coefficients;
+    # its second column interpolates minus the scaled edge tractions of
+    # sigma_S on both edges, and its first column is the edge jump G, the
+    # lower edge's values taken from the load's parity
+    g = SHAPES[shape](eps)
+    mat = MATERIALS[material]
+    dual = build_dual_stress(g, mat, j)
+    ctx = KernelContext.from_geometry(g, mat)
+    scale = m_constant(g, mat, j) / np.sqrt(g.eps)
+    L2 = g.L2
+    rng = np.random.default_rng(5)
+    pts = rng.uniform([-g.L1, -L2], [g.L1, L2], size=(400, 2))
+    pts = pts[region_classify(g, pts) == Region.MATRIX][:100]
+    x, y = pts[:, 0], pts[:, 1]
+    sc = dual.sigma_c(pts)
+    got = np.stack((sc.a11, sc.a12, sc.a21, sc.a22), axis=-1)
+    G, alpha, beta = bounds._affine_coefficients(
+        j, scale, L2, singular_stress(ctx, j, np.stack((x, np.full_like(x, L2)), -1)),
+        _edge_resultant(ctx, j, x, L2))
+    F = alpha + beta * (y / L2)[:, None]
+    np.testing.assert_array_equal(got, np.stack((G[:, 0], F[:, 0], G[:, 1], F[:, 1]), axis=-1))
+    # the same field from both edges, evaluated independently, to rounding
+    e2 = np.array([0.0, 1.0])
+    top = dual.sigma_S(np.stack((x, np.full_like(x, L2)), -1)).apply(e2)
+    bot = dual.sigma_S(np.stack((x, np.full_like(x, -L2)), -1)).apply(e2)
+    F = -(((y + L2) / (2.0 * L2))[:, None] * top + ((L2 - y) / (2.0 * L2))[:, None] * bot)
+    G = (scale / (2.0 * L2)) * (_edge_resultant(ctx, j, x, L2) - _edge_resultant(ctx, j, x, -L2))
+    both_edges = np.stack((G[:, 0], F[:, 0], G[:, 1], F[:, 1]), axis=-1)
+    assert np.abs(got - both_edges).max() <= 8.0 * np.finfo(float).eps * np.abs(got).max()
 
 
 @pytest.mark.parametrize("j", [1, 2])
@@ -325,7 +363,7 @@ def test_sigma_c_matches_per_point_evaluation(j, monkeypatch):
         assert shaped.shape == (4, 5, 2)
         for pts in (tensor, scattered, shaped):
             # one pair-field call and one edge-resultant call per sigma_c
-            # call, each on both edge lines at once
+            # call, each on the upper edge line: the lower one follows by parity
             calls.clear()
             edge_calls.clear()
             monkeypatch.setattr(bounds, "singular_stress", counting)
@@ -333,11 +371,11 @@ def test_sigma_c_matches_per_point_evaluation(j, monkeypatch):
             sc = dual.sigma_c(pts)
             monkeypatch.setattr(bounds, "singular_stress", singular_stress)
             monkeypatch.setattr(bounds, "_edge_resultant", _edge_resultant)
-            assert calls == [(2 * np.unique(pts[..., 0]).size, 2)]
-            assert edge_calls == [(2 * np.unique(pts[..., 0]).size,)]
+            assert calls == [(np.unique(pts[..., 0]).size, 2)]
+            assert edge_calls == [(np.unique(pts[..., 0]).size,)]
             got = np.stack((sc.a11, sc.a12, sc.a21, sc.a22), axis=-1)
             assert got.shape == pts.shape[:-1] + (4,)
-            np.testing.assert_array_equal(got, _sigma_c_per_point(dual, g.L2, pts))
+            np.testing.assert_array_equal(got, _sigma_c_per_point(g, UNIT, j, pts))
 
 
 def _edge_jump(dual, L2):
@@ -602,18 +640,20 @@ def test_cell_terms_match_cubature_oracle(shape, j, rel_tol, monkeypatch):
         geom, lambda p: compliance_energy(dual.sigma_c(p), UNIT), rel_tol))
     q_sc = quarter_to_cell(integrate_cell(
         geom, lambda p: compliance_contract(dual.sigma_S(p), dual.sigma_c(p), UNIT), rel_tol))
-    # dual_lower's one cell integral q_c = q_cc + 2 q_sc, with its own error
-    q_c = []
+    # dual_lower's cell term q_c = q_cc + 2 q_sc, its second path integral:
+    # one x integral over exact fibres, with its own error
+    paths = []
 
     def recording(*args):
-        q_c.append(integrate_cell(*args))
-        return q_c[-1]
+        paths.append(integrate_path(*args))
+        return paths[-1]
 
-    monkeypatch.setattr(bounds, "integrate_cell", recording)
-    res = dual_lower(geom, UNIT, j, rel_tol_cell=rel_tol, rel_tol_path=PATH_FAST, dual=dual)
-    assert res.terms["quad_cell"] == 4.0 * q_c[0].value
+    monkeypatch.setattr(bounds, "integrate_path", recording)
+    res = dual_lower(geom, UNIT, j, rel_tol_cell=rel_tol, rel_tol_path=PATH_FAST)
+    q_c = paths[1]
+    assert res.terms["quad_cell"] == 4.0 * q_c.value
     cases = [(q_cc, oracle[0], oracle_err[0]), (q_sc, oracle[1], oracle_err[1]),
-             (quarter_to_cell(q_c[0]), oracle[0] + 2.0 * oracle[1],
+             (quarter_to_cell(q_c), oracle[0] + 2.0 * oracle[1],
               oracle_err[0] + 2.0 * oracle_err[1])]
     for got, ref, ref_err in cases:
         assert got.converged
@@ -633,16 +673,31 @@ def _dual_cell_density(dual, mat):
 @pytest.mark.parametrize("eps", [1e-2, 1e-5])
 @pytest.mark.parametrize("j", [1, 2])
 def test_cell_density_error_covers_a_tight_reference(shape, eps, j):
-    # the fibre estimate |K15 - G7| plus the outer one must cover
-    # the miss of the dual cell density q_c at the tolerances a row uses
+    # the x integral's estimate |K15 - G7| (its fibres are exact) must
+    # cover the miss of the dual cell density q_c at the tolerances a row
+    # uses, against the iterated fibre quadrature of the density
     geom = SHAPES[shape](eps)
     density = _dual_cell_density(build_dual_stress(geom, UNIT, j), UNIT)
     ref = integrate_cell(geom, density, 1e-10)
     assert ref.converged
     for rel_tol in (1e-3, 1e-6):
-        res = integrate_cell(geom, density, rel_tol)
+        res = _cell_energy(geom, UNIT, j, rel_tol)
         assert res.converged
         assert abs(res.value - ref.value) <= res.err_estimate, rel_tol
+
+
+@pytest.mark.parametrize("path", ["configs/disk.cfg", "configs/ellipse.cfg"])
+def test_cell_energy_takes_one_round_on_the_root_panels(path):
+    # cost guard: at the benchmark's rel_tol_cell, the cell term on the
+    # shipped widths is the K15 rule on the root x panels, with no refinement
+    cfg = parse_config(ROOT / path)
+    for eps in cfg.eps_list:
+        geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
+        roots = sum(len(s.breaks) - 1 for s in bounds._fibre_axis(geom).segments)
+        for j in (1, 2):
+            res = _cell_energy(geom, cfg.material, j, 1e-3)
+            assert res.converged
+            assert (res.rounds, res.evals) == (1, 15 * roots), (eps, j)
 
 
 # ---------------------------------------------------------------------------
@@ -739,20 +794,15 @@ def test_quarter_terms_match_whole_domain_oracles(shape, eps, j, tol_cell, tol_p
     # closed-form load term against the traction integral on gamma_plus
     geom = SHAPES[shape](eps)
     dual = build_dual_stress(geom, UNIT, j)
-    cells, paths = [], []
-
-    def cell(*args):
-        cells.append(integrate_cell(*args))
-        return cells[-1]
+    paths = []
 
     def path(*args):
         paths.append(integrate_path(*args))
         return paths[-1]
 
-    monkeypatch.setattr(bounds, "integrate_cell", cell)
     monkeypatch.setattr(bounds, "integrate_path", path)
-    res = dual_lower(geom, UNIT, j, rel_tol_cell=tol_cell, rel_tol_path=tol_path, dual=dual)
-    (q_c,), (work,) = cells, paths
+    res = dual_lower(geom, UNIT, j, rel_tol_cell=tol_cell, rel_tol_path=tol_path)
+    work, q_c = paths
     scale2 = m_constant(geom, UNIT, j) ** 2 / geom.eps
     lin, bar = _closed_form_load(geom, UNIT, j)
     assert res.terms == {"quad_singular": 4.0 * scale2 * work.value,
@@ -870,34 +920,28 @@ def test_dual_term_decomposition(j):
     assert abs(t["quad_cell"]) <= 0.05 * t["quad_singular"]
 
 
-def test_dual_lower_makes_one_cell_and_one_path_integral(monkeypatch):
+def test_dual_lower_makes_two_path_integrals_and_no_cell_integral(monkeypatch):
     g = disk_geometry(1e-2)
-    dual = build_dual_stress(g, UNIT, 1)
-    calls = {"cell": [], "path": 0}
-    sigma_c_points = [0]
+    calls = {"cell": 0, "path": []}
 
     def cell(*args):
-        calls["cell"].append(integrate_cell(*args))
-        return calls["cell"][-1]
+        calls["cell"] += 1
+        return integrate_cell(*args)
 
     def path(*args):
-        calls["path"] += 1
+        calls["path"].append(args[0])
         return integrate_path(*args)
-
-    def sigma_c(p):
-        sigma_c_points[0] += p.shape[0]
-        return dual.sigma_c(p)
 
     monkeypatch.setattr(bounds, "integrate_cell", cell)
     monkeypatch.setattr(bounds, "integrate_path", path)
-    dual_lower(g, UNIT, 1, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST,
-               dual=replace(dual, sigma_c=sigma_c))
-    # the cell integral q_c and the Green path integral q_ss; the load term
-    # is closed form
-    assert len(calls["cell"]) == 1
-    assert calls["path"] == 1
-    # sigma_c runs once per cell node and nowhere else
-    assert sigma_c_points[0] == calls["cell"][0].evals
+    dual_lower(g, UNIT, 1, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST)
+    # the Green path integral q_ss on the quarter boundary, then the cell
+    # term q_c on the x-axis; the load term is closed form
+    assert calls["cell"] == 0
+    work, cell_term = calls["path"]
+    assert len(work.segments) == 3
+    assert [s.breaks for s in cell_term.segments] == [
+        s.breaks for s in bounds._fibre_axis(g).segments]
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,8 +22,8 @@ from gapstress import (
     singular_stress,
     stress_from_gradient,
 )
-from gapstress.geometry import Curve, PathSegment, Region, region_classify
-from gapstress.kernels import _EdgeTerms, _PairTerms, _edge_resultant
+from gapstress.geometry import Curve, PathSegment, Region, chord_halfheight, region_classify
+from gapstress.kernels import _EdgeTerms, _FibreTerms, _PairTerms, _edge_resultant
 from gapstress.quadrature import integrate_path
 
 from conftest import UNIT, disk_geometry
@@ -378,3 +378,36 @@ def test_traction_flux_contour_independent(j):
     f_small = flux(0.5 * g.a)
     f_big = flux(0.9 * g.a)
     assert np.all(np.abs(f_small - f_big) <= 1e-8 * max(1.0, np.abs(f_big).max()))
+
+
+def _components(s: SymTensor2) -> np.ndarray:
+    return np.stack((s.a11, s.a12, s.a22), axis=-1)
+
+
+FIBRE_MATERIALS = {"unit": UNIT, "lame 3/0.7": LameMaterial(3.0, 0.7)}
+
+
+@pytest.mark.parametrize("shape", ["disk", "ellipse"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-5])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("mat", sorted(FIBRE_MATERIALS))
+def test_fibre_moments_match_path_quadrature(shape, eps, j, mat):
+    # fibres inside the gap start at y = +0 on L's branch cut, those beside
+    # it at the chord h(x) > 0; all end on the cell edge y = L2
+    g = (disk_geometry(eps) if shape == "disk"
+         else make_gap_geometry(Ellipse(a=1.0, b=2.0), eps=eps, L2=2.5))
+    ctx = KernelContext.from_geometry(g, FIBRE_MATERIALS[mat])
+    x = np.array([0.1 * eps, 0.45 * eps, 0.6 * eps, 2.0 * eps, 0.3, 0.95 * g.L1])
+    h = chord_halfheight(g, x)
+    assert np.all(h[:2] == 0.0) and np.all(h[2:] > 0.0)
+    fibre = _FibreTerms(ctx, x, h, g.L2)
+    m0, m1 = fibre.moments(j)
+    np.testing.assert_array_equal(_components(fibre.upper_stress(j)), _components(
+        singular_stress(ctx, j, np.stack((x, np.full_like(x, g.L2)), -1))))
+    got = np.stack((m0.a11, m0.a12, m0.a22, m1.a11, m1.a12, m1.a22), axis=-1)
+    # the closed form's rounding scales with the largest moment, at the gap
+    bar = 1e-15 * np.abs(got).max()
+    for n in range(x.size):
+        ref = oracles.fibre_moments_quadrature(ctx, j, x[n], h[n], g.L2, 1e-12)
+        assert ref.converged
+        assert np.abs(got[n] - ref.value).max() <= ref.err_estimate + bar, x[n]
