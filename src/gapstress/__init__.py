@@ -59,6 +59,7 @@ from .bounds import (
     StressField,
     build_dual_stress,
     dual_lower,
+    dual_lower_loads,
     energy_identity_check,
     flux_identity_check,
     keller_test_gradient,
@@ -74,6 +75,7 @@ from .pipeline import (
     SweepRow,
     VerificationError,
     compute_sweep_row,
+    compute_width_rows,
     effective_moduli,
     fk_asymptotic,
     parse_config,

@@ -73,6 +73,7 @@ __all__ = [
     "primal_upper",
     "build_dual_stress",
     "dual_lower",
+    "dual_lower_loads",
     "pair_boundary_integral",
     "flux_identity_check",
     "energy_identity_check",
@@ -397,9 +398,13 @@ def _traction_work(terms: _PairTerms, j: int, n: np.ndarray) -> np.ndarray:
     return np.concatenate((tr, np.einsum("...k,...k->...", tr, u)[..., None]), axis=-1)
 
 
-def _work_integrand(ctx: KernelContext, j: int):
-    """Path integrand (sigma(q_j) n) . q_j of the pair field q_j."""
-    return lambda p, n: _traction_work(_PairTerms(ctx, p), j, n)[..., 2]
+def _work_integrand(ctx: KernelContext, loads: tuple[int, ...]):
+    """Path integrand (sigma(q_j) n) . q_j of the pair field q_j, one component per load."""
+    def work(p: np.ndarray, n: np.ndarray) -> np.ndarray:
+        terms = _PairTerms(ctx, p)
+        return np.stack([_traction_work(terms, j, n)[..., 2] for j in loads], axis=-1)
+
+    return work
 
 
 def _quarter_boundary(geom: GapGeometry) -> tuple[PathSegment, ...]:
@@ -431,9 +436,9 @@ def _fibre_axis(geom: GapGeometry) -> Curve:
     return Curve(segments=(gap, beside))
 
 
-def _singular_self_energy(geom: GapGeometry, mat: LameMaterial, j: int,
-                          rel_tol: float) -> IntegralResult:
-    """Matrix integral of sigma_S : C^-1 sigma_S for the scaled pair field.
+def _singular_self_energy(geom: GapGeometry, ctx: KernelContext, loads: tuple[int, ...],
+                          rel_tol: float) -> dict[int, IntegralResult]:
+    """Matrix integral of sigma_S : C^-1 sigma_S for each load's scaled pair field.
 
     The pair field q_j solves the Lame system in the matrix, so by Green's
     identity the integral equals (m_j / sqrt(eps))^2 times the work of its
@@ -441,54 +446,66 @@ def _singular_self_energy(geom: GapGeometry, mat: LameMaterial, j: int,
     The work density is even in x and in y, so that is 4 times the work on
     the quarter boundary.
     """
-    ctx = KernelContext.from_geometry(geom, mat)
-    work = integrate_path(Curve(segments=_quarter_boundary(geom)), _work_integrand(ctx, j),
+    work = integrate_path(Curve(segments=_quarter_boundary(geom)), _work_integrand(ctx, loads),
                           rel_tol)
-    scale = 4.0 * m_constant(geom, mat, j) ** 2 / geom.eps
-    return replace(work, value=scale * work.value, err_estimate=scale * work.err_estimate)
+    return {j: work.component(k, 4.0 * m_constant(geom, ctx.material, j) ** 2 / geom.eps)
+            for k, j in enumerate(loads)}
 
 
-def _cell_energy(geom: GapGeometry, mat: LameMaterial, j: int,
-                 rel_tol: float) -> IntegralResult:
+def _cell_energy(geom: GapGeometry, ctx: KernelContext, loads: tuple[int, ...],
+                 rel_tol: float) -> dict[int, IntegralResult]:
     """Integral of sigma_c : C^-1 (sigma_c + 2 sigma_S) over the matrix part
-    of the quarter cell x >= 0, y >= 0, as one path integral over x in
-    [0, L1] on ``_fibre_axis``.
+    of the quarter cell x >= 0, y >= 0 for each load, as one path integral
+    over x in [0, L1] on ``_fibre_axis`` with one component per load.
 
     At each x the fibre [h(x), L2] is integrated exactly.  sigma_c is
     c0 + eta c1 with eta = y / L2, c0 = (G, alpha) and c1 = (0, beta) by
     columns, so its energy is a quadratic in eta whose moments are
     elementary, and the cross term needs only the integrals of sigma_S and of
     eta sigma_S along the fibre (``kernels._FibreTerms``).  The pair terms
-    at (x, L2) serve both the edge traction and the fibre's upper end.
+    at (x, L2) serve both the edge traction and the fibre's upper end, and
+    the fibre and edge terms serve every load.
     """
-    ctx = KernelContext.from_geometry(geom, mat)
-    scale = _dual_scale(geom, mat, j)
-    L2 = geom.L2
+    mat, L2 = ctx.material, geom.L2
 
     def fibres(pts: np.ndarray, _normals: np.ndarray) -> np.ndarray:
         x = pts[:, 0]
         h = chord_halfheight(geom, x)
-        fibre = _FibreTerms(ctx, x, h, L2)
-        G, alpha, beta = _affine_coefficients(j, scale, L2, fibre.upper_stress(j),
-                                              _EdgeTerms(ctx, x, L2).resultant(j))
-        c0 = Matrix2(G[:, 0], alpha[:, 0], G[:, 1], alpha[:, 1])
-        c1 = Matrix2(0.0, beta[:, 0], 0.0, beta[:, 1])
-        s0, s1 = fibre.moments(j)
+        fibre, edge = _FibreTerms(ctx, x, h, L2), _EdgeTerms(ctx, x, L2)
         # int_h^L2 eta^k dy for k = 0, 1, 2
         eta = h / L2
         n0, n1, n2 = L2 * (1.0 - eta), L2 * (1.0 - eta ** 2) / 2.0, L2 * (1.0 - eta ** 3) / 3.0
-        return (n0 * compliance_energy(c0, mat) + 2.0 * n1 * compliance_contract(c0, c1, mat)
-                + n2 * compliance_energy(c1, mat)
-                + 2.0 * compliance_contract(_scaled(s0, scale), c0, mat)
-                + 2.0 * compliance_contract(_scaled(s1, scale / L2), c1, mat))
 
-    return integrate_path(_fibre_axis(geom), fibres, rel_tol)
+        def density(j: int) -> np.ndarray:
+            scale = _dual_scale(geom, mat, j)
+            G, alpha, beta = _affine_coefficients(j, scale, L2, fibre.upper_stress(j),
+                                                  edge.resultant(j))
+            c0 = Matrix2(G[:, 0], alpha[:, 0], G[:, 1], alpha[:, 1])
+            c1 = Matrix2(0.0, beta[:, 0], 0.0, beta[:, 1])
+            s0, s1 = fibre.moments(j)
+            return (n0 * compliance_energy(c0, mat) + 2.0 * n1 * compliance_contract(c0, c1, mat)
+                    + n2 * compliance_energy(c1, mat)
+                    + 2.0 * compliance_contract(_scaled(s0, scale), c0, mat)
+                    + 2.0 * compliance_contract(_scaled(s1, scale / L2), c1, mat))
+
+        return np.stack([density(j) for j in loads], axis=-1)
+
+    res = integrate_path(_fibre_axis(geom), fibres, rel_tol)
+    return {j: res.component(k) for k, j in enumerate(loads)}
 
 
 def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
                rel_tol_cell: float = REL_TOL_CELL,
                rel_tol_path: float = REL_TOL_PATH) -> BoundResult:
-    """Dual functional on the assembled stress: a lower value for the energy.
+    """``dual_lower_loads`` for the one load j: a lower value for its energy."""
+    return dual_lower_loads(geom, mat, (j,), rel_tol_cell, rel_tol_path)[j]
+
+
+def dual_lower_loads(geom: GapGeometry, mat: LameMaterial, loads: tuple[int, ...],
+                     rel_tol_cell: float = REL_TOL_CELL,
+                     rel_tol_path: float = REL_TOL_PATH) -> dict[int, BoundResult]:
+    """Dual functional on the assembled stress of each load: a lower value
+    for each energy.
 
     The functional is quadratic in sigma = sigma_S + sigma_c, so its value is
     -q_ss - q_c + 2 lin: ``quad_singular`` q_ss is the compliance energy of
@@ -502,19 +519,26 @@ def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
     force (``_centre_force``), with a bar of 64 ulp of its terms'
     magnitudes, plus sigma_c's, 2 L2 G(0) = 0.  The cell density is even in
     x and in y, so q_c and its error estimate are 4 times those over the
-    quarter cell.
+    quarter cell.  The loads share one path integral for q_ss and one for
+    q_c, one component each.  A load's error estimate is its component's own,
+    and its converged flag is the integrals': where they hold, every
+    component meets its own tolerance.
     """
-    q_ss = _singular_self_energy(geom, mat, j, rel_tol_path)
-    q_c = _cell_energy(geom, mat, j, rel_tol_cell)
+    ctx = KernelContext.from_geometry(geom, mat)
+    q_ss = _singular_self_energy(geom, ctx, loads, rel_tol_path)
+    q_c = _cell_energy(geom, ctx, loads, rel_tol_cell)
     force, magnitude = _centre_force(geom.a, geom.L2)
-    scale = _dual_scale(geom, mat, j)
-    lin, lin_bar = scale * force, 64.0 * np.finfo(float).eps * scale * magnitude
-    return BoundResult(
-        value=float(-q_ss.value - 4.0 * q_c.value + 2.0 * lin),
-        quadrature_err=float(q_ss.err_estimate + 4.0 * q_c.err_estimate + 2.0 * lin_bar),
-        converged=q_ss.converged and q_c.converged,
-        terms={"quad_singular": float(q_ss.value), "quad_cell": float(4.0 * q_c.value),
-               "boundary": float(lin)})
+    out = {}
+    for j in loads:
+        ss, c, scale = q_ss[j], q_c[j], _dual_scale(geom, mat, j)
+        lin, lin_bar = scale * force, 64.0 * np.finfo(float).eps * scale * magnitude
+        out[j] = BoundResult(
+            value=float(-ss.value - 4.0 * c.value + 2.0 * lin),
+            quadrature_err=float(ss.err_estimate + 4.0 * c.err_estimate + 2.0 * lin_bar),
+            converged=ss.converged and c.converged,
+            terms={"quad_singular": float(ss.value), "quad_cell": float(4.0 * c.value),
+                   "boundary": float(lin)})
+    return out
 
 
 # ---------------------------------------------------------------------------

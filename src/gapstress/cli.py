@@ -19,7 +19,7 @@ from .pipeline import (
     ConfigError,
     RunConfig,
     VerificationError,
-    compute_sweep_row,
+    compute_width_rows,
     fk_asymptotic,
     parse_config,
     rows_to_csv,
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="full eps sweep with least-squares fit")
     add_common(p_sweep)
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel row computations (default serial)")
+                         help="at most N processes over the gap widths (default serial)")
     p_verify = sub.add_parser("verify", help="run the identity check suite")
     add_config(p_verify)
     p_kern = sub.add_parser("kernel-eval", help="print kernel values at points")
@@ -85,7 +85,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     cfg = _restrict(parse_config(args.config), args.eps)
     eps = cfg.eps_list[0]
     js = (args.j,) if args.j else (1, 2)
-    rows = [compute_sweep_row(cfg, eps, j) for j in js]
+    rows = compute_width_rows(cfg, eps, js)
     _warn(rows)
     geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
     lead = fk_asymptotic(geom, cfg.material)

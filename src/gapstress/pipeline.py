@@ -14,13 +14,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
+# build_dual_stress and dual_lower stay bound for gapbench's tracer
+from .bounds import (  # noqa: F401
     REL_TOL_CELL,
     REL_TOL_PATH,
     Diagnostics,
     _dual_diagnostics,
     build_dual_stress,
     dual_lower,
+    dual_lower_loads,
     m_constant,
     pair_boundary_integral,
     primal_upper,
@@ -39,11 +41,15 @@ __all__ = [
     "effective_moduli",
     "fk_asymptotic",
     "compute_sweep_row",
+    "compute_width_rows",
     "sweep_and_fit",
     "rows_to_csv",
     "write_csv",
     "run_verify",
 ]
+
+# gap widths a sweep process must take over to repay its start-up
+_WIDTHS_PER_PROCESS = 8
 
 CSV_HEADER = ("eps,j,upper,lower,upper_scaled,lower_scaled,fk_constant,"
               "asymmetry_max,bc_residual,div_residual,quad_err,converged")
@@ -231,36 +237,33 @@ class SweepRow:
         return ",".join(txt)
 
 
-def compute_sweep_row(cfg: RunConfig, eps: float, j: int) -> SweepRow:
+def compute_width_rows(cfg: RunConfig, eps: float, loads: tuple[int, ...]) -> list[SweepRow]:
+    """The sweep rows of the given loads at one gap width, in that order.
+    The loads share the geometry, each dual path integral
+    (``dual_lower_loads``) and the diagnostic samples."""
     geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
-    up = primal_upper(geom, cfg.material, j)
-    dual = build_dual_stress(geom, cfg.material, j)
-    lo = dual_lower(geom, cfg.material, j, cfg.rel_tol_cell, cfg.rel_tol_path)
+    lowers = dual_lower_loads(geom, cfg.material, loads, cfg.rel_tol_cell, cfg.rel_tol_path)
+    diagnostics = _dual_diagnostics(geom, cfg.material, loads)
     root = np.sqrt(eps)
-    mj = m_constant(geom, cfg.material, j)
-    # widen by the quadrature errors so the interval holds whatever the
-    # exact test-field energies are
-    bracket = (lo.value - lo.quadrature_err, up.value + up.quadrature_err)
-    interval_pair = effective_moduli(geom, cfg.material, bracket, bracket)
-    key = "E_star" if j == 1 else "mu_star"
-    return SweepRow(
-        eps=eps,
-        j=j,
-        upper=up.value,
-        lower=lo.value,
-        upper_scaled=up.value * root,
-        lower_scaled=lo.value * root,
-        fk_constant=mj,
-        modulus_interval=interval_pair[key],
-        diagnostics=dual.diagnostics,
-        quad_err=up.quadrature_err + lo.quadrature_err,
-        converged=up.converged and lo.converged,
-    )
+    rows = []
+    for j in loads:
+        up, lo = primal_upper(geom, cfg.material, j), lowers[j]
+        # widen by the quadrature errors so the interval holds whatever the
+        # exact test-field energies are
+        bracket = (lo.value - lo.quadrature_err, up.value + up.quadrature_err)
+        interval_pair = effective_moduli(geom, cfg.material, bracket, bracket)
+        rows.append(SweepRow(
+            eps=eps, j=j, upper=up.value, lower=lo.value, upper_scaled=up.value * root,
+            lower_scaled=lo.value * root, fk_constant=m_constant(geom, cfg.material, j),
+            modulus_interval=interval_pair["E_star" if j == 1 else "mu_star"],
+            diagnostics=diagnostics[j], quad_err=up.quadrature_err + lo.quadrature_err,
+            converged=up.converged and lo.converged))
+    return rows
 
 
-def _row_worker(payload: tuple[RunConfig, float, int]) -> SweepRow:
-    cfg, eps, j = payload
-    return compute_sweep_row(cfg, eps, j)
+def compute_sweep_row(cfg: RunConfig, eps: float, j: int) -> SweepRow:
+    """The sweep row of load j at one gap width: ``compute_width_rows`` with (j,)."""
+    return compute_width_rows(cfg, eps, (j,))[0]
 
 
 @dataclass(frozen=True)
@@ -286,8 +289,11 @@ def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1,
     """Compute the sweep rows of the given loads (eps descending, j
     ascending) and fit both bound series per j against (1/sqrt(eps), 1).
 
-    Rows run in a pool of at most ``workers`` processes, and never more
-    processes than rows; one worker runs them serially in this process.
+    Each width's rows are computed together (``compute_width_rows``), in
+    a pool of at most ``workers`` processes and at most one per
+    _WIDTHS_PER_PROCESS widths, each taking one share of the widths; a
+    process costs about as much to start as a few widths take, so short
+    sweeps run serially in this process.
     """
     if len(cfg.eps_list) < 3:
         raise ConfigError("a sweep needs at least 3 gap widths for the fit")
@@ -296,13 +302,15 @@ def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1,
     if not loads:
         raise ConfigError(f"a sweep needs at least one load, got loads={loads!r}")
     loads = tuple(sorted(set(loads)))
-    payloads = [(cfg, eps, j) for eps in cfg.eps_list for j in loads]
-    workers = min(workers, len(payloads))
+    n = len(cfg.eps_list)
+    args = ([cfg] * n, cfg.eps_list, [loads] * n)
+    workers = min(workers, n // _WIDTHS_PER_PROCESS)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_worker, payloads))
+            widths = list(pool.map(compute_width_rows, *args, chunksize=-(-n // workers)))
     else:
-        rows = [_row_worker(p) for p in payloads]
+        widths = list(map(compute_width_rows, *args))
+    rows = [row for width in widths for row in width]
 
     fits: dict[int, dict[str, SeriesFit]] = {}
     for j in loads:

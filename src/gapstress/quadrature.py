@@ -71,7 +71,8 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class IntegralResult:
     """``evals`` counts the integrand points the integral evaluated and
-    ``rounds`` the adaptive rounds, one integrand call each."""
+    ``rounds`` the adaptive rounds, one integrand call each;
+    ``component_err`` is each component's own summed |K15 - G7|."""
 
     value: object
     err_estimate: float
@@ -79,6 +80,13 @@ class IntegralResult:
     converged: bool
     evals: int = 0
     rounds: int = 0
+    component_err: tuple[float, ...] = ()
+
+    def component(self, k: int, scale: float = 1.0) -> "IntegralResult":
+        """Component k times ``scale``, with that component's own error estimate."""
+        err = scale * self.component_err[k]
+        return replace(self, value=scale * float(np.atleast_1d(self.value)[k]),
+                       err_estimate=err, component_err=(err,))
 
 
 def _mirror(half: tuple[float, ...], sign: float) -> np.ndarray:
@@ -175,11 +183,12 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, n_est: int | None = N
     the summed errors are held to ``rel_tol`` times the largest scale.  So
     no component meets a looser tolerance than it would alone, and the
     summed error bounds every component's summed |K15 - G7|.
-    Returns (total, total_err, tol_eff, t0, t1, values, evals, rounds): the
-    panel sum in a fixed order, the summed panel errors, the tolerance they
-    are held to, the final panels sorted by segment and parameter (edges
-    t0, t1 and the K15 values, one row each), the number of path nodes
-    evaluated and the number of integrand calls.
+    Returns (total, total_err, tol_eff, t0, t1, values, evals, rounds,
+    component_err): the panel sum in a fixed order, the summed panel
+    errors, the tolerance they are held to, the final panels sorted by
+    segment and parameter (edges t0, t1 and the K15 values, one row each),
+    the numbers of path nodes evaluated and of integrand calls, and each
+    estimated component's summed |K15 - G7|.
     """
     edges = [np.asarray(s.breaks, dtype=float) for s in curve.segments]
     seg = np.concatenate([np.full(e.size - 1, k) for k, e in enumerate(edges)])
@@ -233,7 +242,8 @@ def _adapt_panels(curve: Curve, integrand, rel_tol: float, n_est: int | None = N
     val = val[order]
     total = np.sum(val, axis=0)
     err, tol_eff = panel_errors(total)
-    return total, float(err.sum()), tol_eff, t0[order], t1[order], val, evals, rounds
+    return (total, float(err.sum()), tol_eff, t0[order], t1[order], val, evals, rounds,
+            tuple(np.ascontiguousarray(diff.T).sum(axis=1).tolist()))
 
 
 def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
@@ -245,11 +255,12 @@ def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
     segments to ``integrand`` in one call.  The value is K15 and the error
     estimate the sum of per-panel |K15 - G7|, a deliberately conservative
     bound.  For a vector integrand each component is held to ``rel_tol``
-    times its own scale, and the estimate bounds the summed |K15 - G7| of
-    every component.
+    times its own scale, the estimate bounds the summed |K15 - G7| of
+    every component, and ``component_err`` holds each component's own.
     """
     _check_tol(rel_tol)
-    total, total_err, tol_eff, t0, _, _, evals, rounds = _adapt_panels(curve, integrand, rel_tol)
+    total, total_err, tol_eff, t0, _, _, evals, rounds, component_err = _adapt_panels(
+        curve, integrand, rel_tol)
     if not np.all(np.isfinite(total)):
         raise QuadratureError("path integral produced a non-finite value")
     return IntegralResult(
@@ -259,6 +270,7 @@ def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
         converged=bool(total_err <= tol_eff),
         evals=evals,
         rounds=rounds,
+        component_err=component_err,
     )
 
 
@@ -350,7 +362,7 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     rounds = 0
     for _ in range(_MAX_FIBRE_ROUNDS):
         fibres = _fibre_integrand(geom, integrand, tau, counter)
-        total, outer_err, half_tol, x0, _, _, _, outer_rounds = _adapt_panels(
+        total, outer_err, half_tol, x0, _, _, _, outer_rounds, _ = _adapt_panels(
             x_axis, fibres, rel_tol / 2.0, n_est=1)
         rounds += outer_rounds
         if not np.all(np.isfinite(total)):
@@ -396,7 +408,7 @@ def cumulative_line_table(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi:
     # a line whose parameter t is x itself
     axis = replace(_line_segment((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
                    breaks=tuple(np.unique([lo, 0.0, hi])))
-    _, err, _, t0, t1, inc, _, _ = _adapt_panels(
+    _, err, _, t0, t1, inc, _, _, _ = _adapt_panels(
         Curve(segments=(axis,)), lambda p, _n: fn(p[:, 0]), rel_tol)
     edges = np.append(t0, t1[-1])
     values = np.zeros((edges.size, inc.shape[1]))

@@ -52,6 +52,11 @@ def ellipse_geometry(eps: float):
 SHAPES = {"disk": disk_geometry, "ellipse": ellipse_geometry}
 
 
+def _one_load(integral, geom, j: int, rel_tol: float, mat=UNIT):
+    """Load j's result of a dual integral that takes a tuple of loads."""
+    return integral(geom, KernelContext.from_geometry(geom, mat), (j,), rel_tol)[j]
+
+
 def test_m_constants_unit_disk():
     g = disk_geometry(1e-3)
     assert m_constant(g, UNIT, 1) == pytest.approx(3.0 * math.pi, rel=1e-14)
@@ -585,7 +590,7 @@ def _fibre_self_energy(geom, j: int) -> tuple[float, float]:
 def test_singular_self_energy_matches_fibre_quadrature(shape, j):
     g = SHAPES[shape](1e-2)
     oracle, oracle_err = _fibre_self_energy(g, j)
-    res = _singular_self_energy(g, UNIT, j, REL_TOL_PATH)
+    res = _one_load(_singular_self_energy, g, j, REL_TOL_PATH)
     assert res.converged
     miss = abs(res.value - oracle)
     assert miss <= 1e-8 * oracle
@@ -681,7 +686,7 @@ def test_cell_density_error_covers_a_tight_reference(shape, eps, j):
     ref = integrate_cell(geom, density, 1e-10)
     assert ref.converged
     for rel_tol in (1e-3, 1e-6):
-        res = _cell_energy(geom, UNIT, j, rel_tol)
+        res = _one_load(_cell_energy, geom, j, rel_tol, UNIT)
         assert res.converged
         assert abs(res.value - ref.value) <= res.err_estimate, rel_tol
 
@@ -694,10 +699,12 @@ def test_cell_energy_takes_one_round_on_the_root_panels(path):
     for eps in cfg.eps_list:
         geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
         roots = sum(len(s.breaks) - 1 for s in bounds._fibre_axis(geom).segments)
+        ctx = KernelContext.from_geometry(geom, cfg.material)
+        both = _cell_energy(geom, ctx, (1, 2), 1e-3)
         for j in (1, 2):
-            res = _cell_energy(geom, cfg.material, j, 1e-3)
-            assert res.converged
-            assert (res.rounds, res.evals) == (1, 15 * roots), (eps, j)
+            for res in (_one_load(_cell_energy, geom, j, 1e-3, cfg.material), both[j]):
+                assert res.converged
+                assert (res.rounds, res.evals) == (1, 15 * roots), (eps, j)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +751,7 @@ def test_dual_densities_are_even_in_x_and_y(shape, eps, j, mat):
     ctx = KernelContext.from_geometry(geom, mat)
     cell, (q, n) = _quarter_samples(geom)
     densities = [(lambda r: _dual_cell_density(dual, mat)(cell * r)),
-                 (lambda r: _work_integrand(ctx, j)(q * r, n * r))]
+                 (lambda r: _work_integrand(ctx, (j,))(q * r, n * r))]
     for k, density in enumerate(densities):
         f = [density(r) for r in REFLECTIONS]
         top = np.abs(f[0]).max()
@@ -815,7 +822,7 @@ def test_quarter_terms_match_whole_domain_oracles(shape, eps, j, tol_cell, tol_p
         (4.0 * q_c.value, 4.0 * q_c.err_estimate,
          whole_cell_integral(geom, _dual_cell_density(dual, UNIT), tol_cell)),
         (4.0 * work.value, 4.0 * work.err_estimate,
-         integrate_path(matrix_boundary(geom), _work_integrand(ctx, j), tol_path)),
+         integrate_path(matrix_boundary(geom), _work_integrand(ctx, (j,)), tol_path)),
         (lin, bar, oracles.gamma_plus_load(geom, dual, j, tol_path)),
     ]
     for k, (got, err, oracle) in enumerate(cases):
@@ -874,7 +881,7 @@ def test_sigma_c_carries_no_force_across_the_centre_line(path, eps, j):
 
 def test_singular_self_energy_pinned_value():
     # nested-quadrature value at disk eps=1e-4, j=1, to the digits quoted
-    res = _singular_self_energy(disk_geometry(1e-4), UNIT, 1, REL_TOL_PATH)
+    res = _one_load(_singular_self_energy, disk_geometry(1e-4), 1, REL_TOL_PATH)
     assert res.converged
     miss = abs(res.value - 943.8323583)
     assert miss <= 1e-7
@@ -884,7 +891,7 @@ def test_singular_self_energy_pinned_value():
 def test_dual_lower_uses_green_self_energy():
     g = disk_geometry(1e-3)
     res = dual_lower(g, UNIT, 1, rel_tol_cell=CELL_COARSE, rel_tol_path=PATH_FAST)
-    ref = _singular_self_energy(g, UNIT, 1, PATH_FAST)
+    ref = _one_load(_singular_self_energy, g, 1, PATH_FAST)
     assert res.terms["quad_singular"] == ref.value
 
 
@@ -991,7 +998,7 @@ def test_pair_boundary_integral_matches_scalar_integrals(geom, i, j):
         scalar = [integrate_path(
             curve, lambda p, n, k=k: singular_stress(ctx, load, p).apply(n)[..., k], tol)
             for k in (0, 1)]
-        scalar.append(integrate_path(curve, _work_integrand(ctx, load), tol))
+        scalar.append(integrate_path(curve, _work_integrand(ctx, (load,)), tol))
         for got, ref in zip(joint.value[i - 1, load - 1], scalar):
             assert ref.converged
             assert abs(got - ref.value) <= joint.err_estimate + ref.err_estimate
@@ -1063,8 +1070,8 @@ def test_graded_path_errors_cover_a_tight_reference(shape, eps):
         ref = primal_path_integral(g, UNIT, j, 1e-11)
         assert got.converged
         assert abs(got.value - ref.value) <= got.err_estimate
-        got = _singular_self_energy(g, UNIT, j, REL_TOL_PATH)
-        ref = _singular_self_energy(g, UNIT, j, 1e-11)
+        got = _one_load(_singular_self_energy, g, j, REL_TOL_PATH)
+        ref = _one_load(_singular_self_energy, g, j, 1e-11)
         assert got.converged
         assert abs(got.value - ref.value) <= got.err_estimate
 
@@ -1076,7 +1083,10 @@ def test_gap_path_integrals_converge_in_few_rounds(shape):
     for eps in SHIPPED_WIDTHS:
         g = SHAPES[shape](eps)
         results = [pair_boundary_integral(g, UNIT)]
-        results += [_singular_self_energy(g, UNIT, j, REL_TOL_PATH) for j in (1, 2)]
+        results += [_one_load(_singular_self_energy, g, j, REL_TOL_PATH) for j in (1, 2)]
+        # and both loads in one integral, as a sweep row computes them
+        results += _singular_self_energy(g, KernelContext.from_geometry(g, UNIT), (1, 2),
+                                         REL_TOL_PATH).values()
         for res in results:
             assert res.converged
             assert res.rounds <= 2, (eps, res.rounds)

@@ -1,6 +1,7 @@
 """Config parsing, sweep orchestration, CSV output, CLI exit codes."""
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
 import os
@@ -25,6 +26,7 @@ from gapstress import (
     VerificationError,
     build_dual_stress,
     compute_sweep_row,
+    compute_width_rows,
     effective_moduli,
     fk_asymptotic,
     make_gap_geometry,
@@ -34,7 +36,7 @@ from gapstress import (
     sweep_and_fit,
     write_csv,
 )
-from gapstress import cli, pipeline, quadrature
+from gapstress import bounds, cli, pipeline, quadrature
 from gapstress.pipeline import _fit_series
 from gapstress.quadrature import integrate_path
 
@@ -144,7 +146,7 @@ def test_cli_non_finite_eps_exits_2_before_any_row(value, monkeypatch, tmp_path,
     p.write_text(GOOD_CONFIG.replace("1e-2, 1e-3", f"1e-2 {value} 1e-3 1e-4"))
     calls = []
     for module in (pipeline, cli):
-        monkeypatch.setattr(module, "compute_sweep_row", lambda *a: calls.append(a))
+        monkeypatch.setattr(module, "compute_width_rows", lambda *a: calls.append(a))
     for command in ("sweep", "bounds"):
         assert cli.main([command, "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {p}: every eps")
@@ -167,7 +169,7 @@ def test_cli_non_finite_dimension_exits_2_before_any_row(config, key, value, mon
     monkeypatch.chdir(tmp_path)
     calls = []
     for module in (pipeline, cli):
-        monkeypatch.setattr(module, "compute_sweep_row", lambda *a: calls.append(a))
+        monkeypatch.setattr(module, "compute_width_rows", lambda *a: calls.append(a))
     assert cli.main(["bounds", "--config", str(p), "--eps", "1e-3"]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {p}: ")
     assert calls == []
@@ -175,13 +177,13 @@ def test_cli_non_finite_dimension_exits_2_before_any_row(config, key, value, mon
 
 def test_cli_bounds_eps_keeps_the_config_tolerances(config_file, monkeypatch, tmp_path):
     seen = []
-    row_fn = cli.compute_sweep_row
+    rows_fn = cli.compute_width_rows
 
-    def recording(cfg, eps, j):
+    def recording(cfg, eps, loads):
         seen.append(cfg)
-        return row_fn(cfg, eps, j)
+        return rows_fn(cfg, eps, loads)
 
-    monkeypatch.setattr(cli, "compute_sweep_row", recording)
+    monkeypatch.setattr(cli, "compute_width_rows", recording)
     assert cli.main(["bounds", "--config", str(config_file), "--eps", "1e-2", "--j", "2",
                      "--out", str(tmp_path / "b.csv")]) == 0
     (cfg,) = seen
@@ -301,6 +303,58 @@ def test_sweep_row_deterministic():
     assert r1.csv_line() == r2.csv_line()
 
 
+@pytest.mark.parametrize("config", ["disk", "ellipse"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_width_rows_match_the_one_load_rows(config, eps):
+    # the loads of a width share the panels of each dual path integral and
+    # each keeps its own component's error estimate, so where the shared
+    # panels are the one-load panels the rows are the one-load rows, and
+    # elsewhere the lowers agree within the row's error estimate
+    base = parse_config(SHIPPED_CONFIGS / f"{config}.cfg")
+    for rel_tol_cell in (base.rel_tol_cell, 1e-3):
+        cfg = dataclasses.replace(base, rel_tol_cell=rel_tol_cell)
+        rows = compute_width_rows(cfg, eps, (1, 2))
+        assert [r.j for r in rows] == [1, 2]
+        for two in rows:
+            one = compute_sweep_row(cfg, eps, two.j)
+            exact = [(r.upper.hex(), r.converged, [v.hex() for v in dataclasses.astuple(
+                r.diagnostics)]) for r in (one, two)]
+            assert exact[0] == exact[1]
+            if two.lower == one.lower:
+                assert two.csv_line() == one.csv_line(), (rel_tol_cell, two.j)
+            else:
+                assert abs(two.lower - one.lower) <= one.quad_err, (rel_tol_cell, two.j)
+                assert abs(two.quad_err - one.quad_err) <= one.quad_err, (rel_tol_cell, two.j)
+
+
+def test_width_rows_share_the_integrals_and_the_diagnostics(monkeypatch):
+    calls = {"path": 0, "diagnostics": [], "build_dual_stress": 0}
+    diagnostics = pipeline._dual_diagnostics
+
+    def counted_path(*args):
+        calls["path"] += 1
+        return integrate_path(*args)
+
+    def counted_diagnostics(geom, mat, loads):
+        calls["diagnostics"].append(loads)
+        return diagnostics(geom, mat, loads)
+
+    def counted_build(*args):
+        calls["build_dual_stress"] += 1
+        return build_dual_stress(*args)
+
+    monkeypatch.setattr(bounds, "integrate_path", counted_path)
+    monkeypatch.setattr(pipeline, "_dual_diagnostics", counted_diagnostics)
+    monkeypatch.setattr(pipeline, "build_dual_stress", counted_build)
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-3,),
+                    rel_tol_cell=1e-3, rel_tol_path=1e-6)
+    # q_ss and q_c, each one path integral for both loads
+    assert [r.j for r in compute_width_rows(cfg, 1e-3, (1, 2))] == [1, 2]
+    assert calls == {"path": 2, "diagnostics": [(1, 2)], "build_dual_stress": 0}
+    assert compute_sweep_row(cfg, 1e-3, 2).j == 2
+    assert calls == {"path": 4, "diagnostics": [(1, 2), (2,)], "build_dual_stress": 0}
+
+
 @pytest.mark.parametrize("j", [1, 2])
 def test_modulus_interval_widened_by_quadrature_error(j):
     cfg = RunConfig(
@@ -393,14 +447,22 @@ def test_sweep_and_fit_one_load(monkeypatch):
         sweep_and_fit(cfg, loads=(3,))
 
 
+def _widths(n: int) -> tuple[float, ...]:
+    """n gap widths, log-spaced from 1e-2 down to 1e-4."""
+    return tuple(float(e) for e in np.logspace(-2.0, -4.0, n))
+
+
 def test_sweep_pool_never_exceeds_the_rows(monkeypatch):
-    sizes = []
+    # a process repays its start-up only over several widths, so a sweep
+    # starts at most one per _WIDTHS_PER_PROCESS widths, and none below two
+    started = []
 
     class RecordingPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, runs serially."""
+        """Stands in for ProcessPoolExecutor: records max_workers and the
+        share of widths a task takes, runs serially."""
 
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            started.append([max_workers])
 
         def __enter__(self):
             return self
@@ -408,25 +470,45 @@ def test_sweep_pool_never_exceeds_the_rows(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables, chunksize=1):
+            started[-1].append(chunksize)
+            return map(fn, *iterables)
 
-    cfg = RunConfig(
-        material=UNIT, shape=Disk(r0=1.0), L2=1.5,
-        eps_list=(1e-2, 3e-3, 1e-3),
-        rel_tol_cell=1e-3, rel_tol_path=1e-6,
-    )
     monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    serial, _ = sweep_and_fit(cfg, workers=1, loads=(2,))
-    assert sizes == []
-    for workers, size in ((2, 2), (64, 3)):
-        rows, _ = sweep_and_fit(cfg, workers=workers, loads=(2,))
-        assert sizes[-1] == size
+    for n, workers, pool in ((3, 2, None), (3, 64, None), (16, 2, [2, 8]), (24, 64, [3, 8])):
+        cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=_widths(n),
+                        rel_tol_cell=1e-3, rel_tol_path=1e-6)
+        started.clear()
+        serial, _ = sweep_and_fit(cfg, workers=1)
+        assert started == []
+        rows, _ = sweep_and_fit(cfg, workers=workers)
+        assert started == ([] if pool is None else [pool]), (n, workers)
+        assert [(r.eps, r.j) for r in rows] == [(e, j) for e in cfg.eps_list for j in (1, 2)]
         assert [r.csv_line() for r in rows] == [r.csv_line() for r in serial]
     for workers in (0, -1):
         with pytest.raises(ConfigError, match="workers"):
             sweep_and_fit(cfg, workers=workers)
-    assert len(sizes) == 2
+    assert started == [[3, 8]]
+
+
+def test_sweep_pool_rows_match_the_serial_rows(monkeypatch):
+    # a real pool of two processes: the width task and its rows pickle, and
+    # the rows come back in the serial order
+    started = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=_widths(16),
+                    rel_tol_cell=1e-3, rel_tol_path=1e-6)
+    serial, serial_fits = sweep_and_fit(cfg, workers=1)
+    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    rows, fits = sweep_and_fit(cfg, workers=2)
+    assert started == [2]
+    assert [r.csv_line() for r in rows] == [r.csv_line() for r in serial]
+    assert fits == serial_fits
 
 
 def test_cli_sweep_rejects_zero_workers(tmp_path, capsys):
@@ -564,15 +646,15 @@ def test_cli_sweep_one_load_computes_only_its_rows(monkeypatch, tmp_path, capsys
     p.write_text(GOOD_CONFIG.replace("1e-2, 1e-3", "1e-2, 3e-3, 1e-3"))
     out = tmp_path / "o.csv"
     calls = []
-    row_fn = pipeline.compute_sweep_row
+    rows_fn = pipeline.compute_width_rows
 
-    def counting(cfg, eps, j):
-        calls.append((eps, j))
-        return row_fn(cfg, eps, j)
+    def counting(cfg, eps, loads):
+        calls.append((eps, loads))
+        return rows_fn(cfg, eps, loads)
 
-    monkeypatch.setattr(pipeline, "compute_sweep_row", counting)
+    monkeypatch.setattr(pipeline, "compute_width_rows", counting)
     assert cli.main(["sweep", "--config", str(p), "--j", "2", "--out", str(out)]) == 0
-    assert calls == [(1e-2, 2), (3e-3, 2), (1e-3, 2)]
+    assert calls == [(1e-2, (2,)), (3e-3, (2,)), (1e-3, (2,))]
     lines = out.read_text().splitlines()
     assert len(lines) == 4
     assert all(line.split(",")[1] == "2" for line in lines[1:])
