@@ -7,7 +7,6 @@ from .elasticity import (
     LameMaterial,
     Matrix2,
     SymTensor2,
-    compliance_apply,
     compliance_contract,
     compliance_energy,
     derived_constants,
@@ -22,7 +21,6 @@ from .geometry import (
     InclusionShape,
     PathSegment,
     Region,
-    boundary_curves,
     chord_halfheight,
     gap_halfwidth,
     gap_halfwidth_deriv,
@@ -56,13 +54,11 @@ from .bounds import (
     Diagnostics,
     DualStress,
     KellerProfile,
-    StressField,
     build_dual_stress,
     dual_lower,
     dual_lower_loads,
     energy_identity_check,
     flux_identity_check,
-    keller_test_gradient,
     m_constant,
     pair_boundary_integral,
     primal_upper,

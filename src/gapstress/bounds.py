@@ -56,7 +56,7 @@ from .kernels import (  # noqa: F401
 )
 from .quadrature import (
     IntegralResult,
-    _fibre_breaks,
+    _fibre_axis,
     cumulative_line_table,  # noqa: F401
     integrate_cell,  # noqa: F401
     integrate_path,
@@ -67,9 +67,7 @@ __all__ = [
     "DualStress",
     "BoundResult",
     "Diagnostics",
-    "StressField",
     "m_constant",
-    "keller_test_gradient",
     "primal_upper",
     "build_dual_stress",
     "dual_lower",
@@ -84,8 +82,6 @@ __all__ = [
 # default relative tolerances of the cell integral and of the path integrals
 REL_TOL_CELL = 1e-6
 REL_TOL_PATH = 1e-8
-
-StressField = Callable[[np.ndarray], Matrix2]
 
 
 def m_constant(geom: GapGeometry, mat: LameMaterial, j: int) -> float:
@@ -105,13 +101,13 @@ def m_constant(geom: GapGeometry, mat: LameMaterial, j: int) -> float:
 
 @dataclass(frozen=True)
 class KellerProfile:
-    """Scalar profile interpolating 0 on the left inclusion to 1 on the right.
+    """Half-width X(y) of the band across which the Keller test field
+    psi = (x + X) / (2 X), clamped to [0, 1], rises from 0 on D1 to 1 on D2.
 
-    The half-width X(y) equals the true gap half-width for |y| <= L and
-    continues tangentially (capped at the cell half-width) beyond, which
-    keeps |X'| bounded and the extension energy O(1) uniformly in eps.  By
-    convexity the inclusion boundaries stay inside the clamped plateaus, so
-    psi is exactly 0 on the left boundary and 1 on the right one.
+    X equals the true gap half-width for |y| <= L and continues tangentially
+    (capped at the cell half-width) beyond, which keeps |X'| bounded and the
+    extension energy O(1) uniformly in eps.  By convexity the inclusions stay
+    inside the clamped plateaus, so psi is exactly 0 on D1 and 1 on D2.
     """
 
     geom: GapGeometry
@@ -138,33 +134,6 @@ class KellerProfile:
         outer = np.where(self.f_edge + self.fprime_edge * (ay - L) < self.geom.L1,
                          self.fprime_edge, 0.0)
         return np.sign(yy) * np.where(ay <= L, inner, outer)
-
-    def psi(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        X = self.halfwidth(pts[..., 1])
-        return np.clip((pts[..., 0] + X) / (2.0 * X), 0.0, 1.0)
-
-    def grad_psi(self, points: np.ndarray) -> np.ndarray:
-        """Gradient of psi, shape (..., 2); zero in the clamped plateaus."""
-        pts = np.asarray(points, dtype=float)
-        x = pts[..., 0]
-        X = self.halfwidth(pts[..., 1])
-        Xp = self.halfwidth_deriv(pts[..., 1])
-        in_band = np.abs(x) < X
-        gx = np.where(in_band, 1.0 / (2.0 * X), 0.0)
-        gy = np.where(in_band, -x * Xp / (2.0 * X * X), 0.0)
-        return np.stack((gx, gy), axis=-1)
-
-
-def keller_test_gradient(prof: KellerProfile, j: int, points: np.ndarray) -> Matrix2:
-    """Displacement gradient of the vector test field psi * e_j."""
-    g = prof.grad_psi(points)
-    zero = np.zeros_like(g[..., 0])
-    if j == 1:
-        return Matrix2(g[..., 0], g[..., 1], zero, zero)
-    if j == 2:
-        return Matrix2(zero, zero, g[..., 0], g[..., 1])
-    raise ValueError(f"j must be 1 or 2, got {j}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +199,7 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int) -> BoundResult:
 @dataclass(frozen=True)
 class DualStress:
     sigma_S: Callable[[np.ndarray], SymTensor2]
-    sigma_c: StressField
+    sigma_c: Callable[[np.ndarray], Matrix2]
     G: Callable[[np.ndarray], np.ndarray]
     diagnostics: Diagnostics
 
@@ -415,25 +384,6 @@ def _quarter_boundary(geom: GapGeometry) -> tuple[PathSegment, ...]:
     return (_line_segment((0.0, L2), (L1, L2), (0.0, 1.0)),
             _line_segment((L1, L2), (L1, B), (1.0, 0.0)),
             _ellipse_arc(L1, geom.half_width, B, np.pi / 2.0, np.pi, (np.pi,), geom.a))
-
-
-def _fibre_axis(geom: GapGeometry) -> Curve:
-    """The x-axis from 0 to L1 on the root breaks of ``_fibre_breaks``:
-    straight across the gap, where the fibres start at h = 0, then
-    x = eps/2 + A t^2 for t in [0, 1], which makes the chord
-    h = B t sqrt(2 - t^2) analytic at its square-root onset x = eps/2."""
-    half, A = geom.eps / 2.0, geom.half_width
-    xb = _fibre_breaks(geom)
-    gap = replace(_line_segment((0.0, 0.0), (half, 0.0), (0.0, 1.0)), breaks=(0.0, 1.0))
-
-    def point(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.stack((half + A * t * t, np.zeros_like(t)), axis=-1)
-
-    beside = PathSegment(point=point, speed=lambda t: 2.0 * A * np.asarray(t, dtype=float),
-                         normal=lambda t: np.broadcast_to((0.0, 1.0), np.shape(t) + (2,)),
-                         breaks=tuple(np.sqrt((xb[1:-1] - half) / A)) + (1.0,))
-    return Curve(segments=(gap, beside))
 
 
 def _singular_self_energy(geom: GapGeometry, ctx: KernelContext, loads: tuple[int, ...],

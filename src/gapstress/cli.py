@@ -1,7 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration problems, 3 quadrature failures,
-4 verification failures.
+Exit codes: 0 success, 2 configuration problems or an output file that
+cannot be written, 3 quadrature failures, 4 verification failures.
 """
 
 from __future__ import annotations
@@ -68,6 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutputError(Exception):
+    """An output file that cannot be written."""
+
+
+def _write(rows, out: str) -> None:
+    try:
+        write_csv(rows, out)
+    except OSError as exc:
+        raise _OutputError(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
 def _restrict(cfg: RunConfig, eps: float | None) -> RunConfig:
     return cfg if eps is None else dataclasses.replace(cfg, eps_list=(eps,))
 
@@ -109,7 +120,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         print(f"  quadrature error estimate: {row.quad_err:.3e}")
     out = args.out or cfg.out
     if out:
-        write_csv(rows, out)
+        _write(rows, out)
         print(f"\nwrote {out}")
     return 0
 
@@ -121,7 +132,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _warn(rows)
     out = args.out or cfg.out
     if out:
-        write_csv(rows, out)
+        _write(rows, out)
         print(f"wrote {len(rows)} rows to {out}")
     else:
         sys.stdout.write(rows_to_csv(rows))
@@ -179,6 +190,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"invalid parameter: {exc}", file=sys.stderr)
+        return 2
+    except _OutputError as exc:
+        print(exc, file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ __all__ = [
     "SymTensor2",
     "DerivedConstants",
     "stress_from_gradient",
-    "compliance_apply",
     "compliance_energy",
     "compliance_contract",
     "derived_constants",
@@ -119,14 +118,6 @@ def stress_from_gradient(g: Matrix2, mat: LameMaterial) -> SymTensor2:
     s22 = lam * g.a11 + (lam + 2.0 * mu) * g.a22
     s12 = mu * (g.a12 + g.a21)
     return SymTensor2(s11, s12, s22)
-
-
-def compliance_apply(s: SymTensor2, mat: LameMaterial) -> SymTensor2:
-    """Strain e with stress_from_gradient(e) == s (inverse of the stiffness)."""
-    lam, mu = mat.lam, mat.mu
-    c = lam / (2.0 * mu * (2.0 * lam + 2.0 * mu))
-    tr = s.trace()
-    return SymTensor2(s.a11 / (2.0 * mu) - c * tr, s.a12 / (2.0 * mu), s.a22 / (2.0 * mu) - c * tr)
 
 
 def compliance_energy(s: Matrix2 | SymTensor2, mat: LameMaterial) -> Any:

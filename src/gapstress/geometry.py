@@ -28,7 +28,6 @@ __all__ = [
     "gap_halfwidth_deriv",
     "chord_halfheight",
     "region_classify",
-    "boundary_curves",
     "inclusion_boundary",
     "rect_classify",
     "rect_matrix_area",
@@ -121,10 +120,6 @@ class GapGeometry:
     @property
     def half_height(self) -> float:
         return self.shape.half_height
-
-    @property
-    def center2(self) -> tuple[float, float]:
-        return (self.L1, 0.0)
 
     @property
     def p1(self) -> tuple[float, float]:
@@ -326,42 +321,6 @@ def _line_segment(p0, p1, n) -> PathSegment:
         return np.broadcast_to(n, t.shape + (2,)).copy()
 
     return PathSegment(point=point, speed=speed, normal=normal)
-
-
-def boundary_curves(geom: GapGeometry) -> dict[str, Curve]:
-    """The four pieces of the matrix boundary inside the cell.
-
-    gamma_plus  : inner half of the D2 boundary plus the two uncovered parts
-                  of the right cell edge; normal into D2 resp. (1, 0).
-    gamma_minus : mirror image on the left.
-    edge_top / edge_bottom : horizontal cell edges, outward normals.
-    """
-    A = geom.half_width
-    B = geom.half_height
-    L1, L2 = geom.L1, geom.L2
-
-    gamma_plus = Curve(
-        segments=(
-            _line_segment((L1, L2), (L1, B), (1.0, 0.0)),
-            _ellipse_arc(L1, A, B, np.pi / 2.0, 3.0 * np.pi / 2.0, (np.pi,), geom.a),
-            _line_segment((L1, -B), (L1, -L2), (1.0, 0.0)),
-        )
-    )
-    gamma_minus = Curve(
-        segments=(
-            _line_segment((-L1, L2), (-L1, B), (-1.0, 0.0)),
-            _ellipse_arc(-L1, A, B, np.pi / 2.0, -np.pi / 2.0, (0.0,), geom.a),
-            _line_segment((-L1, -B), (-L1, -L2), (-1.0, 0.0)),
-        )
-    )
-    edge_top = Curve(segments=(_line_segment((-L1, L2), (L1, L2), (0.0, 1.0)),))
-    edge_bottom = Curve(segments=(_line_segment((-L1, -L2), (L1, -L2), (0.0, -1.0)),))
-    return {
-        "gamma_plus": gamma_plus,
-        "gamma_minus": gamma_minus,
-        "edge_top": edge_top,
-        "edge_bottom": edge_bottom,
-    }
 
 
 def inclusion_boundary(geom: GapGeometry, which: int) -> Curve:

@@ -2,26 +2,24 @@
 
 Every routine here takes one setting, a relative tolerance; one that is not
 finite and positive raises ValueError.  One embedded rule serves every
-panel: the Gauss-Kronrod pair 7/15, whose panel value is K15 and whose
-panel error is |K15 - G7|, from 15 points a panel.  Path integrals start
-from the root panels each curve segment carries (``PathSegment.breaks``:
-its quarters and, on inclusion arcs, panels graded from the gap vertex at
-the pole offset's scale).  They evaluate the rule on every panel, then
-greedily split the panels carrying most of the error estimate until the
-global estimate meets the tolerance or the panels reach _MAX_DEPTH
-bisections.  The matrix is vertically simple: at each x in [0, L1] the
-quarter cell x >= 0, y >= 0 (whose four mirror images make up the cell)
-holds the exact fibre [h(x), L2], and the fibres' root panels in x
-(``_fibre_breaks``) grow away from the chord onset at eps/2.  The dual's
-cell term integrates each fibre in closed form, so it is one path integral
-over x on those breaks (``bounds._cell_energy``).  ``integrate_cell``, the
-cell integrator for any integrand and the tests' oracle of that term, runs
-the same loop on [0, L1] and integrates every fibre in y with one panel
-template of the same rule.  The cumulative table, the test oracle of the
-dual correction G, runs the loop on the x-axis too and sums its final
-panels outward from 0.  Evaluations are batched across panels, traversal
-and summation order are fixed, and no randomness is used, so repeated runs
-are bit-identical.
+panel: the Gauss-Kronrod pair 7/15, whose panel value is K15 and whose panel
+error is |K15 - G7|, from 15 points a panel.  Path integrals start from the
+root panels each curve segment carries (``PathSegment.breaks``: its quarters
+and, on inclusion arcs, panels graded from the gap vertex at the pole
+offset's scale).  They evaluate the rule on every panel, then greedily split
+the panels carrying most of the error estimate until the global estimate
+meets the tolerance or the panels reach _MAX_DEPTH bisections.  The matrix
+is vertically simple: at each x in [0, L1] the quarter cell x >= 0, y >= 0
+(whose four mirror images make up the cell) holds the exact fibre [h(x), L2]
+over one x axis (``_fibre_axis``).  The dual's cell term integrates each
+fibre in closed form, so it is one path integral on that axis
+(``bounds._cell_energy``).  ``integrate_cell``, the cell integrator for any
+integrand and the tests' oracle of that term, runs the same loop on that
+axis and integrates every fibre in y with one panel template of the same
+rule.  The cumulative table, the test oracle of the dual correction G, runs
+the loop on the x-axis too and sums its final panels outward from 0.
+Evaluations are batched across panels, traversal and summation order are
+fixed, and no randomness is used, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ import numpy as np
 from .geometry import (  # noqa: F401
     Curve,
     GapGeometry,
+    PathSegment,
     _graded_breaks,
     _line_segment,
     chord_halfheight,
@@ -318,13 +317,20 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: lis
     return fibres
 
 
-def _fibre_breaks(geom: GapGeometry) -> np.ndarray:
-    """Root panel edges in x of an integral over the quarter cell's fibres.
-    h(x) has its square-root onset at x = eps/2, where the pair field varies
-    on the scale eps, so they are 0, eps/2 and then eps/2 + eps 8^k, growing
-    _OUTER_GRADING-fold away from the onset, up to L1."""
-    return np.asarray([0.0] + _graded_breaks(geom.eps / 2.0, geom.L1, geom.eps, _OUTER_GRADING)
-                      + [geom.L1])
+def _fibre_axis(geom: GapGeometry) -> Curve:
+    """The x-axis from 0 to L1 of an integral over the quarter cell's fibres:
+    straight across the gap, then x = eps/2 + A t^2 for t in [0, 1], which
+    makes the chord h = B t sqrt(2 - t^2) analytic at its onset x = eps/2.
+    The pair field varies on the scale eps there, so the root breaks are 0,
+    eps/2 and x = eps/2 + eps 8^k, growing _OUTER_GRADING-fold, up to L1."""
+    half, A = geom.eps / 2.0, geom.half_width
+    xb = np.asarray(_graded_breaks(half, geom.L1, geom.eps, _OUTER_GRADING))
+    gap = replace(_line_segment((0.0, 0.0), (half, 0.0), (0.0, 1.0)), breaks=(0.0, 1.0))
+    beside = PathSegment(point=lambda t: np.stack((half + A * t * t, np.zeros_like(t)), axis=-1),
+                         speed=lambda t: 2.0 * A * t,
+                         normal=lambda t: np.broadcast_to((0.0, 1.0), np.shape(t) + (2,)),
+                         breaks=tuple(np.sqrt((xb - half) / A)) + (1.0,))
+    return Curve(segments=(gap, beside))
 
 
 def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResult:
@@ -334,12 +340,11 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     The cell is symmetric under x -> -x and y -> -y, so an integrand even
     in both has a quarter of its cell integral here; the cell integral of
     any other integrand is this integral of its four-fold symmetrization.
-    Iterated quadrature on vertical fibres.  The outer integral over
-    x in [0, L1] runs the adaptive path loop on the x-axis from the root
-    panels of ``_fibre_breaks``, graded away from the chord onset at eps/2.
-    At each outer node the inner integral covers [h(x), L2] with one panel
-    template for every fibre, so each round hands all fibres to
-    ``integrand`` as (n, 2) points in chunks of at most _EVAL_CHUNK.
+    Iterated quadrature on vertical fibres: the outer integral runs the
+    adaptive path loop on ``_fibre_axis``, and at each outer node the inner
+    integral covers [h(x), L2] with one panel template for every fibre, so
+    each round hands all fibres to ``integrand`` as (n, 2) points in chunks
+    of at most _EVAL_CHUNK.
     Outer panels and template panels use the same Gauss-Kronrod 7/15 rule:
     the value is K15, and K15 contains the G7 nodes, so its estimate costs
     no extra points.
@@ -352,8 +357,7 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     fields are smooth there.
     """
     _check_tol(rel_tol)
-    x_axis = Curve(segments=(replace(_line_segment((0.0, 0.0), (geom.L1, 0.0), (0.0, 1.0)),
-                                     breaks=tuple(_fibre_breaks(geom) / geom.L1)),))
+    x_axis = _fibre_axis(geom)
     # fibre y = h + (L2 - h) tau: template panels start at sqrt(eps), the
     # pair field's y-scale at the gap, and grow up to half the fibre
     tau = np.asarray(_graded_breaks(0.0, 0.5, np.sqrt(geom.eps) / geom.L2, _FIBRE_GRADING) + [1.0])

@@ -1,5 +1,5 @@
-"""Test oracles: whole-domain forms of the dual integrals, and the Keller
-primal energy as a quadrature.
+"""Test oracles: whole-domain forms of the dual integrals, the Keller
+primal energy as a quadrature, and the test-only helpers they rest on.
 
 ``integrate_cell`` and the dual's Green path integral cover one symmetry
 quarter of the cell.  The forms here cover the whole domain: the two-sided
@@ -23,6 +23,12 @@ fields and diagnostics built on them.  The diagnostics are kept with one
 field call per sample set, on the symmetry quarter of the 41 x 41 grid that
 ``bounds._DiagnosticSamples`` samples, or on the whole grid, whose maxima
 the quarter must reproduce up to rounding.
+
+Helpers that only tests read live here too, not in the package: the four
+pieces of the matrix boundary (``boundary_curves``), the Keller test field
+psi of a ``KellerProfile`` and its displacement gradient
+(``keller_test_gradient``), whose energy ``primal_upper`` takes in closed
+form, and the inverse of the isotropic stiffness (``compliance_apply``).
 """
 from __future__ import annotations
 
@@ -32,11 +38,85 @@ import mpmath
 import numpy as np
 
 from gapstress import KellerProfile, Matrix2, Region, SymTensor2, m_constant, quadrature
-from gapstress.geometry import (Curve, _graded_breaks, _line_segment, _vertex_breaks,
-                                boundary_curves, chord_halfheight, region_classify)
+from gapstress.geometry import (Curve, _ellipse_arc, _graded_breaks, _line_segment,
+                                _vertex_breaks, chord_halfheight, region_classify)
 from gapstress.kernels import (KernelContext, _coefficients, _guarded_r2, _split,
                                singular_stress)
 from gapstress.quadrature import _K15_NODES, _RULE, IntegralResult, integrate_path
+
+def boundary_curves(geom) -> dict[str, Curve]:
+    """The four pieces of the matrix boundary inside the cell.
+
+    gamma_plus  : inner half of the D2 boundary plus the two uncovered parts
+                  of the right cell edge; normal into D2 resp. (1, 0).
+    gamma_minus : mirror image on the left.
+    edge_top / edge_bottom : horizontal cell edges, outward normals.
+    """
+    A = geom.half_width
+    B = geom.half_height
+    L1, L2 = geom.L1, geom.L2
+
+    gamma_plus = Curve(
+        segments=(
+            _line_segment((L1, L2), (L1, B), (1.0, 0.0)),
+            _ellipse_arc(L1, A, B, np.pi / 2.0, 3.0 * np.pi / 2.0, (np.pi,), geom.a),
+            _line_segment((L1, -B), (L1, -L2), (1.0, 0.0)),
+        )
+    )
+    gamma_minus = Curve(
+        segments=(
+            _line_segment((-L1, L2), (-L1, B), (-1.0, 0.0)),
+            _ellipse_arc(-L1, A, B, np.pi / 2.0, -np.pi / 2.0, (0.0,), geom.a),
+            _line_segment((-L1, -B), (-L1, -L2), (-1.0, 0.0)),
+        )
+    )
+    edge_top = Curve(segments=(_line_segment((-L1, L2), (L1, L2), (0.0, 1.0)),))
+    edge_bottom = Curve(segments=(_line_segment((-L1, -L2), (L1, -L2), (0.0, -1.0)),))
+    return {
+        "gamma_plus": gamma_plus,
+        "gamma_minus": gamma_minus,
+        "edge_top": edge_top,
+        "edge_bottom": edge_bottom,
+    }
+
+
+def psi(prof: KellerProfile, points: np.ndarray) -> np.ndarray:
+    """The Keller test field (x + X) / (2 X), clamped to [0, 1]."""
+    pts = np.asarray(points, dtype=float)
+    X = prof.halfwidth(pts[..., 1])
+    return np.clip((pts[..., 0] + X) / (2.0 * X), 0.0, 1.0)
+
+
+def grad_psi(prof: KellerProfile, points: np.ndarray) -> np.ndarray:
+    """Gradient of psi, shape (..., 2); zero in the clamped plateaus."""
+    pts = np.asarray(points, dtype=float)
+    x = pts[..., 0]
+    X = prof.halfwidth(pts[..., 1])
+    Xp = prof.halfwidth_deriv(pts[..., 1])
+    in_band = np.abs(x) < X
+    gx = np.where(in_band, 1.0 / (2.0 * X), 0.0)
+    gy = np.where(in_band, -x * Xp / (2.0 * X * X), 0.0)
+    return np.stack((gx, gy), axis=-1)
+
+
+def keller_test_gradient(prof: KellerProfile, j: int, points: np.ndarray) -> Matrix2:
+    """Displacement gradient of the vector test field psi * e_j."""
+    g = grad_psi(prof, points)
+    zero = np.zeros_like(g[..., 0])
+    if j == 1:
+        return Matrix2(g[..., 0], g[..., 1], zero, zero)
+    if j == 2:
+        return Matrix2(zero, zero, g[..., 0], g[..., 1])
+    raise ValueError(f"j must be 1 or 2, got {j}")
+
+
+def compliance_apply(s: SymTensor2, mat) -> SymTensor2:
+    """Strain e with stress_from_gradient(e) == s (inverse of the stiffness)."""
+    lam, mu = mat.lam, mat.mu
+    c = lam / (2.0 * mu * (2.0 * lam + 2.0 * mu))
+    tr = s.trace()
+    return SymTensor2(s.a11 / (2.0 * mu) - c * tr, s.a12 / (2.0 * mu), s.a22 / (2.0 * mu) - c * tr)
+
 
 # the four reflections of the cell: identity, x -> -x, y -> -y and both
 REFLECTIONS = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])

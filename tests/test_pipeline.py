@@ -605,6 +605,25 @@ def test_cli_bounds_writes_csv(config_file, tmp_path, capsys):
     assert "j = 2" in printed
 
 
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+@pytest.mark.parametrize("route", ["option", "config"])
+def test_cli_unwritable_out_exits_2(command, route, config_file, tmp_path, capsys):
+    # a missing directory used to end in a FileNotFoundError traceback, exit 1
+    out = tmp_path / "missing" / "o.csv"
+    text = GOOD_CONFIG.replace("1e-2, 1e-3", "1e-2, 3e-3, 1e-3")
+    argv = [command, "--config", str(config_file)]
+    if route == "option":
+        argv += ["--out", str(out)]
+    else:
+        text += f"out = {out}\n"
+    config_file.write_text(text)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"cannot write {out}: No such file or directory\n"
+    assert "wrote" not in captured.out
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command,n_rows", [("bounds", 2), ("sweep", 6)])
 def test_cli_warns_once_per_unconverged_row(command, n_rows, monkeypatch, tmp_path, capsys):
     p = tmp_path / "s.cfg"

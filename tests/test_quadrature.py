@@ -24,7 +24,7 @@ from gapstress import quadrature
 from gapstress.geometry import Curve, PathSegment
 
 from conftest import disk_geometry
-from oracles import four_fold, quarter_to_cell
+from oracles import four_fold, keller_test_gradient, quarter_to_cell
 
 
 def _segment_curve(p0, p1):
@@ -432,7 +432,7 @@ def test_path_determinism():
 
 def test_cell_grading_tracks_gap_logarithmically():
     # near-gap refinement cost should grow like log(1/eps), not a power
-    from gapstress.bounds import KellerProfile, keller_test_gradient
+    from gapstress.bounds import KellerProfile
     from gapstress.elasticity import energy_density
 
     from conftest import UNIT
