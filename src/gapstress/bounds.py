@@ -16,13 +16,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-# energy_density, integrate_cell, cumulative_line_table and
-# singular_displacement are not called here; they stay bound because
-# gapbench's tracer wraps every integrator, kernel and density at its name
-# in this module.  The pair integrals, the diagnostics and the cell term
-# assemble the pair fields from _PairTerms, shared by stress and
-# displacement and by both loads, so the tracer sees singular_stress only in
-# sigma_S and sigma_c
+# energy_density, integrate_cell, cumulative_line_table,
+# singular_displacement and region_classify are not called here; they stay
+# bound because gapbench's tracer wraps every integrator, kernel, density
+# and classifier at its name in this module.  The pair integrals, the
+# diagnostics and the cell term assemble the pair fields from _PairTerms,
+# shared by stress and displacement and by both loads, so the tracer sees
+# singular_stress only in sigma_S and sigma_c
 from .elasticity import (  # noqa: F401
     LameMaterial,
     Matrix2,
@@ -35,14 +35,13 @@ from .geometry import (
     Curve,
     GapGeometry,
     PathSegment,
-    Region,
     _ellipse_arc,
     _line_segment,
     chord_halfheight,
     gap_halfwidth,
     gap_halfwidth_deriv,
     inclusion_boundary,
-    region_classify,
+    region_classify,  # noqa: F401
 )
 from .kernels import (  # noqa: F401
     KernelContext,
@@ -55,6 +54,8 @@ from .kernels import (  # noqa: F401
     singular_stress,
 )
 from .quadrature import (
+    _K15_NODES,
+    _K15_WEIGHTS,
     IntegralResult,
     _fibre_axis,
     cumulative_line_table,  # noqa: F401
@@ -277,85 +278,61 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
                       diagnostics=_dual_diagnostics(geom, mat, (j,))[j])
 
 
-class _DiagnosticSamples:
-    """Where the dual diagnostics sample the stress, and how they read it.
-
-    The edge traction is read on 100 points of each horizontal edge, where
-    it is built to cancel exactly.  Asymmetry and divergence are read on the
-    matrix points of the symmetry quarter of a 41 x 41 grid: its last 21
-    abscissae and last 21 ordinates, from the gap centre (a rounding error
-    off it) to the cell corner.  The two nuclei of strain mirror each other
-    across the gap, so every component of sigma_S + sigma_c is even or odd in
-    x and in y, and the quantities whose maxima are read are even in both:
-    the quarter's maxima are the whole grid's, up to rounding.  sigma_S and
-    sigma_c are both evaluated on ``stencil`` (the edges and the grid's four
-    shifted copies +x, -x, +y, -y, for central differences), and sigma_c
-    also on the grid itself, where only its asymmetry is read (sigma_S is
-    symmetric by construction); ``with_grid`` is the stencil followed by
-    the grid.
-    """
-
-    def __init__(self, geom: GapGeometry) -> None:
-        L1, L2 = geom.L1, geom.L2
-        xs = np.linspace(-L1, L1, 100)
-        edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
-        # sliced by index, not by sign, so the gap centre's sample stays
-        # where the whole grid has it
-        gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41)[20:],
-                             np.linspace(-L2 * 0.995, L2 * 0.995, 41)[20:], indexing="ij")
-        pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
-        pts = pts[region_classify(geom, pts) == int(Region.MATRIX)]
-        # central differences with a step tied to the distance from the
-        # poles, which keeps truncation and rounding both far below the target
-        self.dist = np.minimum(np.linalg.norm(pts - geom.p1, axis=-1),
-                               np.linalg.norm(pts - geom.p2, axis=-1))
-        self.h = 6e-6 * self.dist
-        ex = np.stack((self.h, np.zeros_like(self.h)), axis=-1)
-        ey = np.stack((np.zeros_like(self.h), self.h), axis=-1)
-        self.stencil = np.concatenate((edges, pts + ex, pts - ex, pts + ey, pts - ey))
-        self.with_grid = np.concatenate((self.stencil, pts))
-        self.n_e, self.n = edges.shape[0], pts.shape[0]
-
-    def read(self, S: SymTensor2, C: Matrix2) -> Diagnostics:
-        """The diagnostics of sigma_S + sigma_c from S on ``stencil`` and C
-        on ``with_grid``."""
-        n_e, n, m = self.n_e, self.n, self.stencil.shape[0]
-        asym = float(np.abs(C.a12[m:] - C.a21[m:]).max())
-        s = Matrix2(S.a11 + C.a11[:m], S.a12 + C.a12[:m], S.a12 + C.a21[:m], S.a22 + C.a22[:m])
-        bc = float(np.abs(np.stack((s.a12[:n_e], s.a22[:n_e]), axis=-1)).max())
-        s = Matrix2(*(a[n_e:].reshape(4, n) for a in (s.a11, s.a12, s.a21, s.a22)))
-        inv2h = 1.0 / (2.0 * self.h)
-        d_col1_dx = np.stack(((s.a11[0] - s.a11[1]) * inv2h, (s.a21[0] - s.a21[1]) * inv2h), -1)
-        d_col2_dy = np.stack(((s.a12[2] - s.a12[3]) * inv2h, (s.a22[2] - s.a22[3]) * inv2h), -1)
-        resid = np.abs(d_col1_dx + d_col2_dy).max(axis=-1)
-        # normalize by the derivative scale |sigma| / (distance to the nearer
-        # pole); the derivatives themselves all vanish at symmetry points such
-        # as the gap center, where their ratio would compare rounding noise
-        # with itself
-        mag = (np.abs(s.a11) + np.abs(s.a12) + np.abs(s.a21) + np.abs(s.a22)).max(axis=0)
-        div = float((resid * self.dist / mag).max())
-        return Diagnostics(asymmetry_max=asym, bc_residual=bc, div_residual=div)
+# the dual diagnostics read the upper edge on this many equal panels of [0, L1]
+_EDGE_PANELS = 20
 
 
 def _dual_diagnostics(geom: GapGeometry, mat: LameMaterial,
                       loads: tuple[int, ...]) -> dict[int, Diagnostics]:
-    """The diagnostics of the dual stress of each load, from one set of
-    samples: the pair-field terms on the stencil and on the upper edge line
-    at the distinct abscissae are evaluated once, and each load's sigma_S
-    and sigma_c are assembled from them."""
-    samples = _DiagnosticSamples(geom)
+    """The diagnostics of the dual stress of each load, read from the
+    construction on the upper edge y = L2, x in [0, L1].
+
+    Every component of sigma_S + sigma_c is even or odd in x and in y, so
+    the edge covers the cell.  [0, L1] is split into equal panels; the pair
+    terms at the panel ends and at each panel's 15 Kronrod nodes, and the
+    resultant's terms at the ends, are built once for every load.
+
+    - ``bc_residual``: max |(sigma_S + sigma_c) e_2| at the panel ends,
+      which the construction cancels exactly.
+    - ``asymmetry_max``: max |sigma_c12 - sigma_c21|.  At each x it is
+      affine in y, so its maximum over the fibre [h(x), L2] sits at an end;
+      both ends are read at every panel end.
+    - ``div_residual``: in each row sigma_c's divergence is G' + beta / L2,
+      the same at every y.  Its integral over each panel, the jump of G plus
+      the K15 integral of beta / L2 (both from the linear
+      ``_affine_coefficients``), over max |beta| / L2 times the panel
+      length.  That reads R' - t in the load's odd component, for the pair
+      field's edge resultant R and edge traction t.  sigma_S solves the Lame
+      system by its Kolosov-Muskhelishvili form; ``run_verify``'s flux
+      checks test it.
+    """
     ctx = KernelContext.from_geometry(geom, mat)
     L2 = geom.L2
-    xu, inv = np.unique(samples.with_grid[..., 0], return_inverse=True)
-    on_stencil = _PairTerms(ctx, samples.stencil)
-    on_edge = _PairTerms(ctx, np.stack((xu, np.full_like(xu, L2)), -1))
-    resultant = _EdgeTerms(ctx, xu, L2)
+    ends = np.linspace(0.0, geom.L1, _EDGE_PANELS + 1)
+    half = (ends[1] - ends[0]) / 2.0
+    x = np.concatenate((ends, (ends[:-1, None] + half * (_K15_NODES + 1.0)).ravel()))
+    pair = _PairTerms(ctx, np.stack((x, np.full_like(x, L2)), -1))
+    edge = _EdgeTerms(ctx, ends, L2)
+    n = ends.size
+    # the fibres' upper ends on the edge, then their lower ends
+    y = np.concatenate((np.full(n, L2), chord_halfheight(geom, ends)))
+    inv = np.tile(np.arange(n), 2)
     out = {}
     for j in loads:
         scale = _dual_scale(geom, mat, j)
-        C = _correction(samples.with_grid[..., 1], inv, L2, *_affine_coefficients(
-            j, scale, L2, on_edge.stress(j), resultant.resultant(j)))
-        out[j] = samples.read(_scaled(on_stencil.stress(j), scale), C)
+        s, resultant = pair.stress(j), edge.resultant(j)
+        at_ends = SymTensor2(s.a11[:n], s.a12[:n], s.a22[:n])
+        G, alpha, beta = _affine_coefficients(j, scale, L2, at_ends, resultant)
+        C = _correction(y, inv, L2, G, alpha, beta)
+        S = _scaled(at_ends, scale)
+        bc = np.abs(np.stack((S.a12 + C.a12[:n], S.a22 + C.a22[:n]), axis=-1)).max()
+        on_panels = SymTensor2(*(half * (a[n:].reshape(_EDGE_PANELS, -1) @ _K15_WEIGHTS)
+                                 for a in (s.a11, s.a12, s.a22)))
+        jump, _, integral = _affine_coefficients(j, scale, L2, on_panels,
+                                                 np.diff(resultant, axis=0))
+        div = np.abs(jump + integral / L2).max() / (np.abs(beta).max() / L2 * 2.0 * half)
+        out[j] = Diagnostics(asymmetry_max=float(np.abs(C.a12 - C.a21).max()),
+                             bc_residual=float(bc), div_residual=float(div))
     return out
 
 

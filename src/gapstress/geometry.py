@@ -98,8 +98,8 @@ class GapGeometry:
     """Frozen description of one gap configuration.
 
     kappa0 is the boundary curvature at the gap-facing vertex, r_osc = 1/kappa0
-    the osculating disk radius there.  The two fixed singular points p1, p2 sit
-    at (-a, 0) and (a, 0) with a = sqrt(eps (4 r_osc + eps)) / 2; both lie
+    the osculating disk radius there.  The pair field's two poles sit at
+    (-a, 0) and (a, 0) with a = sqrt(eps (4 r_osc + eps)) / 2; both lie
     strictly inside their inclusion for any eps > 0.  L is the half-height of
     the neck region used by the test fields (half the inclusion half-height).
     """
@@ -120,14 +120,6 @@ class GapGeometry:
     @property
     def half_height(self) -> float:
         return self.shape.half_height
-
-    @property
-    def p1(self) -> tuple[float, float]:
-        return (-self.a, 0.0)
-
-    @property
-    def p2(self) -> tuple[float, float]:
-        return (self.a, 0.0)
 
 
 def make_gap_geometry(shape: InclusionShape, eps: float, L2: float) -> GapGeometry:

@@ -138,7 +138,8 @@ def kernel_gradient(which: str, x, mat: LameMaterial) -> Matrix2:
 
 @dataclass(frozen=True)
 class KernelContext:
-    """Material plus the two singular points of one gap configuration."""
+    """Material plus the pole offset a of one gap configuration: the pair
+    field's poles are (-a, 0) and (a, 0)."""
 
     material: LameMaterial
     a: float
@@ -152,14 +153,6 @@ class KernelContext:
     @classmethod
     def from_geometry(cls, geom: GapGeometry, mat: LameMaterial) -> "KernelContext":
         return cls(material=mat, a=geom.a)
-
-    @property
-    def p1(self) -> np.ndarray:
-        return np.array([-self.a, 0.0])
-
-    @property
-    def p2(self) -> np.ndarray:
-        return np.array([self.a, 0.0])
 
 
 def _coefficients(ctx: KernelContext, j: int) -> tuple[float, complex, complex]:

@@ -237,10 +237,18 @@ class SweepRow:
         return ",".join(txt)
 
 
+def _check_loads(loads: tuple[int, ...]) -> tuple[int, ...]:
+    """The loads sorted and without repeats; at least one is required."""
+    if not loads:
+        raise ConfigError(f"at least one load is required, got loads={loads!r}")
+    return tuple(sorted(set(loads)))
+
+
 def compute_width_rows(cfg: RunConfig, eps: float, loads: tuple[int, ...]) -> list[SweepRow]:
-    """The sweep rows of the given loads at one gap width, in that order.
-    The loads share the geometry, each dual path integral
+    """The sweep rows of the given loads at one gap width, one per load, j
+    ascending.  The loads share the geometry, each dual path integral
     (``dual_lower_loads``) and the diagnostic samples."""
+    loads = _check_loads(loads)
     geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
     lowers = dual_lower_loads(geom, cfg.material, loads, cfg.rel_tol_cell, cfg.rel_tol_path)
     diagnostics = _dual_diagnostics(geom, cfg.material, loads)
@@ -299,9 +307,7 @@ def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1,
         raise ConfigError("a sweep needs at least 3 gap widths for the fit")
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    if not loads:
-        raise ConfigError(f"a sweep needs at least one load, got loads={loads!r}")
-    loads = tuple(sorted(set(loads)))
+    loads = _check_loads(loads)
     n = len(cfg.eps_list)
     args = ([cfg] * n, cfg.eps_list, [loads] * n)
     workers = min(workers, n // _WIDTHS_PER_PROCESS)

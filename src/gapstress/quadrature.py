@@ -252,7 +252,7 @@ def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
     Refinement starts from each segment's root panels (``breaks``).  Each
     refinement round hands the 15 Kronrod nodes of all new panels of all
     segments to ``integrand`` in one call.  The value is K15 and the error
-    estimate the sum of per-panel |K15 - G7|, a deliberately conservative
+    estimate the sum of per-panel |K15 - G7|, a heuristic estimate, not a
     bound.  For a vector integrand each component is held to ``rel_tol``
     times its own scale, the estimate bounds the summed |K15 - G7| of
     every component, and ``component_err`` holds each component's own.

@@ -19,16 +19,18 @@ as a tight adaptive path integral of the stress itself.
 The pair fields are also kept here one load and one field at a time, as
 they were written before ``kernels._PairTerms`` shared their terms: the
 shared evaluation must reproduce them bit for bit, and so must the dual
-fields and diagnostics built on them.  The diagnostics are kept with one
-field call per sample set, on the symmetry quarter of the 41 x 41 grid that
-``bounds._DiagnosticSamples`` samples, or on the whole grid, whose maxima
-the quarter must reproduce up to rounding.
+fields built on them.  The dual diagnostics are kept twice, each with one
+field call per sample set and from the fields alone: on the upper edge's
+panels that ``bounds._dual_diagnostics`` reads (``edge_diagnostics``), and
+by central differences on the matrix points of a 41 x 41 grid over the
+whole cell (``per_copy_diagnostics``).
 
 Helpers that only tests read live here too, not in the package: the four
 pieces of the matrix boundary (``boundary_curves``), the Keller test field
 psi of a ``KellerProfile`` and its displacement gradient
 (``keller_test_gradient``), whose energy ``primal_upper`` takes in closed
-form, and the inverse of the isotropic stiffness (``compliance_apply``).
+form, the inverse of the isotropic stiffness (``compliance_apply``) and the
+pair field's poles (``poles``).
 """
 from __future__ import annotations
 
@@ -38,11 +40,12 @@ import mpmath
 import numpy as np
 
 from gapstress import KellerProfile, Matrix2, Region, SymTensor2, m_constant, quadrature
+from gapstress.bounds import _EDGE_PANELS
 from gapstress.geometry import (Curve, _ellipse_arc, _graded_breaks, _line_segment,
                                 _vertex_breaks, chord_halfheight, region_classify)
 from gapstress.kernels import (KernelContext, _coefficients, _guarded_r2, _split,
                                singular_stress)
-from gapstress.quadrature import _K15_NODES, _RULE, IntegralResult, integrate_path
+from gapstress.quadrature import _K15_NODES, _K15_WEIGHTS, _RULE, IntegralResult, integrate_path
 
 def boundary_curves(geom) -> dict[str, Curve]:
     """The four pieces of the matrix boundary inside the cell.
@@ -281,6 +284,12 @@ def primal_mpmath(geom, mat, j: int, dps: int = 40) -> float:
         return float(2 * mpmath.quad(density, pts))
 
 
+def poles(obj) -> tuple[np.ndarray, np.ndarray]:
+    """The pair field's poles p1 = (-a, 0) and p2 = (a, 0) of a
+    ``GapGeometry`` or a ``KernelContext``."""
+    return np.array([-obj.a, 0.0]), np.array([obj.a, 0.0])
+
+
 def _pole_distances(ctx, x):
     """x1, x2 and the squared distances to p1 and p2; raises at a pole."""
     x1, x2 = _split(x)
@@ -375,26 +384,58 @@ def total_stress(dual, pts) -> Matrix2:
     return Matrix2(s.a11 + c.a11, s.a12 + c.a12, s.a12 + c.a21, s.a22 + c.a22)
 
 
-def per_copy_diagnostics(geom, sigma_total, sigma_c, quarter: bool = False
-                         ) -> tuple[float, float, float]:
+def edge_diagnostics(geom, sigma_total, sigma_c) -> tuple[float, float, float]:
+    """(asymmetry_max, bc_residual, div_residual) on the equal panels of the
+    upper edge y = L2, x in [0, L1] that ``bounds._dual_diagnostics`` reads,
+    from the fields alone, with one field call per sample set: the edge
+    traction of sigma_total at the panel ends; sigma_c at both ends
+    (h(x), L2) of the fibre at each panel end; and sigma_c's divergence.
+    sigma_c is affine in y, so in each row its divergence is d_x of the
+    first column plus the y-slope of the second, the same at every y; the
+    slope is read as the difference of the column at y = L2 and y = 0.  The
+    panel integral of the divergence, by the jump of the first column and
+    the K15 integral of the slope, is measured against the largest slope at
+    the panel ends times the panel length."""
+    L2 = geom.L2
+    ends = np.linspace(0.0, geom.L1, _EDGE_PANELS + 1)
+    n, half = ends.size, (ends[1] - ends[0]) / 2.0
+    x = np.concatenate((ends, (ends[:-1, None] + half * (_K15_NODES + 1.0)).ravel()))
+
+    def at(x, y):
+        return np.stack((x, np.broadcast_to(y, x.shape)), axis=-1)
+
+    top = sigma_total(at(ends, L2))
+    bc = float(np.abs(np.stack((top.a12, top.a22), axis=-1)).max())
+    c_top, c_mid = sigma_c(at(x, L2)), sigma_c(at(x, 0.0))
+    lower = sigma_c(at(ends, chord_halfheight(geom, ends)))
+    asym = float(max(np.abs(c_top.a12 - c_top.a21)[:n].max(),
+                     np.abs(lower.a12 - lower.a21).max()))
+    slope = np.stack((c_top.a12 - c_mid.a12, c_top.a22 - c_mid.a22), axis=-1) / L2
+    first = np.stack((c_top.a11[:n], c_top.a21[:n]), axis=-1)
+    integral = half * np.einsum("pkc,k->pc", slope[n:].reshape(_EDGE_PANELS, -1, 2),
+                                _K15_WEIGHTS)
+    div = np.abs(np.diff(first, axis=0) + integral).max() / (
+        np.abs(slope[:n]).max() * 2.0 * half)
+    return asym, bc, float(div)
+
+
+def per_copy_diagnostics(geom, sigma_total, sigma_c) -> tuple[float, float, float]:
     """(asymmetry_max, bc_residual, div_residual) with one field call per
     sample set: the 200 edge points, the matrix points of the 41 x 41 grid
-    (sigma_c only) and the grid's four shifted copies.  With ``quarter`` the
-    grid is its symmetry quarter, its last 21 abscissae and ordinates."""
+    over the whole cell (sigma_c only) and the grid's four shifted copies,
+    whose central differences give the divergence of sigma_S + sigma_c."""
     L1, L2 = geom.L1, geom.L2
     xs = np.linspace(-L1, L1, 100)
     edges = np.stack((np.tile(xs, 2), np.repeat((L2, -L2), xs.size)), axis=-1)
     s = sigma_total(edges)
     bc = float(np.abs(np.stack((s.a12, s.a22), axis=-1)).max())
-    keep = slice(20 if quarter else 0, None)
-    gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41)[keep],
-                         np.linspace(-L2 * 0.995, L2 * 0.995, 41)[keep], indexing="ij")
+    gx, gy = np.meshgrid(np.linspace(-L1 * 0.995, L1 * 0.995, 41),
+                         np.linspace(-L2 * 0.995, L2 * 0.995, 41), indexing="ij")
     pts = np.stack((gx.ravel(), gy.ravel()), axis=-1)
     pts = pts[region_classify(geom, pts) == int(Region.MATRIX)]
     sc = sigma_c(pts)
     asym = float(np.abs(sc.a12 - sc.a21).max())
-    dist = np.minimum(np.linalg.norm(pts - geom.p1, axis=-1),
-                      np.linalg.norm(pts - geom.p2, axis=-1))
+    dist = np.minimum(*(np.linalg.norm(pts - p, axis=-1) for p in poles(geom)))
     h = 6e-6 * dist
     ex = np.stack((h, np.zeros_like(h)), axis=-1)
     ey = np.stack((np.zeros_like(h), h), axis=-1)

@@ -34,7 +34,7 @@ from gapstress import (
 )
 
 from conftest import UNIT, disk_geometry
-from oracles import total_stress
+from oracles import poles, total_stress
 
 EPS_SWEEP = (1e-2, 1e-3, 1e-4, 1e-5)
 
@@ -130,18 +130,12 @@ def test_criterion_7_dual_field_structure():
     while len(pts) < 1000:
         cand = rng.uniform([-g.L1, -g.L2], [g.L1, g.L2], size=(4000, 2))
         keep = region_classify(g, cand) == Region.MATRIX
-        dist = np.minimum(
-            np.linalg.norm(cand - np.asarray(g.p1), axis=1),
-            np.linalg.norm(cand - np.asarray(g.p2), axis=1),
-        )
+        dist = np.minimum(*(np.linalg.norm(cand - p, axis=1) for p in poles(g)))
         edge = np.minimum(g.L1 - np.abs(cand[:, 0]), g.L2 - np.abs(cand[:, 1]))
         pts.extend(cand[keep & (dist > 1e-3) & (edge > 1e-4)].tolist())
     pts = np.array(pts[:1000])
 
-    dist = np.minimum(
-        np.linalg.norm(pts - np.asarray(g.p1), axis=1),
-        np.linalg.norm(pts - np.asarray(g.p2), axis=1),
-    )
+    dist = np.minimum(*(np.linalg.norm(pts - p, axis=1) for p in poles(g)))
     h = np.minimum(6e-6 * dist, 0.5e-4)
     ex = np.stack((h, np.zeros_like(h)), axis=-1)
     ey = np.stack((np.zeros_like(h), h), axis=-1)
@@ -231,16 +225,10 @@ def test_criterion_9_kernel_gradients_and_field_equation():
     while len(pts) < 1000:
         cand = rng2.uniform([-g.L1, -g.L2], [g.L1, g.L2], size=(4000, 2))
         keep = region_classify(g, cand) == Region.MATRIX
-        dist = np.minimum(
-            np.linalg.norm(cand - np.asarray(g.p1), axis=1),
-            np.linalg.norm(cand - np.asarray(g.p2), axis=1),
-        )
+        dist = np.minimum(*(np.linalg.norm(cand - p, axis=1) for p in poles(g)))
         pts.extend(cand[keep & (dist > 0.05)].tolist())
     pts = np.array(pts[:1000])
-    dist = np.minimum(
-        np.linalg.norm(pts - np.asarray(g.p1), axis=1),
-        np.linalg.norm(pts - np.asarray(g.p2), axis=1),
-    )
+    dist = np.minimum(*(np.linalg.norm(pts - p, axis=1) for p in poles(g)))
     worst_lame = 0.0
     for j in (1, 2):
         hh = 1e-4 * dist

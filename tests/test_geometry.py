@@ -24,7 +24,7 @@ from gapstress import (
 from gapstress.quadrature import integrate_path
 
 from conftest import disk_geometry
-from oracles import boundary_curves
+from oracles import boundary_curves, poles
 
 PATH_TIGHT = 1e-10
 
@@ -35,8 +35,6 @@ def test_disk_layout():
     assert g.r_osc == 1.0
     assert g.L1 == pytest.approx(1.005, abs=1e-15)
     assert g.a == pytest.approx(math.sqrt(0.01 * 4.01) / 2.0, rel=1e-15)
-    assert g.p1 == (-g.a, 0.0)
-    assert g.p2 == (g.a, 0.0)
     assert g.L == 0.5
 
 
@@ -131,7 +129,7 @@ def test_region_classify_examples():
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
 def test_poles_strictly_inside_inclusions(eps):
     g = disk_geometry(eps)
-    codes = region_classify(g, np.array([g.p1, g.p2]))
+    codes = region_classify(g, np.array(poles(g)))
     assert codes[0] == Region.INCLUSION1
     assert codes[1] == Region.INCLUSION2
 

@@ -23,6 +23,7 @@ from gapstress import (
     LameMaterial,
     QuadratureError,
     RunConfig,
+    SymTensor2,
     VerificationError,
     build_dual_stress,
     compute_sweep_row,
@@ -526,6 +527,21 @@ def test_sweep_rejects_an_empty_load_set():
         sweep_and_fit(cfg, loads=())
 
 
+def test_width_rows_reject_an_empty_load_set():
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,))
+    with pytest.raises(ConfigError, match=re.escape("loads=()")):
+        compute_width_rows(cfg, 1e-2, ())
+
+
+def test_width_rows_sort_and_deduplicate_the_loads():
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,),
+                    rel_tol_cell=1e-3, rel_tol_path=1e-6)
+    both = [r.csv_line() for r in compute_width_rows(cfg, 1e-2, (1, 2))]
+    assert [r.csv_line() for r in compute_width_rows(cfg, 1e-2, (2, 1, 2))] == both
+    one = [r.csv_line() for r in compute_width_rows(cfg, 1e-2, (1,))]
+    assert [r.csv_line() for r in compute_width_rows(cfg, 1e-2, (1, 1))] == one
+
+
 def test_sweep_needs_three_gap_widths():
     cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2, 1e-3))
     with pytest.raises(ConfigError):
@@ -585,6 +601,27 @@ def test_run_verify_checks_both_loads_diagnostics_in_one_call(monkeypatch):
         d = build_dual_stress(g, UNIT, j).diagnostics
         assert f"ok   edge traction j={j}: max |sigma n| on y=+-L2 is {d.bc_residual:.2e}" in report
         assert f"ok   divergence j={j}: relative residual {d.div_residual:.2e}" in report
+
+
+class _DefectiveStress(bounds._PairTerms):
+    """The pair stress with 1e-3 x added to sigma11, a divergence of 1e-3
+    in the first row that the edge traction does not see."""
+
+    def stress(self, j):
+        s = super().stress(j)
+        return SymTensor2(s.a11 + 1e-3 * self.z.real, s.a12, s.a22)
+
+
+@pytest.mark.parametrize("config", ["disk", "ellipse"])
+def test_run_verify_flags_a_divergent_pair_stress(config, monkeypatch):
+    # the diagnostics take sigma_S's equilibrium from its construction; the
+    # flux identities are what test it at run time
+    cfg = parse_config(SHIPPED_CONFIGS / f"{config}.cfg")
+    monkeypatch.setattr(bounds, "_PairTerms", _DefectiveStress)
+    with pytest.raises(VerificationError) as info:
+        run_verify(cfg, 1e-4)
+    failed = [line.split(":")[0][5:] for line in info.value.lines if line.startswith("FAIL")]
+    assert failed and all(name.startswith("flux") for name in failed)
 
 
 # ---------------------------------------------------------------------------
