@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .elasticity import (  # noqa: F401
     LameMaterial,
     Matrix2,
     SymTensor2,
+    _side_by_side,
     compliance_contract,
     compliance_energy,
     energy_density,
@@ -214,11 +215,12 @@ def _scaled(s: SymTensor2, scale: float) -> SymTensor2:
     return SymTensor2(scale * s.a11, scale * s.a12, scale * s.a22)
 
 
-def _affine_coefficients(j: int, scale: float, L2: float, traction: SymTensor2,
+def _affine_coefficients(j: int, scale: float | np.ndarray, L2: float, traction: SymTensor2,
                          resultant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(G, alpha, beta) of sigma_c at abscissae x, each of shape (n, 2),
     from the unscaled pair stress ``traction`` at (x, L2) and the pair
-    field's traction resultant there.
+    field's traction resultant there; ``scale`` is one number or an array
+    shaped as the traction's components, and more axes follow x.
 
     sigma_c has first column G(x) and second column alpha(x) + beta(x) y / L2.
     G is the cumulative traction jump across the horizontal edges, scaled
@@ -229,17 +231,20 @@ def _affine_coefficients(j: int, scale: float, L2: float, traction: SymTensor2,
     those at L2: sigma_12 is odd for j = 1 and sigma_22 for j = 2.
     """
     odd = np.array([j == 1, j == 2], dtype=float)
-    t = np.stack((traction.a12, traction.a22), axis=-1)
+    t = _side_by_side(traction.a12, traction.a22)
+    if np.ndim(scale):
+        scale = scale[..., None]
     return (scale / L2) * odd * resultant, -scale * (1.0 - odd) * t, -scale * odd * t
 
 
 def _correction(y: np.ndarray, inv: np.ndarray, L2: float, G: np.ndarray,
                 alpha: np.ndarray, beta: np.ndarray) -> Matrix2:
     """sigma_c at points of ordinate y and abscissa xu[inv], from its
-    coefficients at xu (``_affine_coefficients``)."""
+    coefficients at xu (``_affine_coefficients``); coefficients with more
+    axes are read along the first."""
     eta = y / L2
-    return Matrix2(G[:, 0][inv], alpha[:, 0][inv] + beta[:, 0][inv] * eta,
-                   G[:, 1][inv], alpha[:, 1][inv] + beta[:, 1][inv] * eta)
+    return Matrix2(G[..., 0][inv], alpha[..., 0][inv] + beta[..., 0][inv] * eta,
+                   G[..., 1][inv], alpha[..., 1][inv] + beta[..., 1][inv] * eta)
 
 
 def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStress:
@@ -275,22 +280,75 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
         return _correction(pts[..., 1], inv.reshape(pts.shape[:-1]), L2, *coefficients(xu))
 
     return DualStress(sigma_S=sigma_S, sigma_c=sigma_c, G=G,
-                      diagnostics=_dual_diagnostics(geom, mat, (j,))[j])
+                      diagnostics=_dual_diagnostics((geom,), mat, (j,))[0][j])
+
+
+class _Widths:
+    """Gap geometries of one shape and L2, and a material, read at once.
+
+    ``at(index)`` is one GapGeometry whose per-width fields eps, L1 and a
+    are arrays, entry k of each from geometry index[k], with its kernel
+    context; ``chord_halfheight``, ``_dual_scale`` and the pair terms
+    broadcast over them, so one evaluation serves points of every width.
+    A lone geometry is read as it is, with one context: its scalars
+    broadcast as those arrays would."""
+
+    def __init__(self, geoms: Sequence[GapGeometry], mat: LameMaterial) -> None:
+        if not geoms:
+            raise ValueError("at least one gap geometry is required")
+        self.geoms, self.mat = tuple(geoms), mat
+        first = self.geoms[0]
+        self.lone, self.fields = None, None
+        if len(self.geoms) == 1:
+            self.lone = KernelContext.from_geometry(first, mat)
+        elif any(g.shape != first.shape or g.L2 != first.L2 for g in self.geoms):
+            raise ValueError("the gap geometries of one evaluation must share shape and L2")
+        else:
+            self.fields = {f: np.array([getattr(g, f) for g in self.geoms])
+                           for f in ("eps", "L1", "a")}
+
+    def at(self, index) -> tuple[GapGeometry, KernelContext]:
+        if self.lone:
+            return self.geoms[0], self.lone
+        geom = replace(self.geoms[0], **{f: v[index] for f, v in self.fields.items()})
+        return geom, KernelContext.from_geometry(geom, self.mat)
 
 
 # the dual diagnostics read the upper edge on this many equal panels of [0, L1]
 _EDGE_PANELS = 20
+# nodes per evaluation of a grouped integrand, and widths per evaluation of
+# the diagnostics.  numpy evaluates a product whose right operand is a
+# temporary array of 256 KiB or more in place, with the operands swapped,
+# and a complex product then rounds differently; below that size (16,384
+# complex values) every point's value is the one it gets in a one-width call
+_NODE_CHUNK = 4096
+_DIAGNOSTIC_WIDTHS = 32
 
 
-def _dual_diagnostics(geom: GapGeometry, mat: LameMaterial,
-                      loads: tuple[int, ...]) -> dict[int, Diagnostics]:
-    """The diagnostics of the dual stress of each load, read from the
-    construction on the upper edge y = L2, x in [0, L1].
+def _in_chunks(integrand):
+    """The grouped path integrand evaluated on at most _NODE_CHUNK nodes at a time."""
+    def chunked(p: np.ndarray, n: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        if groups.size <= _NODE_CHUNK:
+            return integrand(p, n, groups)
+        return np.concatenate([integrand(p[s:s + _NODE_CHUNK], n[s:s + _NODE_CHUNK],
+                                         groups[s:s + _NODE_CHUNK])
+                               for s in range(0, groups.size, _NODE_CHUNK)])
+
+    return chunked
+
+
+def _dual_diagnostics(geoms: Sequence[GapGeometry], mat: LameMaterial,
+                      loads: tuple[int, ...]) -> list[dict[int, Diagnostics]]:
+    """The diagnostics of the dual stress of each load on each geometry (one
+    shape and L2, ``_Widths``), read from the construction on the upper edge
+    y = L2, x in [0, L1].
 
     Every component of sigma_S + sigma_c is even or odd in x and in y, so
-    the edge covers the cell.  [0, L1] is split into equal panels; the pair
-    terms at the panel ends and at each panel's 15 Kronrod nodes, and the
-    resultant's terms at the ends, are built once for every load.
+    the edge covers the cell.  Each width's [0, L1] is split into equal
+    panels; the pair terms at the panel ends and at each panel's 15 Kronrod
+    nodes, and the resultant's terms at the ends, are built once for every
+    width and load, with a trailing axis over the widths where there are
+    several.
 
     - ``bc_residual``: max |(sigma_S + sigma_c) e_2| at the panel ends,
       which the construction cancels exactly.
@@ -305,19 +363,38 @@ def _dual_diagnostics(geom: GapGeometry, mat: LameMaterial,
       field's edge resultant R and edge traction t.  sigma_S solves the Lame
       system by its Kolosov-Muskhelishvili form; ``run_verify``'s flux
       checks test it.
+
+    More than _DIAGNOSTIC_WIDTHS widths are read that many at a time.
     """
-    ctx = KernelContext.from_geometry(geom, mat)
+    if len(geoms) > _DIAGNOSTIC_WIDTHS:
+        return [d for k in range(0, len(geoms), _DIAGNOSTIC_WIDTHS)
+                for d in _dual_diagnostics(geoms[k:k + _DIAGNOSTIC_WIDTHS], mat, loads)]
+    geom, ctx = _Widths(geoms, mat).at(np.arange(len(geoms)))
     L2 = geom.L2
-    ends = np.linspace(0.0, geom.L1, _EDGE_PANELS + 1)
+    n = _EDGE_PANELS + 1
+    ends = np.linspace(0.0, geom.L1, n)
     half = (ends[1] - ends[0]) / 2.0
-    x = np.concatenate((ends, (ends[:-1, None] + half * (_K15_NODES + 1.0)).ravel()))
+    nodes = ends[:-1, None] + np.multiply.outer(_K15_NODES + 1.0, half)
+    x = np.concatenate((ends, nodes.reshape((-1,) + ends.shape[1:])))
     pair = _PairTerms(ctx, np.stack((x, np.full_like(x, L2)), -1))
     edge = _EdgeTerms(ctx, ends, L2)
-    n = ends.size
     # the fibres' upper ends on the edge, then their lower ends
-    y = np.concatenate((np.full(n, L2), chord_halfheight(geom, ends)))
+    y = np.concatenate((np.full_like(ends, L2), chord_halfheight(geom, ends)))
     inv = np.tile(np.arange(n), 2)
-    out = {}
+
+    def largest(a: np.ndarray) -> np.ndarray:
+        # max |a| over the first and the last axis: per width
+        return np.abs(a).max(axis=(0, -1))
+
+    def on_panels(a: np.ndarray) -> np.ndarray:
+        # the K15 sum of each panel: its 15 nodes one contiguous row of a
+        # matrix-vector product, as they are for a width alone
+        rows = a[n:].reshape((_EDGE_PANELS, _K15_NODES.size) + a.shape[1:])
+        if rows.ndim > 2:
+            rows = np.ascontiguousarray(rows.swapaxes(1, 2)).reshape(-1, _K15_NODES.size)
+        return half * (rows @ _K15_WEIGHTS).reshape((_EDGE_PANELS,) + a.shape[1:])
+
+    out: list[dict[int, Diagnostics]] = [{} for _ in geoms]
     for j in loads:
         scale = _dual_scale(geom, mat, j)
         s, resultant = pair.stress(j), edge.resultant(j)
@@ -325,14 +402,15 @@ def _dual_diagnostics(geom: GapGeometry, mat: LameMaterial,
         G, alpha, beta = _affine_coefficients(j, scale, L2, at_ends, resultant)
         C = _correction(y, inv, L2, G, alpha, beta)
         S = _scaled(at_ends, scale)
-        bc = np.abs(np.stack((S.a12 + C.a12[:n], S.a22 + C.a22[:n]), axis=-1)).max()
-        on_panels = SymTensor2(*(half * (a[n:].reshape(_EDGE_PANELS, -1) @ _K15_WEIGHTS)
-                                 for a in (s.a11, s.a12, s.a22)))
-        jump, _, integral = _affine_coefficients(j, scale, L2, on_panels,
-                                                 np.diff(resultant, axis=0))
-        div = np.abs(jump + integral / L2).max() / (np.abs(beta).max() / L2 * 2.0 * half)
-        out[j] = Diagnostics(asymmetry_max=float(np.abs(C.a12 - C.a21).max()),
-                             bc_residual=float(bc), div_residual=float(div))
+        bc = np.maximum(np.abs(S.a12 + C.a12[:n]).max(axis=0),
+                        np.abs(S.a22 + C.a22[:n]).max(axis=0))
+        jump, _, integral = _affine_coefficients(
+            j, scale, L2, SymTensor2(on_panels(s.a11), on_panels(s.a12), on_panels(s.a22)),
+            np.diff(resultant, axis=0))
+        div = largest(jump + integral / L2) / (largest(beta) / L2 * 2.0 * half)
+        asymmetry = np.abs(C.a12 - C.a21).max(axis=0)
+        for d, *values in zip(out, *(v.reshape(-1).tolist() for v in (asymmetry, bc, div))):
+            d[j] = Diagnostics(*values)
     return out
 
 
@@ -344,13 +422,14 @@ def _traction_work(terms: _PairTerms, j: int, n: np.ndarray) -> np.ndarray:
     return np.concatenate((tr, np.einsum("...k,...k->...", tr, u)[..., None]), axis=-1)
 
 
-def _work_integrand(ctx: KernelContext, loads: tuple[int, ...]):
-    """Path integrand (sigma(q_j) n) . q_j of the pair field q_j, one component per load."""
-    def work(p: np.ndarray, n: np.ndarray) -> np.ndarray:
-        terms = _PairTerms(ctx, p)
+def _work_integrand(widths: _Widths, loads: tuple[int, ...]):
+    """Grouped path integrand (sigma(q_j) n) . q_j of the pair field q_j of
+    each node's geometry, one component per load."""
+    def work(p: np.ndarray, n: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        terms = _PairTerms(widths.at(groups)[1], p)
         return np.stack([_traction_work(terms, j, n)[..., 2] for j in loads], axis=-1)
 
-    return work
+    return _in_chunks(work)
 
 
 def _quarter_boundary(geom: GapGeometry) -> tuple[PathSegment, ...]:
@@ -363,27 +442,30 @@ def _quarter_boundary(geom: GapGeometry) -> tuple[PathSegment, ...]:
             _ellipse_arc(L1, geom.half_width, B, np.pi / 2.0, np.pi, (np.pi,), geom.a))
 
 
-def _singular_self_energy(geom: GapGeometry, ctx: KernelContext, loads: tuple[int, ...],
-                          rel_tol: float) -> dict[int, IntegralResult]:
-    """Matrix integral of sigma_S : C^-1 sigma_S for each load's scaled pair field.
+def _singular_self_energy(widths: _Widths, loads: tuple[int, ...],
+                          rel_tol: float) -> list[dict[int, IntegralResult]]:
+    """Matrix integral of sigma_S : C^-1 sigma_S for each load's scaled pair
+    field on each geometry.
 
     The pair field q_j solves the Lame system in the matrix, so by Green's
     identity the integral equals (m_j / sqrt(eps))^2 times the work of its
     traction on the matrix boundary, normals pointing out of the matrix.
     The work density is even in x and in y, so that is 4 times the work on
-    the quarter boundary.
+    the quarter boundary.  One path integral covers every geometry's
+    quarter boundary, one tolerance group each.
     """
-    work = integrate_path(Curve(segments=_quarter_boundary(geom)), _work_integrand(ctx, loads),
-                          rel_tol)
-    return {j: work.component(k, 4.0 * m_constant(geom, ctx.material, j) ** 2 / geom.eps)
-            for k, j in enumerate(loads)}
+    work = integrate_path([Curve(segments=_quarter_boundary(g)) for g in widths.geoms],
+                          _work_integrand(widths, loads), rel_tol)
+    return [{j: res.component(k, 4.0 * m_constant(g, widths.mat, j) ** 2 / g.eps)
+             for k, j in enumerate(loads)} for g, res in zip(widths.geoms, work.groups)]
 
 
-def _cell_energy(geom: GapGeometry, ctx: KernelContext, loads: tuple[int, ...],
-                 rel_tol: float) -> dict[int, IntegralResult]:
+def _cell_energy(widths: _Widths, loads: tuple[int, ...],
+                 rel_tol: float) -> list[dict[int, IntegralResult]]:
     """Integral of sigma_c : C^-1 (sigma_c + 2 sigma_S) over the matrix part
-    of the quarter cell x >= 0, y >= 0 for each load, as one path integral
-    over x in [0, L1] on ``_fibre_axis`` with one component per load.
+    of the quarter cell x >= 0, y >= 0 for each load on each geometry, as
+    one path integral over x in [0, L1] on every geometry's ``_fibre_axis``,
+    one tolerance group each, with one component per load.
 
     At each x the fibre [h(x), L2] is integrated exactly.  sigma_c is
     c0 + eta c1 with eta = y / L2, c0 = (G, alpha) and c1 = (0, beta) by
@@ -391,12 +473,14 @@ def _cell_energy(geom: GapGeometry, ctx: KernelContext, loads: tuple[int, ...],
     elementary, and the cross term needs only the integrals of sigma_S and of
     eta sigma_S along the fibre (``kernels._FibreTerms``).  The pair terms
     at (x, L2) serve both the edge traction and the fibre's upper end, and
-    the fibre and edge terms serve every load.
+    the fibre and edge terms serve every load.  The pole offset, the chord
+    and the scale m_j / sqrt(eps) are those of each node's geometry.
     """
-    mat, L2 = ctx.material, geom.L2
+    mat, L2 = widths.mat, widths.geoms[0].L2
 
-    def fibres(pts: np.ndarray, _normals: np.ndarray) -> np.ndarray:
+    def fibres(pts: np.ndarray, _normals: np.ndarray, groups: np.ndarray) -> np.ndarray:
         x = pts[:, 0]
+        geom, ctx = widths.at(groups)
         h = chord_halfheight(geom, x)
         fibre, edge = _FibreTerms(ctx, x, h, L2), _EdgeTerms(ctx, x, L2)
         # int_h^L2 eta^k dy for k = 0, 1, 2
@@ -417,22 +501,24 @@ def _cell_energy(geom: GapGeometry, ctx: KernelContext, loads: tuple[int, ...],
 
         return np.stack([density(j) for j in loads], axis=-1)
 
-    res = integrate_path(_fibre_axis(geom), fibres, rel_tol)
-    return {j: res.component(k) for k, j in enumerate(loads)}
+    res = integrate_path([_fibre_axis(g) for g in widths.geoms], _in_chunks(fibres), rel_tol)
+    return [{j: r.component(k) for k, j in enumerate(loads)} for r in res.groups]
 
 
 def dual_lower(geom: GapGeometry, mat: LameMaterial, j: int,
                rel_tol_cell: float = REL_TOL_CELL,
                rel_tol_path: float = REL_TOL_PATH) -> BoundResult:
-    """``dual_lower_loads`` for the one load j: a lower value for its energy."""
-    return dual_lower_loads(geom, mat, (j,), rel_tol_cell, rel_tol_path)[j]
+    """``dual_lower_loads`` for the one geometry and load j: a lower value
+    for its energy."""
+    return dual_lower_loads((geom,), mat, (j,), rel_tol_cell, rel_tol_path)[0][j]
 
 
-def dual_lower_loads(geom: GapGeometry, mat: LameMaterial, loads: tuple[int, ...],
+def dual_lower_loads(geoms: Sequence[GapGeometry], mat: LameMaterial, loads: tuple[int, ...],
                      rel_tol_cell: float = REL_TOL_CELL,
-                     rel_tol_path: float = REL_TOL_PATH) -> dict[int, BoundResult]:
-    """Dual functional on the assembled stress of each load: a lower value
-    for each energy.
+                     rel_tol_path: float = REL_TOL_PATH) -> list[dict[int, BoundResult]]:
+    """Dual functional on the assembled stress of each load on each geometry
+    (one shape and L2): a lower value for each energy, one dict of loads
+    per geometry.
 
     The functional is quadratic in sigma = sigma_S + sigma_c, so its value is
     -q_ss - q_c + 2 lin: ``quad_singular`` q_ss is the compliance energy of
@@ -446,25 +532,29 @@ def dual_lower_loads(geom: GapGeometry, mat: LameMaterial, loads: tuple[int, ...
     force (``_centre_force``), with a bar of 64 ulp of its terms'
     magnitudes, plus sigma_c's, 2 L2 G(0) = 0.  The cell density is even in
     x and in y, so q_c and its error estimate are 4 times those over the
-    quarter cell.  The loads share one path integral for q_ss and one for
-    q_c, one component each.  A load's error estimate is its component's own,
-    and its converged flag is the integrals': where they hold, every
-    component meets its own tolerance.
+    quarter cell.  The geometries and loads share one path integral for q_ss
+    and one for q_c, a tolerance group per geometry and a component per
+    load, and each geometry's results are those it would get alone.  A
+    load's error estimate is its component's own, and its converged flag is
+    its group's: where it holds, every component meets its own tolerance.
     """
-    ctx = KernelContext.from_geometry(geom, mat)
-    q_ss = _singular_self_energy(geom, ctx, loads, rel_tol_path)
-    q_c = _cell_energy(geom, ctx, loads, rel_tol_cell)
-    force, magnitude = _centre_force(geom.a, geom.L2)
-    out = {}
-    for j in loads:
-        ss, c, scale = q_ss[j], q_c[j], _dual_scale(geom, mat, j)
-        lin, lin_bar = scale * force, 64.0 * np.finfo(float).eps * scale * magnitude
-        out[j] = BoundResult(
-            value=float(-ss.value - 4.0 * c.value + 2.0 * lin),
-            quadrature_err=float(ss.err_estimate + 4.0 * c.err_estimate + 2.0 * lin_bar),
-            converged=ss.converged and c.converged,
-            terms={"quad_singular": float(ss.value), "quad_cell": float(4.0 * c.value),
-                   "boundary": float(lin)})
+    widths = _Widths(geoms, mat)
+    q_ss = _singular_self_energy(widths, loads, rel_tol_path)
+    q_c = _cell_energy(widths, loads, rel_tol_cell)
+    out = []
+    for geom, ss_loads, c_loads in zip(geoms, q_ss, q_c):
+        force, magnitude = _centre_force(geom.a, geom.L2)
+        per_load = {}
+        for j in loads:
+            ss, c, scale = ss_loads[j], c_loads[j], _dual_scale(geom, mat, j)
+            lin, lin_bar = scale * force, 64.0 * np.finfo(float).eps * scale * magnitude
+            per_load[j] = BoundResult(
+                value=float(-ss.value - 4.0 * c.value + 2.0 * lin),
+                quadrature_err=float(ss.err_estimate + 4.0 * c.err_estimate + 2.0 * lin_bar),
+                converged=ss.converged and c.converged,
+                terms={"quad_singular": float(ss.value), "quad_cell": float(4.0 * c.value),
+                       "boundary": float(lin)})
+        out.append(per_load)
     return out
 
 

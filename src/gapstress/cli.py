@@ -96,7 +96,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     cfg = _restrict(parse_config(args.config), args.eps)
     eps = cfg.eps_list[0]
     js = (args.j,) if args.j else (1, 2)
-    rows = compute_width_rows(cfg, eps, js)
+    rows = compute_width_rows(cfg, (eps,), js)
     _warn(rows)
     geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
     lead = fk_asymptotic(geom, cfg.material)

@@ -32,11 +32,11 @@ kernel-eval`` and, in the tests, as the oracle for the potentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .elasticity import LameMaterial, Matrix2, SymTensor2, derived_constants
+from .elasticity import LameMaterial, Matrix2, SymTensor2, _side_by_side, derived_constants
 from .geometry import GapGeometry
 
 __all__ = [
@@ -139,14 +139,16 @@ def kernel_gradient(which: str, x, mat: LameMaterial) -> Matrix2:
 @dataclass(frozen=True)
 class KernelContext:
     """Material plus the pole offset a of one gap configuration: the pair
-    field's poles are (-a, 0) and (a, 0)."""
+    field's poles are (-a, 0) and (a, 0).  ``a`` may also be an array that
+    broadcasts against the points' leading shape, one offset per point, so
+    one evaluation serves points of several gap widths."""
 
     material: LameMaterial
-    a: float
+    a: float | np.ndarray
     alpha2: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
+        if not (np.asarray(self.a) > 0.0).all():
             raise ValueError(f"pole offset must be positive, got a={self.a}")
         object.__setattr__(self, "alpha2", derived_constants(self.material).alpha2)
 
@@ -205,7 +207,7 @@ class _PairTerms:
         P = 2.0 * z * iw
         v = 2.0 * kappa * k * re_L - z * np.conj(phi_p) - np.conj((a * k + c) * P)
         v /= 2.0 * self._ctx.material.mu
-        return np.stack((v.real, v.imag), axis=-1)
+        return _side_by_side(v.real, v.imag)
 
     def stress(self, j: int) -> SymTensor2:
         """Stress of q_j; see ``singular_stress``."""
@@ -277,14 +279,14 @@ class _EdgeTerms:
         d_zphi = np.conj(k) * 2.0 * a * self._x * self.zphi_num / self.zphi_den
         d_psi = -kappa * np.conj(k) * self.dL + (a * k + c) * self.dP
         r = 1j * (k * self.dL + d_zphi + np.conj(d_psi))
-        return np.stack((r.real, r.imag), axis=-1)
+        return _side_by_side(r.real, r.imag)
 
 
 class _FibreTerms(_PairTerms):
     """The pair terms at both ends of the vertical fibres from (x, y0) up to
-    (x, y1), upper ends first (x, y0 and y1 broadcast together, to one
-    dimension), plus the load-independent terms of the stress's primitives
-    along them.
+    (x, y1), upper ends first (x, y0, y1 and the context's pole offset
+    broadcast together, to one dimension), plus the load-independent terms
+    of the stress's primitives along them.
 
     On a vertical line dz = i dy, conj(z) = 2x - z and y = -i (z - x), so
     with T = sigma11 + sigma22 and D = sigma22 - sigma11 + 2 i sigma12, and
@@ -303,6 +305,9 @@ class _FibreTerms(_PairTerms):
     def __init__(self, ctx: KernelContext, x, y0, y1) -> None:
         x, y0, y1 = np.broadcast_arrays(x, y0, y1)
         self.n = x.size
+        if np.ndim(ctx.a):
+            # both ends of a fibre have its pole offset
+            ctx = replace(ctx, a=np.tile(np.broadcast_to(ctx.a, x.shape), 2))
         super().__init__(ctx, np.stack((np.concatenate((x, x)), np.concatenate((y1, y0))), -1))
         a = ctx.a
         log_p, log_m = np.log(self.z + a), np.log(self.z - a)

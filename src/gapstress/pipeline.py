@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 # gap widths a sweep process must take over to repay its start-up
-_WIDTHS_PER_PROCESS = 8
+_WIDTHS_PER_PROCESS = 32
 
 CSV_HEADER = ("eps,j,upper,lower,upper_scaled,lower_scaled,fk_constant,"
               "asymmetry_max,bc_residual,div_residual,quad_err,converged")
@@ -238,40 +238,48 @@ class SweepRow:
 
 
 def _check_loads(loads: tuple[int, ...]) -> tuple[int, ...]:
-    """The loads sorted and without repeats; at least one is required."""
+    """The loads sorted and without repeats; at least one is required, and
+    each must be 1 or 2."""
     if not loads:
         raise ConfigError(f"at least one load is required, got loads={loads!r}")
+    if not set(loads) <= {1, 2}:
+        raise ConfigError(f"every load must be 1 or 2, got loads={loads!r}")
     return tuple(sorted(set(loads)))
 
 
-def compute_width_rows(cfg: RunConfig, eps: float, loads: tuple[int, ...]) -> list[SweepRow]:
-    """The sweep rows of the given loads at one gap width, one per load, j
-    ascending.  The loads share the geometry, each dual path integral
-    (``dual_lower_loads``) and the diagnostic samples."""
+def compute_width_rows(cfg: RunConfig, widths: tuple[float, ...],
+                       loads: tuple[int, ...]) -> list[SweepRow]:
+    """The sweep rows of the given loads at the given gap widths, width by
+    width in the given order and j ascending within a width.  All rows
+    share each dual path integral (``dual_lower_loads``, a tolerance group
+    per width and a component per load) and one diagnostics evaluation;
+    each row is the one it would be alone."""
     loads = _check_loads(loads)
-    geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
-    lowers = dual_lower_loads(geom, cfg.material, loads, cfg.rel_tol_cell, cfg.rel_tol_path)
-    diagnostics = _dual_diagnostics(geom, cfg.material, loads)
-    root = np.sqrt(eps)
+    geoms = [make_gap_geometry(cfg.shape, eps, cfg.L2) for eps in widths]
+    lowers = dual_lower_loads(geoms, cfg.material, loads, cfg.rel_tol_cell, cfg.rel_tol_path)
+    diagnostics = _dual_diagnostics(geoms, cfg.material, loads)
     rows = []
-    for j in loads:
-        up, lo = primal_upper(geom, cfg.material, j), lowers[j]
-        # widen by the quadrature errors so the interval holds whatever the
-        # exact test-field energies are
-        bracket = (lo.value - lo.quadrature_err, up.value + up.quadrature_err)
-        interval_pair = effective_moduli(geom, cfg.material, bracket, bracket)
-        rows.append(SweepRow(
-            eps=eps, j=j, upper=up.value, lower=lo.value, upper_scaled=up.value * root,
-            lower_scaled=lo.value * root, fk_constant=m_constant(geom, cfg.material, j),
-            modulus_interval=interval_pair["E_star" if j == 1 else "mu_star"],
-            diagnostics=diagnostics[j], quad_err=up.quadrature_err + lo.quadrature_err,
-            converged=up.converged and lo.converged))
+    for eps, geom, lower, diagnostic in zip(widths, geoms, lowers, diagnostics):
+        root = np.sqrt(eps)
+        for j in loads:
+            up, lo = primal_upper(geom, cfg.material, j), lower[j]
+            # widen by the quadrature errors so the interval holds whatever
+            # the exact test-field energies are
+            bracket = (lo.value - lo.quadrature_err, up.value + up.quadrature_err)
+            interval_pair = effective_moduli(geom, cfg.material, bracket, bracket)
+            rows.append(SweepRow(
+                eps=eps, j=j, upper=up.value, lower=lo.value, upper_scaled=up.value * root,
+                lower_scaled=lo.value * root, fk_constant=m_constant(geom, cfg.material, j),
+                modulus_interval=interval_pair["E_star" if j == 1 else "mu_star"],
+                diagnostics=diagnostic[j], quad_err=up.quadrature_err + lo.quadrature_err,
+                converged=up.converged and lo.converged))
     return rows
 
 
 def compute_sweep_row(cfg: RunConfig, eps: float, j: int) -> SweepRow:
-    """The sweep row of load j at one gap width: ``compute_width_rows`` with (j,)."""
-    return compute_width_rows(cfg, eps, (j,))[0]
+    """The sweep row of load j at one gap width: ``compute_width_rows`` with
+    (eps,) and (j,)."""
+    return compute_width_rows(cfg, (eps,), (j,))[0]
 
 
 @dataclass(frozen=True)
@@ -297,11 +305,11 @@ def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1,
     """Compute the sweep rows of the given loads (eps descending, j
     ascending) and fit both bound series per j against (1/sqrt(eps), 1).
 
-    Each width's rows are computed together (``compute_width_rows``), in
-    a pool of at most ``workers`` processes and at most one per
-    _WIDTHS_PER_PROCESS widths, each taking one share of the widths; a
-    process costs about as much to start as a few widths take, so short
-    sweeps run serially in this process.
+    The rows of all widths are computed together (``compute_width_rows``),
+    or in a pool of at most ``workers`` processes and at most one per
+    _WIDTHS_PER_PROCESS widths, each computing one share of the widths in
+    one call; a process costs about as much to start as many widths take,
+    so short sweeps run serially in this process.
     """
     if len(cfg.eps_list) < 3:
         raise ConfigError("a sweep needs at least 3 gap widths for the fit")
@@ -309,14 +317,16 @@ def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1,
         raise ConfigError(f"workers must be at least 1, got {workers}")
     loads = _check_loads(loads)
     n = len(cfg.eps_list)
-    args = ([cfg] * n, cfg.eps_list, [loads] * n)
     workers = min(workers, n // _WIDTHS_PER_PROCESS)
     if workers > 1:
+        size = -(-n // workers)
+        shares = [cfg.eps_list[k:k + size] for k in range(0, n, size)]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            widths = list(pool.map(compute_width_rows, *args, chunksize=-(-n // workers)))
+            parts = pool.map(compute_width_rows, [cfg] * len(shares), shares,
+                             [loads] * len(shares))
+            rows = [row for part in parts for row in part]
     else:
-        widths = list(map(compute_width_rows, *args))
-    rows = [row for width in widths for row in width]
+        rows = compute_width_rows(cfg, cfg.eps_list, loads)
 
     fits: dict[int, dict[str, SeriesFit]] = {}
     for j in loads:
@@ -388,7 +398,7 @@ def run_verify(cfg: RunConfig, eps: float | None = None) -> list[str]:
         record(f"energy identity j={j}", 0.9 <= norm <= 1.1 and raw > 0.0,
                f"normalized {norm:.6f} (raw {raw:.6e})")
 
-    diagnostics = _dual_diagnostics(geom, cfg.material, (1, 2))
+    (diagnostics,) = _dual_diagnostics((geom,), cfg.material, (1, 2))
     for j in (1, 2):
         d = diagnostics[j]
         record(f"edge traction j={j}", d.bc_residual <= cfg.rel_tol_path,

@@ -8,8 +8,10 @@ root panels each curve segment carries (``PathSegment.breaks``: its quarters
 and, on inclusion arcs, panels graded from the gap vertex at the pole
 offset's scale).  They evaluate the rule on every panel, then greedily split
 the panels carrying most of the error estimate until the global estimate
-meets the tolerance or the panels reach _MAX_DEPTH bisections.  The matrix
-is vertically simple: at each x in [0, L1] the quarter cell x >= 0, y >= 0
+meets the tolerance or the panels reach _MAX_DEPTH bisections.  One loop
+can integrate several curves, each a tolerance group that refines and stops
+as it would alone, with one integrand call a round for all of them.  The
+matrix is vertically simple: at each x in [0, L1] the quarter cell x >= 0, y >= 0
 (whose four mirror images make up the cell) holds the exact fibre [h(x), L2]
 over one x axis (``_fibre_axis``).  The dual's cell term integrates each
 fibre in closed form, so it is one path integral on that axis
@@ -25,7 +27,7 @@ fixed, and no randomness is used, so repeated runs are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,7 +73,9 @@ class QuadratureError(RuntimeError):
 class IntegralResult:
     """``evals`` counts the integrand points the integral evaluated and
     ``rounds`` the adaptive rounds, one integrand call each;
-    ``component_err`` is each component's own summed |K15 - G7|."""
+    ``component_err`` is each component's own summed |K15 - G7|; ``groups``
+    holds each curve's own result of an integral over several curves
+    (``integrate_path``)."""
 
     value: object
     err_estimate: float
@@ -80,6 +84,7 @@ class IntegralResult:
     evals: int = 0
     rounds: int = 0
     component_err: tuple[float, ...] = ()
+    groups: tuple["IntegralResult", ...] = ()
 
     def component(self, k: int, scale: float = 1.0) -> "IntegralResult":
         """Component k times ``scale``, with that component's own error estimate."""
@@ -135,16 +140,16 @@ def _worst_panels(err: np.ndarray, splittable: np.ndarray, excess: float) -> np.
 # ---------------------------------------------------------------------------
 
 
-def _eval_path_panels(curve: Curve, integrand, seg: np.ndarray, t0: np.ndarray,
-                      t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eval_path_panels(segments, seg_group: np.ndarray, integrand, seg: np.ndarray,
+                      t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K15 values and |K15 - G7| differences of all panels.
 
     The 15 Kronrod nodes of every panel of every segment reach the
-    integrand in one call.  Returns (value, diff), each of shape
-    (n_panels, n_comp).
+    integrand in one call, with each node's group (``seg_group`` of its
+    segment).  Returns (value, diff), each of shape (n_panels, n_comp).
     """
-    pts, nrm, spd, groups = [], [], [], []
-    for s, segment in enumerate(curve.segments):
+    pts, nrm, spd, panels = [], [], [], []
+    for s, segment in enumerate(segments):
         idx = np.nonzero(seg == s)[0]
         if idx.size == 0:
             continue
@@ -154,98 +159,138 @@ def _eval_path_panels(curve: Curve, integrand, seg: np.ndarray, t0: np.ndarray,
         pts.append(segment.point(flat))
         nrm.append(segment.normal(flat))
         spd.append(segment.speed(flat))
-        groups.append(idx)
-    if not groups:
+        panels.append(idx)
+    if not panels:
         raise ValueError("curve has no segments")
-    f = np.asarray(integrand(np.concatenate(pts), np.concatenate(nrm)), dtype=float)
+    idx = np.concatenate(panels)
+    f = np.asarray(integrand(np.concatenate(pts), np.concatenate(nrm),
+                             seg_group[seg[idx]].repeat(_K15_NODES.size)), dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     f = f * np.concatenate(spd)[:, None]
-    idx = np.concatenate(groups)
-    # one weighted sum over all panels, (n, 15, c) against (15, 2), then one
-    # scatter back to the panel order
-    sums = np.tensordot(f.reshape(idx.size, _K15_NODES.size, -1), _RULE, axes=(1, 0))
-    out = np.empty((seg.size,) + sums.shape[1:])
-    out[idx] = sums * ((t1[idx] - t0[idx]) / 2.0)[:, None, None]
+    # one weighted sum over all panels, (n, c, 15) against (15, 2) as
+    # np.tensordot forms it, then one scatter back to the panel order
+    n_comp = f.shape[1]
+    sums = np.dot(f.reshape(idx.size, _K15_NODES.size, n_comp).transpose(0, 2, 1)
+                  .reshape(idx.size * n_comp, _K15_NODES.size), _RULE)
+    out = np.empty((seg.size, n_comp, 2))
+    out[idx] = sums.reshape(idx.size, n_comp, 2) * ((t1[idx] - t0[idx]) / 2.0)[:, None, None]
     return out[..., 0], np.abs(out[..., 1])
 
 
-def _adapt_panels(curve: Curve, integrand, rel_tol: float, n_est: int | None = None):
-    """Greedy adaptive refinement from the root panels of every segment.
+def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
+                  n_est: int | None = None) -> list[tuple]:
+    """Greedy adaptive refinement from the root panels of every segment of
+    every curve, each curve a tolerance group.
 
-    Every round makes one integrand call on the 15 Kronrod nodes of all new
-    panels.  Only the first ``n_est`` integrand components (all by default)
-    enter the error estimate and the tolerance; later ones are carried
-    along.  Each estimated component is held to ``rel_tol`` times
+    Every round makes one integrand call, ``integrand(points, normals,
+    groups)``, on the 15 Kronrod nodes of all new panels of all groups,
+    ``groups`` holding each node's curve index.  Each group is held to
+    ``rel_tol`` against its own scale and split on its own errors, its
+    panels kept in its own order (kept panels, then the children of the
+    split ones), so every group refines, sums and stops exactly as it
+    would alone.  Only the first ``n_est`` integrand components (all by
+    default) enter the error estimate and the tolerance; later ones are
+    carried along.  Each estimated component is held to ``rel_tol`` times
     its own scale, the larger of its |total| and its largest panel value:
     a panel's error is max_c |K15 - G7|_c * (largest scale / scale_c), and
     the summed errors are held to ``rel_tol`` times the largest scale.  So
     no component meets a looser tolerance than it would alone, and the
     summed error bounds every component's summed |K15 - G7|.
-    Returns (total, total_err, tol_eff, t0, t1, values, evals, rounds,
-    component_err): the panel sum in a fixed order, the summed panel
-    errors, the tolerance they are held to, the final panels sorted by
-    segment and parameter (edges t0, t1 and the K15 values, one row each),
-    the numbers of path nodes evaluated and of integrand calls, and each
-    estimated component's summed |K15 - G7|.
+    Returns, per group, (total, total_err, tol_eff, t0, t1, values, evals,
+    rounds, component_err): the panel sum in a fixed order, the summed
+    panel errors, the tolerance they are held to, the final panels sorted
+    by segment and parameter (edges t0, t1 and the K15 values, one row
+    each), the numbers of path nodes evaluated and of integrand calls that
+    reached the group, and each estimated component's summed |K15 - G7|.
     """
-    edges = [np.asarray(s.breaks, dtype=float) for s in curve.segments]
+    segments = [s for curve in curves for s in curve.segments]
+    seg_group = np.array([g for g, curve in enumerate(curves) for _ in curve.segments])
+    edges = [np.asarray(s.breaks, dtype=float) for s in segments]
     seg = np.concatenate([np.full(e.size - 1, k) for k, e in enumerate(edges)])
     t0 = np.concatenate([e[:-1] for e in edges])
     t1 = np.concatenate([e[1:] for e in edges])
     depth = np.zeros(seg.size, dtype=np.int32)
-    val, diff = _eval_path_panels(curve, integrand, seg, t0, t1)
+    val, diff = _eval_path_panels(segments, seg_group, integrand, seg, t0, t1)
     diff = diff[:, :n_est]
-    evals = _K15_NODES.size * seg.size
-    rounds = 1
+    # panels stay sorted by group, so each group's are one run of sizes[g]
+    sizes = [sum(len(s.breaks) - 1 for s in c.segments) for c in curves]
+    evals = [_K15_NODES.size * n for n in sizes]
+    rounds = [1] * len(curves)
 
-    def panel_errors(total: np.ndarray) -> tuple[np.ndarray, float]:
+    def panel_errors(rows: slice, total: np.ndarray) -> tuple[np.ndarray, float]:
         # scale by the largest panel contribution, not only the total, so
         # integrals that cancel to zero still terminate
-        scale = np.maximum(np.abs(total[:n_est]), np.abs(val[:, :n_est]).max(axis=0, initial=0.0))
+        scale = np.maximum(np.abs(total[:n_est]),
+                           np.abs(val[rows, :n_est]).max(axis=0, initial=0.0))
         largest = float(scale.max())
         weight = np.divide(largest, scale, out=np.ones_like(scale), where=scale > 0.0)
-        return (diff * weight).max(axis=1), rel_tol * largest
+        return (diff[rows] * weight).max(axis=1), rel_tol * largest
 
+    done = [False] * len(curves)
     for _ in range(_MAX_ROUNDS):
-        # np.sum on a float64 array uses pairwise accumulation in a fixed order
-        total = np.sum(val, axis=0)
-        err, tol_eff = panel_errors(total)
-        total_err = float(err.sum())
-        splittable = depth < _MAX_DEPTH
-        if total_err <= tol_eff or not bool(np.any(splittable & (err > 0.0))):
+        chosen, start = [], 0
+        for g, size in enumerate(sizes):
+            rows = slice(start, start + size)
+            start += size
+            if done[g]:
+                continue
+            # np.sum on a float64 array uses pairwise accumulation in a fixed order
+            err, tol_eff = panel_errors(rows, np.sum(val[rows], axis=0))
+            total_err = float(err.sum())
+            splittable = depth[rows] < _MAX_DEPTH
+            done[g] = (total_err <= tol_eff or not bool(np.any(splittable & (err > 0.0)))
+                       or err.size > _MAX_PATH_PANELS)
+            if done[g]:
+                continue
+            # split the worst panels until the remainder would fit in the budget
+            worst = _worst_panels(err, splittable, total_err - 0.5 * tol_eff)
+            chosen.append(rows.start + worst)
+            sizes[g] += worst.size
+            evals[g] += 2 * _K15_NODES.size * worst.size
+            rounds[g] += 1
+        if not chosen:
             break
-        if err.size > _MAX_PATH_PANELS:
-            break
-        # split the worst panels until the remainder would fit in the budget
-        chosen = _worst_panels(err, splittable, total_err - 0.5 * tol_eff)
-        keep = np.ones(err.size, dtype=bool)
+        chosen = np.concatenate(chosen)
+        keep = np.ones(seg.size, dtype=bool)
         keep[chosen] = False
         mid = (t0[chosen] + t1[chosen]) / 2.0
         child_seg = np.repeat(seg[chosen], 2)
         child_t0 = np.stack((t0[chosen], mid), axis=1).reshape(-1)
         child_t1 = np.stack((mid, t1[chosen]), axis=1).reshape(-1)
         child_depth = np.repeat(depth[chosen] + 1, 2)
-        c_val, c_diff = _eval_path_panels(curve, integrand, child_seg, child_t0, child_t1)
-        evals += _K15_NODES.size * child_seg.size
-        rounds += 1
+        c_val, c_diff = _eval_path_panels(segments, seg_group, integrand, child_seg,
+                                          child_t0, child_t1)
         seg = np.concatenate((seg[keep], child_seg))
         t0 = np.concatenate((t0[keep], child_t0))
         t1 = np.concatenate((t1[keep], child_t1))
         depth = np.concatenate((depth[keep], child_depth))
         val = np.concatenate((val[keep], c_val), axis=0)
         diff = np.concatenate((diff[keep], c_diff[:, :n_est]), axis=0)
+        if len(curves) > 1:
+            # each group's kept panels, then its children (one group's
+            # panels are in that order already)
+            order = np.argsort(seg_group[seg], kind="stable")
+            seg, t0, t1, depth = seg[order], t0[order], t1[order], depth[order]
+            val, diff = val[order], diff[order]
 
     # fixed summation order: sort panels by segment and parameter
     order = np.lexsort((t0, seg))
-    val = val[order]
-    total = np.sum(val, axis=0)
-    err, tol_eff = panel_errors(total)
-    return (total, float(err.sum()), tol_eff, t0[order], t1[order], val, evals, rounds,
-            tuple(np.ascontiguousarray(diff.T).sum(axis=1).tolist()))
+    out, start = [], 0
+    for g, size in enumerate(sizes):
+        rows = slice(start, start + size)
+        start += size
+        sorted_rows = order[rows]
+        values = val[sorted_rows]
+        total = np.sum(values, axis=0)
+        err, tol_eff = panel_errors(rows, total)
+        out.append((total, float(err.sum()), tol_eff, t0[sorted_rows], t1[sorted_rows], values,
+                    evals[g], rounds[g],
+                    tuple(np.ascontiguousarray(diff[rows].T).sum(axis=1).tolist())))
+    return out
 
 
-def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
+def integrate_path(curve: Curve | Sequence[Curve], integrand, rel_tol: float) -> IntegralResult:
     """Adaptive arclength integral of ``integrand(points, normals)``.
 
     The integrand may return shape (n,) or (n, m); the result value follows.
@@ -256,20 +301,44 @@ def integrate_path(curve: Curve, integrand, rel_tol: float) -> IntegralResult:
     bound.  For a vector integrand each component is held to ``rel_tol``
     times its own scale, the estimate bounds the summed |K15 - G7| of
     every component, and ``component_err`` holds each component's own.
+
+    ``curve`` may also be a sequence of curves, each a tolerance group:
+    the integrand is then called as ``integrand(points, normals, groups)``,
+    ``groups`` holding each node's curve index, and every round still
+    makes one call on the new nodes of all groups.  Each group refines and
+    stops as its curve would alone, and ``groups`` of the result holds, per
+    curve, exactly the result of integrating it alone; the result's value
+    is the tuple of theirs, its estimate, panels and evaluations sum
+    theirs, and it has converged where all of them have.
     """
     _check_tol(rel_tol)
-    total, total_err, tol_eff, t0, _, _, evals, rounds, component_err = _adapt_panels(
-        curve, integrand, rel_tol)
-    if not np.all(np.isfinite(total)):
-        raise QuadratureError("path integral produced a non-finite value")
+    grouped = not isinstance(curve, Curve)
+    curves = tuple(curve) if grouped else (curve,)
+    fn = integrand if grouped else (lambda p, n, _groups: integrand(p, n))
+    results = []
+    for total, total_err, tol_eff, t0, _, _, evals, rounds, component_err in _adapt_panels(
+            curves, fn, rel_tol):
+        if not np.all(np.isfinite(total)):
+            raise QuadratureError("path integral produced a non-finite value")
+        results.append(IntegralResult(
+            value=float(total[0]) if total.size == 1 else total,
+            err_estimate=total_err,
+            panels_used=t0.size,
+            converged=bool(total_err <= tol_eff),
+            evals=evals,
+            rounds=rounds,
+            component_err=component_err,
+        ))
+    if not grouped:
+        return results[0]
     return IntegralResult(
-        value=float(total[0]) if total.size == 1 else total,
-        err_estimate=total_err,
-        panels_used=t0.size,
-        converged=bool(total_err <= tol_eff),
-        evals=evals,
-        rounds=rounds,
-        component_err=component_err,
+        value=tuple(r.value for r in results),
+        err_estimate=sum(r.err_estimate for r in results),
+        panels_used=sum(r.panels_used for r in results),
+        converged=all(r.converged for r in results),
+        evals=sum(r.evals for r in results),
+        rounds=max(r.rounds for r in results),
+        groups=tuple(results),
     )
 
 
@@ -366,8 +435,8 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     rounds = 0
     for _ in range(_MAX_FIBRE_ROUNDS):
         fibres = _fibre_integrand(geom, integrand, tau, counter)
-        total, outer_err, half_tol, x0, _, _, _, outer_rounds, _ = _adapt_panels(
-            x_axis, fibres, rel_tol / 2.0, n_est=1)
+        (total, outer_err, half_tol, x0, _, _, _, outer_rounds, _), = _adapt_panels(
+            (x_axis,), lambda p, n, _groups: fibres(p, n), rel_tol / 2.0, n_est=1)
         rounds += outer_rounds
         if not np.all(np.isfinite(total)):
             raise QuadratureError("cell integral produced a non-finite value")
@@ -412,8 +481,8 @@ def cumulative_line_table(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi:
     # a line whose parameter t is x itself
     axis = replace(_line_segment((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
                    breaks=tuple(np.unique([lo, 0.0, hi])))
-    _, err, _, t0, t1, inc, _, _, _ = _adapt_panels(
-        Curve(segments=(axis,)), lambda p, _n: fn(p[:, 0]), rel_tol)
+    (_, err, _, t0, t1, inc, _, _, _), = _adapt_panels(
+        (Curve(segments=(axis,)),), lambda p, _n, _groups: fn(p[:, 0]), rel_tol)
     edges = np.append(t0, t1[-1])
     values = np.zeros((edges.size, inc.shape[1]))
     i0 = int(np.searchsorted(edges, 0.0))

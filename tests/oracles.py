@@ -183,8 +183,9 @@ def whole_cell_integral(geom, integrand, rel_tol: float) -> IntegralResult:
     depth = np.zeros(tau.size - 1, dtype=np.int32)
     counter = [0]
     for _ in range(quadrature._MAX_FIBRE_ROUNDS):
-        total, outer_err, half_tol, x0, *_ = quadrature._adapt_panels(
-            x_axis, _mirrored_fibres(geom, integrand, tau, counter), rel_tol / 2.0, n_est=1)
+        fibres = _mirrored_fibres(geom, integrand, tau, counter)
+        (total, outer_err, half_tol, x0, *_), = quadrature._adapt_panels(
+            (x_axis,), lambda p, n, _groups: fibres(p, n), rel_tol / 2.0, n_est=1)
         panel_err = total[1:]
         inner_err = float(panel_err.sum())
         splittable = (depth < quadrature._MAX_DEPTH) & (panel_err > 0.0)

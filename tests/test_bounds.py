@@ -19,6 +19,7 @@ from gapstress import (
     Region,
     build_dual_stress,
     dual_lower,
+    dual_lower_loads,
     energy_identity_check,
     flux_identity_check,
     inclusion_boundary,
@@ -30,7 +31,7 @@ from gapstress import (
 )
 from gapstress import bounds, parse_config
 from gapstress.bounds import (_cell_energy, _dual_diagnostics, _singular_self_energy,
-                              _work_integrand)
+                              _Widths, _work_integrand)
 from gapstress.elasticity import (Matrix2, SymTensor2, compliance_contract, compliance_energy,
                                   energy_density)
 from gapstress.geometry import Curve, chord_halfheight
@@ -53,8 +54,9 @@ SHAPES = {"disk": disk_geometry, "ellipse": ellipse_geometry}
 
 
 def _one_load(integral, geom, j: int, rel_tol: float, mat=UNIT):
-    """Load j's result of a dual integral that takes a tuple of loads."""
-    return integral(geom, KernelContext.from_geometry(geom, mat), (j,), rel_tol)[j]
+    """Load j's result of a dual integral over several widths and loads, on
+    the one geometry."""
+    return integral(_Widths((geom,), mat), (j,), rel_tol)[0][j]
 
 
 def test_m_constants_unit_disk():
@@ -484,12 +486,12 @@ def test_divergence_check_flags_a_divergent_field(shape, j, monkeypatch):
     # odd component, so a defect in the edge resultant R or in the edge
     # traction t of the pair field breaks it
     g = SHAPES[shape](10.0 ** -2.5)
-    assert _dual_diagnostics(g, UNIT, (j,))[j].div_residual <= 1e-12
+    assert _dual_diagnostics((g,), UNIT, (j,))[0][j].div_residual <= 1e-12
     for name, defective in (("_EdgeTerms", _DefectiveResultant),
                             ("_PairTerms", _DefectiveTraction)):
         with monkeypatch.context() as m:
             m.setattr(bounds, name, defective)
-            assert _dual_diagnostics(g, UNIT, (j,))[j].div_residual > 1e-5, name
+            assert _dual_diagnostics((g,), UNIT, (j,))[0][j].div_residual > 1e-5, name
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -515,7 +517,7 @@ def test_dual_diagnostics_call_each_field_once(shape, eps, j, monkeypatch):
     for name in ("region_classify", "_PairTerms", "_EdgeTerms", "singular_stress",
                  "_edge_resultant"):
         counted(name)
-    both = _dual_diagnostics(g, UNIT, (1, 2))
+    (both,) = _dual_diagnostics((g,), UNIT, (1, 2))
     assert calls == {"_PairTerms": 1, "_EdgeTerms": 1}
     assert points[0] <= 400
     calls.clear()
@@ -531,11 +533,11 @@ def test_two_load_diagnostics_match_per_load_fields(shape, eps):
     # field call per sample set, give the same asymmetry and edge traction,
     # and a divergence as small
     g = SHAPES[shape](eps)
-    both = _dual_diagnostics(g, UNIT, (1, 2))
+    (both,) = _dual_diagnostics((g,), UNIT, (1, 2))
     assert set(both) == {1, 2}
     for j in (1, 2):
         assert both[j] == build_dual_stress(g, UNIT, j).diagnostics
-        assert both[j] == _dual_diagnostics(g, UNIT, (j,))[j]
+        assert both[j] == _dual_diagnostics((g,), UNIT, (j,))[0][j]
         d = both[j]
         asym, bc, div = oracles.edge_diagnostics(g, *oracles.dual_fields_per_load(g, UNIT, j))
         assert [d.asymmetry_max.hex(), d.bc_residual.hex()] == [asym.hex(), bc.hex()]
@@ -551,7 +553,7 @@ def test_quarter_diagnostics_read_the_whole_grid(shape, eps):
     # an asymmetry within 2%.  The asymmetry is affine in y on each fibre,
     # so at each grid point it is at most the larger of its fibre's ends
     g = SHAPES[shape](eps)
-    both = _dual_diagnostics(g, UNIT, (1, 2))
+    (both,) = _dual_diagnostics((g,), UNIT, (1, 2))
     gx, gy = np.meshgrid(np.linspace(-g.L1 * 0.995, g.L1 * 0.995, 41),
                          np.linspace(-g.L2 * 0.995, g.L2 * 0.995, 41), indexing="ij")
     grid = np.stack((gx.ravel(), gy.ravel()), axis=-1)
@@ -593,7 +595,7 @@ def test_dual_construction_is_exact_across_widths_and_draws():
     for label, g, mat in _exactness_cases():
         ctx = KernelContext.from_geometry(g, mat)
         x = np.linspace(0.0, g.L1, 21)
-        both = _dual_diagnostics(g, mat, (1, 2))
+        (both,) = _dual_diagnostics((g,), mat, (1, 2))
         for j in (1, 2):
             s = singular_stress(ctx, j, np.stack((x, np.full_like(x, g.L2)), -1))
             traction = bounds._dual_scale(g, mat, j) * np.abs(np.stack((s.a12, s.a22))).max()
@@ -698,7 +700,7 @@ def test_cell_terms_match_cubature_oracle(shape, j, rel_tol, monkeypatch):
 
     monkeypatch.setattr(bounds, "integrate_path", recording)
     res = dual_lower(geom, UNIT, j, rel_tol_cell=rel_tol, rel_tol_path=PATH_FAST)
-    q_c = paths[1]
+    q_c = paths[1].groups[0]
     assert res.terms["quad_cell"] == 4.0 * q_c.value
     cases = [(q_cc, oracle[0], oracle_err[0]), (q_sc, oracle[1], oracle_err[1]),
              (quarter_to_cell(q_c), oracle[0] + 2.0 * oracle[1],
@@ -755,8 +757,7 @@ def test_cell_energy_takes_one_round_on_the_root_panels(path):
     for eps in cfg.eps_list:
         geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
         roots = sum(len(s.breaks) - 1 for s in bounds._fibre_axis(geom).segments)
-        ctx = KernelContext.from_geometry(geom, cfg.material)
-        both = _cell_energy(geom, ctx, (1, 2), 1e-3)
+        (both,) = _cell_energy(_Widths((geom,), cfg.material), (1, 2), 1e-3)
         for j in (1, 2):
             for res in (_one_load(_cell_energy, geom, j, 1e-3, cfg.material), both[j]):
                 assert res.converged
@@ -804,10 +805,10 @@ def test_dual_densities_are_even_in_x_and_y(shape, eps, j, mat):
     geom = SHAPES[shape](eps)
     mat = PARITY_MATERIALS[mat]
     dual = build_dual_stress(geom, mat, j)
-    ctx = KernelContext.from_geometry(geom, mat)
     cell, (q, n) = _quarter_samples(geom)
+    groups = np.zeros(q.shape[0], dtype=int)
     densities = [(lambda r: _dual_cell_density(dual, mat)(cell * r)),
-                 (lambda r: _work_integrand(ctx, (j,))(q * r, n * r))]
+                 (lambda r: _work_integrand(_Widths((geom,), mat), (j,))(q * r, n * r, groups))]
     for k, density in enumerate(densities):
         f = [density(r) for r in REFLECTIONS]
         top = np.abs(f[0]).max()
@@ -865,7 +866,7 @@ def test_quarter_terms_match_whole_domain_oracles(shape, eps, j, tol_cell, tol_p
 
     monkeypatch.setattr(bounds, "integrate_path", path)
     res = dual_lower(geom, UNIT, j, rel_tol_cell=tol_cell, rel_tol_path=tol_path)
-    work, q_c = paths
+    work, q_c = (p.groups[0] for p in paths)
     scale2 = m_constant(geom, UNIT, j) ** 2 / geom.eps
     lin, bar = _closed_form_load(geom, UNIT, j)
     assert res.terms == {"quad_singular": 4.0 * scale2 * work.value,
@@ -873,12 +874,12 @@ def test_quarter_terms_match_whole_domain_oracles(shape, eps, j, tol_cell, tol_p
     assert res.quadrature_err == pytest.approx(
         4.0 * (scale2 * work.err_estimate + q_c.err_estimate) + 2.0 * bar, rel=1e-14)
 
-    ctx = KernelContext.from_geometry(geom, UNIT)
     cases = [
         (4.0 * q_c.value, 4.0 * q_c.err_estimate,
          whole_cell_integral(geom, _dual_cell_density(dual, UNIT), tol_cell)),
         (4.0 * work.value, 4.0 * work.err_estimate,
-         integrate_path(matrix_boundary(geom), _work_integrand(ctx, (j,)), tol_path)),
+         integrate_path([matrix_boundary(geom)], _work_integrand(_Widths((geom,), UNIT), (j,)),
+                        tol_path).groups[0]),
         (lin, bar, oracles.gamma_plus_load(geom, dual, j, tol_path)),
     ]
     for k, (got, err, oracle) in enumerate(cases):
@@ -1001,10 +1002,39 @@ def test_dual_lower_makes_two_path_integrals_and_no_cell_integral(monkeypatch):
     # the Green path integral q_ss on the quarter boundary, then the cell
     # term q_c on the x-axis; the load term is closed form
     assert calls["cell"] == 0
-    work, cell_term = calls["path"]
+    (work,), (cell_term,) = calls["path"]
     assert len(work.segments) == 3
     assert [s.breaks for s in cell_term.segments] == [
         s.breaks for s in bounds._fibre_axis(g).segments]
+
+
+BATCH_WIDTHS = (1e-2, 10.0 ** -2.5, 1e-3, 1e-4, 1e-5)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_several_widths_give_each_width_its_own_bounds_and_diagnostics(shape, monkeypatch):
+    # one q_ss and one q_c integral over all widths, a tolerance group each,
+    # and one diagnostics evaluation: each width's results are those it
+    # gets alone, bit for bit, also when the integrands take their nodes in
+    # chunks and the diagnostics their widths a few at a time
+    geoms = [SHAPES[shape](eps) for eps in BATCH_WIDTHS]
+    alone = [dual_lower_loads((g,), UNIT, (1, 2), CELL_COARSE, PATH_FAST)[0] for g in geoms]
+    diagnostics = [_dual_diagnostics((g,), UNIT, (1, 2))[0] for g in geoms]
+    assert dual_lower_loads(geoms, UNIT, (1, 2), CELL_COARSE, PATH_FAST) == alone
+    assert _dual_diagnostics(geoms, UNIT, (1, 2)) == diagnostics
+    monkeypatch.setattr(bounds, "_NODE_CHUNK", 7)
+    monkeypatch.setattr(bounds, "_DIAGNOSTIC_WIDTHS", 2)
+    assert dual_lower_loads(geoms, UNIT, (1, 2), CELL_COARSE, PATH_FAST) == alone
+    assert _dual_diagnostics(geoms, UNIT, (1, 2)) == diagnostics
+
+
+def test_several_widths_must_share_shape_and_cell():
+    disk, ellipse = disk_geometry(1e-3), ellipse_geometry(1e-3)
+    for geoms in ((disk, ellipse), (disk, disk_geometry(1e-3, L2=2.0))):
+        with pytest.raises(ValueError, match="share shape and L2"):
+            dual_lower_loads(geoms, UNIT, (1,), CELL_COARSE, PATH_FAST)
+        with pytest.raises(ValueError, match="share shape and L2"):
+            _dual_diagnostics(geoms, UNIT, (1,))
 
 
 @functools.lru_cache(maxsize=None)
@@ -1054,7 +1084,8 @@ def test_pair_boundary_integral_matches_scalar_integrals(geom, i, j):
         scalar = [integrate_path(
             curve, lambda p, n, k=k: singular_stress(ctx, load, p).apply(n)[..., k], tol)
             for k in (0, 1)]
-        scalar.append(integrate_path(curve, _work_integrand(ctx, (load,)), tol))
+        scalar.append(integrate_path([curve], _work_integrand(_Widths((geom,), UNIT), (load,)),
+                                     tol).groups[0])
         for got, ref in zip(joint.value[i - 1, load - 1], scalar):
             assert ref.converged
             assert abs(got - ref.value) <= joint.err_estimate + ref.err_estimate
@@ -1141,8 +1172,7 @@ def test_gap_path_integrals_converge_in_few_rounds(shape):
         results = [pair_boundary_integral(g, UNIT)]
         results += [_one_load(_singular_self_energy, g, j, REL_TOL_PATH) for j in (1, 2)]
         # and both loads in one integral, as a sweep row computes them
-        results += _singular_self_energy(g, KernelContext.from_geometry(g, UNIT), (1, 2),
-                                         REL_TOL_PATH).values()
+        results += _singular_self_energy(_Widths((g,), UNIT), (1, 2), REL_TOL_PATH)[0].values()
         for res in results:
             assert res.converged
             assert res.rounds <= 2, (eps, res.rounds)

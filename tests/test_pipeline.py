@@ -180,9 +180,9 @@ def test_cli_bounds_eps_keeps_the_config_tolerances(config_file, monkeypatch, tm
     seen = []
     rows_fn = cli.compute_width_rows
 
-    def recording(cfg, eps, loads):
+    def recording(cfg, widths, loads):
         seen.append(cfg)
-        return rows_fn(cfg, eps, loads)
+        return rows_fn(cfg, widths, loads)
 
     monkeypatch.setattr(cli, "compute_width_rows", recording)
     assert cli.main(["bounds", "--config", str(config_file), "--eps", "1e-2", "--j", "2",
@@ -314,7 +314,7 @@ def test_width_rows_match_the_one_load_rows(config, eps):
     base = parse_config(SHIPPED_CONFIGS / f"{config}.cfg")
     for rel_tol_cell in (base.rel_tol_cell, 1e-3):
         cfg = dataclasses.replace(base, rel_tol_cell=rel_tol_cell)
-        rows = compute_width_rows(cfg, eps, (1, 2))
+        rows = compute_width_rows(cfg, (eps,), (1, 2))
         assert [r.j for r in rows] == [1, 2]
         for two in rows:
             one = compute_sweep_row(cfg, eps, two.j)
@@ -336,9 +336,9 @@ def test_width_rows_share_the_integrals_and_the_diagnostics(monkeypatch):
         calls["path"] += 1
         return integrate_path(*args)
 
-    def counted_diagnostics(geom, mat, loads):
+    def counted_diagnostics(geoms, mat, loads):
         calls["diagnostics"].append(loads)
-        return diagnostics(geom, mat, loads)
+        return diagnostics(geoms, mat, loads)
 
     def counted_build(*args):
         calls["build_dual_stress"] += 1
@@ -350,7 +350,7 @@ def test_width_rows_share_the_integrals_and_the_diagnostics(monkeypatch):
     cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-3,),
                     rel_tol_cell=1e-3, rel_tol_path=1e-6)
     # q_ss and q_c, each one path integral for both loads
-    assert [r.j for r in compute_width_rows(cfg, 1e-3, (1, 2))] == [1, 2]
+    assert [r.j for r in compute_width_rows(cfg, (1e-3,), (1, 2))] == [1, 2]
     assert calls == {"path": 2, "diagnostics": [(1, 2)], "build_dual_stress": 0}
     assert compute_sweep_row(cfg, 1e-3, 2).j == 2
     assert calls == {"path": 4, "diagnostics": [(1, 2), (2,)], "build_dual_stress": 0}
@@ -444,7 +444,7 @@ def test_sweep_and_fit_one_load(monkeypatch):
     assert [r.csv_line() for r in rows] == [r.csv_line() for r in full if r.j == 2]
     assert set(fits) == {2}
     assert fits[2] == full_fits[2]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         sweep_and_fit(cfg, loads=(3,))
 
 
@@ -454,13 +454,15 @@ def _widths(n: int) -> tuple[float, ...]:
 
 
 def test_sweep_pool_never_exceeds_the_rows(monkeypatch):
-    # a process repays its start-up only over several widths, so a sweep
-    # starts at most one per _WIDTHS_PER_PROCESS widths, and none below two
+    # a process repays its start-up only over many widths, so a sweep
+    # starts at most one per _WIDTHS_PER_PROCESS widths, and none below two;
+    # each process computes its share of the widths in one call
     started = []
+    per = pipeline._WIDTHS_PER_PROCESS
 
     class RecordingPool:
         """Stands in for ProcessPoolExecutor: records max_workers and the
-        share of widths a task takes, runs serially."""
+        number of widths of each task, runs serially."""
 
         def __init__(self, max_workers):
             started.append([max_workers])
@@ -471,12 +473,14 @@ def test_sweep_pool_never_exceeds_the_rows(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables, chunksize=1):
-            started[-1].append(chunksize)
+        def map(self, fn, *iterables):
+            started[-1].append([len(share) for share in iterables[1]])
             return map(fn, *iterables)
 
     monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    for n, workers, pool in ((3, 2, None), (3, 64, None), (16, 2, [2, 8]), (24, 64, [3, 8])):
+    for n, workers, pool in ((3, 64, None), (2 * per - 1, 2, None),
+                             (2 * per, 2, [2, [per, per]]),
+                             (3 * per + 1, 64, [3, [per + 1, per + 1, per - 1]])):
         cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=_widths(n),
                         rel_tol_cell=1e-3, rel_tol_path=1e-6)
         started.clear()
@@ -489,7 +493,7 @@ def test_sweep_pool_never_exceeds_the_rows(monkeypatch):
     for workers in (0, -1):
         with pytest.raises(ConfigError, match="workers"):
             sweep_and_fit(cfg, workers=workers)
-    assert started == [[3, 8]]
+    assert started == [[3, [per + 1, per + 1, per - 1]]]
 
 
 def test_sweep_pool_rows_match_the_serial_rows(monkeypatch):
@@ -502,7 +506,8 @@ def test_sweep_pool_rows_match_the_serial_rows(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
-    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=_widths(16),
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5,
+                    eps_list=_widths(2 * pipeline._WIDTHS_PER_PROCESS),
                     rel_tol_cell=1e-3, rel_tol_path=1e-6)
     serial, serial_fits = sweep_and_fit(cfg, workers=1)
     monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", CountingPool)
@@ -530,16 +535,86 @@ def test_sweep_rejects_an_empty_load_set():
 def test_width_rows_reject_an_empty_load_set():
     cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,))
     with pytest.raises(ConfigError, match=re.escape("loads=()")):
-        compute_width_rows(cfg, 1e-2, ())
+        compute_width_rows(cfg, (1e-2,), ())
 
 
 def test_width_rows_sort_and_deduplicate_the_loads():
     cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2,),
                     rel_tol_cell=1e-3, rel_tol_path=1e-6)
-    both = [r.csv_line() for r in compute_width_rows(cfg, 1e-2, (1, 2))]
-    assert [r.csv_line() for r in compute_width_rows(cfg, 1e-2, (2, 1, 2))] == both
-    one = [r.csv_line() for r in compute_width_rows(cfg, 1e-2, (1,))]
-    assert [r.csv_line() for r in compute_width_rows(cfg, 1e-2, (1, 1))] == one
+    both = [r.csv_line() for r in compute_width_rows(cfg, (1e-2,), (1, 2))]
+    assert [r.csv_line() for r in compute_width_rows(cfg, (1e-2,), (2, 1, 2))] == both
+    one = [r.csv_line() for r in compute_width_rows(cfg, (1e-2,), (1,))]
+    assert [r.csv_line() for r in compute_width_rows(cfg, (1e-2,), (1, 1))] == one
+
+
+@pytest.mark.parametrize("loads", [(3,), (0, 1)])
+def test_loads_outside_one_and_two_are_rejected_before_any_work(loads, monkeypatch):
+    # a bad load used to start the q_ss integral and fail inside its integrand
+    started = []
+    monkeypatch.setattr(pipeline, "make_gap_geometry", lambda *a: started.append(a))
+    monkeypatch.setattr(bounds, "integrate_path", lambda *a: started.append(a))
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=(1e-2, 3e-3, 1e-3))
+    with pytest.raises(ConfigError, match="every load must be 1 or 2"):
+        compute_width_rows(cfg, (1e-2,), loads)
+    with pytest.raises(ConfigError, match="every load must be 1 or 2"):
+        sweep_and_fit(cfg, loads=loads)
+    assert started == []
+
+
+BATCH_WIDTHS = (1e-2, 1e-3, 1e-4, 1e-5)
+
+
+@pytest.mark.parametrize("config", ["disk", "ellipse"])
+@pytest.mark.parametrize("rel_tol_cell,rel_tol_path", [(1e-6, 1e-8), (1e-3, 1e-6)])
+def test_rows_of_several_widths_are_their_one_width_rows(config, rel_tol_cell, rel_tol_path):
+    # every width is a tolerance group of the shared integrals, so each row
+    # is the row of its width alone: every CSV column but the divergence,
+    # a rounding floor, which stays below 1e-12
+    cfg = dataclasses.replace(parse_config(SHIPPED_CONFIGS / f"{config}.cfg"),
+                              rel_tol_cell=rel_tol_cell, rel_tol_path=rel_tol_path)
+    div = CSV_HEADER.split(",").index("div_residual")
+    rows = compute_width_rows(cfg, BATCH_WIDTHS, (1, 2))
+    alone = [row for eps in BATCH_WIDTHS for row in compute_width_rows(cfg, (eps,), (1, 2))]
+    assert [(r.eps, r.j) for r in rows] == [(e, j) for e in BATCH_WIDTHS for j in (1, 2)]
+    for row, one in zip(rows, alone):
+        got, want = row.csv_line().split(","), one.csv_line().split(",")
+        assert got[:div] + got[div + 1:] == want[:div] + want[div + 1:], (row.eps, row.j)
+        assert row.diagnostics.div_residual <= 1e-12
+
+
+@pytest.mark.parametrize("n_widths", [4, 9])
+def test_serial_sweep_makes_two_path_integrals_and_one_diagnostics(n_widths, monkeypatch):
+    # cost guard: a serial sweep shares one q_ss and one q_c path integral
+    # and one diagnostics evaluation, with its one set of pair terms,
+    # however many widths it has
+    calls = {"path": 0, "diagnostics": 0, "diagnostic pair terms": 0}
+    inside = []
+    path, diagnostics, pair_terms = bounds.integrate_path, pipeline._dual_diagnostics, bounds._PairTerms
+
+    def counted_path(*args):
+        calls["path"] += 1
+        return path(*args)
+
+    def counted_diagnostics(*args):
+        calls["diagnostics"] += 1
+        inside.append(True)
+        try:
+            return diagnostics(*args)
+        finally:
+            inside.pop()
+
+    def counted_pair_terms(*args):
+        calls["diagnostic pair terms"] += bool(inside)
+        return pair_terms(*args)
+
+    monkeypatch.setattr(bounds, "integrate_path", counted_path)
+    monkeypatch.setattr(pipeline, "_dual_diagnostics", counted_diagnostics)
+    monkeypatch.setattr(bounds, "_PairTerms", counted_pair_terms)
+    cfg = RunConfig(material=UNIT, shape=Disk(r0=1.0), L2=1.5, eps_list=_widths(n_widths),
+                    rel_tol_cell=1e-3, rel_tol_path=1e-6)
+    rows, _ = sweep_and_fit(cfg)
+    assert len(rows) == 2 * n_widths
+    assert calls == {"path": 2, "diagnostics": 1, "diagnostic pair terms": 1}
 
 
 def test_sweep_needs_three_gap_widths():
@@ -583,9 +658,9 @@ def test_run_verify_checks_both_loads_diagnostics_in_one_call(monkeypatch):
     calls = {"diagnostics": [], "build_dual_stress": 0}
     diagnostics = pipeline._dual_diagnostics
 
-    def counted_diagnostics(geom, mat, loads):
+    def counted_diagnostics(geoms, mat, loads):
         calls["diagnostics"].append(loads)
-        return diagnostics(geom, mat, loads)
+        return diagnostics(geoms, mat, loads)
 
     def counted_build(*args):
         calls["build_dual_stress"] += 1
@@ -704,13 +779,13 @@ def test_cli_sweep_one_load_computes_only_its_rows(monkeypatch, tmp_path, capsys
     calls = []
     rows_fn = pipeline.compute_width_rows
 
-    def counting(cfg, eps, loads):
-        calls.append((eps, loads))
-        return rows_fn(cfg, eps, loads)
+    def counting(cfg, widths, loads):
+        calls.append((widths, loads))
+        return rows_fn(cfg, widths, loads)
 
     monkeypatch.setattr(pipeline, "compute_width_rows", counting)
     assert cli.main(["sweep", "--config", str(p), "--j", "2", "--out", str(out)]) == 0
-    assert calls == [(1e-2, (2,)), (3e-3, (2,)), (1e-3, (2,))]
+    assert calls == [((1e-2, 3e-3, 1e-3), (2,))]
     lines = out.read_text().splitlines()
     assert len(lines) == 4
     assert all(line.split(",")[1] == "2" for line in lines[1:])

@@ -608,3 +608,92 @@ def test_vector_components_keep_their_own_tolerance():
     alone = integrate_path(curve, lambda p, n: np.sqrt(p[..., 0]),
                            rel_tol)
     assert abs(res.value[1] - alone.value) <= res.err_estimate + alone.err_estimate
+
+
+# ---------------------------------------------------------------------------
+# several curves as tolerance groups of one integral
+# ---------------------------------------------------------------------------
+
+def _group_fields():
+    """Per curve, a two-component integrand: a cubic that K15 integrates on
+    the root panels, a near-singular peak that keeps refining, and a smooth
+    field on a circle."""
+    def cubic(p):
+        x = p[..., 0]
+        return np.stack((1.0 + x ** 3, 2.0 - x), axis=-1)
+
+    def peak(p):
+        y = p[..., 1]
+        return np.stack((1.0 / (1e-4 + y * y), np.cos(3.0 * y)), axis=-1)
+
+    def smooth(p):
+        return np.stack((np.sin(p[..., 0] + 2.0 * p[..., 1]), np.exp(p[..., 1])), axis=-1)
+
+    curves = [_segment_curve((0.0, 0.0), (1.0, 0.0)), _segment_curve((0.0, -1.0), (0.0, 1.0)),
+              inclusion_boundary(disk_geometry(1e-2), 2)]
+    return curves, [cubic, peak, smooth]
+
+
+def test_grouped_path_integral_gives_each_curve_its_lone_result():
+    curves, fields = _group_fields()
+    calls = []
+
+    def grouped(p, n, groups):
+        calls.append(np.unique(groups).tolist())
+        out = np.empty(p.shape[:-1] + (2,))
+        for g, field in enumerate(fields):
+            out[groups == g] = field(p[groups == g])
+        return out
+
+    res = integrate_path(curves, grouped, 1e-10)
+    lone = [integrate_path(curve, lambda p, n, field=field: field(p), 1e-10)
+            for curve, field in zip(curves, fields)]
+    assert len(res.groups) == 3
+    for got, want in zip(res.groups, lone):
+        assert [got.value.tolist(), got.err_estimate, got.panels_used, got.converged,
+                got.component_err, got.evals, got.rounds] == \
+               [want.value.tolist(), want.err_estimate, want.panels_used, want.converged,
+                want.component_err, want.evals, want.rounds]
+    # the cubic stops on its root panels while the peak keeps refining, and
+    # every round is one integrand call on the new nodes of the open groups
+    assert lone[0].rounds == 1 < lone[1].rounds
+    assert len(calls) == res.rounds == max(r.rounds for r in lone)
+    assert calls[0] == [0, 1, 2] and all(0 not in c for c in calls[1:])
+    # the whole integral sums its groups' records
+    assert res.panels_used == sum(r.panels_used for r in lone)
+    assert res.evals == sum(r.evals for r in lone)
+    assert res.err_estimate == sum(r.err_estimate for r in lone)
+    assert res.converged == all(r.converged for r in lone)
+    assert [v.tolist() for v in res.value] == [r.value.tolist() for r in lone]
+
+
+def test_grouped_path_integral_of_one_curve_is_its_lone_result():
+    curves, fields = _group_fields()
+    res = integrate_path(curves[1:2], lambda p, n, groups: fields[1](p), 1e-10)
+    lone = integrate_path(curves[1], lambda p, n: fields[1](p), 1e-10)
+    (got,) = res.groups
+    for r in (got, res):
+        assert (r.err_estimate, r.panels_used, r.converged, r.evals, r.rounds) == (
+            lone.err_estimate, lone.panels_used, lone.converged, lone.evals, lone.rounds)
+    assert got.value.tolist() == lone.value.tolist()
+    assert got.component_err == lone.component_err
+
+
+def test_per_node_pole_offset_must_be_positive():
+    from gapstress import KernelContext, LameMaterial
+    from gapstress.kernels import singular_stress
+
+    mat = LameMaterial(lam=1.0, mu=1.0)
+    for a in (0.0, -1e-3, np.array([1e-3, 0.0]), np.array([-1e-3, 1e-3])):
+        with pytest.raises(ValueError, match="pole offset"):
+            KernelContext(mat, a)
+    assert KernelContext(mat, np.array([1e-3, 2e-3])).a.tolist() == [1e-3, 2e-3]
+    # a grouped integral whose second curve carries a non-positive offset
+    curves, _ = _group_fields()
+    offsets = np.array([1e-2, 0.0])
+
+    def pair(p, n, groups):
+        return singular_stress(KernelContext(mat, offsets[groups]), 1, p + 2.0).a11
+
+    with pytest.raises(ValueError, match="pole offset"):
+        integrate_path(curves[:2], pair, 1e-6)
