@@ -54,6 +54,7 @@ from .kernels import (  # noqa: F401
     singular_displacement,
     singular_stress,
 )
+from . import quadrature
 from .quadrature import (
     _K15_NODES,
     _K15_WEIGHTS,
@@ -316,25 +317,6 @@ class _Widths:
 
 # the dual diagnostics read the upper edge on this many equal panels of [0, L1]
 _EDGE_PANELS = 20
-# nodes per evaluation of a grouped integrand, and widths per evaluation of
-# the diagnostics.  numpy evaluates a product whose right operand is a
-# temporary array of 256 KiB or more in place, with the operands swapped,
-# and a complex product then rounds differently; below that size (16,384
-# complex values) every point's value is the one it gets in a one-width call
-_NODE_CHUNK = 4096
-_DIAGNOSTIC_WIDTHS = 32
-
-
-def _in_chunks(integrand):
-    """The grouped path integrand evaluated on at most _NODE_CHUNK nodes at a time."""
-    def chunked(p: np.ndarray, n: np.ndarray, groups: np.ndarray) -> np.ndarray:
-        if groups.size <= _NODE_CHUNK:
-            return integrand(p, n, groups)
-        return np.concatenate([integrand(p[s:s + _NODE_CHUNK], n[s:s + _NODE_CHUNK],
-                                         groups[s:s + _NODE_CHUNK])
-                               for s in range(0, groups.size, _NODE_CHUNK)])
-
-    return chunked
 
 
 def _dual_diagnostics(geoms: Sequence[GapGeometry], mat: LameMaterial,
@@ -364,11 +346,13 @@ def _dual_diagnostics(geoms: Sequence[GapGeometry], mat: LameMaterial,
       system by its Kolosov-Muskhelishvili form; ``run_verify``'s flux
       checks test it.
 
-    More than _DIAGNOSTIC_WIDTHS widths are read that many at a time.
+    Each evaluation reads as many widths as fit in quadrature._NODE_CHUNK
+    points (at least one), for that constant's reason.
     """
-    if len(geoms) > _DIAGNOSTIC_WIDTHS:
-        return [d for k in range(0, len(geoms), _DIAGNOSTIC_WIDTHS)
-                for d in _dual_diagnostics(geoms[k:k + _DIAGNOSTIC_WIDTHS], mat, loads)]
+    per_call = max(quadrature._NODE_CHUNK // (_EDGE_PANELS * (_K15_NODES.size + 1) + 1), 1)
+    if len(geoms) > per_call:
+        return [d for k in range(0, len(geoms), per_call)
+                for d in _dual_diagnostics(geoms[k:k + per_call], mat, loads)]
     geom, ctx = _Widths(geoms, mat).at(np.arange(len(geoms)))
     L2 = geom.L2
     n = _EDGE_PANELS + 1
@@ -429,7 +413,7 @@ def _work_integrand(widths: _Widths, loads: tuple[int, ...]):
         terms = _PairTerms(widths.at(groups)[1], p)
         return np.stack([_traction_work(terms, j, n)[..., 2] for j in loads], axis=-1)
 
-    return _in_chunks(work)
+    return work
 
 
 def _quarter_boundary(geom: GapGeometry) -> tuple[PathSegment, ...]:
@@ -501,7 +485,7 @@ def _cell_energy(widths: _Widths, loads: tuple[int, ...],
 
         return np.stack([density(j) for j in loads], axis=-1)
 
-    res = integrate_path([_fibre_axis(g) for g in widths.geoms], _in_chunks(fibres), rel_tol)
+    res = integrate_path([_fibre_axis(g) for g in widths.geoms], fibres, rel_tol)
     return [{j: r.component(k) for k, j in enumerate(loads)} for r in res.groups]
 
 

@@ -247,16 +247,14 @@ def _vertex_breaks(vertices, dt: float) -> tuple[float, ...]:
 class PathSegment:
     """One smooth parametrized piece of a boundary curve, t in [0, 1].
 
-    ``point`` maps t -> (..., 2) coordinates, ``speed`` gives |dgamma/dt| for
-    the arclength weight and ``normal`` the unit normal pointing out of the
-    matrix region (into an inclusion on inclusion arcs, out of the cell on
-    cell edges).  ``breaks`` are the edges in t of the root panels that
+    ``frame`` maps t -> (points, normals, speeds): the (..., 2) coordinates,
+    the unit normals pointing out of the matrix region (into an inclusion on
+    inclusion arcs, out of the cell on cell edges) and |dgamma/dt|, the
+    arclength weight.  ``breaks`` are the edges in t of the root panels that
     path integration starts from.
     """
 
-    point: Callable[[np.ndarray], np.ndarray]
-    speed: Callable[[np.ndarray], np.ndarray]
-    normal: Callable[[np.ndarray], np.ndarray]
+    frame: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
     breaks: tuple[float, ...] = _QUARTERS
 
 
@@ -273,24 +271,18 @@ def _ellipse_arc(cx: float, A: float, B: float, th0: float, th1: float,
     2 pi, where the speed is B), the first spanning arclength ``first``."""
     span = th1 - th0
 
-    def point(t: np.ndarray) -> np.ndarray:
+    def frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         th = th0 + span * np.asarray(t, dtype=float)
-        return np.stack((cx + A * np.cos(th), B * np.sin(th)), axis=-1)
-
-    def speed(t: np.ndarray) -> np.ndarray:
-        th = th0 + span * np.asarray(t, dtype=float)
-        return abs(span) * np.hypot(A * np.sin(th), B * np.cos(th))
-
-    def normal(t: np.ndarray) -> np.ndarray:
-        th = th0 + span * np.asarray(t, dtype=float)
-        nx = np.cos(th) / A
-        ny = np.sin(th) / B
+        cos, sin = np.cos(th), np.sin(th)
+        nx, ny = cos / A, sin / B
         norm = np.hypot(nx, ny)
         # outward of the ellipse is (nx, ny)/norm; matrix-outward is the flip
-        return np.stack((-nx / norm, -ny / norm), axis=-1)
+        return (np.stack((cx + A * cos, B * sin), axis=-1),
+                np.stack((-nx / norm, -ny / norm), axis=-1),
+                abs(span) * np.hypot(A * sin, B * cos))
 
     breaks = _vertex_breaks([(th - th0) / span for th in vertices], first / (abs(span) * B))
-    return PathSegment(point=point, speed=speed, normal=normal, breaks=breaks)
+    return PathSegment(frame=frame, breaks=breaks)
 
 
 def _line_segment(p0, p1, n) -> PathSegment:
@@ -300,19 +292,12 @@ def _line_segment(p0, p1, n) -> PathSegment:
     n = np.asarray(n, dtype=float)
     length = float(np.hypot(*(p1 - p0)))
 
-    def point(t: np.ndarray) -> np.ndarray:
+    def frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         t = np.asarray(t, dtype=float)
-        return p0 + t[..., None] * (p1 - p0)
+        return (p0 + t[..., None] * (p1 - p0), np.broadcast_to(n, t.shape + (2,)),
+                np.full(t.shape, length))
 
-    def speed(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, length)
-
-    def normal(t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(n, t.shape + (2,)).copy()
-
-    return PathSegment(point=point, speed=speed, normal=normal)
+    return PathSegment(frame=frame)
 
 
 def inclusion_boundary(geom: GapGeometry, which: int) -> Curve:

@@ -10,16 +10,17 @@ offset's scale).  They evaluate the rule on every panel, then greedily split
 the panels carrying most of the error estimate until the global estimate
 meets the tolerance or the panels reach _MAX_DEPTH bisections.  One loop
 can integrate several curves, each a tolerance group that refines and stops
-as it would alone, with one integrand call a round for all of them.  The
-matrix is vertically simple: at each x in [0, L1] the quarter cell x >= 0, y >= 0
-(whose four mirror images make up the cell) holds the exact fibre [h(x), L2]
-over one x axis (``_fibre_axis``).  The dual's cell term integrates each
-fibre in closed form, so it is one path integral on that axis
-(``bounds._cell_energy``).  ``integrate_cell``, the cell integrator for any
-integrand and the tests' oracle of that term, runs the same loop on that
-axis and integrates every fibre in y with one panel template of the same
-rule.  The cumulative table, the test oracle of the dual correction G, runs
-the loop on the x-axis too and sums its final panels outward from 0.
+as it would alone, in one evaluation a round for all of them (integrand
+calls of at most _NODE_CHUNK nodes).  The matrix is vertically simple: at
+each x in [0, L1] the quarter cell x >= 0, y >= 0 (whose four mirror images
+make up the cell) holds the exact fibre [h(x), L2] over one x axis
+(``_fibre_axis``).  The dual's cell term integrates each fibre in closed
+form, so it is one path integral on that axis (``bounds._cell_energy``).
+``integrate_cell``, the cell integrator for any integrand and the tests'
+oracle of that term, runs the same loop on that axis and integrates every
+fibre in y with one panel template of the same rule.  The cumulative
+table, the test oracle of the dual correction G, runs the loop on the
+x-axis too and sums its final panels outward from 0.
 Evaluations are batched across panels, traversal and summation order are
 fixed, and no randomness is used, so repeated runs are bit-identical.
 """
@@ -59,7 +60,11 @@ _MAX_DEPTH = 30
 _MAX_PATH_PANELS = 262_144
 _MAX_ROUNDS = 400
 _MAX_SPLIT = 65_536
-_EVAL_CHUNK = 8_192
+# nodes per integrand call.  numpy evaluates a product whose right operand
+# is a temporary of 256 KiB or more in place, with the operands swapped, and
+# a complex product then rounds differently; below that size (16,384 complex
+# values) a node's value is the same in any round, grouped or lone
+_NODE_CHUNK = 4096
 _MAX_FIBRE_ROUNDS = 12
 _OUTER_GRADING = 8.0
 _FIBRE_GRADING = 4.0
@@ -72,7 +77,7 @@ class QuadratureError(RuntimeError):
 @dataclass(frozen=True)
 class IntegralResult:
     """``evals`` counts the integrand points the integral evaluated and
-    ``rounds`` the adaptive rounds, one integrand call each;
+    ``rounds`` the adaptive rounds;
     ``component_err`` is each component's own summed |K15 - G7|; ``groups``
     holds each curve's own result of an integral over several curves
     (``integrate_path``)."""
@@ -144,30 +149,28 @@ def _eval_path_panels(segments, seg_group: np.ndarray, integrand, seg: np.ndarra
                       t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K15 values and |K15 - G7| differences of all panels.
 
-    The 15 Kronrod nodes of every panel of every segment reach the
-    integrand in one call, with each node's group (``seg_group`` of its
-    segment).  Returns (value, diff), each of shape (n_panels, n_comp).
+    Each segment's ``frame`` is read once, on the 15 Kronrod nodes of all
+    its panels; the nodes of all segments reach the integrand, with each
+    node's group (``seg_group`` of its segment), in calls of at most
+    _NODE_CHUNK nodes.  Returns (value, diff), each of shape (n_panels, n_comp).
     """
-    pts, nrm, spd, panels = [], [], [], []
+    frames, panels = [], []
     for s, segment in enumerate(segments):
         idx = np.nonzero(seg == s)[0]
         if idx.size == 0:
             continue
-        a = t0[idx][:, None]
-        b = t1[idx][:, None]
-        flat = (a + (b - a) * (_K15_NODES[None, :] + 1.0) / 2.0).reshape(-1)
-        pts.append(segment.point(flat))
-        nrm.append(segment.normal(flat))
-        spd.append(segment.speed(flat))
+        a, b = t0[idx][:, None], t1[idx][:, None]
+        frames.append(segment.frame((a + (b - a) * (_K15_NODES[None, :] + 1.0) / 2.0).reshape(-1)))
         panels.append(idx)
-    if not panels:
-        raise ValueError("curve has no segments")
     idx = np.concatenate(panels)
-    f = np.asarray(integrand(np.concatenate(pts), np.concatenate(nrm),
-                             seg_group[seg[idx]].repeat(_K15_NODES.size)), dtype=float)
+    pts, nrm, spd = (np.concatenate(parts) for parts in zip(*frames))
+    groups = seg_group[seg[idx]].repeat(_K15_NODES.size)
+    f = np.concatenate([integrand(pts[c:c + _NODE_CHUNK], nrm[c:c + _NODE_CHUNK],
+                                  groups[c:c + _NODE_CHUNK])
+                        for c in range(0, groups.size, _NODE_CHUNK)], dtype=float)
     if f.ndim == 1:
         f = f[:, None]
-    f = f * np.concatenate(spd)[:, None]
+    f = f * spd[:, None]
     # one weighted sum over all panels, (n, c, 15) against (15, 2) as
     # np.tensordot forms it, then one scatter back to the panel order
     n_comp = f.shape[1]
@@ -183,8 +186,8 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
     """Greedy adaptive refinement from the root panels of every segment of
     every curve, each curve a tolerance group.
 
-    Every round makes one integrand call, ``integrand(points, normals,
-    groups)``, on the 15 Kronrod nodes of all new panels of all groups,
+    Every round evaluates ``integrand(points, normals, groups)`` on the 15
+    Kronrod nodes of all new panels of all groups (``_eval_path_panels``),
     ``groups`` holding each node's curve index.  Each group is held to
     ``rel_tol`` against its own scale and split on its own errors, its
     panels kept in its own order (kept panels, then the children of the
@@ -201,9 +204,12 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
     rounds, component_err): the panel sum in a fixed order, the summed
     panel errors, the tolerance they are held to, the final panels sorted
     by segment and parameter (edges t0, t1 and the K15 values, one row
-    each), the numbers of path nodes evaluated and of integrand calls that
-    reached the group, and each estimated component's summed |K15 - G7|.
+    each), the numbers of path nodes evaluated and of rounds that reached
+    the group, and each estimated component's summed |K15 - G7|.  A curve
+    without segments, or no curve, raises ValueError before any evaluation.
     """
+    if not curves or not all(curve.segments for curve in curves):
+        raise ValueError("curve has no segments")
     segments = [s for curve in curves for s in curve.segments]
     seg_group = np.array([g for g, curve in enumerate(curves) for _ in curve.segments])
     edges = [np.asarray(s.breaks, dtype=float) for s in segments]
@@ -296,7 +302,8 @@ def integrate_path(curve: Curve | Sequence[Curve], integrand, rel_tol: float) ->
     The integrand may return shape (n,) or (n, m); the result value follows.
     Refinement starts from each segment's root panels (``breaks``).  Each
     refinement round hands the 15 Kronrod nodes of all new panels of all
-    segments to ``integrand`` in one call.  The value is K15 and the error
+    segments to ``integrand`` in calls of at most _NODE_CHUNK nodes: one
+    call a round unless the round has more.  The value is K15 and the error
     estimate the sum of per-panel |K15 - G7|, a heuristic estimate, not a
     bound.  For a vector integrand each component is held to ``rel_tol``
     times its own scale, the estimate bounds the summed |K15 - G7| of
@@ -305,11 +312,12 @@ def integrate_path(curve: Curve | Sequence[Curve], integrand, rel_tol: float) ->
     ``curve`` may also be a sequence of curves, each a tolerance group:
     the integrand is then called as ``integrand(points, normals, groups)``,
     ``groups`` holding each node's curve index, and every round still
-    makes one call on the new nodes of all groups.  Each group refines and
+    evaluates the new nodes of all groups together.  Each group refines and
     stops as its curve would alone, and ``groups`` of the result holds, per
     curve, exactly the result of integrating it alone; the result's value
     is the tuple of theirs, its estimate, panels and evaluations sum
-    theirs, and it has converged where all of them have.
+    theirs, and it has converged where all of them have.  A curve without
+    segments, or an empty sequence, raises ValueError.
     """
     _check_tol(rel_tol)
     grouped = not isinstance(curve, Curve)
@@ -352,35 +360,26 @@ def _fibre_integrand(geom: GapGeometry, integrand, tau: np.ndarray, counter: lis
 
     Returns a path integrand giving, per outer node x, the Kronrod value of
     the y-integral over [h(x), L2], followed by |K15 - G7| on each template
-    panel.
+    panel.  One outer call's fibre points reach ``integrand`` in slices of
+    at most _NODE_CHUNK.
     """
     a, b = tau[:-1], tau[1:]
     half = ((b - a) / 2.0)[:, None]
     t_all = (a[:, None] + half * (_K15_NODES[None, :] + 1.0)).reshape(-1)
     w_k = (half * _RULE[:, 0]).reshape(-1)
     w_diff = (half * _RULE[:, 1]).reshape(-1)
-    n_panels = a.size
-    m = t_all.size
 
     def fibres(pts: np.ndarray, _normals: np.ndarray) -> np.ndarray:
         x = pts[:, 0]
         h = chord_halfheight(geom, x)
         length = geom.L2 - h
-        # points are built for whole fibres, about 16 chunks at a time, and
-        # reach the integrand in chunks of at most _EVAL_CHUNK, so memory
-        # stays flat
-        f = np.empty((x.size, m))
-        group = max(16 * _EVAL_CHUNK // m, 1)
-        for s in range(0, x.size, group):
-            y = h[s:s + group, None] + length[s:s + group, None] * t_all[None, :]
-            p = np.stack((np.broadcast_to(x[s:s + group, None], y.shape), y), axis=-1)
-            p = p.reshape(-1, 2)
-            out = f[s:s + group].reshape(-1)
-            for c in range(0, p.shape[0], _EVAL_CHUNK):
-                out[c:c + _EVAL_CHUNK] = integrand(p[c:c + _EVAL_CHUNK])
+        y = h[:, None] + length[:, None] * t_all[None, :]
+        p = np.stack((np.broadcast_to(x[:, None], y.shape), y), axis=-1).reshape(-1, 2)
+        f = np.concatenate([integrand(p[c:c + _NODE_CHUNK])
+                            for c in range(0, p.shape[0], _NODE_CHUNK)]).reshape(y.shape)
         counter[0] += f.size
         value = (f * w_k).sum(axis=1, keepdims=True)
-        diff = np.abs((f * w_diff).reshape(x.size, n_panels, _K15_NODES.size).sum(axis=2))
+        diff = np.abs((f * w_diff).reshape(x.size, a.size, _K15_NODES.size).sum(axis=2))
         return length[:, None] * np.concatenate((value, diff), axis=1)
 
     return fibres
@@ -395,9 +394,9 @@ def _fibre_axis(geom: GapGeometry) -> Curve:
     half, A = geom.eps / 2.0, geom.half_width
     xb = np.asarray(_graded_breaks(half, geom.L1, geom.eps, _OUTER_GRADING))
     gap = replace(_line_segment((0.0, 0.0), (half, 0.0), (0.0, 1.0)), breaks=(0.0, 1.0))
-    beside = PathSegment(point=lambda t: np.stack((half + A * t * t, np.zeros_like(t)), axis=-1),
-                         speed=lambda t: 2.0 * A * t,
-                         normal=lambda t: np.broadcast_to((0.0, 1.0), np.shape(t) + (2,)),
+    beside = PathSegment(frame=lambda t: (np.stack((half + A * t * t, np.zeros_like(t)), axis=-1),
+                                          np.broadcast_to((0.0, 1.0), np.shape(t) + (2,)),
+                                          2.0 * A * t),
                          breaks=tuple(np.sqrt((xb - half) / A)) + (1.0,))
     return Curve(segments=(gap, beside))
 
@@ -413,7 +412,7 @@ def integrate_cell(geom: GapGeometry, integrand, rel_tol: float) -> IntegralResu
     adaptive path loop on ``_fibre_axis``, and at each outer node the inner
     integral covers [h(x), L2] with one panel template for every fibre, so
     each round hands all fibres to ``integrand`` as (n, 2) points in chunks
-    of at most _EVAL_CHUNK.
+    of at most _NODE_CHUNK.
     Outer panels and template panels use the same Gauss-Kronrod 7/15 rule:
     the value is K15, and K15 contains the G7 nodes, so its estimate costs
     no extra points.

@@ -158,7 +158,7 @@ def _mirrored_fibres(geom, integrand, tau: np.ndarray, counter: list[int]):
         y = h[:, None] + length[:, None] * t_all[None, :]
         y = np.stack((y, -y), axis=1)
         p = np.stack((np.broadcast_to(x[:, None, None], y.shape), y), axis=-1).reshape(-1, 2)
-        chunk = quadrature._EVAL_CHUNK
+        chunk = quadrature._NODE_CHUNK
         f = np.concatenate([integrand(p[c:c + chunk]) for c in range(0, p.shape[0], chunk)])
         counter[0] += f.size
         f = f.reshape(x.size, 2, t_all.size).sum(axis=1)

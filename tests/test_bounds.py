@@ -29,7 +29,7 @@ from gapstress import (
     primal_upper,
     region_classify,
 )
-from gapstress import bounds, parse_config
+from gapstress import bounds, parse_config, quadrature
 from gapstress.bounds import (_cell_energy, _dual_diagnostics, _singular_self_energy,
                               _Widths, _work_integrand)
 from gapstress.elasticity import (Matrix2, SymTensor2, compliance_contract, compliance_energy,
@@ -789,8 +789,8 @@ def _quarter_samples(geom, n: int = 400):
     t = rng.random(n) ** 2
 
     def on(segs):
-        return (np.concatenate([s.point(t) for s in segs]),
-                np.concatenate([s.normal(t) for s in segs]))
+        frames = [s.frame(t) for s in segs]
+        return (np.concatenate([f[0] for f in frames]), np.concatenate([f[1] for f in frames]))
 
     return cell, on(bounds._quarter_boundary(geom))
 
@@ -1016,16 +1016,68 @@ def test_several_widths_give_each_width_its_own_bounds_and_diagnostics(shape, mo
     # one q_ss and one q_c integral over all widths, a tolerance group each,
     # and one diagnostics evaluation: each width's results are those it
     # gets alone, bit for bit, also when the integrands take their nodes in
-    # chunks and the diagnostics their widths a few at a time
+    # chunks and the diagnostics their widths one at a time
     geoms = [SHAPES[shape](eps) for eps in BATCH_WIDTHS]
     alone = [dual_lower_loads((g,), UNIT, (1, 2), CELL_COARSE, PATH_FAST)[0] for g in geoms]
     diagnostics = [_dual_diagnostics((g,), UNIT, (1, 2))[0] for g in geoms]
     assert dual_lower_loads(geoms, UNIT, (1, 2), CELL_COARSE, PATH_FAST) == alone
     assert _dual_diagnostics(geoms, UNIT, (1, 2)) == diagnostics
-    monkeypatch.setattr(bounds, "_NODE_CHUNK", 7)
-    monkeypatch.setattr(bounds, "_DIAGNOSTIC_WIDTHS", 2)
+    monkeypatch.setattr(quadrature, "_NODE_CHUNK", 7)
     assert dual_lower_loads(geoms, UNIT, (1, 2), CELL_COARSE, PATH_FAST) == alone
     assert _dual_diagnostics(geoms, UNIT, (1, 2)) == diagnostics
+
+
+def _record(res):
+    """An integral's value and records, every float as float.hex."""
+    return ([float(v).hex() for v in np.ravel(res.value)], res.err_estimate.hex(),
+            res.panels_used, res.converged, res.evals, res.rounds,
+            [e.hex() for e in res.component_err])
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_lone_integrals_do_not_depend_on_the_node_chunk(shape, monkeypatch):
+    # every path round reaches its integrand in calls of at most
+    # quadrature._NODE_CHUNK nodes, and a node's value must not depend on
+    # how many nodes share its call
+    geom = SHAPES[shape](1e-3)
+    dual = build_dual_stress(geom, UNIT, 1)
+
+    def integrals():
+        table = cumulative_line_table(dual.G, -geom.L1, geom.L1, REL_TOL_PATH)
+        return (_record(pair_boundary_integral(geom, UNIT)),
+                _record(integrate_cell(geom, _dual_cell_density(dual, UNIT), CELL_COARSE)),
+                [np.asarray(a).tobytes() for a in table])
+
+    default = integrals()
+    monkeypatch.setattr(quadrature, "_NODE_CHUNK", 7)
+    assert integrals() == default
+
+
+def test_integrand_calls_and_diagnostic_terms_stay_within_the_node_chunk(monkeypatch):
+    # at 97 widths the first q_ss round has more nodes than one call may take
+    geoms = [disk_geometry(eps) for eps in np.logspace(-2, -5, 97)]
+    sizes = {"path": [], "diagnostics": []}
+    path, pair_terms = bounds.integrate_path, bounds._PairTerms
+
+    def spy_path(curves, integrand, rel_tol):
+        def spied(p, n, groups):
+            sizes["path"].append(groups.size)
+            return integrand(p, n, groups)
+        return path(curves, spied, rel_tol)
+
+    def spy_terms(ctx, points):
+        sizes["diagnostics"].append(points.size // 2)
+        return pair_terms(ctx, points)
+
+    monkeypatch.setattr(bounds, "integrate_path", spy_path)
+    dual_lower_loads(geoms, UNIT, (1, 2), CELL_COARSE, PATH_FAST)
+    monkeypatch.setattr(bounds, "_PairTerms", spy_terms)
+    _dual_diagnostics(geoms, UNIT, (1, 2))
+    chunk = quadrature._NODE_CHUNK
+    assert max(sizes["path"]) == chunk
+    assert max(sizes["diagnostics"]) <= chunk
+    # as many widths as fit in the chunk per evaluation
+    assert len(sizes["diagnostics"]) == math.ceil(97 / (chunk // 321))
 
 
 def test_several_widths_must_share_shape_and_cell():
@@ -1129,9 +1181,9 @@ def test_pair_integrand_evaluates_d1_at_mirror_images(shape, monkeypatch):
             # the point and normal of inclusion_boundary(g, i) at the same angle
             x, y = p[rows, 0], p[rows, 1]
             t = np.mod(np.arctan2(y / B, (x - cx) / A), 2.0 * np.pi) / (2.0 * np.pi)
-            segment = inclusion_boundary(g, i).segments[0]
-            assert np.allclose(segment.point(t), p[rows], rtol=0.0, atol=1e-12), i
-            assert np.allclose(segment.normal(t), n[rows], rtol=0.0, atol=1e-12), i
+            point, normal, _ = inclusion_boundary(g, i).segments[0].frame(t)
+            assert np.allclose(point, p[rows], rtol=0.0, atol=1e-12), i
+            assert np.allclose(normal, n[rows], rtol=0.0, atol=1e-12), i
             # pointing into inclusion i (half of which lies outside the cell)
             assert np.all(level(p[rows] + 1e-6 * min(A, B) * n[rows]) < 1.0), i
 
@@ -1211,9 +1263,10 @@ def test_primal_path_is_graded_at_the_gap_center(shape, monkeypatch):
     primal_path_integral(g, UNIT, 1, REL_TOL_CELL)
     ((path, density, tol),) = calls
     first = path.segments[0]
-    assert np.array_equal(first.point(np.array(0.0)), [0.0, 0.0])
+    point, _, speed = first.frame(np.array(0.0))
+    assert np.array_equal(point, [0.0, 0.0])
     # the first root panel spans the pole offset
-    assert float(first.speed(np.array(0.0))) * first.breaks[1] == pytest.approx(g.a, rel=1e-12)
+    assert float(speed) * first.breaks[1] == pytest.approx(g.a, rel=1e-12)
     assert all(s.breaks == QUARTERS for s in path.segments[1:])
     graded = integrate_path(path, density, tol)
     uniform = integrate_path(_quarter_roots(path), density, tol)

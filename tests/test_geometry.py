@@ -168,8 +168,7 @@ def test_inclusion_normals_point_inward():
     c2 = np.asarray((g.L1, 0.0))
     for seg in curve.segments:
         t = np.linspace(0.01, 0.99, 37)
-        p = seg.point(t)
-        n = seg.normal(t)
+        p, n, _ = seg.frame(t)
         to_center = c2 - p
         to_center /= np.linalg.norm(to_center, axis=-1, keepdims=True)
         assert np.all(np.einsum("ij,ij->i", n, to_center) > 0.99)
@@ -183,11 +182,11 @@ def test_normal_at_gap_vertex_of_second_inclusion():
     target = np.array([g.eps / 2.0, 0.0])
     for seg in curve.segments:
         t = np.linspace(0.0, 1.0, 4001)
-        p = seg.point(t)
+        p, n, _ = seg.frame(t)
         d = np.linalg.norm(p - target, axis=-1)
         k = int(np.argmin(d))
         if best is None or d[k] < best[0]:
-            best = (d[k], seg.normal(np.array([t[k]]))[0])
+            best = (d[k], n[k])
     assert best[0] < 1e-5
     assert best[1] @ np.array([1.0, 0.0]) > 0.999
 
@@ -213,13 +212,13 @@ def test_arc_root_panels_start_at_the_gap_vertex(shape, eps):
         for v, x in vertices.items():
             assert v in arc.breaks
             # the vertex is the point of the arc on the gap
-            assert np.allclose(arc.point(np.array(v)), [x, 0.0], atol=1e-12)
+            assert np.allclose(arc.frame(np.array(v))[0], [x, 0.0], atol=1e-12)
             k = arc.breaks.index(v)
             for nb in (b[i] for i in (k - 1, k + 1) if 0 <= i < b.size):
                 lo, hi = sorted((v, nb))
                 # the first panel's arclength at the vertex is the pole offset
-                assert float(arc.speed(np.array(v))) * (hi - lo) == pytest.approx(g.a, rel=1e-12)
-                length = quad(lambda t: float(arc.speed(np.array(t))), lo, hi)[0]
+                assert float(arc.frame(np.array(v))[2]) * (hi - lo) == pytest.approx(g.a, rel=1e-12)
+                length = quad(lambda t: float(arc.frame(np.array(t))[2]), lo, hi)[0]
                 assert length == pytest.approx(g.a, rel=(g.a / g.half_height) ** 2)
     # the root panels never shrink away from the vertex
     widths = np.diff(np.asarray(inclusion_boundary(g, 2).segments[0].breaks))

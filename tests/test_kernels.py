@@ -339,19 +339,13 @@ def test_pair_field_solves_lame_system(j):
 def _circle_curve(center, radius):
     cx, cy = center
 
-    def point(t):
+    def frame(t):
         th = 2.0 * math.pi * np.asarray(t, dtype=float)
-        return np.stack((cx + radius * np.cos(th), cy + radius * np.sin(th)), axis=-1)
+        return (np.stack((cx + radius * np.cos(th), cy + radius * np.sin(th)), axis=-1),
+                np.stack((np.cos(th), np.sin(th)), axis=-1),
+                np.full(th.shape, 2.0 * math.pi * radius))
 
-    def speed(t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, 2.0 * math.pi * radius)
-
-    def normal(t):
-        th = 2.0 * math.pi * np.asarray(t, dtype=float)
-        return np.stack((np.cos(th), np.sin(th)), axis=-1)
-
-    return Curve(segments=(PathSegment(point=point, speed=speed, normal=normal),))
+    return Curve(segments=(PathSegment(frame=frame),))
 
 
 @pytest.mark.parametrize("j", [1, 2])

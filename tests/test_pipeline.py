@@ -582,6 +582,22 @@ def test_rows_of_several_widths_are_their_one_width_rows(config, rel_tol_cell, r
         assert row.diagnostics.div_residual <= 1e-12
 
 
+@pytest.mark.parametrize("config", ["disk", "ellipse"])
+def test_rows_of_97_widths_are_their_one_width_rows_bit_for_bit(config):
+    # guard of quadrature._NODE_CHUNK: the first round of the shared q_ss
+    # integral has more nodes than numpy's threshold for evaluating a
+    # product in place (16,384 complex values), so a chunk above it changes
+    # the batched rows in the last bits
+    cfg = dataclasses.replace(parse_config(SHIPPED_CONFIGS / f"{config}.cfg"), rel_tol_cell=1e-3)
+    widths = tuple(np.logspace(-2, -5, 97))
+    first_round = sum(len(s.breaks) - 1 for eps in widths
+                      for s in bounds._quarter_boundary(make_gap_geometry(cfg.shape, eps, cfg.L2)))
+    assert 15 * first_round > 16_384
+    rows = compute_width_rows(cfg, widths, (1, 2))
+    alone = [row for eps in widths for row in compute_width_rows(cfg, (eps,), (1, 2))]
+    assert [r.csv_line() for r in rows] == [r.csv_line() for r in alone]
+
+
 @pytest.mark.parametrize("n_widths", [4, 9])
 def test_serial_sweep_makes_two_path_integrals_and_one_diagnostics(n_widths, monkeypatch):
     # cost guard: a serial sweep shares one q_ss and one q_c path integral

@@ -32,19 +32,13 @@ def _segment_curve(p0, p1):
     p1 = np.asarray(p1, dtype=float)
     length = float(np.hypot(*(p1 - p0)))
 
-    def point(t):
+    def frame(t):
         t = np.asarray(t, dtype=float)
-        return p0 + t[..., None] * (p1 - p0)
+        return (p0 + t[..., None] * (p1 - p0),
+                np.broadcast_to(np.array([1.0, 0.0]), t.shape + (2,)).copy(),
+                np.full(t.shape, length))
 
-    def speed(t):
-        t = np.asarray(t, dtype=float)
-        return np.full(t.shape, length)
-
-    def normal(t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(np.array([1.0, 0.0]), t.shape + (2,)).copy()
-
-    return Curve(segments=(PathSegment(point=point, speed=speed, normal=normal),))
+    return Curve(segments=(PathSegment(frame=frame),))
 
 
 def test_circle_arclength():
@@ -290,7 +284,6 @@ def test_integral_rounds_count_the_integrand_calls(monkeypatch):
 
 
 def test_cell_integrand_chunks_are_bounded():
-    from gapstress.quadrature import _EVAL_CHUNK
 
     g = disk_geometry(1e-5)
     sizes = []
@@ -300,7 +293,7 @@ def test_cell_integrand_chunks_are_bounded():
         return np.ones(p.shape[0])
 
     integrate_cell(g, fn, 1e-6)
-    assert max(sizes) <= _EVAL_CHUNK
+    assert max(sizes) <= quadrature._NODE_CHUNK
 
 
 def test_cell_depth_cap_reports_non_convergence(monkeypatch):
@@ -576,7 +569,7 @@ def test_path_loop_uses_the_kronrod_pair(monkeypatch):
 
     expected = 0.0
     for segment in curve.segments:
-        edges = segment.point(np.asarray(segment.breaks))[:, 0]
+        edges = segment.frame(np.asarray(segment.breaks))[0][:, 0]
         for a, b in zip(edges[:-1], edges[1:]):
             f = fn(a + (b - a) * (quadrature._K15_NODES + 1.0) / 2.0)
             k15 = (b - a) / 2.0 * math.fsum(quadrature._K15_WEIGHTS * f)
@@ -655,7 +648,8 @@ def test_grouped_path_integral_gives_each_curve_its_lone_result():
                [want.value.tolist(), want.err_estimate, want.panels_used, want.converged,
                 want.component_err, want.evals, want.rounds]
     # the cubic stops on its root panels while the peak keeps refining, and
-    # every round is one integrand call on the new nodes of the open groups
+    # every round, under _NODE_CHUNK nodes here, is one integrand call on
+    # the new nodes of the open groups
     assert lone[0].rounds == 1 < lone[1].rounds
     assert len(calls) == res.rounds == max(r.rounds for r in lone)
     assert calls[0] == [0, 1, 2] and all(0 not in c for c in calls[1:])
@@ -677,6 +671,22 @@ def test_grouped_path_integral_of_one_curve_is_its_lone_result():
             lone.err_estimate, lone.panels_used, lone.converged, lone.evals, lone.rounds)
     assert got.value.tolist() == lone.value.tolist()
     assert got.component_err == lone.component_err
+
+
+def test_curves_without_segments_are_rejected_before_any_evaluation():
+    # a group without segments used to read 0.0, converged, on no panels,
+    # and a lone one raised numpy's bare concatenate error
+    calls = []
+
+    def fn(p, n, groups=None):
+        calls.append(p.shape[0])
+        return np.ones(p.shape[0])
+
+    empty = Curve(segments=())
+    for curve in (empty, [_segment_curve((0.0, 0.0), (1.0, 0.0)), empty], []):
+        with pytest.raises(ValueError, match="curve has no segments"):
+            integrate_path(curve, fn, 1e-6)
+    assert calls == []
 
 
 def test_per_node_pole_offset_must_be_positive():
