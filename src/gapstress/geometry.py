@@ -10,6 +10,7 @@ ellipses; both are symmetric in each coordinate axis.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -217,7 +218,7 @@ def region_classify(geom: GapGeometry, points) -> np.ndarray:
 
 
 _QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
-_VERTEX_GRADING = 2.5
+_VERTEX_RUN = 0.125
 
 
 def _graded_breaks(start: float, stop: float, first: float, ratio: float) -> list[float]:
@@ -229,17 +230,45 @@ def _graded_breaks(start: float, stop: float, first: float, ratio: float) -> lis
     return pts
 
 
-def _vertex_breaks(vertices, dt: float) -> tuple[float, ...]:
-    """Root edges in t: the quarters, and from each gap-facing parameter in
-    ``vertices`` panels dt, 1.5 dt, 3.75 dt, ... up to an eighth each way, so
-    the adaptive loop starts at the scale where the pair field concentrates
-    and no panel is narrower than the one before it."""
+def _vertex_run(dt: float) -> list[float]:
+    """Offsets 0, dt, dt (1 + r), ..., 1/8 of a vertex's graded run: n
+    panels dt r^k, the fewest with a ratio 1 <= r <= 2 that sum to 1/8.
+
+    The ratio solves 1 + r + ... + r^(n-1) = s, s = 1/(8 dt), by 8 Newton
+    steps from r = 2 (Horner for the sum and its slope); the sum is convex
+    and increasing in r, so the steps fall to the root from above, and
+    quadratically.  A dt of 1/16 or more runs two panels of 1/16, the
+    widest first panel that the second does not undercut."""
+    dt = min(dt, _VERTEX_RUN / 2.0)
+    s = _VERTEX_RUN / dt
+    n = max(2, math.ceil(math.log2(s + 1.0)))
+    r = 2.0
+    for _ in range(8):
+        total, slope = 1.0, 0.0
+        for _ in range(n - 1):
+            slope = slope * r + total
+            total = total * r + 1.0
+        r -= (total - s) / slope
+    offsets, width = [0.0], dt
+    for _ in range(n - 1):
+        offsets.append(offsets[-1] + width)
+        width *= r
+    return offsets + [_VERTEX_RUN]
+
+
+def _vertex_breaks(vertices, dt: float, pieces: int = 4) -> tuple[float, ...]:
+    """Root edges in t: the multiples of 1/pieces, and from each
+    gap-facing parameter in ``vertices`` the graded run of ``_vertex_run``
+    each way, so the adaptive loop starts at the scale where the pair field
+    concentrates, no panel of the run is narrower than the one before it or
+    more than twice as wide, and the run ends on a break v +- 1/8."""
     if vertices and not dt > 0.0:
         raise ValueError(f"the first graded panel must be positive, got {dt}")
-    edges = set(_QUARTERS)
+    edges = {k / pieces for k in range(pieces + 1)}
+    run = _vertex_run(dt) if vertices else []
     for v in vertices:
-        edges.update(_graded_breaks(v, v + 0.125, dt, _VERTEX_GRADING))
-        edges.update(-e for e in _graded_breaks(-v, 0.125 - v, dt, _VERTEX_GRADING))
+        edges.update(v + o for o in run)
+        edges.update(v - o for o in run)
     return tuple(sorted(e for e in edges if 0.0 <= e <= 1.0))
 
 
@@ -268,7 +297,9 @@ def _ellipse_arc(cx: float, A: float, B: float, th0: float, th1: float,
     """Arc of the ellipse centered (cx, 0); normal points into the inclusion.
 
     Root panels grow from the gap-facing angles ``vertices`` (0 or pi mod
-    2 pi, where the speed is B), the first spanning arclength ``first``."""
+    2 pi, where the speed is B), the first spanning arclength ``first``;
+    the others are quarters of the arc, or eighths of an arc longer than a
+    half turn, so none spans more than an eighth of a turn."""
     span = th1 - th0
 
     def frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,7 +312,8 @@ def _ellipse_arc(cx: float, A: float, B: float, th0: float, th1: float,
                 np.stack((-nx / norm, -ny / norm), axis=-1),
                 abs(span) * np.hypot(A * sin, B * cos))
 
-    breaks = _vertex_breaks([(th - th0) / span for th in vertices], first / (abs(span) * B))
+    breaks = _vertex_breaks([(th - th0) / span for th in vertices], first / (abs(span) * B),
+                            4 * math.ceil(abs(span) / np.pi))
     return PathSegment(frame=frame, breaks=breaks)
 
 

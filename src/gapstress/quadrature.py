@@ -4,11 +4,14 @@ Every routine here takes one setting, a relative tolerance; one that is not
 finite and positive raises ValueError.  One embedded rule serves every
 panel: the Gauss-Kronrod pair 7/15, whose panel value is K15 and whose panel
 error is |K15 - G7|, from 15 points a panel.  Path integrals start from the
-root panels each curve segment carries (``PathSegment.breaks``: its quarters
-and, on inclusion arcs, panels graded from the gap vertex at the pole
-offset's scale).  They evaluate the rule on every panel, then greedily split
-the panels carrying most of the error estimate until the global estimate
-meets the tolerance or the panels reach _MAX_DEPTH bisections.  One loop
+root panels each curve segment carries (``PathSegment.breaks``: its quarters,
+or eighths of an inclusion arc longer than a half turn, and on inclusion
+arcs a run graded from the gap vertex at the pole offset's scale, growing
+at most twofold to an eighth of the arc, on which the shipped gap integrals
+meet their tolerance in the first round).  They evaluate the rule on every
+panel, then greedily split the panels carrying most of the error estimate
+until the global estimate meets the tolerance or the panels reach
+_MAX_DEPTH bisections.  One loop
 can integrate several curves, each a tolerance group that refines and stops
 as it would alone, in one evaluation a round for all of them (integrand
 calls of at most _NODE_CHUNK nodes).  The matrix is vertically simple: at

@@ -764,6 +764,33 @@ def test_cell_energy_takes_one_round_on_the_root_panels(path):
                 assert (res.rounds, res.evals) == (1, 15 * roots), (eps, j)
 
 
+def _identity_grid(cfg) -> tuple[float, ...]:
+    """The benchmark's identities grid of a config: 13 widths log-spaced
+    from its widest to its narrowest width."""
+    return tuple(np.logspace(np.log10(cfg.eps_list[0]), np.log10(cfg.eps_list[-1]), 13))
+
+
+@pytest.mark.parametrize("path", ["configs/disk.cfg", "configs/ellipse.cfg"])
+def test_gap_path_integrals_take_one_round_on_the_root_panels(path):
+    # cost guard: at the shipped rel_tol_path the arc root panels meet the
+    # tolerance as they are, so the pair integral of verify on the identities
+    # grid is the K15 rule on them, and every width's q_ss takes one round
+    cfg = parse_config(ROOT / path)
+    assert cfg.rel_tol_path == 1e-8
+    for eps in _identity_grid(cfg):
+        geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
+        roots = sum(len(s.breaks) - 1 for s in inclusion_boundary(geom, 2).segments)
+        res = pair_boundary_integral(geom, cfg.material, cfg.rel_tol_path)
+        assert res.converged
+        assert (res.rounds, res.evals) == (1, 15 * roots), eps
+    geoms = tuple(make_gap_geometry(cfg.shape, eps, cfg.L2) for eps in cfg.eps_list)
+    widths = _singular_self_energy(_Widths(geoms, cfg.material), (1, 2), cfg.rel_tol_path)
+    for eps, loads in zip(cfg.eps_list, widths):
+        for j, res in loads.items():
+            assert res.converged
+            assert res.rounds == 1, (eps, j)
+
+
 # ---------------------------------------------------------------------------
 # the dual functional on the symmetry quarter of the cell
 # ---------------------------------------------------------------------------
@@ -1248,6 +1275,33 @@ def test_graded_roots_save_evals_on_the_identity_grid(monkeypatch):
                         lambda g, i: _quarter_roots(inclusion_boundary(g, i)))
     uniform = grid_evals()
     assert graded <= 0.8 * uniform
+
+
+@pytest.mark.parametrize("path", ["configs/disk.cfg", "configs/ellipse.cfg"])
+def test_root_panel_errors_cover_a_quarter_root_reference(path, monkeypatch):
+    # the error bars of one round come from the root panels alone; the
+    # reference bisects down to the gap from quarters (at rel_tol 1e-13 it
+    # reaches its rounding floor at the narrowest widths and never converges)
+    cfg = parse_config(ROOT / path)
+    geoms = tuple(make_gap_geometry(cfg.shape, eps, cfg.L2) for eps in _identity_grid(cfg))
+    widths = _Widths(geoms, cfg.material)
+
+    def integrals(rel_tol):
+        pairs = [pair_boundary_integral(g, cfg.material, rel_tol) for g in geoms]
+        return pairs, _singular_self_energy(widths, (1, 2), rel_tol)
+
+    got_pairs, got_work = integrals(cfg.rel_tol_path)
+    quarter_boundary = bounds._quarter_boundary
+    monkeypatch.setattr(bounds, "inclusion_boundary",
+                        lambda g, i: _quarter_roots(inclusion_boundary(g, i)))
+    monkeypatch.setattr(bounds, "_quarter_boundary",
+                        lambda g: _quarter_roots(Curve(quarter_boundary(g))).segments)
+    ref_pairs, ref_work = integrals(1e-11)
+    got = got_pairs + [res for loads in got_work for res in loads.values()]
+    ref = ref_pairs + [res for loads in ref_work for res in loads.values()]
+    for g, r in zip(got, ref):
+        assert r.converged and r.err_estimate <= 0.1 * g.err_estimate
+        assert np.all(np.abs(g.value - r.value) <= g.err_estimate)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

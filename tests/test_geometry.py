@@ -21,6 +21,7 @@ from gapstress import (
     rect_matrix_area,
     region_classify,
 )
+from gapstress.geometry import _ellipse_arc
 from gapstress.quadrature import integrate_path
 
 from conftest import disk_geometry
@@ -224,6 +225,42 @@ def test_arc_root_panels_start_at_the_gap_vertex(shape, eps):
     widths = np.diff(np.asarray(inclusion_boundary(g, 2).segments[0].breaks))
     assert np.all(np.diff(widths[widths.size // 2:]) >= 0.0)
     assert np.allclose(widths, widths[::-1], rtol=1e-9, atol=0.0)
+
+
+# both inclusion arc kinds of the cell (B = 2): the full turn of D2 and the
+# quarter arc of the quarter cell, which ends on the gap vertex; each is
+# (theta0, theta1, gap-facing t)
+ARC_KINDS = {"full turn": (0.0, 2.0 * np.pi, 0.5), "quarter arc": (np.pi / 2.0, np.pi, 1.0)}
+
+
+@pytest.mark.parametrize("kind", sorted(ARC_KINDS))
+def test_vertex_runs_grow_at_most_twofold_to_an_eighth(kind):
+    th0, th1, v = ARC_KINDS[kind]
+    angle, ulp = th1 - th0, np.finfo(float).eps
+    for dt in np.logspace(-7.0, np.log10(0.3), 200):
+        # the first panel spans dt in t
+        arc = _ellipse_arc(1.0, 1.0, 2.0, th0, th1, (np.pi,), dt * angle * 2.0)
+        b = np.asarray(arc.breaks)
+        assert b[0] == 0.0 and b[-1] == 1.0
+        assert {0.25, 0.5, 0.75} <= set(arc.breaks)
+        # no root panel spans more than an eighth of a turn
+        assert np.max(np.diff(b)) * angle <= np.pi / 4.0 * (1.0 + ulp), dt
+        k = arc.breaks.index(v)
+        for end in (v - 0.125, v + 0.125):
+            if not 0.0 <= end <= 1.0:
+                continue
+            # the run ends on v +- 1/8; the panel widths going away from v
+            n = arc.breaks.index(end) - k
+            widths = np.abs(np.diff(b[k::1 if n > 0 else -1]))
+            run = widths[:abs(n)]
+            if dt < 1.0 / 16.0:
+                assert abs(widths[0] - dt) <= ulp, dt
+            else:
+                # a first panel of dt would outgrow the rest of the run
+                assert np.array_equal(run, [1.0 / 16.0, 1.0 / 16.0]), dt
+            assert np.all(np.diff(widths) >= 0.0), dt
+            # at most twofold, up to the rounding of the edges
+            assert np.all(run[1:] <= 2.0 * run[:-1] + ulp), dt
 
 
 def test_straight_cell_edges_keep_quarter_root_panels():
