@@ -238,16 +238,6 @@ def _affine_coefficients(j: int, scale: float | np.ndarray, L2: float, traction:
     return (scale / L2) * odd * resultant, -scale * (1.0 - odd) * t, -scale * odd * t
 
 
-def _correction(y: np.ndarray, inv: np.ndarray, L2: float, G: np.ndarray,
-                alpha: np.ndarray, beta: np.ndarray) -> Matrix2:
-    """sigma_c at points of ordinate y and abscissa xu[inv], from its
-    coefficients at xu (``_affine_coefficients``); coefficients with more
-    axes are read along the first."""
-    eta = y / L2
-    return Matrix2(G[..., 0][inv], alpha[..., 0][inv] + beta[..., 0][inv] * eta,
-                   G[..., 1][inv], alpha[..., 1][inv] + beta[..., 1][inv] * eta)
-
-
 def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStress:
     """Assemble the admissible dual stress for load j.
 
@@ -278,7 +268,10 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
         # the coefficients depend on x alone, and fibres repeat each x along
         # a column, so evaluate them once per distinct x
         xu, inv = np.unique(pts[..., 0], return_inverse=True)
-        return _correction(pts[..., 1], inv.reshape(pts.shape[:-1]), L2, *coefficients(xu))
+        G, alpha, beta = (c[inv.reshape(pts.shape[:-1])] for c in coefficients(xu))
+        eta = pts[..., 1] / L2
+        return Matrix2(G[..., 0], alpha[..., 0] + beta[..., 0] * eta,
+                       G[..., 1], alpha[..., 1] + beta[..., 1] * eta)
 
     return DualStress(sigma_S=sigma_S, sigma_c=sigma_c, G=G,
                       diagnostics=_dual_diagnostics((geom,), mat, (j,))[0][j])
@@ -362,9 +355,8 @@ def _dual_diagnostics(geoms: Sequence[GapGeometry], mat: LameMaterial,
     x = np.concatenate((ends, nodes.reshape((-1,) + ends.shape[1:])))
     pair = _PairTerms(ctx, np.stack((x, np.full_like(x, L2)), -1))
     edge = _EdgeTerms(ctx, ends, L2)
-    # the fibres' upper ends on the edge, then their lower ends
-    y = np.concatenate((np.full_like(ends, L2), chord_halfheight(geom, ends)))
-    inv = np.tile(np.arange(n), 2)
+    # eta = y / L2 at the fibres' lower ends; it is 1 at their upper ends
+    eta = chord_halfheight(geom, ends) / L2
 
     def largest(a: np.ndarray) -> np.ndarray:
         # max |a| over the first and the last axis: per width
@@ -384,26 +376,31 @@ def _dual_diagnostics(geoms: Sequence[GapGeometry], mat: LameMaterial,
         s, resultant = pair.stress(j), edge.resultant(j)
         at_ends = SymTensor2(s.a11[:n], s.a12[:n], s.a22[:n])
         G, alpha, beta = _affine_coefficients(j, scale, L2, at_ends, resultant)
-        C = _correction(y, inv, L2, G, alpha, beta)
+        # sigma_c's second column alpha + beta eta on the edge
+        top = alpha + beta
         S = _scaled(at_ends, scale)
-        bc = np.maximum(np.abs(S.a12 + C.a12[:n]).max(axis=0),
-                        np.abs(S.a22 + C.a22[:n]).max(axis=0))
+        bc = np.maximum(np.abs(S.a12 + top[..., 0]).max(axis=0),
+                        np.abs(S.a22 + top[..., 1]).max(axis=0))
+        # _affine_coefficients reads the traction, sigma_12 and sigma_22
         jump, _, integral = _affine_coefficients(
-            j, scale, L2, SymTensor2(on_panels(s.a11), on_panels(s.a12), on_panels(s.a22)),
+            j, scale, L2, SymTensor2(None, on_panels(s.a12), on_panels(s.a22)),
             np.diff(resultant, axis=0))
         div = largest(jump + integral / L2) / (largest(beta) / L2 * 2.0 * half)
-        asymmetry = np.abs(C.a12 - C.a21).max(axis=0)
+        asymmetry = np.maximum(np.abs(top[..., 0] - G[..., 1]).max(axis=0),
+                               np.abs(alpha[..., 0] + beta[..., 0] * eta - G[..., 1]).max(axis=0))
         for d, *values in zip(out, *(v.reshape(-1).tolist() for v in (asymmetry, bc, div))):
             d[j] = Diagnostics(*values)
     return out
 
 
-def _traction_work(terms: _PairTerms, j: int, n: np.ndarray) -> np.ndarray:
-    """[(sigma(q_j) n)_1, (sigma(q_j) n)_2, (sigma(q_j) n) . q_j] of the pair
-    field q_j: its traction and the traction's work, at the terms' points."""
-    tr = terms.stress(j).apply(n)
-    u = terms.displacement(j)
-    return np.concatenate((tr, np.einsum("...k,...k->...", tr, u)[..., None]), axis=-1)
+def _traction_work(terms: _PairTerms, j: int, n1: np.ndarray,
+                   n2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma(q_j) n)_1, (sigma(q_j) n)_2 and (sigma(q_j) n) . q_j of the
+    pair field q_j: its traction and the traction's work, at the terms'
+    points, for the normal (n1, n2)."""
+    s, u = terms.stress(j), terms.displacement(j)
+    t1, t2 = s.a11 * n1 + s.a12 * n2, s.a12 * n1 + s.a22 * n2
+    return t1, t2, t1 * u[..., 0] + t2 * u[..., 1]
 
 
 def _work_integrand(widths: _Widths, loads: tuple[int, ...]):
@@ -411,7 +408,7 @@ def _work_integrand(widths: _Widths, loads: tuple[int, ...]):
     each node's geometry, one component per load."""
     def work(p: np.ndarray, n: np.ndarray, groups: np.ndarray) -> np.ndarray:
         terms = _PairTerms(widths.at(groups)[1], p)
-        return np.stack([_traction_work(terms, j, n)[..., 2] for j in loads], axis=-1)
+        return np.stack([_traction_work(terms, j, n[:, 0], n[:, 1])[2] for j in loads], axis=-1)
 
     return work
 
@@ -564,10 +561,13 @@ def pair_boundary_integral(geom: GapGeometry, mat: LameMaterial,
 
     def fn(p: np.ndarray, n: np.ndarray) -> np.ndarray:
         terms = _PairTerms(ctx, np.concatenate((p * flip, p)))
-        both = np.concatenate((n * flip, n))
-        out = np.concatenate([_traction_work(terms, j, both) for j in (1, 2)], axis=-1)
-        # the D1 block, then the D2 block, side by side at each node
-        return np.concatenate(np.split(out, 2), axis=-1)
+        n1, n2 = np.concatenate((n * flip, n)).T
+        # entry [node, i - 1, j - 1, k]; the terms hold the D1 points, then the D2 points
+        out = np.empty((p.shape[0], 2, 2, 3))
+        for j in (1, 2):
+            for k, column in enumerate(_traction_work(terms, j, n1, n2)):
+                out[:, :, j - 1, k] = column.reshape(2, -1).T
+        return out.reshape(p.shape[0], 12)
 
     res = integrate_path(inclusion_boundary(geom, 2), fn, rel_tol)
     return replace(res, value=res.value.reshape(2, 2, 3))

@@ -280,7 +280,7 @@ class PathSegment:
     the unit normals pointing out of the matrix region (into an inclusion on
     inclusion arcs, out of the cell on cell edges) and |dgamma/dt|, the
     arclength weight.  ``breaks`` are the edges in t of the root panels that
-    path integration starts from.
+    path integration starts from, ascending.
     """
 
     frame: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]

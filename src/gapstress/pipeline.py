@@ -8,7 +8,6 @@ leading coefficients.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -321,6 +320,9 @@ def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1,
     if workers > 1:
         size = -(-n // workers)
         shares = [cfg.eps_list[k:k + size] for k in range(0, n, size)]
+        # imported here: it loads logging and the futures package, which an
+        # import of this module and every serial sweep would otherwise pay for
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(compute_width_rows, [cfg] * len(shares), shares,
                              [loads] * len(shares))

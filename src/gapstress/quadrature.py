@@ -11,7 +11,9 @@ at most twofold to an eighth of the arc, on which the shipped gap integrals
 meet their tolerance in the first round).  They evaluate the rule on every
 panel, then greedily split the panels carrying most of the error estimate
 until the global estimate meets the tolerance or the panels reach
-_MAX_DEPTH bisections.  One loop
+_MAX_DEPTH bisections.  An integral that stops in the first round returns
+the sums that round made, over its root panels in (segment, t) order; one
+that refined sorts its panels into that order and sums them again.  One loop
 can integrate several curves, each a tolerance group that refines and stops
 as it would alone, in one evaluation a round for all of them (integrand
 calls of at most _NODE_CHUNK nodes).  The matrix is vertically simple: at
@@ -126,6 +128,8 @@ _G7_WEIGHTS = _mirror((0.0, 0.129484966168869693270611432679082, 0.0,
                        0.417959183673469387755102040816327), 1.0)
 # weights of a panel's value and of its error: a K15 and a K15 - G7 column
 _RULE = np.stack((_K15_WEIGHTS, _K15_WEIGHTS - _G7_WEIGHTS), axis=1)
+# the Kronrod nodes on [0, 1], a panel's nodes at t0 + (t1 - t0) _K15_UNIT
+_K15_UNIT = (_K15_NODES + 1.0) / 2.0
 
 
 def _check_tol(rel_tol: float) -> None:
@@ -157,20 +161,17 @@ def _eval_path_panels(segments, seg_group: np.ndarray, integrand, seg: np.ndarra
     node's group (``seg_group`` of its segment), in calls of at most
     _NODE_CHUNK nodes.  Returns (value, diff), each of shape (n_panels, n_comp).
     """
-    frames, panels = [], []
-    for s, segment in enumerate(segments):
-        idx = np.nonzero(seg == s)[0]
-        if idx.size == 0:
-            continue
-        a, b = t0[idx][:, None], t1[idx][:, None]
-        frames.append(segment.frame((a + (b - a) * (_K15_NODES[None, :] + 1.0) / 2.0).reshape(-1)))
-        panels.append(idx)
-    idx = np.concatenate(panels)
-    pts, nrm, spd = (np.concatenate(parts) for parts in zip(*frames))
+    # the panels by segment, each segment's in their own order
+    idx = np.argsort(seg, kind="stable")
+    per_segment = np.split(idx, np.searchsorted(seg[idx], np.arange(1, len(segments))))
+    frames = [segment.frame((t0[rows][:, None] + (t1[rows] - t0[rows])[:, None] * _K15_UNIT)
+                            .reshape(-1))
+              for segment, rows in zip(segments, per_segment) if rows.size]
+    pts, nrm, spd = frames[0] if len(frames) == 1 else (np.concatenate(a) for a in zip(*frames))
     groups = seg_group[seg[idx]].repeat(_K15_NODES.size)
-    f = np.concatenate([integrand(pts[c:c + _NODE_CHUNK], nrm[c:c + _NODE_CHUNK],
-                                  groups[c:c + _NODE_CHUNK])
-                        for c in range(0, groups.size, _NODE_CHUNK)], dtype=float)
+    parts = [integrand(pts[c:c + _NODE_CHUNK], nrm[c:c + _NODE_CHUNK], groups[c:c + _NODE_CHUNK])
+             for c in range(0, groups.size, _NODE_CHUNK)]
+    f = np.asarray(parts[0], dtype=float) if len(parts) == 1 else np.concatenate(parts, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     f = f * spd[:, None]
@@ -208,8 +209,12 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
     panel errors, the tolerance they are held to, the final panels sorted
     by segment and parameter (edges t0, t1 and the K15 values, one row
     each), the numbers of path nodes evaluated and of rounds that reached
-    the group, and each estimated component's summed |K15 - G7|.  A curve
-    without segments, or no curve, raises ValueError before any evaluation.
+    the group, and each estimated component's summed |K15 - G7|.  A group
+    is finished in the round it stops.  One that stops in its first round
+    holds its root panels, already in that order (``breaks`` ascend), so
+    the round's sums are its result; one that refined is sorted, and its
+    total and errors are summed again in that order.  A curve without
+    segments, or no curve, raises ValueError before any evaluation.
     """
     if not curves or not all(curve.segments for curve in curves):
         raise ValueError("curve has no segments")
@@ -236,21 +241,32 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
         weight = np.divide(largest, scale, out=np.ones_like(scale), where=scale > 0.0)
         return (diff[rows] * weight).max(axis=1), rel_tol * largest
 
-    done = [False] * len(curves)
-    for _ in range(_MAX_ROUNDS):
+    def finish(g: int, rows: slice, total: np.ndarray, err: np.ndarray, tol_eff: float) -> tuple:
+        ordered = rows
+        if rounds[g] > 1:
+            ordered = rows.start + np.lexsort((t0[rows], seg[rows]))
+            total = np.sum(val[ordered], axis=0)
+            err, tol_eff = panel_errors(rows, total)
+        return (total, float(err.sum()), tol_eff, t0[ordered], t1[ordered], val[ordered],
+                evals[g], rounds[g], tuple(np.ascontiguousarray(diff[rows].T).sum(axis=1).tolist()))
+
+    out: list = [None] * len(curves)
+    for k in range(_MAX_ROUNDS + 1):
         chosen, start = [], 0
         for g, size in enumerate(sizes):
             rows = slice(start, start + size)
             start += size
-            if done[g]:
+            if out[g] is not None:
                 continue
             # np.sum on a float64 array uses pairwise accumulation in a fixed order
-            err, tol_eff = panel_errors(rows, np.sum(val[rows], axis=0))
+            total = np.sum(val[rows], axis=0)
+            err, tol_eff = panel_errors(rows, total)
             total_err = float(err.sum())
             splittable = depth[rows] < _MAX_DEPTH
-            done[g] = (total_err <= tol_eff or not bool(np.any(splittable & (err > 0.0)))
-                       or err.size > _MAX_PATH_PANELS)
-            if done[g]:
+            # after the last round every open group stops where it stands
+            if (total_err <= tol_eff or not bool(np.any(splittable & (err > 0.0)))
+                    or err.size > _MAX_PATH_PANELS or k == _MAX_ROUNDS):
+                out[g] = finish(g, rows, total, err, tol_eff)
                 continue
             # split the worst panels until the remainder would fit in the budget
             worst = _worst_panels(err, splittable, total_err - 0.5 * tol_eff)
@@ -282,20 +298,6 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
             order = np.argsort(seg_group[seg], kind="stable")
             seg, t0, t1, depth = seg[order], t0[order], t1[order], depth[order]
             val, diff = val[order], diff[order]
-
-    # fixed summation order: sort panels by segment and parameter
-    order = np.lexsort((t0, seg))
-    out, start = [], 0
-    for g, size in enumerate(sizes):
-        rows = slice(start, start + size)
-        start += size
-        sorted_rows = order[rows]
-        values = val[sorted_rows]
-        total = np.sum(values, axis=0)
-        err, tol_eff = panel_errors(rows, total)
-        out.append((total, float(err.sum()), tol_eff, t0[sorted_rows], t1[sorted_rows], values,
-                    evals[g], rounds[g],
-                    tuple(np.ascontiguousarray(diff[rows].T).sum(axis=1).tolist())))
     return out
 
 

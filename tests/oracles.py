@@ -19,11 +19,15 @@ as a tight adaptive path integral of the stress itself.
 The pair fields are also kept here one load and one field at a time, as
 they were written before ``kernels._PairTerms`` shared their terms: the
 shared evaluation must reproduce them bit for bit, and so must the dual
-fields built on them.  The dual diagnostics are kept twice, each with one
-field call per sample set and from the fields alone: on the upper edge's
-panels that ``bounds._dual_diagnostics`` reads (``edge_diagnostics``), and
-by central differences on the matrix points of a 41 x 41 grid over the
-whole cell (``per_copy_diagnostics``).
+fields built on them.  So must the two verify evaluations, kept here as
+they were first assembled: the pair boundary integral from whole
+[t_1, t_2, work] blocks (``pair_boundary_integral_by_blocks``), and the
+dual diagnostics from sigma_c's four components at both fibre ends
+(``correction_diagnostics``).  The dual diagnostics are also kept twice,
+each with one field call per sample set and from the fields alone: on the
+upper edge's panels that ``bounds._dual_diagnostics`` reads
+(``edge_diagnostics``), and by central differences on the matrix points of
+a 41 x 41 grid over the whole cell (``per_copy_diagnostics``).
 
 Helpers that only tests read live here too, not in the package: the four
 pieces of the matrix boundary (``boundary_curves``), the Keller test field
@@ -40,11 +44,13 @@ import mpmath
 import numpy as np
 
 from gapstress import KellerProfile, Matrix2, Region, SymTensor2, m_constant, quadrature
-from gapstress.bounds import _EDGE_PANELS
+from gapstress.bounds import (_EDGE_PANELS, Diagnostics, _affine_coefficients, _dual_scale,
+                              _scaled, _Widths)
 from gapstress.geometry import (Curve, _ellipse_arc, _graded_breaks, _line_segment,
-                                _vertex_breaks, chord_halfheight, region_classify)
-from gapstress.kernels import (KernelContext, _coefficients, _guarded_r2, _split,
-                               singular_stress)
+                                _vertex_breaks, chord_halfheight, inclusion_boundary,
+                                region_classify)
+from gapstress.kernels import (KernelContext, _coefficients, _EdgeTerms, _guarded_r2, _PairTerms,
+                               _split, singular_stress)
 from gapstress.quadrature import _K15_NODES, _K15_WEIGHTS, _RULE, IntegralResult, integrate_path
 
 def boundary_curves(geom) -> dict[str, Curve]:
@@ -476,3 +482,77 @@ def centre_force_mpmath(geom, mat, j: int, dps: int = 40) -> float:
         force = (1 if j == 1 else 1j) - 1j * (Phi(1j * y) - Phi(-1j * y))
         scale = mpmath.mpf(m_constant(geom, mat, j)) / mpmath.sqrt(mpmath.mpf(geom.eps))
         return float(scale * (force.real if j == 1 else force.imag))
+
+
+def pair_boundary_integral_by_blocks(geom, mat, rel_tol: float) -> IntegralResult:
+    """``bounds.pair_boundary_integral`` with its integrand assembled from
+    whole blocks: each load's [t_1, t_2, work] at the D1 points and then
+    the D2 points, the loads side by side, split back into the D1 and the
+    D2 rows and set side by side."""
+    ctx = KernelContext.from_geometry(geom, mat)
+    flip = np.array([-1.0, 1.0])
+
+    def traction_work(terms, j, n):
+        tr = terms.stress(j).apply(n)
+        u = terms.displacement(j)
+        return np.concatenate((tr, np.einsum("...k,...k->...", tr, u)[..., None]), axis=-1)
+
+    def fn(p, n):
+        terms = _PairTerms(ctx, np.concatenate((p * flip, p)))
+        both = np.concatenate((n * flip, n))
+        out = np.concatenate([traction_work(terms, j, both) for j in (1, 2)], axis=-1)
+        return np.concatenate(np.split(out, 2), axis=-1)
+
+    res = integrate_path(inclusion_boundary(geom, 2), fn, rel_tol)
+    return replace(res, value=res.value.reshape(2, 2, 3))
+
+
+def correction_diagnostics(geoms, mat, loads) -> list[dict[int, Diagnostics]]:
+    """``bounds._dual_diagnostics`` on geometries that fit one evaluation,
+    with sigma_c built as a matrix of its four components at both ends of
+    the fibre at every panel end: its (G, alpha, beta) indexed by a tiled
+    index, and every component of the stress integrated over the panels."""
+    geom, ctx = _Widths(geoms, mat).at(np.arange(len(geoms)))
+    L2 = geom.L2
+    n = _EDGE_PANELS + 1
+    ends = np.linspace(0.0, geom.L1, n)
+    half = (ends[1] - ends[0]) / 2.0
+    nodes = ends[:-1, None] + np.multiply.outer(_K15_NODES + 1.0, half)
+    x = np.concatenate((ends, nodes.reshape((-1,) + ends.shape[1:])))
+    pair = _PairTerms(ctx, np.stack((x, np.full_like(x, L2)), -1))
+    edge = _EdgeTerms(ctx, ends, L2)
+    y = np.concatenate((np.full_like(ends, L2), chord_halfheight(geom, ends)))
+    inv = np.tile(np.arange(n), 2)
+
+    def correction(G, alpha, beta) -> Matrix2:
+        eta = y / L2
+        return Matrix2(G[..., 0][inv], alpha[..., 0][inv] + beta[..., 0][inv] * eta,
+                       G[..., 1][inv], alpha[..., 1][inv] + beta[..., 1][inv] * eta)
+
+    def largest(a):
+        return np.abs(a).max(axis=(0, -1))
+
+    def on_panels(a):
+        rows = a[n:].reshape((_EDGE_PANELS, _K15_NODES.size) + a.shape[1:])
+        if rows.ndim > 2:
+            rows = np.ascontiguousarray(rows.swapaxes(1, 2)).reshape(-1, _K15_NODES.size)
+        return half * (rows @ _K15_WEIGHTS).reshape((_EDGE_PANELS,) + a.shape[1:])
+
+    out = [{} for _ in geoms]
+    for j in loads:
+        scale = _dual_scale(geom, mat, j)
+        s, resultant = pair.stress(j), edge.resultant(j)
+        at_ends = SymTensor2(s.a11[:n], s.a12[:n], s.a22[:n])
+        G, alpha, beta = _affine_coefficients(j, scale, L2, at_ends, resultant)
+        C = correction(G, alpha, beta)
+        S = _scaled(at_ends, scale)
+        bc = np.maximum(np.abs(S.a12 + C.a12[:n]).max(axis=0),
+                        np.abs(S.a22 + C.a22[:n]).max(axis=0))
+        jump, _, integral = _affine_coefficients(
+            j, scale, L2, SymTensor2(on_panels(s.a11), on_panels(s.a12), on_panels(s.a22)),
+            np.diff(resultant, axis=0))
+        div = largest(jump + integral / L2) / (largest(beta) / L2 * 2.0 * half)
+        asymmetry = np.abs(C.a12 - C.a21).max(axis=0)
+        for d, *values in zip(out, *(v.reshape(-1).tolist() for v in (asymmetry, bc, div))):
+            d[j] = Diagnostics(*values)
+    return out

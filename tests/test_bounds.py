@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -766,8 +766,10 @@ def test_cell_energy_takes_one_round_on_the_root_panels(path):
 
 def _identity_grid(cfg) -> tuple[float, ...]:
     """The benchmark's identities grid of a config: 13 widths log-spaced
-    from its widest to its narrowest width."""
-    return tuple(np.logspace(np.log10(cfg.eps_list[0]), np.log10(cfg.eps_list[-1]), 13))
+    from its widest to its narrowest width, computed as gapbench does."""
+    hi, lo = math.log10(cfg.eps_list[0]), math.log10(cfg.eps_list[-1])
+    step = (hi - lo) / 12
+    return tuple(10.0 ** (hi - k * step) for k in range(13))
 
 
 @pytest.mark.parametrize("path", ["configs/disk.cfg", "configs/ellipse.cfg"])
@@ -789,6 +791,34 @@ def test_gap_path_integrals_take_one_round_on_the_root_panels(path):
         for j, res in loads.items():
             assert res.converged
             assert res.rounds == 1, (eps, j)
+
+
+def _hex(*values) -> list[str]:
+    return [float(v).hex() for v in np.concatenate([np.ravel(v) for v in values])]
+
+
+def _diagnostics_hex(per_geom) -> list[list[list[str]]]:
+    return [[_hex(*astuple(d[j])) for j in sorted(d)] for d in per_geom]
+
+
+@pytest.mark.parametrize("path", ["configs/disk.cfg", "configs/ellipse.cfg"])
+def test_verify_evaluations_are_their_block_oracles_bit_for_bit(path):
+    # the pair integrand writes its columns in place and the diagnostics
+    # read sigma_c at the fibre ends from (G, alpha, beta); the oracles
+    # assemble both from whole blocks, on the identities grid and on the
+    # config's widths in one batch
+    cfg = parse_config(ROOT / path)
+    grid = [(make_gap_geometry(cfg.shape, eps, cfg.L2),) for eps in _identity_grid(cfg)]
+    for (geom,) in grid:
+        got = pair_boundary_integral(geom, cfg.material, cfg.rel_tol_path)
+        want = oracles.pair_boundary_integral_by_blocks(geom, cfg.material, cfg.rel_tol_path)
+        assert _hex(got.value, got.err_estimate, got.component_err) == \
+               _hex(want.value, want.err_estimate, want.component_err)
+        assert (got.evals, got.rounds) == (want.evals, want.rounds)
+    batch = tuple(make_gap_geometry(cfg.shape, eps, cfg.L2) for eps in cfg.eps_list)
+    for geoms in grid + [batch]:
+        assert _diagnostics_hex(_dual_diagnostics(geoms, cfg.material, (1, 2))) == \
+               _diagnostics_hex(oracles.correction_diagnostics(geoms, cfg.material, (1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -1182,16 +1212,39 @@ def test_pair_boundary_integral_matches_scalar_integrals(geom, i, j):
 def test_pair_integrand_evaluates_d1_at_mirror_images(shape, monkeypatch):
     """The field is evaluated on both boundaries: the first half of each
     integrand call's points lies on D1 and the second on D2, each with that
-    boundary's own normal, pointing into the inclusion."""
+    boundary's own normal, pointing into the inclusion.  A probe stands in
+    for the pair terms: it records their points, and its stress is the
+    identity and its displacement zero, so each traction [t_1, t_2] the
+    integrand returns is the normal it paired with that point."""
     g = SHAPES[shape](1e-3)
-    seen = []
+    probes, seen = [], []
 
-    def spy(terms, j, n):
-        seen.append((np.stack((terms.z.real, terms.z.imag), axis=-1), n))
-        return traction_work(terms, j, n)
+    class Probe:
+        def __init__(self, _ctx, x):
+            probes.append(x)
+            self.x, self.ones, self.zeros = x, np.ones(x.shape[0]), np.zeros(x.shape[0])
 
-    traction_work = bounds._traction_work
-    monkeypatch.setattr(bounds, "_traction_work", spy)
+        def stress(self, _j):
+            return SymTensor2(self.ones, self.zeros, self.ones)
+
+        def displacement(self, _j):
+            return np.zeros_like(self.x)
+
+    def spy(curve, fn, rel_tol):
+        def probed(p, n):
+            out = fn(p, n)
+            (x,) = probes
+            probes.clear()
+            # entry [node, i - 1, j - 1, k]: D1's normals, then D2's
+            cols = out.reshape(-1, 2, 2, 3)
+            assert np.array_equal(cols[:, :, 0], cols[:, :, 1])
+            seen.append((x, np.concatenate((cols[:, 0, 0, :2], cols[:, 1, 0, :2]))))
+            return out
+
+        return integrate_path(curve, probed, rel_tol)
+
+    monkeypatch.setattr(bounds, "_PairTerms", Probe)
+    monkeypatch.setattr(bounds, "integrate_path", spy)
     pair_boundary_integral(g, UNIT)
     assert seen
     A, B = g.half_width, g.half_height

@@ -477,7 +477,7 @@ def test_sweep_pool_never_exceeds_the_rows(monkeypatch):
             started[-1].append([len(share) for share in iterables[1]])
             return map(fn, *iterables)
 
-    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for n, workers, pool in ((3, 64, None), (2 * per - 1, 2, None),
                              (2 * per, 2, [2, [per, per]]),
                              (3 * per + 1, 64, [3, [per + 1, per + 1, per - 1]])):
@@ -510,7 +510,7 @@ def test_sweep_pool_rows_match_the_serial_rows(monkeypatch):
                     eps_list=_widths(2 * pipeline._WIDTHS_PER_PROCESS),
                     rel_tol_cell=1e-3, rel_tol_path=1e-6)
     serial, serial_fits = sweep_and_fit(cfg, workers=1)
-    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     rows, fits = sweep_and_fit(cfg, workers=2)
     assert started == [2]
     assert [r.csv_line() for r in rows] == [r.csv_line() for r in serial]

@@ -673,6 +673,48 @@ def test_grouped_path_integral_of_one_curve_is_its_lone_result():
     assert got.component_err == lone.component_err
 
 
+def _root_panel_record(curve, field):
+    """(value, estimate, panels) of a curve's root panels alone: the np.sum
+    of their K15 values in (segment, t) order, the sum of their |K15 - G7|
+    weighted by the largest component scale over each component's, and
+    their count.  The panels are evaluated by the path rule in one call."""
+    edges = [np.asarray(s.breaks) for s in curve.segments]
+    seg = np.concatenate([np.full(e.size - 1, k) for k, e in enumerate(edges)])
+    val, diff = quadrature._eval_path_panels(
+        curve.segments, np.zeros(len(edges), dtype=int), lambda p, n, _groups: field(p), seg,
+        np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]))
+    total = np.sum(val, axis=0)
+    scale = np.maximum(np.abs(total), np.abs(val).max(axis=0))
+    return total, float((diff * (scale.max() / scale)).max(axis=1).sum()), seg.size
+
+
+def test_a_group_that_stops_in_its_first_round_returns_its_root_panel_sums():
+    # such a group is final where its loop stands: alone and next to a
+    # group that refines, its value is the np.sum of its root panels' K15
+    # values taken in (segment, t) order.  The circle's 14 graded panels
+    # sum to other bits in the reverse order
+    curves, fields = _group_fields()
+
+    def grouped(p, n, groups):
+        out = np.empty(p.shape[:-1] + (2,))
+        for g, field in enumerate(fields):
+            out[groups == g] = field(p[groups == g])
+        return out
+
+    res = integrate_path(curves, grouped, 1e-10)
+    assert res.groups[1].rounds > 1
+    cases = [(res.groups[g], curves[g], fields[g]) for g in (0, 2)]
+    for curve, field in ((_two_segment_line(), lambda p: np.exp(p[..., 0])),
+                         (curves[2], fields[2])):
+        lone = integrate_path(curve, lambda p, n, field=field: field(p), 1e-10)
+        cases.append((lone, curve, field))
+    for got, curve, field in cases:
+        value, err, panels = _root_panel_record(curve, field)
+        assert got.converged and got.rounds == 1
+        assert [float(v).hex() for v in np.atleast_1d(got.value)] == [v.hex() for v in value]
+        assert (float(got.err_estimate).hex(), got.panels_used) == (err.hex(), panels)
+
+
 def test_curves_without_segments_are_rejected_before_any_evaluation():
     # a group without segments used to read 0.0, converged, on no panels,
     # and a lone one raised numpy's bare concatenate error
