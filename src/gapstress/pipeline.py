@@ -137,6 +137,9 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
     kind = entries["shape"].lower()
+    stray = [k for k in {"disk": ("A", "B"), "ellipse": ("r0",)}.get(kind, ()) if k in entries]
+    if stray:
+        raise ConfigError(f"{path}: shape={kind} takes no {', '.join(map(repr, stray))}")
     try:
         if kind == "disk":
             if "r0" not in entries:

@@ -11,12 +11,12 @@ at most twofold to an eighth of the arc, on which the shipped gap integrals
 meet their tolerance in the first round).  They evaluate the rule on every
 panel, then greedily split the panels carrying most of the error estimate
 until the global estimate meets the tolerance or the panels reach
-_MAX_DEPTH bisections.  An integral that stops in the first round returns
-the sums that round made, over its root panels in (segment, t) order; one
-that refined sorts its panels into that order and sums them again.  One loop
-can integrate several curves, each a tolerance group that refines and stops
-as it would alone, in one evaluation a round for all of them (integrand
-calls of at most _NODE_CHUNK nodes).  The matrix is vertically simple: at
+_MAX_DEPTH bisections.  The panels stay in (segment, t) order, a split
+panel's children taking its place, so an integral returns the sums of the
+round it stops in, whichever round that is.  One loop can integrate several
+curves, each a tolerance group that refines and stops as it would alone, in
+one evaluation a round for all of them (integrand calls of at most
+_NODE_CHUNK nodes).  The matrix is vertically simple: at
 each x in [0, L1] the quarter cell x >= 0, y >= 0 (whose four mirror images
 make up the cell) holds the exact fibre [h(x), L2] over one x axis
 (``_fibre_axis``).  The dual's cell term integrates each fibre in closed
@@ -139,12 +139,12 @@ def _check_tol(rel_tol: float) -> None:
 
 
 def _worst_panels(err: np.ndarray, splittable: np.ndarray, excess: float) -> np.ndarray:
-    """Sorted indices of the fewest splittable panels, worst first and ties
-    by index, whose errors sum past ``excess``; at most _MAX_SPLIT of them."""
-    ranked = np.lexsort((np.arange(err.size), -err))
+    """Indices of the fewest splittable panels, worst first and ties by
+    index, whose errors sum past ``excess``; at most _MAX_SPLIT of them."""
+    ranked = np.argsort(-err, kind="stable")
     ranked = ranked[splittable[ranked]]
     n_split = int(np.searchsorted(np.cumsum(err[ranked]), excess)) + 1
-    return np.sort(ranked[:min(n_split, _MAX_SPLIT)])
+    return ranked[:min(n_split, _MAX_SPLIT)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,21 +154,18 @@ def _worst_panels(err: np.ndarray, splittable: np.ndarray, excess: float) -> np.
 
 def _eval_path_panels(segments, seg_group: np.ndarray, integrand, seg: np.ndarray,
                       t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """K15 values and |K15 - G7| differences of all panels.
+    """K15 values and |K15 - G7| differences of panels sorted by segment.
 
     Each segment's ``frame`` is read once, on the 15 Kronrod nodes of all
     its panels; the nodes of all segments reach the integrand, with each
     node's group (``seg_group`` of its segment), in calls of at most
     _NODE_CHUNK nodes.  Returns (value, diff), each of shape (n_panels, n_comp).
     """
-    # the panels by segment, each segment's in their own order
-    idx = np.argsort(seg, kind="stable")
-    per_segment = np.split(idx, np.searchsorted(seg[idx], np.arange(1, len(segments))))
-    frames = [segment.frame((t0[rows][:, None] + (t1[rows] - t0[rows])[:, None] * _K15_UNIT)
-                            .reshape(-1))
-              for segment, rows in zip(segments, per_segment) if rows.size]
+    cuts = np.searchsorted(seg, np.arange(1, len(segments)))
+    frames = [segment.frame((a[:, None] + (b - a)[:, None] * _K15_UNIT).reshape(-1))
+              for segment, a, b in zip(segments, np.split(t0, cuts), np.split(t1, cuts)) if a.size]
     pts, nrm, spd = frames[0] if len(frames) == 1 else (np.concatenate(a) for a in zip(*frames))
-    groups = seg_group[seg[idx]].repeat(_K15_NODES.size)
+    groups = seg_group[seg].repeat(_K15_NODES.size)
     parts = [integrand(pts[c:c + _NODE_CHUNK], nrm[c:c + _NODE_CHUNK], groups[c:c + _NODE_CHUNK])
              for c in range(0, groups.size, _NODE_CHUNK)]
     f = np.asarray(parts[0], dtype=float) if len(parts) == 1 else np.concatenate(parts, dtype=float)
@@ -176,12 +173,11 @@ def _eval_path_panels(segments, seg_group: np.ndarray, integrand, seg: np.ndarra
         f = f[:, None]
     f = f * spd[:, None]
     # one weighted sum over all panels, (n, c, 15) against (15, 2) as
-    # np.tensordot forms it, then one scatter back to the panel order
+    # np.tensordot forms it
     n_comp = f.shape[1]
-    sums = np.dot(f.reshape(idx.size, _K15_NODES.size, n_comp).transpose(0, 2, 1)
-                  .reshape(idx.size * n_comp, _K15_NODES.size), _RULE)
-    out = np.empty((seg.size, n_comp, 2))
-    out[idx] = sums.reshape(idx.size, n_comp, 2) * ((t1[idx] - t0[idx]) / 2.0)[:, None, None]
+    sums = np.dot(f.reshape(seg.size, _K15_NODES.size, n_comp).transpose(0, 2, 1)
+                  .reshape(seg.size * n_comp, _K15_NODES.size), _RULE)
+    out = sums.reshape(seg.size, n_comp, 2) * ((t1 - t0) / 2.0)[:, None, None]
     return out[..., 0], np.abs(out[..., 1])
 
 
@@ -190,31 +186,30 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
     """Greedy adaptive refinement from the root panels of every segment of
     every curve, each curve a tolerance group.
 
-    Every round evaluates ``integrand(points, normals, groups)`` on the 15
-    Kronrod nodes of all new panels of all groups (``_eval_path_panels``),
-    ``groups`` holding each node's curve index.  Each group is held to
-    ``rel_tol`` against its own scale and split on its own errors, its
-    panels kept in its own order (kept panels, then the children of the
-    split ones), so every group refines, sums and stops exactly as it
-    would alone.  Only the first ``n_est`` integrand components (all by
-    default) enter the error estimate and the tolerance; later ones are
-    carried along.  Each estimated component is held to ``rel_tol`` times
-    its own scale, the larger of its |total| and its largest panel value:
-    a panel's error is max_c |K15 - G7|_c * (largest scale / scale_c), and
-    the summed errors are held to ``rel_tol`` times the largest scale.  So
-    no component meets a looser tolerance than it would alone, and the
-    summed error bounds every component's summed |K15 - G7|.
-    Returns, per group, (total, total_err, tol_eff, t0, t1, values, evals,
-    rounds, component_err): the panel sum in a fixed order, the summed
-    panel errors, the tolerance they are held to, the final panels sorted
-    by segment and parameter (edges t0, t1 and the K15 values, one row
-    each), the numbers of path nodes evaluated and of rounds that reached
-    the group, and each estimated component's summed |K15 - G7|.  A group
-    is finished in the round it stops.  One that stops in its first round
-    holds its root panels, already in that order (``breaks`` ascend), so
-    the round's sums are its result; one that refined is sorted, and its
-    total and errors are summed again in that order.  A curve without
-    segments, or no curve, raises ValueError before any evaluation.
+    The panels stay in (group, segment, t) order throughout: the root
+    panels are in it (``breaks`` ascend), and a split panel's two children
+    take its place.  Every round evaluates ``integrand(points, normals,
+    groups)`` on the 15 Kronrod nodes of all new panels of all groups
+    (``_eval_path_panels``), ``groups`` holding each node's curve index.
+    Each group is one run of panels, held to ``rel_tol`` against its own
+    scale and split on its own errors, so every group refines, sums and
+    stops exactly as it would alone.  Only the first ``n_est`` integrand
+    components (all by default) enter the error estimate and the tolerance;
+    later ones are carried along.  Each estimated component is held to
+    ``rel_tol`` times its own scale, the larger of its |total| and its
+    largest panel value: a panel's error is max_c |K15 - G7|_c * (largest
+    scale / scale_c), and the summed errors are held to ``rel_tol`` times
+    the largest scale.  So no component meets a looser tolerance than it
+    would alone, and the summed error bounds every component's summed
+    |K15 - G7|.
+    Returns, per group, what its panels held in the round it stopped:
+    (total, total_err, tol_eff, t0, t1, values, evals, rounds,
+    component_err), the np.sum of the K15 values, the summed panel errors,
+    the tolerance they are held to, the panel edges t0, t1 and K15 values
+    (one row each), the numbers of path nodes evaluated and of rounds that
+    reached the group, and each estimated component's summed |K15 - G7|.
+    A curve without segments, or no curve, raises ValueError before any
+    evaluation.
     """
     if not curves or not all(curve.segments for curve in curves):
         raise ValueError("curve has no segments")
@@ -227,32 +222,13 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
     depth = np.zeros(seg.size, dtype=np.int32)
     val, diff = _eval_path_panels(segments, seg_group, integrand, seg, t0, t1)
     diff = diff[:, :n_est]
-    # panels stay sorted by group, so each group's are one run of sizes[g]
+    # each group's panels are one run of sizes[g]
     sizes = [sum(len(s.breaks) - 1 for s in c.segments) for c in curves]
     evals = [_K15_NODES.size * n for n in sizes]
     rounds = [1] * len(curves)
-
-    def panel_errors(rows: slice, total: np.ndarray) -> tuple[np.ndarray, float]:
-        # scale by the largest panel contribution, not only the total, so
-        # integrals that cancel to zero still terminate
-        scale = np.maximum(np.abs(total[:n_est]),
-                           np.abs(val[rows, :n_est]).max(axis=0, initial=0.0))
-        largest = float(scale.max())
-        weight = np.divide(largest, scale, out=np.ones_like(scale), where=scale > 0.0)
-        return (diff[rows] * weight).max(axis=1), rel_tol * largest
-
-    def finish(g: int, rows: slice, total: np.ndarray, err: np.ndarray, tol_eff: float) -> tuple:
-        ordered = rows
-        if rounds[g] > 1:
-            ordered = rows.start + np.lexsort((t0[rows], seg[rows]))
-            total = np.sum(val[ordered], axis=0)
-            err, tol_eff = panel_errors(rows, total)
-        return (total, float(err.sum()), tol_eff, t0[ordered], t1[ordered], val[ordered],
-                evals[g], rounds[g], tuple(np.ascontiguousarray(diff[rows].T).sum(axis=1).tolist()))
-
     out: list = [None] * len(curves)
     for k in range(_MAX_ROUNDS + 1):
-        chosen, start = [], 0
+        split, start = np.zeros(seg.size, dtype=bool), 0
         for g, size in enumerate(sizes):
             rows = slice(start, start + size)
             start += size
@@ -260,44 +236,40 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
                 continue
             # np.sum on a float64 array uses pairwise accumulation in a fixed order
             total = np.sum(val[rows], axis=0)
-            err, tol_eff = panel_errors(rows, total)
+            # scale by the largest panel contribution, not only the total, so
+            # integrals that cancel to zero still terminate
+            scale = np.maximum(np.abs(total[:n_est]),
+                               np.abs(val[rows, :n_est]).max(axis=0, initial=0.0))
+            largest = float(scale.max())
+            weight = np.divide(largest, scale, out=np.ones_like(scale), where=scale > 0.0)
+            err, tol_eff = (diff[rows] * weight).max(axis=1), rel_tol * largest
             total_err = float(err.sum())
             splittable = depth[rows] < _MAX_DEPTH
             # after the last round every open group stops where it stands
             if (total_err <= tol_eff or not bool(np.any(splittable & (err > 0.0)))
                     or err.size > _MAX_PATH_PANELS or k == _MAX_ROUNDS):
-                out[g] = finish(g, rows, total, err, tol_eff)
+                component_err = np.ascontiguousarray(diff[rows].T).sum(axis=1)
+                out[g] = (total, total_err, tol_eff, t0[rows], t1[rows], val[rows], evals[g],
+                          rounds[g], tuple(component_err.tolist()))
                 continue
             # split the worst panels until the remainder would fit in the budget
             worst = _worst_panels(err, splittable, total_err - 0.5 * tol_eff)
-            chosen.append(rows.start + worst)
+            split[rows.start + worst] = True
             sizes[g] += worst.size
             evals[g] += 2 * _K15_NODES.size * worst.size
             rounds[g] += 1
-        if not chosen:
+        if not split.any():
             break
-        chosen = np.concatenate(chosen)
-        keep = np.ones(seg.size, dtype=bool)
-        keep[chosen] = False
-        mid = (t0[chosen] + t1[chosen]) / 2.0
-        child_seg = np.repeat(seg[chosen], 2)
-        child_t0 = np.stack((t0[chosen], mid), axis=1).reshape(-1)
-        child_t1 = np.stack((mid, t1[chosen]), axis=1).reshape(-1)
-        child_depth = np.repeat(depth[chosen] + 1, 2)
-        c_val, c_diff = _eval_path_panels(segments, seg_group, integrand, child_seg,
-                                          child_t0, child_t1)
-        seg = np.concatenate((seg[keep], child_seg))
-        t0 = np.concatenate((t0[keep], child_t0))
-        t1 = np.concatenate((t1[keep], child_t1))
-        depth = np.concatenate((depth[keep], child_depth))
-        val = np.concatenate((val[keep], c_val), axis=0)
-        diff = np.concatenate((diff[keep], c_diff[:, :n_est]), axis=0)
-        if len(curves) > 1:
-            # each group's kept panels, then its children (one group's
-            # panels are in that order already)
-            order = np.argsort(seg_group[seg], kind="stable")
-            seg, t0, t1, depth = seg[order], t0[order], t1[order], depth[order]
-            val, diff = val[order], diff[order]
+        # a split panel's two children take its place, at left and left + 1
+        copies = split + 1
+        seg, t0, t1, val, diff = (np.repeat(a, copies, axis=0) for a in (seg, t0, t1, val, diff))
+        depth = np.repeat(depth + split, copies)
+        left = np.flatnonzero(split) + np.arange(np.count_nonzero(split))
+        t1[left] = t0[left + 1] = (t0[left] + t1[left]) / 2.0
+        new = np.stack((left, left + 1), axis=1).reshape(-1)
+        c_val, c_diff = _eval_path_panels(segments, seg_group, integrand,
+                                          seg[new], t0[new], t1[new])
+        val[new], diff[new] = c_val, c_diff[:, :n_est]
     return out
 
 
@@ -308,9 +280,11 @@ def integrate_path(curve: Curve | Sequence[Curve], integrand, rel_tol: float) ->
     Refinement starts from each segment's root panels (``breaks``).  Each
     refinement round hands the 15 Kronrod nodes of all new panels of all
     segments to ``integrand`` in calls of at most _NODE_CHUNK nodes: one
-    call a round unless the round has more.  The value is K15 and the error
-    estimate the sum of per-panel |K15 - G7|, a heuristic estimate, not a
-    bound.  For a vector integrand each component is held to ``rel_tol``
+    call a round unless the round has more.  The panels stay in (segment,
+    t) order, children in their parent's place; the value is the sum of
+    their K15 values and the error estimate the sum of their |K15 - G7|,
+    both in that order, a heuristic estimate, not a bound.  For a vector
+    integrand each component is held to ``rel_tol``
     times its own scale, the estimate bounds the summed |K15 - G7| of
     every component, and ``component_err`` holds each component's own.
 

@@ -1073,14 +1073,30 @@ def test_several_widths_give_each_width_its_own_bounds_and_diagnostics(shape, mo
     # one q_ss and one q_c integral over all widths, a tolerance group each,
     # and one diagnostics evaluation: each width's results are those it
     # gets alone, bit for bit, also when the integrands take their nodes in
-    # chunks and the diagnostics their widths one at a time
+    # chunks and the diagnostics their widths one at a time.  The tight
+    # pair makes groups refine, so the shared refinement rounds are tested
+    # too; at the coarse pair every group stops on its root panels
     geoms = [SHAPES[shape](eps) for eps in BATCH_WIDTHS]
-    alone = [dual_lower_loads((g,), UNIT, (1, 2), CELL_COARSE, PATH_FAST)[0] for g in geoms]
     diagnostics = [_dual_diagnostics((g,), UNIT, (1, 2))[0] for g in geoms]
-    assert dual_lower_loads(geoms, UNIT, (1, 2), CELL_COARSE, PATH_FAST) == alone
     assert _dual_diagnostics(geoms, UNIT, (1, 2)) == diagnostics
+    path, rounds = bounds.integrate_path, []
+
+    def spy(curves, integrand, rel_tol):
+        res = path(curves, integrand, rel_tol)
+        rounds.extend(r.rounds for r in res.groups)
+        return res
+
+    monkeypatch.setattr(bounds, "integrate_path", spy)
+    alone = {tols: [dual_lower_loads((g,), UNIT, (1, 2), *tols)[0] for g in geoms]
+             for tols in ((CELL_COARSE, PATH_FAST), (1e-10, 1e-12))}
+    rounds.clear()
+    for tols, want in alone.items():
+        assert dual_lower_loads(geoms, UNIT, (1, 2), *tols) == want
+    # some width's q_ss or q_c group refined in the batched integrals
+    assert max(rounds) > 1
     monkeypatch.setattr(quadrature, "_NODE_CHUNK", 7)
-    assert dual_lower_loads(geoms, UNIT, (1, 2), CELL_COARSE, PATH_FAST) == alone
+    for tols, want in alone.items():
+        assert dual_lower_loads(geoms, UNIT, (1, 2), *tols) == want
     assert _dual_diagnostics(geoms, UNIT, (1, 2)) == diagnostics
 
 

@@ -97,12 +97,26 @@ def test_parse_config_sorts_eps_descending(tmp_path):
         lambda s: s.replace("1e-2, 1e-3", "1e-2, -1e-3"),       # negative eps
         lambda s: s.replace("L2 = 1.5", "L2 = 0.5"),            # cell too small
         lambda s: s.replace("mu = 1.0", "mu"),                  # not key = value
+        lambda s: s + "A = 3\nB = 3\n",                         # disk with ellipse axes
+        lambda s: s.replace("disk", "ellipse") + "A = 1\nB = 0.8\n",  # ellipse with r0
     ],
 )
 def test_parse_config_rejections(tmp_path, mutate):
     p = tmp_path / "bad.cfg"
     p.write_text(mutate(GOOD_CONFIG))
     with pytest.raises((ConfigError, ValueError)):
+        parse_config(p)
+
+
+@pytest.mark.parametrize("shape,keys,message", [
+    ("disk", "r0 = 1.0\nA = 3\nB = 3", "shape=disk takes no 'A', 'B'"),
+    ("ellipse", "r0 = 5\nA = 1.0\nB = 0.8", "shape=ellipse takes no 'r0'"),
+], ids=["disk", "ellipse"])
+def test_parse_config_names_the_other_shapes_keys(tmp_path, shape, keys, message):
+    # they used to be dropped silently: Disk(r0=1.0), or an ellipse without r0
+    p = tmp_path / "stray.cfg"
+    p.write_text(GOOD_CONFIG.replace("shape = disk\nr0 = 1.0", f"shape = {shape}\n{keys}"))
+    with pytest.raises(ConfigError, match=message):
         parse_config(p)
 
 

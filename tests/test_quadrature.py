@@ -715,6 +715,85 @@ def test_a_group_that_stops_in_its_first_round_returns_its_root_panel_sums():
         assert (float(got.err_estimate).hex(), got.panels_used) == (err.hex(), panels)
 
 
+def _refining_fields():
+    """Three curves whose integrands all refine at 1e-10, over different
+    numbers of rounds: a near-singular peak on a line, a square-root end
+    on a line of two segments, and a field near the gap vertex on a
+    circle."""
+    curves = [_segment_curve((0.0, -1.0), (0.0, 1.0)), _two_segment_line(),
+              inclusion_boundary(disk_geometry(1e-2), 2)]
+    fields = [lambda p: np.stack((1.0 / (1e-4 + p[..., 1] ** 2), np.cos(3.0 * p[..., 1])), -1),
+              lambda p: np.stack((np.sqrt(p[..., 0]), np.exp(p[..., 0])), -1),
+              lambda p: np.stack((1.0 / (1e-3 + (p[..., 0] - 0.004) ** 2), p[..., 1]), -1)]
+    return curves, fields
+
+
+def test_groups_that_refine_share_every_round():
+    # each round is one integrand call on the new nodes of every open group,
+    # and each group's nodes in it are the ones its lone integral evaluates
+    # in that round
+    curves, fields = _refining_fields()
+    calls = []
+
+    def grouped(p, n, groups):
+        calls.append(np.bincount(groups, minlength=len(fields)))
+        out = np.empty(p.shape[:-1] + (2,))
+        for g, field in enumerate(fields):
+            out[groups == g] = field(p[groups == g])
+        return out
+
+    res = integrate_path(curves, grouped, 1e-10)
+    lone, lone_calls = [], []
+    for curve, field in zip(curves, fields):
+        sizes = []
+
+        def fn(p, n, field=field, sizes=sizes):
+            sizes.append(p.shape[0])
+            return field(p)
+
+        lone.append(integrate_path(curve, fn, 1e-10))
+        lone_calls.append(sizes)
+    assert sum(r.rounds > 1 for r in lone) >= 2
+    assert len(calls) == res.rounds == max(r.rounds for r in lone)
+    for k, counts in enumerate(calls):
+        assert counts.tolist() == [sizes[k] if k < len(sizes) else 0 for sizes in lone_calls]
+    for got, want in zip(res.groups, lone):
+        assert _record(got) == _record(want)
+
+
+def test_refined_panels_stay_in_segment_order():
+    # a group's panels tile each segment's parameter range in ascending t,
+    # segment after segment, and its value is their np.sum in that order
+    curves, fields = _refining_fields()
+
+    def grouped(p, n, groups):
+        out = np.empty(p.shape[:-1] + (2,))
+        for g, field in enumerate(fields):
+            out[groups == g] = field(p[groups == g])
+        return out
+
+    results = quadrature._adapt_panels(tuple(curves), grouped, 1e-10)
+    for curve, (total, _, _, t0, t1, values, _, rounds, _) in zip(curves, results):
+        assert rounds > 1 and t0.size > sum(len(s.breaks) - 1 for s in curve.segments)
+        i = 0
+        for segment in curve.segments:
+            assert t0[i] == segment.breaks[0]
+            while t1[i] != segment.breaks[-1]:
+                assert t0[i] < t1[i] == t0[i + 1]
+                i += 1
+            assert t0[i] < t1[i]
+            i += 1
+        assert i == t0.size
+        assert [v.hex() for v in total] == [v.hex() for v in np.sum(values, axis=0)]
+
+
+def _record(res):
+    """An integral's value and records, every float as float.hex."""
+    return ([float(v).hex() for v in np.ravel(res.value)], res.err_estimate.hex(),
+            res.panels_used, res.converged, res.evals, res.rounds,
+            [e.hex() for e in res.component_err])
+
+
 def test_curves_without_segments_are_rejected_before_any_evaluation():
     # a group without segments used to read 0.0, converged, on no panels,
     # and a lone one raised numpy's bare concatenate error
