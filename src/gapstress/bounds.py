@@ -16,17 +16,19 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-# energy_density, integrate_cell, cumulative_line_table,
-# singular_displacement and region_classify are not called here; they stay
-# bound because gapbench's tracer wraps every integrator, kernel, density
-# and classifier at its name in this module.  The pair integrals, the
-# diagnostics and the cell term assemble the pair fields from _PairTerms,
-# shared by stress and displacement and by both loads, so the tracer sees
-# singular_stress only in sigma_S and sigma_c
+# compliance_energy, compliance_contract, energy_density, integrate_cell,
+# cumulative_line_table, singular_displacement and region_classify are not
+# called here; they stay bound because gapbench's tracer wraps every
+# integrator, kernel, density and classifier at its name in this module.
+# The pair integrals, the diagnostics and the cell term assemble the pair
+# fields from _PairTerms, shared by stress and displacement and by both
+# loads, so the tracer sees singular_stress only in sigma_S and sigma_c, and
+# the cell term reads the compliance form on sigma_c's entries itself
 from .elasticity import (  # noqa: F401
     LameMaterial,
     Matrix2,
     SymTensor2,
+    _compliance_constants,
     _side_by_side,
     compliance_contract,
     compliance_energy,
@@ -216,26 +218,33 @@ def _scaled(s: SymTensor2, scale: float) -> SymTensor2:
     return SymTensor2(scale * s.a11, scale * s.a12, scale * s.a22)
 
 
+def _odd_even(j: int, traction: SymTensor2) -> tuple[np.ndarray, np.ndarray]:
+    """The components of sigma(q_j) e_2 = (sigma_12, sigma_22) odd and even
+    in y, odd first: sigma_12 is odd for j = 1 and sigma_22 for j = 2."""
+    return (traction.a12, traction.a22) if j == 1 else (traction.a22, traction.a12)
+
+
 def _affine_coefficients(j: int, scale: float | np.ndarray, L2: float, traction: SymTensor2,
                          resultant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G, alpha, beta) of sigma_c at abscissae x, each of shape (n, 2),
-    from the unscaled pair stress ``traction`` at (x, L2) and the pair
-    field's traction resultant there; ``scale`` is one number or an array
-    shaped as the traction's components, and more axes follow x.
+    """(G, alpha, beta) of sigma_c for load j at abscissae x: the entries
+    its parity leaves, each shaped as the traction's components, from the
+    unscaled pair stress ``traction`` at (x, L2) and the pair field's
+    traction resultant there (a last axis of 2); ``scale`` is one number or
+    an array that broadcasts against the components.
 
     sigma_c has first column G(x) and second column alpha(x) + beta(x) y / L2.
     G is the cumulative traction jump across the horizontal edges, scaled
     and over 2 L2, and the second column interpolates minus the scaled edge
     tractions linearly in y, so the total traction vanishes on y = +-L2 and
     each row stays divergence free.  Each component of sigma(q_j) e_2, and of
-    its resultant, is even or odd in y, so the values at y = -L2 follow from
-    those at L2: sigma_12 is odd for j = 1 and sigma_22 for j = 2.
+    its resultant, is even or odd in y (``_odd_even``), so the values at
+    y = -L2 follow from those at L2: G and beta live in the odd component o
+    alone and alpha in the other.  With eta = y / L2, sigma_c is
+    [[G, beta eta], [0, alpha]] for j = 1 and [[0, alpha], [G, beta eta]]
+    for j = 2.
     """
-    odd = np.array([j == 1, j == 2], dtype=float)
-    t = _side_by_side(traction.a12, traction.a22)
-    if np.ndim(scale):
-        scale = scale[..., None]
-    return (scale / L2) * odd * resultant, -scale * (1.0 - odd) * t, -scale * odd * t
+    odd, even = _odd_even(j, traction)
+    return (scale / L2) * resultant[..., j - 1], -scale * even, -scale * odd
 
 
 def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStress:
@@ -249,7 +258,8 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
     vanishes identically on y = +-L2 and each row stays divergence free.
     """
     scale = _dual_scale(geom, mat, j)
-    ctx = KernelContext.from_geometry(geom, mat)
+    widths = _Widths((geom,), mat)
+    _, ctx = widths.at(0)
     L2 = geom.L2
 
     def sigma_S(pts: np.ndarray) -> SymTensor2:
@@ -261,7 +271,10 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
                                     _edge_resultant(ctx, j, x, L2))
 
     def G(x) -> np.ndarray:
-        return coefficients(np.asarray(x, dtype=float))[0]
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape + (2,))
+        out[..., j - 1] = coefficients(x)[0]
+        return out
 
     def sigma_c(pts: np.ndarray) -> Matrix2:
         pts = np.asarray(pts, dtype=float)
@@ -269,12 +282,11 @@ def build_dual_stress(geom: GapGeometry, mat: LameMaterial, j: int) -> DualStres
         # a column, so evaluate them once per distinct x
         xu, inv = np.unique(pts[..., 0], return_inverse=True)
         G, alpha, beta = (c[inv.reshape(pts.shape[:-1])] for c in coefficients(xu))
-        eta = pts[..., 1] / L2
-        return Matrix2(G[..., 0], alpha[..., 0] + beta[..., 0] * eta,
-                       G[..., 1], alpha[..., 1] + beta[..., 1] * eta)
+        slope, zero = beta * (pts[..., 1] / L2), np.zeros_like(G)
+        return Matrix2(G, slope, zero, alpha) if j == 1 else Matrix2(zero, alpha, G, slope)
 
     return DualStress(sigma_S=sigma_S, sigma_c=sigma_c, G=G,
-                      diagnostics=_dual_diagnostics((geom,), mat, (j,))[0][j])
+                      diagnostics=_dual_diagnostics(widths, (j,))[0][j])
 
 
 class _Widths:
@@ -312,55 +324,60 @@ class _Widths:
 _EDGE_PANELS = 20
 
 
-def _dual_diagnostics(geoms: Sequence[GapGeometry], mat: LameMaterial,
-                      loads: tuple[int, ...]) -> list[dict[int, Diagnostics]]:
-    """The diagnostics of the dual stress of each load on each geometry (one
-    shape and L2, ``_Widths``), read from the construction on the upper edge
-    y = L2, x in [0, L1].
+def _dual_diagnostics(widths: _Widths, loads: tuple[int, ...]) -> list[dict[int, Diagnostics]]:
+    """The diagnostics of the dual stress of each load on each geometry of
+    ``widths``, read from the construction on the upper edge y = L2,
+    x in [0, L1].
 
     Every component of sigma_S + sigma_c is even or odd in x and in y, so
     the edge covers the cell.  Each width's [0, L1] is split into equal
     panels; the pair terms at the panel ends and at each panel's 15 Kronrod
     nodes, and the resultant's terms at the ends, are built once for every
     width and load, with a trailing axis over the widths where there are
-    several.
+    several.  sigma_c's entries are those of ``_affine_coefficients``, which
+    its parity leaves: G and beta in the odd component of the edge traction
+    t, alpha in the even one.
 
     - ``bc_residual``: max |(sigma_S + sigma_c) e_2| at the panel ends,
-      which the construction cancels exactly.
+      which the construction cancels exactly: |scale t + (-scale t)| in each
+      component.
     - ``asymmetry_max``: max |sigma_c12 - sigma_c21|.  At each x it is
       affine in y, so its maximum over the fibre [h(x), L2] sits at an end;
-      both ends are read at every panel end.
+      both ends are read at every panel end.  That is max(|beta|,
+      |beta eta|) for j = 1, eta = h / L2 at the lower end, and |alpha - G|
+      for j = 2, the same at both ends.
     - ``div_residual``: in each row sigma_c's divergence is G' + beta / L2,
-      the same at every y.  Its integral over each panel, the jump of G plus
-      the K15 integral of beta / L2 (both from the linear
-      ``_affine_coefficients``), over max |beta| / L2 times the panel
-      length.  That reads R' - t in the load's odd component, for the pair
-      field's edge resultant R and edge traction t.  sigma_S solves the Lame
-      system by its Kolosov-Muskhelishvili form; ``run_verify``'s flux
-      checks test it.
+      the same at every y, and zero in the even component.  Its integral
+      over each panel, the jump of G plus the K15 integral of beta / L2
+      (both from the linear ``_affine_coefficients``), over max |beta| / L2
+      times the panel length.  That reads R' - t in the load's odd
+      component, for the pair field's edge resultant R and edge traction t.
+      sigma_S solves the Lame system by its Kolosov-Muskhelishvili form;
+      ``run_verify``'s flux checks test it.
 
     Each evaluation reads as many widths as fit in quadrature._NODE_CHUNK
     points (at least one), for that constant's reason.
     """
+    geoms, mat = widths.geoms, widths.mat
     per_call = max(quadrature._NODE_CHUNK // (_EDGE_PANELS * (_K15_NODES.size + 1) + 1), 1)
     if len(geoms) > per_call:
         return [d for k in range(0, len(geoms), per_call)
-                for d in _dual_diagnostics(geoms[k:k + per_call], mat, loads)]
-    geom, ctx = _Widths(geoms, mat).at(np.arange(len(geoms)))
+                for d in _dual_diagnostics(_Widths(geoms[k:k + per_call], mat), loads)]
+    geom, ctx = widths.at(np.arange(len(geoms)))
     L2 = geom.L2
     n = _EDGE_PANELS + 1
     ends = np.linspace(0.0, geom.L1, n)
     half = (ends[1] - ends[0]) / 2.0
     nodes = ends[:-1, None] + np.multiply.outer(_K15_NODES + 1.0, half)
     x = np.concatenate((ends, nodes.reshape((-1,) + ends.shape[1:])))
-    pair = _PairTerms(ctx, np.stack((x, np.full_like(x, L2)), -1))
+    pair = _PairTerms(ctx, _side_by_side(x, np.full_like(x, L2)))
     edge = _EdgeTerms(ctx, ends, L2)
     # eta = y / L2 at the fibres' lower ends; it is 1 at their upper ends
     eta = chord_halfheight(geom, ends) / L2
 
     def largest(a: np.ndarray) -> np.ndarray:
-        # max |a| over the first and the last axis: per width
-        return np.abs(a).max(axis=(0, -1))
+        # max |a| over the points: per width
+        return np.abs(a).max(axis=0)
 
     def on_panels(a: np.ndarray) -> np.ndarray:
         # the K15 sum of each panel: its 15 nodes one contiguous row of a
@@ -374,20 +391,17 @@ def _dual_diagnostics(geoms: Sequence[GapGeometry], mat: LameMaterial,
     for j in loads:
         scale = _dual_scale(geom, mat, j)
         s, resultant = pair.stress(j), edge.resultant(j)
-        at_ends = SymTensor2(s.a11[:n], s.a12[:n], s.a22[:n])
+        at_ends = SymTensor2(None, s.a12[:n], s.a22[:n])
         G, alpha, beta = _affine_coefficients(j, scale, L2, at_ends, resultant)
-        # sigma_c's second column alpha + beta eta on the edge
-        top = alpha + beta
-        S = _scaled(at_ends, scale)
-        bc = np.maximum(np.abs(S.a12 + top[..., 0]).max(axis=0),
-                        np.abs(S.a22 + top[..., 1]).max(axis=0))
-        # _affine_coefficients reads the traction, sigma_12 and sigma_22
+        odd, even = _odd_even(j, at_ends)
+        bc = np.maximum(largest(scale * odd + beta), largest(scale * even + alpha))
+        beta_max = largest(beta)
+        asymmetry = np.maximum(beta_max, largest(beta * eta)) if j == 1 else largest(alpha - G)
+        # G's jump and beta's integral over each panel
         jump, _, integral = _affine_coefficients(
             j, scale, L2, SymTensor2(None, on_panels(s.a12), on_panels(s.a22)),
-            np.diff(resultant, axis=0))
-        div = largest(jump + integral / L2) / (largest(beta) / L2 * 2.0 * half)
-        asymmetry = np.maximum(np.abs(top[..., 0] - G[..., 1]).max(axis=0),
-                               np.abs(alpha[..., 0] + beta[..., 0] * eta - G[..., 1]).max(axis=0))
+            resultant[1:] - resultant[:-1])
+        div = largest(jump + integral / L2) / (beta_max / L2 * 2.0 * half)
         for d, *values in zip(out, *(v.reshape(-1).tolist() for v in (asymmetry, bc, div))):
             d[j] = Diagnostics(*values)
     return out
@@ -455,30 +469,43 @@ def _cell_energy(widths: _Widths, loads: tuple[int, ...],
     eta sigma_S along the fibre (``kernels._FibreTerms``).  The pair terms
     at (x, L2) serve both the edge traction and the fibre's upper end, and
     the fibre and edge terms serve every load.  The pole offset, the chord
-    and the scale m_j / sqrt(eps) are those of each node's geometry.
+    and the scale m_j / sqrt(eps) are those of each node's geometry.  Each
+    form s : C^-1 t = s : t / (2 mu) - c tr(s) tr(t) is read on the entries
+    the load's parity leaves (``_affine_coefficients``): c0 = diag(G, alpha)
+    and c1 = beta e_12 for j = 1, c0 = alpha e_12 + G e_21 and c1 = beta
+    e_22 for j = 2.  So c0 : C^-1 c1 is zero, and only c0 has a trace for
+    j = 1 and only c1 for j = 2.
     """
     mat, L2 = widths.mat, widths.geoms[0].L2
+    two_mu, c = _compliance_constants(mat)
 
     def fibres(pts: np.ndarray, _normals: np.ndarray, groups: np.ndarray) -> np.ndarray:
         x = pts[:, 0]
         geom, ctx = widths.at(groups)
         h = chord_halfheight(geom, x)
         fibre, edge = _FibreTerms(ctx, x, h, L2), _EdgeTerms(ctx, x, L2)
-        # int_h^L2 eta^k dy for k = 0, 1, 2
+        # int_h^L2 eta^k dy for k = 0 and 2
         eta = h / L2
-        n0, n1, n2 = L2 * (1.0 - eta), L2 * (1.0 - eta ** 2) / 2.0, L2 * (1.0 - eta ** 3) / 3.0
+        n0, n2 = L2 * (1.0 - eta), L2 * (1.0 - eta ** 3) / 3.0
 
         def density(j: int) -> np.ndarray:
             scale = _dual_scale(geom, mat, j)
             G, alpha, beta = _affine_coefficients(j, scale, L2, fibre.upper_stress(j),
                                                   edge.resultant(j))
-            c0 = Matrix2(G[:, 0], alpha[:, 0], G[:, 1], alpha[:, 1])
-            c1 = Matrix2(0.0, beta[:, 0], 0.0, beta[:, 1])
+            # the fibre integrals of sigma_S and of eta sigma_S are scale s0 and
+            # (scale / L2) s1
             s0, s1 = fibre.moments(j)
-            return (n0 * compliance_energy(c0, mat) + 2.0 * n1 * compliance_contract(c0, c1, mat)
-                    + n2 * compliance_energy(c1, mat)
-                    + 2.0 * compliance_contract(_scaled(s0, scale), c0, mat)
-                    + 2.0 * compliance_contract(_scaled(s1, scale / L2), c1, mat))
+            if j == 1:
+                tr0, S11, S22 = G + alpha, scale * s0.a11, scale * s0.a22
+                return (n0 * ((G * G + alpha * alpha) / two_mu - c * tr0 * tr0)
+                        + n2 * (beta * beta / two_mu)
+                        + 2.0 * ((S11 * G + S22 * alpha) / two_mu - c * (S11 + S22) * tr0)
+                        + 2.0 * ((scale / L2) * s1.a12 * beta / two_mu))
+            S12, T11, T22 = scale * s0.a12, (scale / L2) * s1.a11, (scale / L2) * s1.a22
+            return (n0 * ((alpha * alpha + G * G) / two_mu)
+                    + n2 * (beta * beta / two_mu - c * beta * beta)
+                    + 2.0 * ((S12 * alpha + S12 * G) / two_mu)
+                    + 2.0 * (T22 * beta / two_mu - c * (T11 + T22) * beta))
 
         return np.stack([density(j) for j in loads], axis=-1)
 
@@ -556,18 +583,21 @@ def pair_boundary_integral(geom: GapGeometry, mat: LameMaterial,
     evaluated at both.  Each of the 12 components is held to the tolerance
     relative to its own scale.
     """
-    ctx = KernelContext.from_geometry(geom, mat)
+    return _pair_boundary_integral(geom, KernelContext.from_geometry(geom, mat), rel_tol)
+
+
+def _pair_boundary_integral(geom: GapGeometry, ctx: KernelContext,
+                            rel_tol: float) -> IntegralResult:
+    """``pair_boundary_integral`` with the geometry's kernel context."""
     flip = np.array([-1.0, 1.0])
 
     def fn(p: np.ndarray, n: np.ndarray) -> np.ndarray:
         terms = _PairTerms(ctx, np.concatenate((p * flip, p)))
         n1, n2 = np.concatenate((n * flip, n)).T
-        # entry [node, i - 1, j - 1, k]; the terms hold the D1 points, then the D2 points
-        out = np.empty((p.shape[0], 2, 2, 3))
-        for j in (1, 2):
-            for k, column in enumerate(_traction_work(terms, j, n1, n2)):
-                out[:, :, j - 1, k] = column.reshape(2, -1).T
-        return out.reshape(p.shape[0], 12)
+        # columns [t_1, t_2, work] of q_1, then of q_2, with a row for each
+        # D1 point, then for each D2 point; entry [node, i - 1, j - 1, k]
+        cols = np.array([c for j in (1, 2) for c in _traction_work(terms, j, n1, n2)])
+        return cols.reshape(6, 2, -1).transpose(2, 1, 0).reshape(p.shape[0], 12)
 
     res = integrate_path(inclusion_boundary(geom, 2), fn, rel_tol)
     return replace(res, value=res.value.reshape(2, 2, 3))

@@ -126,6 +126,12 @@ def stress_from_gradient(g: Matrix2, mat: LameMaterial) -> SymTensor2:
     return SymTensor2(s11, s12, s22)
 
 
+def _compliance_constants(mat: LameMaterial) -> tuple[float, float]:
+    """(2 mu, c) of the compliance form s : C^-1 t = s : t / (2 mu) - c tr(s) tr(t)."""
+    lam, mu = mat.lam, mat.mu
+    return 2.0 * mu, lam / (2.0 * mu * (2.0 * lam + 2.0 * mu))
+
+
 def compliance_energy(s: Matrix2 | SymTensor2, mat: LameMaterial) -> Any:
     """Quadratic form s : C^{-1} s, extended verbatim to full matrices.
 
@@ -135,21 +141,19 @@ def compliance_energy(s: Matrix2 | SymTensor2, mat: LameMaterial) -> Any:
     the complementary-energy principle needs a symmetric stress, and the sign
     says nothing about the cross and boundary terms of the dual functional.
     """
-    lam, mu = mat.lam, mat.mu
-    c = lam / (2.0 * mu * (2.0 * lam + 2.0 * mu))
+    two_mu, c = _compliance_constants(mat)
     if isinstance(s, SymTensor2):
         sq = s.a11 * s.a11 + 2.0 * s.a12 * s.a12 + s.a22 * s.a22
     else:
         sq = s.a11 * s.a11 + s.a12 * s.a12 + s.a21 * s.a21 + s.a22 * s.a22
     tr = s.trace()
-    return sq / (2.0 * mu) - c * tr * tr
+    return sq / two_mu - c * tr * tr
 
 
 def compliance_contract(s: Matrix2 | SymTensor2, t: Matrix2 | SymTensor2,
                         mat: LameMaterial) -> Any:
     """Bilinear form s : C^{-1} t; compliance_energy is its diagonal."""
-    lam, mu = mat.lam, mat.mu
-    c = lam / (2.0 * mu * (2.0 * lam + 2.0 * mu))
+    two_mu, c = _compliance_constants(mat)
 
     def comps(a):
         if isinstance(a, SymTensor2):
@@ -159,7 +163,7 @@ def compliance_contract(s: Matrix2 | SymTensor2, t: Matrix2 | SymTensor2,
     s11, s12, s21, s22 = comps(s)
     t11, t12, t21, t22 = comps(t)
     dot = s11 * t11 + s12 * t12 + s21 * t21 + s22 * t22
-    return dot / (2.0 * mu) - c * s.trace() * t.trace()
+    return dot / two_mu - c * s.trace() * t.trace()
 
 
 def derived_constants(mat: LameMaterial) -> DerivedConstants:

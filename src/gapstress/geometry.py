@@ -16,6 +16,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .elasticity import _side_by_side
+
 __all__ = [
     "Disk",
     "Ellipse",
@@ -308,8 +310,7 @@ def _ellipse_arc(cx: float, A: float, B: float, th0: float, th1: float,
         nx, ny = cos / A, sin / B
         norm = np.hypot(nx, ny)
         # outward of the ellipse is (nx, ny)/norm; matrix-outward is the flip
-        return (np.stack((cx + A * cos, B * sin), axis=-1),
-                np.stack((-nx / norm, -ny / norm), axis=-1),
+        return (_side_by_side(cx + A * cos, B * sin), _side_by_side(nx, ny) / -norm[..., None],
                 abs(span) * np.hypot(A * sin, B * cos))
 
     breaks = _vertex_breaks([(th - th0) / span for th in vertices], first / (abs(span) * B),

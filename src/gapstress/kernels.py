@@ -64,7 +64,7 @@ def _split(x) -> tuple[np.ndarray, np.ndarray]:
 
 def _guarded_r2(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     r2 = x1 * x1 + x2 * x2
-    if np.any(r2 < POLE_EXCLUSION_RADIUS * POLE_EXCLUSION_RADIUS):
+    if (r2 < POLE_EXCLUSION_RADIUS * POLE_EXCLUSION_RADIUS).any():
         raise ValueError("kernel evaluated within the pole exclusion radius")
     return r2
 
@@ -181,9 +181,10 @@ class _PairTerms:
     z and 1/w are evaluated once here; ``stress`` and ``displacement``
     assemble one load's field from them.  The terms only one field reads
     (1/w^2, z^2 + a^2 and conj(z) for the stress, P and Re L for the
-    displacement) are temporaries of that assembly: kept alive with the
-    shared ones they slow the one-load callers more than recomputing them
-    costs the two-load ones.
+    displacement) are evaluated, a field's at once, on the first call of
+    that field and kept for the other load's: a caller of one field of one
+    load computes each once, as it would without them, and a caller of both
+    loads once, not twice.
     """
 
     def __init__(self, ctx: KernelContext, x) -> None:
@@ -195,16 +196,31 @@ class _PairTerms:
         self._r2_near = _guarded_r2(np.abs(x1) - a, x2)
         self.z = x1 + 1j * x2
         self.iw = 1.0 / ((self.z + a) * (self.z - a))
+        self._for_stress = self._for_displacement = None
+
+    def _displacement_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Re L and P, evaluated on the first call."""
+        if self._for_displacement is None:
+            x1, z = self._x1, self.z
+            # Re L = log|z + a| - log|z - a| = +-1/2 log1p(4 a |x1| / r^2), r the
+            # distance to the nearer pole: accurate far from the gap and near a pole
+            re_L = np.copysign(0.5 * np.log1p(4.0 * self._ctx.a * np.abs(x1) / self._r2_near), x1)
+            self._for_displacement = re_L, 2.0 * z * self.iw
+        return self._for_displacement
+
+    def _stress_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """1/w^2, z^2 + a^2 and conj(z), evaluated on the first call."""
+        if self._for_stress is None:
+            a, z = self._ctx.a, self.z
+            self._for_stress = self.iw * self.iw, z * z + a * a, np.conj(z)
+        return self._for_stress
 
     def displacement(self, j: int) -> np.ndarray:
         """q_j, shape (..., 2); see ``singular_displacement``."""
         kappa, k, c = _coefficients(self._ctx, j)
-        a, x1, z, iw = self._ctx.a, self._x1, self.z, self.iw
-        # Re L = log|z + a| - log|z - a| = +-1/2 log1p(4 a |x1| / r^2), r the
-        # distance to the nearer pole: accurate far from the gap and near a pole
-        re_L = np.copysign(0.5 * np.log1p(4.0 * a * np.abs(x1) / self._r2_near), x1)
+        a, z, iw = self._ctx.a, self.z, self.iw
+        re_L, P = self._displacement_terms()
         phi_p = (-2.0 * a * k) * iw
-        P = 2.0 * z * iw
         v = 2.0 * kappa * k * re_L - z * np.conj(phi_p) - np.conj((a * k + c) * P)
         v /= 2.0 * self._ctx.material.mu
         return _side_by_side(v.real, v.imag)
@@ -213,12 +229,12 @@ class _PairTerms:
         """Stress of q_j; see ``singular_stress``."""
         kappa, k, c = _coefficients(self._ctx, j)
         a, z, iw = self._ctx.a, self.z, self.iw
-        iw2 = iw * iw
+        iw2, z2_a2, zb = self._stress_terms()
         phi_p = (-2.0 * a * k) * iw
         phi_pp = (4.0 * a * k) * z * iw2
-        psi_p = (2.0 * a * kappa * np.conj(k)) * iw - (2.0 * (a * k + c)) * (z * z + a * a) * iw2
+        psi_p = (2.0 * a * kappa * np.conj(k)) * iw - (2.0 * (a * k + c)) * z2_a2 * iw2
         tr = 4.0 * phi_p.real
-        dev = 2.0 * (np.conj(z) * phi_pp + psi_p)
+        dev = 2.0 * (zb * phi_pp + psi_p)
         return SymTensor2(0.5 * (tr - dev.real), 0.5 * dev.imag, 0.5 * (tr + dev.real))
 
 
@@ -262,12 +278,13 @@ class _EdgeTerms:
         self._ctx, self._x = ctx, x
         z = x + 1j * y
         w = 1j * y
-        u = -2.0 * a * x / ((z - a) * (w + a))
+        z_m, w_p = z - a, w + a
+        u = -2.0 * a * x / (z_m * w_p)
         # log1p(u) = L(z) - L(w); numpy's complex log1p loses the real part's
         # relative accuracy for tiny |u|
         self.dL = (0.5 * np.log1p(u.real * (2.0 + u.real) + u.imag ** 2)
                    + 1j * np.arctan2(u.imag, 1.0 + u.real))
-        self.dP = -x / ((z + a) * (w + a)) - x / ((z - a) * (w - a))
+        self.dP = -x / ((z + a) * w_p) - x / (z_m * (w - a))
         zb, wb = np.conj(z), np.conj(w)
         self.zphi_num = 3.0 * y * y + 1j * y * x + a * a
         self.zphi_den = (zb * zb - a * a) * (wb * wb - a * a)

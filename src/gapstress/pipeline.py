@@ -19,11 +19,12 @@ from .bounds import (  # noqa: F401
     REL_TOL_PATH,
     Diagnostics,
     _dual_diagnostics,
+    _pair_boundary_integral,
+    _Widths,
     build_dual_stress,
     dual_lower,
     dual_lower_loads,
     m_constant,
-    pair_boundary_integral,
     primal_upper,
 )
 from .elasticity import LameMaterial, derived_constants
@@ -259,7 +260,7 @@ def compute_width_rows(cfg: RunConfig, widths: tuple[float, ...],
     loads = _check_loads(loads)
     geoms = [make_gap_geometry(cfg.shape, eps, cfg.L2) for eps in widths]
     lowers = dual_lower_loads(geoms, cfg.material, loads, cfg.rel_tol_cell, cfg.rel_tol_path)
-    diagnostics = _dual_diagnostics(geoms, cfg.material, loads)
+    diagnostics = _dual_diagnostics(_Widths(geoms, cfg.material), loads)
     rows = []
     for eps, geom, lower, diagnostic in zip(widths, geoms, lowers, diagnostics):
         root = np.sqrt(eps)
@@ -374,7 +375,9 @@ def run_verify(cfg: RunConfig, eps: float | None = None) -> list[str]:
     """
     if eps is None:
         eps = cfg.eps_list[0]
-    geom = make_gap_geometry(cfg.shape, eps, cfg.L2)
+    # one kernel context serves the pair integral and the diagnostics
+    widths = _Widths((make_gap_geometry(cfg.shape, eps, cfg.L2),), cfg.material)
+    geom, ctx = widths.at(0)
     lines: list[str] = []
     failures: list[str] = []
 
@@ -384,26 +387,26 @@ def run_verify(cfg: RunConfig, eps: float | None = None) -> list[str]:
         if not ok:
             failures.append(name)
 
-    # entry [i - 1, j - 1] is [flux k=1, flux k=2, work] of q_j on inclusion boundary i
-    pair = pair_boundary_integral(geom, cfg.material, cfg.rel_tol_path).value
+    # entry [i - 1][j - 1] is [flux k=1, flux k=2, work] of q_j on inclusion boundary i
+    pair = _pair_boundary_integral(geom, ctx, cfg.rel_tol_path).value.tolist()
 
     for i in (1, 2):
         for j in (1, 2):
             for k in (1, 2):
-                got = float(pair[i - 1, j - 1, k - 1])
+                got = pair[i - 1][j - 1][k - 1]
                 want = (-1.0) ** i * (1.0 if j == k else 0.0)
                 err = abs(got - want)
                 record(f"flux i={i} j={j} k={k}", err <= 1e-6,
                        f"value {got:+.9f}, expected {want:+.0f}, |err| {err:.2e}")
 
     for j in (1, 2):
-        raw = float(pair[0, j - 1, 2] + pair[1, j - 1, 2])
+        raw = pair[0][j - 1][2] + pair[1][j - 1][2]
         mj = m_constant(geom, cfg.material, j)
         norm = mj * raw / np.sqrt(eps)
         record(f"energy identity j={j}", 0.9 <= norm <= 1.1 and raw > 0.0,
                f"normalized {norm:.6f} (raw {raw:.6e})")
 
-    (diagnostics,) = _dual_diagnostics((geom,), cfg.material, (1, 2))
+    (diagnostics,) = _dual_diagnostics(widths, (1, 2))
     for j in (1, 2):
         d = diagnostics[j]
         record(f"edge traction j={j}", d.bc_residual <= cfg.rel_tol_path,

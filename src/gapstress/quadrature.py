@@ -156,18 +156,21 @@ def _eval_path_panels(segments, seg_group: np.ndarray, integrand, seg: np.ndarra
                       t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K15 values and |K15 - G7| differences of panels sorted by segment.
 
-    Each segment's ``frame`` is read once, on the 15 Kronrod nodes of all
-    its panels; the nodes of all segments reach the integrand, with each
-    node's group (``seg_group`` of its segment), in calls of at most
-    _NODE_CHUNK nodes.  Returns (value, diff), each of shape (n_panels, n_comp).
+    One node template t0 + (t1 - t0) _K15_UNIT serves all panels, and each
+    segment's ``frame`` is read once, on its run of it; the nodes of all
+    segments reach the integrand, with each node's group (``seg_group`` of
+    its segment), in calls of at most _NODE_CHUNK nodes.  Returns (value,
+    diff), each of shape (n_panels, n_comp).
     """
-    cuts = np.searchsorted(seg, np.arange(1, len(segments)))
-    frames = [segment.frame((a[:, None] + (b - a)[:, None] * _K15_UNIT).reshape(-1))
-              for segment, a, b in zip(segments, np.split(t0, cuts), np.split(t1, cuts)) if a.size]
+    span = t1 - t0
+    t = (t0[:, None] + span[:, None] * _K15_UNIT).reshape(-1)
+    cuts = (seg.searchsorted(np.arange(len(segments) + 1)) * _K15_NODES.size).tolist()
+    frames = [segment.frame(t[lo:hi])
+              for segment, lo, hi in zip(segments, cuts[:-1], cuts[1:]) if hi > lo]
     pts, nrm, spd = frames[0] if len(frames) == 1 else (np.concatenate(a) for a in zip(*frames))
     groups = seg_group[seg].repeat(_K15_NODES.size)
     parts = [integrand(pts[c:c + _NODE_CHUNK], nrm[c:c + _NODE_CHUNK], groups[c:c + _NODE_CHUNK])
-             for c in range(0, groups.size, _NODE_CHUNK)]
+             for c in range(0, t.size, _NODE_CHUNK)]
     f = np.asarray(parts[0], dtype=float) if len(parts) == 1 else np.concatenate(parts, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
@@ -177,7 +180,7 @@ def _eval_path_panels(segments, seg_group: np.ndarray, integrand, seg: np.ndarra
     n_comp = f.shape[1]
     sums = np.dot(f.reshape(seg.size, _K15_NODES.size, n_comp).transpose(0, 2, 1)
                   .reshape(seg.size * n_comp, _K15_NODES.size), _RULE)
-    out = sums.reshape(seg.size, n_comp, 2) * ((t1 - t0) / 2.0)[:, None, None]
+    out = sums.reshape(seg.size, n_comp, 2) * (span / 2.0)[:, None, None]
     return out[..., 0], np.abs(out[..., 1])
 
 
@@ -215,10 +218,9 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
         raise ValueError("curve has no segments")
     segments = [s for curve in curves for s in curve.segments]
     seg_group = np.array([g for g, curve in enumerate(curves) for _ in curve.segments])
-    edges = [np.asarray(s.breaks, dtype=float) for s in segments]
-    seg = np.concatenate([np.full(e.size - 1, k) for k, e in enumerate(edges)])
-    t0 = np.concatenate([e[:-1] for e in edges])
-    t1 = np.concatenate([e[1:] for e in edges])
+    seg = np.repeat(np.arange(len(segments)), [len(s.breaks) - 1 for s in segments])
+    t0 = np.array([b for s in segments for b in s.breaks[:-1]], dtype=float)
+    t1 = np.array([b for s in segments for b in s.breaks[1:]], dtype=float)
     depth = np.zeros(seg.size, dtype=np.int32)
     val, diff = _eval_path_panels(segments, seg_group, integrand, seg, t0, t1)
     diff = diff[:, :n_est]
@@ -228,14 +230,14 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
     rounds = [1] * len(curves)
     out: list = [None] * len(curves)
     for k in range(_MAX_ROUNDS + 1):
-        split, start = np.zeros(seg.size, dtype=bool), 0
+        chosen, start = [], 0
         for g, size in enumerate(sizes):
             rows = slice(start, start + size)
             start += size
             if out[g] is not None:
                 continue
-            # np.sum on a float64 array uses pairwise accumulation in a fixed order
-            total = np.sum(val[rows], axis=0)
+            # a sum over a float64 axis uses pairwise accumulation in a fixed order
+            total = val[rows].sum(axis=0)
             # scale by the largest panel contribution, not only the total, so
             # integrals that cancel to zero still terminate
             scale = np.maximum(np.abs(total[:n_est]),
@@ -244,23 +246,25 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
             weight = np.divide(largest, scale, out=np.ones_like(scale), where=scale > 0.0)
             err, tol_eff = (diff[rows] * weight).max(axis=1), rel_tol * largest
             total_err = float(err.sum())
-            splittable = depth[rows] < _MAX_DEPTH
             # after the last round every open group stops where it stands
-            if (total_err <= tol_eff or not bool(np.any(splittable & (err > 0.0)))
-                    or err.size > _MAX_PATH_PANELS or k == _MAX_ROUNDS):
-                component_err = np.ascontiguousarray(diff[rows].T).sum(axis=1)
-                out[g] = (total, total_err, tol_eff, t0[rows], t1[rows], val[rows], evals[g],
-                          rounds[g], tuple(component_err.tolist()))
-                continue
-            # split the worst panels until the remainder would fit in the budget
-            worst = _worst_panels(err, splittable, total_err - 0.5 * tol_eff)
-            split[rows.start + worst] = True
-            sizes[g] += worst.size
-            evals[g] += 2 * _K15_NODES.size * worst.size
-            rounds[g] += 1
-        if not split.any():
+            if total_err > tol_eff and err.size <= _MAX_PATH_PANELS and k < _MAX_ROUNDS:
+                splittable = depth[rows] < _MAX_DEPTH
+                if np.any(splittable & (err > 0.0)):
+                    # split the worst panels until the remainder would fit in the budget
+                    worst = _worst_panels(err, splittable, total_err - 0.5 * tol_eff)
+                    chosen.append(rows.start + worst)
+                    sizes[g] += worst.size
+                    evals[g] += 2 * _K15_NODES.size * worst.size
+                    rounds[g] += 1
+                    continue
+            component_err = np.ascontiguousarray(diff[rows].T).sum(axis=1)
+            out[g] = (total, total_err, tol_eff, t0[rows], t1[rows], val[rows], evals[g],
+                      rounds[g], tuple(component_err.tolist()))
+        if not chosen:
             break
         # a split panel's two children take its place, at left and left + 1
+        split = np.zeros(seg.size, dtype=bool)
+        split[np.concatenate(chosen)] = True
         copies = split + 1
         seg, t0, t1, val, diff = (np.repeat(a, copies, axis=0) for a in (seg, t0, t1, val, diff))
         depth = np.repeat(depth + split, copies)
@@ -305,7 +309,7 @@ def integrate_path(curve: Curve | Sequence[Curve], integrand, rel_tol: float) ->
     results = []
     for total, total_err, tol_eff, t0, _, _, evals, rounds, component_err in _adapt_panels(
             curves, fn, rel_tol):
-        if not np.all(np.isfinite(total)):
+        if not np.isfinite(total).all():
             raise QuadratureError("path integral produced a non-finite value")
         results.append(IntegralResult(
             value=float(total[0]) if total.size == 1 else total,

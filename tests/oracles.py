@@ -22,12 +22,16 @@ shared evaluation must reproduce them bit for bit, and so must the dual
 fields built on them.  So must the two verify evaluations, kept here as
 they were first assembled: the pair boundary integral from whole
 [t_1, t_2, work] blocks (``pair_boundary_integral_by_blocks``), and the
-dual diagnostics from sigma_c's four components at both fibre ends
-(``correction_diagnostics``).  The dual diagnostics are also kept twice,
-each with one field call per sample set and from the fields alone: on the
-upper edge's panels that ``bounds._dual_diagnostics`` reads
-(``edge_diagnostics``), and by central differences on the matrix points of
-a 41 x 41 grid over the whole cell (``per_copy_diagnostics``).
+dual diagnostics from sigma_c's four components at both fibre ends, built
+from its coefficients with the entries the load's parity zeroes masked to
+0 (``correction_diagnostics``, ``masked_affine_coefficients``).  So must
+the dual's cell term, its density the compliance forms of the masked
+correction (``masked_cell_energy``).  The dual diagnostics are also kept
+twice, each with one field call per sample set
+and from the fields alone: on the upper edge's panels that
+``bounds._dual_diagnostics`` reads (``edge_diagnostics``), and by central
+differences on the matrix points of a 41 x 41 grid over the whole cell
+(``per_copy_diagnostics``).
 
 Helpers that only tests read live here too, not in the package: the four
 pieces of the matrix boundary (``boundary_curves``), the Keller test field
@@ -44,14 +48,16 @@ import mpmath
 import numpy as np
 
 from gapstress import KellerProfile, Matrix2, Region, SymTensor2, m_constant, quadrature
-from gapstress.bounds import (_EDGE_PANELS, Diagnostics, _affine_coefficients, _dual_scale,
-                              _scaled, _Widths)
+from gapstress.bounds import _EDGE_PANELS, Diagnostics, _dual_scale, _scaled, _Widths
+from gapstress.elasticity import _side_by_side, compliance_contract, compliance_energy
 from gapstress.geometry import (Curve, _ellipse_arc, _graded_breaks, _line_segment,
                                 _vertex_breaks, chord_halfheight, inclusion_boundary,
                                 region_classify)
-from gapstress.kernels import (KernelContext, _coefficients, _EdgeTerms, _guarded_r2, _PairTerms,
+from gapstress.kernels import (KernelContext, _coefficients, _EdgeTerms, _FibreTerms, _guarded_r2,
+                               _PairTerms,
                                _split, singular_stress)
-from gapstress.quadrature import _K15_NODES, _K15_WEIGHTS, _RULE, IntegralResult, integrate_path
+from gapstress.quadrature import (_K15_NODES, _K15_WEIGHTS, _RULE, IntegralResult, _fibre_axis,
+                                  integrate_path)
 
 def boundary_curves(geom) -> dict[str, Curve]:
     """The four pieces of the matrix boundary inside the cell.
@@ -507,6 +513,21 @@ def pair_boundary_integral_by_blocks(geom, mat, rel_tol: float) -> IntegralResul
     return replace(res, value=res.value.reshape(2, 2, 3))
 
 
+def masked_affine_coefficients(j: int, scale, L2: float, traction, resultant):
+    """(G, alpha, beta) of sigma_c at abscissae x, each of shape (n, 2), as
+    first written: both components of each, the entries that the load's
+    parity zeroes masked to 0.  G is the scaled edge resultant over L2 in
+    the odd component, alpha minus the scaled edge traction in the even one
+    and beta in the odd one; sigma_12 is odd in y for j = 1 and sigma_22
+    for j = 2.  ``scale`` is one number or an array shaped as the
+    traction's components."""
+    odd = np.array([j == 1, j == 2], dtype=float)
+    t = _side_by_side(traction.a12, traction.a22)
+    if np.ndim(scale):
+        scale = scale[..., None]
+    return (scale / L2) * odd * resultant, -scale * (1.0 - odd) * t, -scale * odd * t
+
+
 def correction_diagnostics(geoms, mat, loads) -> list[dict[int, Diagnostics]]:
     """``bounds._dual_diagnostics`` on geometries that fit one evaluation,
     with sigma_c built as a matrix of its four components at both ends of
@@ -543,12 +564,12 @@ def correction_diagnostics(geoms, mat, loads) -> list[dict[int, Diagnostics]]:
         scale = _dual_scale(geom, mat, j)
         s, resultant = pair.stress(j), edge.resultant(j)
         at_ends = SymTensor2(s.a11[:n], s.a12[:n], s.a22[:n])
-        G, alpha, beta = _affine_coefficients(j, scale, L2, at_ends, resultant)
+        G, alpha, beta = masked_affine_coefficients(j, scale, L2, at_ends, resultant)
         C = correction(G, alpha, beta)
         S = _scaled(at_ends, scale)
         bc = np.maximum(np.abs(S.a12 + C.a12[:n]).max(axis=0),
                         np.abs(S.a22 + C.a22[:n]).max(axis=0))
-        jump, _, integral = _affine_coefficients(
+        jump, _, integral = masked_affine_coefficients(
             j, scale, L2, SymTensor2(on_panels(s.a11), on_panels(s.a12), on_panels(s.a22)),
             np.diff(resultant, axis=0))
         div = largest(jump + integral / L2) / (largest(beta) / L2 * 2.0 * half)
@@ -556,3 +577,38 @@ def correction_diagnostics(geoms, mat, loads) -> list[dict[int, Diagnostics]]:
         for d, *values in zip(out, *(v.reshape(-1).tolist() for v in (asymmetry, bc, div))):
             d[j] = Diagnostics(*values)
     return out
+
+
+def masked_cell_energy(geoms, mat, loads, rel_tol: float) -> list[dict[int, IntegralResult]]:
+    """``bounds._cell_energy`` as first assembled: at each x the fibre
+    density is the compliance forms of ``elasticity`` on sigma_c = c0 +
+    eta c1 built from ``masked_affine_coefficients``, all four entries of
+    c0 and c1 with the zeros of the load's parity, the cross term c0 : C^-1
+    c1 included."""
+    widths = _Widths(geoms, mat)
+    L2 = widths.geoms[0].L2
+
+    def fibres(pts, _normals, groups):
+        x = pts[:, 0]
+        geom, ctx = widths.at(groups)
+        h = chord_halfheight(geom, x)
+        fibre, edge = _FibreTerms(ctx, x, h, L2), _EdgeTerms(ctx, x, L2)
+        eta = h / L2
+        n0, n1, n2 = L2 * (1.0 - eta), L2 * (1.0 - eta ** 2) / 2.0, L2 * (1.0 - eta ** 3) / 3.0
+
+        def density(j):
+            scale = _dual_scale(geom, mat, j)
+            G, alpha, beta = masked_affine_coefficients(j, scale, L2, fibre.upper_stress(j),
+                                                        edge.resultant(j))
+            c0 = Matrix2(G[:, 0], alpha[:, 0], G[:, 1], alpha[:, 1])
+            c1 = Matrix2(0.0, beta[:, 0], 0.0, beta[:, 1])
+            s0, s1 = fibre.moments(j)
+            return (n0 * compliance_energy(c0, mat) + 2.0 * n1 * compliance_contract(c0, c1, mat)
+                    + n2 * compliance_energy(c1, mat)
+                    + 2.0 * compliance_contract(_scaled(s0, scale), c0, mat)
+                    + 2.0 * compliance_contract(_scaled(s1, scale / L2), c1, mat))
+
+        return np.stack([density(j) for j in loads], axis=-1)
+
+    res = integrate_path([_fibre_axis(g) for g in widths.geoms], fibres, rel_tol)
+    return [{j: r.component(k) for k, j in enumerate(loads)} for r in res.groups]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -292,14 +293,15 @@ def test_dual_stress_cancels_edge_traction():
 
 def _sigma_c_per_point(geom, mat, j, pts):
     """The correction field evaluated one point at a time from its affine
-    coefficients, as (..., [c11, c12, c21, c22])."""
+    coefficients, all four entries of each masked by the load's parity, as
+    (..., [c11, c12, c21, c22])."""
     ctx = KernelContext.from_geometry(geom, mat)
     scale = m_constant(geom, mat, j) / np.sqrt(geom.eps)
     L2 = geom.L2
     flat = np.asarray(pts, dtype=float).reshape(-1, 2)
     out = np.empty((flat.shape[0], 4))
     for n, (x, y) in enumerate(flat):
-        G, alpha, beta = (c[0] for c in bounds._affine_coefficients(
+        G, alpha, beta = (c[0] for c in oracles.masked_affine_coefficients(
             j, scale, L2, singular_stress(ctx, j, np.array([[x, L2]])),
             _edge_resultant(ctx, j, np.array([x]), L2)))
         F = alpha + beta * (y / L2)
@@ -312,8 +314,10 @@ def _sigma_c_per_point(geom, mat, j, pts):
 @pytest.mark.parametrize("j", [1, 2])
 @pytest.mark.parametrize("material", ["unit", "stiff"])
 def test_sigma_c_is_the_affine_form_of_its_coefficients(shape, eps, j, material):
-    # sigma_c, the diagnostics and the cell term all read _affine_coefficients;
-    # its second column interpolates minus the scaled edge tractions of
+    # sigma_c, the diagnostics and the cell term all read _affine_coefficients,
+    # the entries the load's parity leaves: [[G, beta eta], [0, alpha]] for
+    # j = 1 and [[0, alpha], [G, beta eta]] for j = 2, as the masked form has
+    # them; its second column interpolates minus the scaled edge tractions of
     # sigma_S on both edges, and its first column is the edge jump G, the
     # lower edge's values taken from the load's parity
     g = SHAPES[shape](eps)
@@ -328,9 +332,13 @@ def test_sigma_c_is_the_affine_form_of_its_coefficients(shape, eps, j, material)
     x, y = pts[:, 0], pts[:, 1]
     sc = dual.sigma_c(pts)
     got = np.stack((sc.a11, sc.a12, sc.a21, sc.a22), axis=-1)
-    G, alpha, beta = bounds._affine_coefficients(
-        j, scale, L2, singular_stress(ctx, j, np.stack((x, np.full_like(x, L2)), -1)),
-        _edge_resultant(ctx, j, x, L2))
+    top = singular_stress(ctx, j, np.stack((x, np.full_like(x, L2)), -1))
+    G, alpha, beta = bounds._affine_coefficients(j, scale, L2, top, _edge_resultant(ctx, j, x, L2))
+    F, zero = beta * (y / L2), np.zeros_like(G)
+    entries = (G, F, zero, alpha) if j == 1 else (zero, alpha, G, F)
+    np.testing.assert_array_equal(got, np.stack(entries, axis=-1))
+    G, alpha, beta = oracles.masked_affine_coefficients(j, scale, L2, top,
+                                                        _edge_resultant(ctx, j, x, L2))
     F = alpha + beta * (y / L2)[:, None]
     np.testing.assert_array_equal(got, np.stack((G[:, 0], F[:, 0], G[:, 1], F[:, 1]), axis=-1))
     # the same field from both edges, evaluated independently, to rounding
@@ -486,12 +494,12 @@ def test_divergence_check_flags_a_divergent_field(shape, j, monkeypatch):
     # odd component, so a defect in the edge resultant R or in the edge
     # traction t of the pair field breaks it
     g = SHAPES[shape](10.0 ** -2.5)
-    assert _dual_diagnostics((g,), UNIT, (j,))[0][j].div_residual <= 1e-12
+    assert _dual_diagnostics(_Widths((g,), UNIT), (j,))[0][j].div_residual <= 1e-12
     for name, defective in (("_EdgeTerms", _DefectiveResultant),
                             ("_PairTerms", _DefectiveTraction)):
         with monkeypatch.context() as m:
             m.setattr(bounds, name, defective)
-            assert _dual_diagnostics((g,), UNIT, (j,))[0][j].div_residual > 1e-5, name
+            assert _dual_diagnostics(_Widths((g,), UNIT), (j,))[0][j].div_residual > 1e-5, name
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -517,7 +525,7 @@ def test_dual_diagnostics_call_each_field_once(shape, eps, j, monkeypatch):
     for name in ("region_classify", "_PairTerms", "_EdgeTerms", "singular_stress",
                  "_edge_resultant"):
         counted(name)
-    (both,) = _dual_diagnostics((g,), UNIT, (1, 2))
+    (both,) = _dual_diagnostics(_Widths((g,), UNIT), (1, 2))
     assert calls == {"_PairTerms": 1, "_EdgeTerms": 1}
     assert points[0] <= 400
     calls.clear()
@@ -533,11 +541,11 @@ def test_two_load_diagnostics_match_per_load_fields(shape, eps):
     # field call per sample set, give the same asymmetry and edge traction,
     # and a divergence as small
     g = SHAPES[shape](eps)
-    (both,) = _dual_diagnostics((g,), UNIT, (1, 2))
+    (both,) = _dual_diagnostics(_Widths((g,), UNIT), (1, 2))
     assert set(both) == {1, 2}
     for j in (1, 2):
         assert both[j] == build_dual_stress(g, UNIT, j).diagnostics
-        assert both[j] == _dual_diagnostics((g,), UNIT, (j,))[0][j]
+        assert both[j] == _dual_diagnostics(_Widths((g,), UNIT), (j,))[0][j]
         d = both[j]
         asym, bc, div = oracles.edge_diagnostics(g, *oracles.dual_fields_per_load(g, UNIT, j))
         assert [d.asymmetry_max.hex(), d.bc_residual.hex()] == [asym.hex(), bc.hex()]
@@ -553,7 +561,7 @@ def test_quarter_diagnostics_read_the_whole_grid(shape, eps):
     # an asymmetry within 2%.  The asymmetry is affine in y on each fibre,
     # so at each grid point it is at most the larger of its fibre's ends
     g = SHAPES[shape](eps)
-    (both,) = _dual_diagnostics((g,), UNIT, (1, 2))
+    (both,) = _dual_diagnostics(_Widths((g,), UNIT), (1, 2))
     gx, gy = np.meshgrid(np.linspace(-g.L1 * 0.995, g.L1 * 0.995, 41),
                          np.linspace(-g.L2 * 0.995, g.L2 * 0.995, 41), indexing="ij")
     grid = np.stack((gx.ravel(), gy.ravel()), axis=-1)
@@ -595,7 +603,7 @@ def test_dual_construction_is_exact_across_widths_and_draws():
     for label, g, mat in _exactness_cases():
         ctx = KernelContext.from_geometry(g, mat)
         x = np.linspace(0.0, g.L1, 21)
-        (both,) = _dual_diagnostics((g,), mat, (1, 2))
+        (both,) = _dual_diagnostics(_Widths((g,), mat), (1, 2))
         for j in (1, 2):
             s = singular_stress(ctx, j, np.stack((x, np.full_like(x, g.L2)), -1))
             traction = bounds._dual_scale(g, mat, j) * np.abs(np.stack((s.a12, s.a22))).max()
@@ -804,21 +812,55 @@ def _diagnostics_hex(per_geom) -> list[list[list[str]]]:
 @pytest.mark.parametrize("path", ["configs/disk.cfg", "configs/ellipse.cfg"])
 def test_verify_evaluations_are_their_block_oracles_bit_for_bit(path):
     # the pair integrand writes its columns in place and the diagnostics
-    # read sigma_c at the fibre ends from (G, alpha, beta); the oracles
-    # assemble both from whole blocks, on the identities grid and on the
-    # config's widths in one batch
+    # read sigma_c at the fibre ends from the entries (G, alpha, beta) that
+    # the load's parity leaves; the oracles assemble both from whole blocks,
+    # the diagnostics from the masked coefficients, on the identities grid
+    # and on the config's widths in one batch.  At the config's rel_tol_path
+    # every pair integral stops in its first round; at 1e-11 some refine, so
+    # the integrand is pinned on refinement rounds too
     cfg = parse_config(ROOT / path)
+    assert cfg.rel_tol_path == 1e-8
     grid = [(make_gap_geometry(cfg.shape, eps, cfg.L2),) for eps in _identity_grid(cfg)]
-    for (geom,) in grid:
-        got = pair_boundary_integral(geom, cfg.material, cfg.rel_tol_path)
-        want = oracles.pair_boundary_integral_by_blocks(geom, cfg.material, cfg.rel_tol_path)
-        assert _hex(got.value, got.err_estimate, got.component_err) == \
-               _hex(want.value, want.err_estimate, want.component_err)
-        assert (got.evals, got.rounds) == (want.evals, want.rounds)
+    rounds = []
+    for rel_tol in (cfg.rel_tol_path, 1e-11):
+        for (geom,) in grid:
+            got = pair_boundary_integral(geom, cfg.material, rel_tol)
+            want = oracles.pair_boundary_integral_by_blocks(geom, cfg.material, rel_tol)
+            assert _hex(got.value, got.err_estimate, got.component_err) == \
+                   _hex(want.value, want.err_estimate, want.component_err)
+            assert (got.panels_used, got.evals, got.rounds) == \
+                   (want.panels_used, want.evals, want.rounds)
+            rounds.append(got.rounds)
+    assert max(rounds) > 1
     batch = tuple(make_gap_geometry(cfg.shape, eps, cfg.L2) for eps in cfg.eps_list)
     for geoms in grid + [batch]:
-        assert _diagnostics_hex(_dual_diagnostics(geoms, cfg.material, (1, 2))) == \
+        assert _diagnostics_hex(_dual_diagnostics(_Widths(geoms, cfg.material), (1, 2))) == \
                _diagnostics_hex(oracles.correction_diagnostics(geoms, cfg.material, (1, 2)))
+
+
+@pytest.mark.parametrize("path", ["configs/disk.cfg", "configs/ellipse.cfg"])
+def test_cell_energy_is_its_masked_oracle_bit_for_bit(path):
+    # the cell term reads the compliance forms on the entries of sigma_c
+    # that the load's parity leaves; the oracle reads them on all four
+    # entries of c0 and c1, the zeros included, as the forms of elasticity
+    # do.  Each load alone and both together, on the config's widths in one
+    # batch and one at a time, at a tolerance that refines, for the config's
+    # material and one whose compliance constant c is no power of 2
+    cfg = parse_config(ROOT / path)
+    geoms = [make_gap_geometry(cfg.shape, eps, cfg.L2) for eps in cfg.eps_list]
+    rounds = []
+    for mat, loads, rel_tol in itertools.product((cfg.material, LameMaterial(3.0, 0.7)),
+                                                 ((1,), (2,), (1, 2)), (1e-3, 1e-10)):
+        for batch in [geoms] + [[g] for g in geoms]:
+            got = _cell_energy(_Widths(batch, mat), loads, rel_tol)
+            want = oracles.masked_cell_energy(batch, mat, loads, rel_tol)
+            for g, w in zip(got, want):
+                for j in loads:
+                    assert _hex(g[j].value, g[j].err_estimate) == \
+                           _hex(w[j].value, w[j].err_estimate)
+                    assert (g[j].evals, g[j].rounds) == (w[j].evals, w[j].rounds)
+                    rounds.append(g[j].rounds)
+    assert max(rounds) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -1077,8 +1119,8 @@ def test_several_widths_give_each_width_its_own_bounds_and_diagnostics(shape, mo
     # pair makes groups refine, so the shared refinement rounds are tested
     # too; at the coarse pair every group stops on its root panels
     geoms = [SHAPES[shape](eps) for eps in BATCH_WIDTHS]
-    diagnostics = [_dual_diagnostics((g,), UNIT, (1, 2))[0] for g in geoms]
-    assert _dual_diagnostics(geoms, UNIT, (1, 2)) == diagnostics
+    diagnostics = [_dual_diagnostics(_Widths((g,), UNIT), (1, 2))[0] for g in geoms]
+    assert _dual_diagnostics(_Widths(geoms, UNIT), (1, 2)) == diagnostics
     path, rounds = bounds.integrate_path, []
 
     def spy(curves, integrand, rel_tol):
@@ -1097,7 +1139,7 @@ def test_several_widths_give_each_width_its_own_bounds_and_diagnostics(shape, mo
     monkeypatch.setattr(quadrature, "_NODE_CHUNK", 7)
     for tols, want in alone.items():
         assert dual_lower_loads(geoms, UNIT, (1, 2), *tols) == want
-    assert _dual_diagnostics(geoms, UNIT, (1, 2)) == diagnostics
+    assert _dual_diagnostics(_Widths(geoms, UNIT), (1, 2)) == diagnostics
 
 
 def _record(res):
@@ -1145,7 +1187,7 @@ def test_integrand_calls_and_diagnostic_terms_stay_within_the_node_chunk(monkeyp
     monkeypatch.setattr(bounds, "integrate_path", spy_path)
     dual_lower_loads(geoms, UNIT, (1, 2), CELL_COARSE, PATH_FAST)
     monkeypatch.setattr(bounds, "_PairTerms", spy_terms)
-    _dual_diagnostics(geoms, UNIT, (1, 2))
+    _dual_diagnostics(_Widths(geoms, UNIT), (1, 2))
     chunk = quadrature._NODE_CHUNK
     assert max(sizes["path"]) == chunk
     assert max(sizes["diagnostics"]) <= chunk
@@ -1159,7 +1201,7 @@ def test_several_widths_must_share_shape_and_cell():
         with pytest.raises(ValueError, match="share shape and L2"):
             dual_lower_loads(geoms, UNIT, (1,), CELL_COARSE, PATH_FAST)
         with pytest.raises(ValueError, match="share shape and L2"):
-            _dual_diagnostics(geoms, UNIT, (1,))
+            _dual_diagnostics(_Widths(geoms, UNIT), (1,))
 
 
 @functools.lru_cache(maxsize=None)

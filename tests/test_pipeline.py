@@ -37,7 +37,8 @@ from gapstress import (
     sweep_and_fit,
     write_csv,
 )
-from gapstress import bounds, cli, pipeline, quadrature
+from gapstress import bounds, cli, geometry, pipeline, quadrature
+from gapstress.kernels import KernelContext
 from gapstress.pipeline import _fit_series
 from gapstress.quadrature import integrate_path
 
@@ -86,25 +87,31 @@ def test_parse_config_sorts_eps_descending(tmp_path):
 
 @pytest.mark.parametrize(
     "mutate",
+    # each input, and the ConfigError message it must raise
     [
-        lambda s: s.replace("mu = 1.0\n", ""),                  # missing required key
-        lambda s: s + "colour = blue\n",                        # unknown key
-        lambda s: s + "mu = 2.0\n",                             # duplicate key
-        lambda s: s.replace("mu = 1.0", "mu = fast"),           # bad float
-        lambda s: s.replace("shape = disk", "shape = square"),  # bad shape
-        lambda s: s.replace("r0 = 1.0\n", ""),                  # disk without r0
-        lambda s: s.replace("1e-2, 1e-3", ""),                  # empty eps list
-        lambda s: s.replace("1e-2, 1e-3", "1e-2, -1e-3"),       # negative eps
-        lambda s: s.replace("L2 = 1.5", "L2 = 0.5"),            # cell too small
-        lambda s: s.replace("mu = 1.0", "mu"),                  # not key = value
-        lambda s: s + "A = 3\nB = 3\n",                         # disk with ellipse axes
-        lambda s: s.replace("disk", "ellipse") + "A = 1\nB = 0.8\n",  # ellipse with r0
+        lambda s: (s.replace("mu = 1.0\n", ""), "missing required keys: mu"),
+        lambda s: (s + "colour = blue\n", ":11: unknown key 'colour'"),
+        lambda s: (s + "mu = 2.0\n", ":11: duplicate key 'mu'"),
+        lambda s: (s.replace("mu = 1.0", "mu = fast"), "key 'mu' is not a number: 'fast'"),
+        lambda s: (s.replace("shape = disk", "shape = square"),
+                   "shape must be 'disk' or 'ellipse', got 'square'"),
+        lambda s: (s.replace("r0 = 1.0\n", ""), "shape=disk requires r0"),
+        lambda s: (s.replace("1e-2, 1e-3", ""), ":8: empty value for 'eps_list'"),
+        lambda s: (s.replace("1e-2, 1e-3", "1e-2, -1e-3"),
+                   "every eps must be finite and positive, got -0.001"),
+        lambda s: (s.replace("L2 = 1.5", "L2 = 0.5"),
+                   "cell half-height L2=0.5 must exceed the inclusion half-height 1.0"),
+        lambda s: (s.replace("mu = 1.0", "mu"), ":3: expected 'key = value', got 'mu'"),
+        lambda s: (s + "A = 3\nB = 3\n", "shape=disk takes no 'A', 'B'"),
+        lambda s: (s.replace("disk", "ellipse") + "A = 1\nB = 0.8\n",
+                   "shape=ellipse takes no 'r0'"),
     ],
 )
 def test_parse_config_rejections(tmp_path, mutate):
     p = tmp_path / "bad.cfg"
-    p.write_text(mutate(GOOD_CONFIG))
-    with pytest.raises((ConfigError, ValueError)):
+    text, message = mutate(GOOD_CONFIG)
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{p}") + ".*" + re.escape(message)):
         parse_config(p)
 
 
@@ -350,9 +357,9 @@ def test_width_rows_share_the_integrals_and_the_diagnostics(monkeypatch):
         calls["path"] += 1
         return integrate_path(*args)
 
-    def counted_diagnostics(geoms, mat, loads):
+    def counted_diagnostics(widths, loads):
         calls["diagnostics"].append(loads)
-        return diagnostics(geoms, mat, loads)
+        return diagnostics(widths, loads)
 
     def counted_build(*args):
         calls["build_dual_stress"] += 1
@@ -684,13 +691,39 @@ def test_run_verify_makes_one_path_integral(monkeypatch):
                      + [f"{c} j={j}" for j in (1, 2) for c in ("edge traction", "divergence")])
 
 
+@pytest.mark.parametrize("config", ["disk", "ellipse"])
+def test_run_verify_builds_each_term_once(config, monkeypatch):
+    # cost guard: one width's checks build one kernel context and one
+    # inclusion boundary, and the pair terms twice, for the pair integrand
+    # and for the diagnostics; np.log1p runs once for Re L, which both
+    # loads' displacements share, and once for the edge resultant's terms
+    calls = {"KernelContext": 0, "inclusion_boundary": 0, "_PairTerms": 0, "log1p": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(KernelContext, "__post_init__",
+                        counted("KernelContext", KernelContext.__post_init__))
+    boundary = counted("inclusion_boundary", geometry.inclusion_boundary)
+    for module in (geometry, bounds):
+        monkeypatch.setattr(module, "inclusion_boundary", boundary)
+    monkeypatch.setattr(bounds, "_PairTerms", counted("_PairTerms", bounds._PairTerms))
+    monkeypatch.setattr(np, "log1p", counted("log1p", np.log1p))
+    cfg = parse_config(SHIPPED_CONFIGS / f"{config}.cfg")
+    assert len(run_verify(cfg, 1e-4)) == 16
+    assert calls == {"KernelContext": 1, "inclusion_boundary": 1, "_PairTerms": 2, "log1p": 2}
+
+
 def test_run_verify_checks_both_loads_diagnostics_in_one_call(monkeypatch):
     calls = {"diagnostics": [], "build_dual_stress": 0}
     diagnostics = pipeline._dual_diagnostics
 
-    def counted_diagnostics(geoms, mat, loads):
+    def counted_diagnostics(widths, loads):
         calls["diagnostics"].append(loads)
-        return diagnostics(geoms, mat, loads)
+        return diagnostics(widths, loads)
 
     def counted_build(*args):
         calls["build_dual_stress"] += 1
