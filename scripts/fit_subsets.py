@@ -48,11 +48,11 @@ def main(argv: list[str] | None = None) -> int:
             if eps.size < 4:
                 print(f"j={j} {kind}: need at least 4 points for leave-one-out, have {eps.size}")
                 continue
-            c1_full = _fit_series(eps, vals, target).c1
+            c1_full = _fit_series(eps, vals[:, None], [target])[0].c1
             swings = []
             for drop in range(eps.size):
                 keep = np.arange(eps.size) != drop
-                c1_sub = _fit_series(eps[keep], vals[keep], target).c1
+                c1_sub = _fit_series(eps[keep], vals[keep, None], [target])[0].c1
                 swings.append((abs(c1_sub - c1_full) / abs(c1_full), eps[drop]))
             worst, at = max(swings)
             print(f"j={j} {kind:5s}: c1 = {c1_full:.6f}, "

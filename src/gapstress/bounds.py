@@ -104,6 +104,16 @@ def m_constant(geom: GapGeometry, mat: LameMaterial, j: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _edge_halfwidth(geom: GapGeometry) -> tuple[float, float]:
+    """f(L) and f'(L), the gap half-width and its slope at y = L, in scalar
+    arithmetic: the operations of ``gap_halfwidth`` and
+    ``gap_halfwidth_deriv``, with q = L / B and (L / B)^2 = q * q."""
+    A, B, L = geom.half_width, geom.half_height, geom.L
+    q = L / B
+    root = math.sqrt(1.0 - q * q)
+    return geom.eps / 2.0 + A * (1.0 - root), A * L / (B * B * root)
+
+
 @dataclass(frozen=True)
 class KellerProfile:
     """Half-width X(y) of the band across which the Keller test field
@@ -120,9 +130,9 @@ class KellerProfile:
     fprime_edge: float = field(init=False)
 
     def __post_init__(self) -> None:
-        L = np.asarray([self.geom.L])
-        object.__setattr__(self, "f_edge", float(gap_halfwidth(self.geom, L)[0]))
-        object.__setattr__(self, "fprime_edge", float(gap_halfwidth_deriv(self.geom, L)[0]))
+        f, fp = _edge_halfwidth(self.geom)
+        object.__setattr__(self, "f_edge", f)
+        object.__setattr__(self, "fprime_edge", fp)
 
     def halfwidth(self, y) -> np.ndarray:
         ay = np.abs(np.asarray(y, dtype=float))
@@ -174,8 +184,7 @@ def primal_upper(geom: GapGeometry, mat: LameMaterial, j: int) -> BoundResult:
     a, b = mat.lam + 2.0 * mat.mu, mat.mu
     if j == 2:
         a, b = b, a
-    prof = KellerProfile(geom)
-    f, fp = prof.f_edge, prof.fprime_edge
+    f, fp = _edge_halfwidth(geom)
     A, B, L, L1, L2 = geom.half_width, geom.half_height, geom.L, geom.L1, geom.L2
     h = geom.eps / 2.0
     c = h + A
@@ -310,14 +319,15 @@ class _Widths:
         elif any(g.shape != first.shape or g.L2 != first.L2 for g in self.geoms):
             raise ValueError("the gap geometries of one evaluation must share shape and L2")
         else:
-            self.fields = {f: np.array([getattr(g, f) for g in self.geoms])
-                           for f in ("eps", "L1", "a")}
+            self.fields = [np.array([getattr(g, f) for g in self.geoms]) for f in ("eps", "L1", "a")]
 
     def at(self, index) -> tuple[GapGeometry, KernelContext]:
         if self.lone:
             return self.geoms[0], self.lone
-        geom = replace(self.geoms[0], **{f: v[index] for f, v in self.fields.items()})
-        return geom, KernelContext.from_geometry(geom, self.mat)
+        g = self.geoms[0]
+        eps, L1, a = (v[index] for v in self.fields)
+        return (GapGeometry(g.shape, eps, L1, g.L2, g.kappa0, g.r_osc, a, g.L),
+                KernelContext(self.mat, a))
 
 
 # the dual diagnostics read the upper edge on this many equal panels of [0, L1]
@@ -334,9 +344,11 @@ def _dual_diagnostics(widths: _Widths, loads: tuple[int, ...]) -> list[dict[int,
     panels; the pair terms at the panel ends and at each panel's 15 Kronrod
     nodes, and the resultant's terms at the ends, are built once for every
     width and load, with a trailing axis over the widths where there are
-    several.  sigma_c's entries are those of ``_affine_coefficients``, which
-    its parity leaves: G and beta in the odd component of the edge traction
-    t, alpha in the even one.
+    several.  Each load's edge traction (sigma12 and sigma22; sigma11 is not
+    read) and resultant are stacked on a leading axis, and every check reads
+    all loads in one pass.  sigma_c's entries are those of
+    ``_affine_coefficients``, which its parity leaves: G and beta in the odd
+    component of the edge traction t, alpha in the even one.
 
     - ``bc_residual``: max |(sigma_S + sigma_c) e_2| at the panel ends,
       which the construction cancels exactly: |scale t + (-scale t)| in each
@@ -374,35 +386,39 @@ def _dual_diagnostics(widths: _Widths, loads: tuple[int, ...]) -> list[dict[int,
     edge = _EdgeTerms(ctx, ends, L2)
     # eta = y / L2 at the fibres' lower ends; it is 1 at their upper ends
     eta = chord_halfheight(geom, ends) / L2
+    # the loads stacked on a first axis: scale, the edge traction's odd and
+    # even components, at the ends, then the nodes, and the resultant's odd
+    # component; _affine_coefficients reads them in load 1's layout, where
+    # the odd component is sigma12 and the resultant's first
+    scale = np.array([_dual_scale(geom, mat, j) for j in loads])[:, None]
+    odd, even = np.array([_odd_even(j, pair.traction(j)) for j in loads]).swapaxes(0, 1)
+    resultant = np.array([edge.resultant(j)[..., j - 1] for j in loads])[..., None]
 
     def largest(a: np.ndarray) -> np.ndarray:
-        # max |a| over the points: per width
-        return np.abs(a).max(axis=0)
+        # max |a| over the points: per load and width
+        return np.abs(a).max(axis=1)
 
-    def on_panels(a: np.ndarray) -> np.ndarray:
-        # the K15 sum of each panel: its 15 nodes one contiguous row of a
-        # matrix-vector product, as they are for a width alone
-        rows = a[n:].reshape((_EDGE_PANELS, _K15_NODES.size) + a.shape[1:])
-        if rows.ndim > 2:
-            rows = np.ascontiguousarray(rows.swapaxes(1, 2)).reshape(-1, _K15_NODES.size)
-        return half * (rows @ _K15_WEIGHTS).reshape((_EDGE_PANELS,) + a.shape[1:])
-
+    # the K15 sum of each panel: its 15 nodes one contiguous row of a
+    # matrix-vector product, as they are for a width and load alone
+    rows = odd[:, n:].reshape(odd.shape[:1] + (_EDGE_PANELS, _K15_NODES.size) + odd.shape[2:])
+    if rows.ndim > 3:
+        rows = rows.swapaxes(2, 3)
+    on_panels = half * (np.ascontiguousarray(rows).reshape(-1, _K15_NODES.size) @ _K15_WEIGHTS
+                        ).reshape(odd.shape[:1] + (_EDGE_PANELS,) + odd.shape[2:])
+    G, alpha, beta = _affine_coefficients(1, scale, L2, SymTensor2(None, odd[:, :n], even[:, :n]),
+                                          resultant)
+    bc = np.maximum(largest(scale * odd[:, :n] + beta), largest(scale * even[:, :n] + alpha))
+    beta_max = largest(beta)
+    asymmetry = {j: np.maximum(beta_max, largest(beta * eta)) if j == 1 else largest(alpha - G)
+                 for j in loads}
+    # G's jump and beta's integral over each panel
+    jump, _, integral = _affine_coefficients(1, scale, L2, SymTensor2(None, on_panels, 0.0),
+                                             resultant[:, 1:] - resultant[:, :-1])
+    div = largest(jump + integral / L2) / (beta_max / L2 * 2.0 * half)
     out: list[dict[int, Diagnostics]] = [{} for _ in geoms]
-    for j in loads:
-        scale = _dual_scale(geom, mat, j)
-        s, resultant = pair.stress(j), edge.resultant(j)
-        at_ends = SymTensor2(None, s.a12[:n], s.a22[:n])
-        G, alpha, beta = _affine_coefficients(j, scale, L2, at_ends, resultant)
-        odd, even = _odd_even(j, at_ends)
-        bc = np.maximum(largest(scale * odd + beta), largest(scale * even + alpha))
-        beta_max = largest(beta)
-        asymmetry = np.maximum(beta_max, largest(beta * eta)) if j == 1 else largest(alpha - G)
-        # G's jump and beta's integral over each panel
-        jump, _, integral = _affine_coefficients(
-            j, scale, L2, SymTensor2(None, on_panels(s.a12), on_panels(s.a22)),
-            resultant[1:] - resultant[:-1])
-        div = largest(jump + integral / L2) / (beta_max / L2 * 2.0 * half)
-        for d, *values in zip(out, *(v.reshape(-1).tolist() for v in (asymmetry, bc, div))):
+    for k, j in enumerate(loads):
+        for d, *values in zip(out, *(v[k].reshape(-1).tolist()
+                                     for v in (asymmetry[j], bc, div))):
             d[j] = Diagnostics(*values)
     return out
 

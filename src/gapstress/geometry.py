@@ -5,6 +5,11 @@ width ``eps`` sits at the origin: inclusion D2 is centered at (L1, 0) on the
 right edge, its mirror image D1 at (-L1, 0), so the inner boundary of D2
 crosses the x-axis at (eps/2, 0).  Inclusions are disks or axis-aligned
 ellipses; both are symmetric in each coordinate axis.
+
+Boundary curves are made of segments, each a kind of ``SEGMENT_KINDS`` (a
+line, an arc of an ellipse centred on the x-axis, or the fibre axis'
+parabola x = x0 + A t^2) and its params, so one frame call of a kind, with
+params per node, serves all its segments.
 """
 
 from __future__ import annotations
@@ -12,11 +17,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
-
-from .elasticity import _side_by_side
 
 __all__ = [
     "Disk",
@@ -274,19 +277,61 @@ def _vertex_breaks(vertices, dt: float, pieces: int = 4) -> tuple[float, ...]:
     return tuple(sorted(e for e in edges if 0.0 <= e <= 1.0))
 
 
+def _line_frame(p, t):
+    """Kind "line", params (x0, y0, dx, dy, nx, ny, length): the point
+    (x0, y0) + t (dx, dy), the constant normal (nx, ny) and speed ``length``."""
+    x0, y0, dx, dy, nx, ny, length = p
+    return x0 + t * dx, y0 + t * dy, nx, ny, length
+
+
+def _arc_frame(p, t):
+    """Kind "arc", params (cx, A, B, th0, span): the ellipse point
+    (cx + A cos th, B sin th) at th = th0 + span t, its unit normal into the
+    ellipse (out of the matrix) and speed |span| |dgamma/dth|."""
+    cx, A, B, th0, span = p
+    th = th0 + span * t
+    cos, sin = np.cos(th), np.sin(th)
+    nx, ny = cos / A, sin / B
+    # outward of the ellipse is (nx, ny)/norm; matrix-outward is the flip
+    norm = -np.hypot(nx, ny)
+    return cx + A * cos, B * sin, nx / norm, ny / norm, np.abs(span) * np.hypot(A * sin, B * cos)
+
+
+def _parabola_frame(p, t):
+    """Kind "parabola", params (x0, A): the point (x0 + A t^2, 0) of the
+    x-axis, the normal (0, 1) and speed 2 A t."""
+    x0, A = p
+    return x0 + A * t * t, 0.0, 0.0, 1.0, 2.0 * A * t
+
+
+# each kind's frame: (params, t) -> x, y, nx, ny and speed, each of t's
+# shape or one number; a param is one number or an array broadcast against t
+SEGMENT_KINDS = {"line": _line_frame, "arc": _arc_frame, "parabola": _parabola_frame}
+
+
 @dataclass(frozen=True)
 class PathSegment:
-    """One smooth parametrized piece of a boundary curve, t in [0, 1].
+    """One smooth parametrized piece of a boundary curve, t in [0, 1]: a
+    ``kind`` of SEGMENT_KINDS and its ``params``.
 
     ``frame`` maps t -> (points, normals, speeds): the (..., 2) coordinates,
     the unit normals pointing out of the matrix region (into an inclusion on
     inclusion arcs, out of the cell on cell edges) and |dgamma/dt|, the
-    arclength weight.  ``breaks`` are the edges in t of the root panels that
-    path integration starts from, ascending.
+    arclength weight: the kind's frame on this segment's params.  ``breaks``
+    are the edges in t of the root panels that path integration starts
+    from, ascending.
     """
 
-    frame: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+    kind: str
+    params: tuple[float, ...]
     breaks: tuple[float, ...] = _QUARTERS
+
+    def frame(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        t = np.asarray(t, dtype=float)
+        pts, nrm, spd = np.empty(t.shape + (2,)), np.empty(t.shape + (2,)), np.empty(t.shape)
+        pts[..., 0], pts[..., 1], nrm[..., 0], nrm[..., 1], spd[...] = SEGMENT_KINDS[self.kind](
+            self.params, t)
+        return pts, nrm, spd
 
 
 @dataclass(frozen=True)
@@ -303,34 +348,16 @@ def _ellipse_arc(cx: float, A: float, B: float, th0: float, th1: float,
     the others are quarters of the arc, or eighths of an arc longer than a
     half turn, so none spans more than an eighth of a turn."""
     span = th1 - th0
-
-    def frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        th = th0 + span * np.asarray(t, dtype=float)
-        cos, sin = np.cos(th), np.sin(th)
-        nx, ny = cos / A, sin / B
-        norm = np.hypot(nx, ny)
-        # outward of the ellipse is (nx, ny)/norm; matrix-outward is the flip
-        return (_side_by_side(cx + A * cos, B * sin), _side_by_side(nx, ny) / -norm[..., None],
-                abs(span) * np.hypot(A * sin, B * cos))
-
     breaks = _vertex_breaks([(th - th0) / span for th in vertices], first / (abs(span) * B),
                             4 * math.ceil(abs(span) / np.pi))
-    return PathSegment(frame=frame, breaks=breaks)
+    return PathSegment("arc", (cx, A, B, th0, span), breaks)
 
 
-def _line_segment(p0, p1, n) -> PathSegment:
-    """Segment p0 -> p1 with normal n, on the quarter root panels."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    n = np.asarray(n, dtype=float)
-    length = float(np.hypot(*(p1 - p0)))
-
-    def frame(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = np.asarray(t, dtype=float)
-        return (p0 + t[..., None] * (p1 - p0), np.broadcast_to(n, t.shape + (2,)),
-                np.full(t.shape, length))
-
-    return PathSegment(frame=frame)
+def _line_segment(p0, p1, n, breaks: tuple[float, ...] = _QUARTERS) -> PathSegment:
+    """Segment p0 -> p1 with normal n, on the root panels ``breaks``."""
+    (x0, y0), (x1, y1) = p0, p1
+    dx, dy = x1 - x0, y1 - y0
+    return PathSegment("line", (x0, y0, dx, dy, *n, float(np.hypot(dx, dy))), breaks)
 
 
 def inclusion_boundary(geom: GapGeometry, which: int) -> Curve:

@@ -32,7 +32,7 @@ kernel-eval`` and, in the tests, as the oracle for the potentials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -178,8 +178,9 @@ class _PairTerms:
     """The load-independent terms of the pair fields at one point set.
 
     The loads differ only in the coefficients (k_j, c_j), so the pole guard,
-    z and 1/w are evaluated once here; ``stress`` and ``displacement``
-    assemble one load's field from them.  The terms only one field reads
+    z and 1/w are evaluated once here; ``stress`` (or its second column
+    alone, ``traction``) and ``displacement`` assemble one load's field
+    from them.  The terms only one field reads
     (1/w^2, z^2 + a^2 and conj(z) for the stress, P and Re L for the
     displacement) are evaluated, a field's at once, on the first call of
     that field and kept for the other load's: a caller of one field of one
@@ -225,17 +226,25 @@ class _PairTerms:
         v /= 2.0 * self._ctx.material.mu
         return _side_by_side(v.real, v.imag)
 
-    def stress(self, j: int) -> SymTensor2:
-        """Stress of q_j; see ``singular_stress``."""
+    def _trace_dev(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """sigma11 + sigma22 and sigma22 - sigma11 + 2 i sigma12 of q_j."""
         kappa, k, c = _coefficients(self._ctx, j)
         a, z, iw = self._ctx.a, self.z, self.iw
         iw2, z2_a2, zb = self._stress_terms()
         phi_p = (-2.0 * a * k) * iw
         phi_pp = (4.0 * a * k) * z * iw2
         psi_p = (2.0 * a * kappa * np.conj(k)) * iw - (2.0 * (a * k + c)) * z2_a2 * iw2
-        tr = 4.0 * phi_p.real
-        dev = 2.0 * (zb * phi_pp + psi_p)
+        return 4.0 * phi_p.real, 2.0 * (zb * phi_pp + psi_p)
+
+    def stress(self, j: int) -> SymTensor2:
+        """Stress of q_j; see ``singular_stress``."""
+        tr, dev = self._trace_dev(j)
         return SymTensor2(0.5 * (tr - dev.real), 0.5 * dev.imag, 0.5 * (tr + dev.real))
+
+    def traction(self, j: int) -> SymTensor2:
+        """sigma(q_j) e_2 as the stress's sigma12 and sigma22, sigma11 None."""
+        tr, dev = self._trace_dev(j)
+        return SymTensor2(None, 0.5 * dev.imag, 0.5 * (tr + dev.real))
 
 
 def singular_displacement(ctx: KernelContext, j: int, x) -> np.ndarray:
@@ -322,20 +331,25 @@ class _FibreTerms(_PairTerms):
     def __init__(self, ctx: KernelContext, x, y0, y1) -> None:
         x, y0, y1 = np.broadcast_arrays(x, y0, y1)
         self.n = x.size
+        # the stress is read at the upper ends alone
+        self._upper = _PairTerms(ctx, _side_by_side(x, y1))
         if np.ndim(ctx.a):
             # both ends of a fibre have its pole offset
-            ctx = replace(ctx, a=np.tile(np.broadcast_to(ctx.a, x.shape), 2))
-        super().__init__(ctx, np.stack((np.concatenate((x, x)), np.concatenate((y1, y0))), -1))
+            a = np.broadcast_to(ctx.a, x.shape)
+            ctx = KernelContext(ctx.material, np.concatenate((a, a)))
+        super().__init__(ctx, _side_by_side(np.concatenate((x, x)), np.concatenate((y1, y0))))
         a = ctx.a
         log_p, log_m = np.log(self.z + a), np.log(self.z - a)
         self.L = log_p - log_m
         self.I = (self.z + a) * log_p - (self.z - a) * log_m
         self.log_w = log_p + log_m
+        # on the vertical line z - x = i y, 2x - z = conj(z) and 3x - 2z = conj(z) - i y
+        iy, zb = 1j * self.z.imag, np.conj(self.z)
+        self._line = iy, zb, iy * zb, zb - iy
 
     def upper_stress(self, j: int) -> SymTensor2:
         """Stress of q_j at the upper ends (x, y1)."""
-        s, n = self.stress(j), self.n
-        return SymTensor2(s.a11[:n], s.a12[:n], s.a22[:n])
+        return self._upper.stress(j)
 
     def moments(self, j: int) -> tuple[SymTensor2, SymTensor2]:
         """The integrals of sigma(q_j) and of y sigma(q_j) in y along the
@@ -343,20 +357,18 @@ class _FibreTerms(_PairTerms):
         those at the lower ends."""
         kappa, k, c = _coefficients(self._ctx, j)
         a, z, iw = self._ctx.a, self.z, self.iw
-        # on the vertical line z - x = i y, 2x - z = conj(z) and 3x - 2z = conj(z) - i y
-        iy, zb = 1j * z.imag, np.conj(z)
-        phi = k * self.L
+        iy, zb, iy_zb, zb_iy = self._line
+        phi, akc = k * self.L, a * k + c
         phi_p = (-2.0 * a * k) * iw
-        psi = -kappa * np.conj(k) * self.L + (2.0 * (a * k + c)) * z * iw
+        psi = -kappa * np.conj(k) * self.L + (2.0 * akc) * z * iw
         Phi1 = k * self.I
-        Psi1 = -kappa * np.conj(k) * self.I + (a * k + c) * self.log_w
-        p = np.stack((4.0 * phi.imag,
-                      -2j * (zb * phi_p + phi + psi),
-                      -4.0 * (iy * phi - Phi1).real,
-                      -2.0 * (iy * zb * phi_p - (zb - iy) * phi - 2.0 * Phi1 + iy * psi - Psi1)),
-                     axis=-1)
-        m = p[:self.n] - p[self.n:]
-        T, D, yT, yD = m[:, 0].real, m[:, 1], m[:, 2].real, m[:, 3]
+        Psi1 = -kappa * np.conj(k) * self.I + akc * self.log_w
+        n = self.n
+        T, D, yT, yD = (v[:n] - v[n:] for v in (
+            4.0 * phi.imag,
+            -2j * (zb * phi_p + phi + psi),
+            -4.0 * (iy * phi - Phi1).real,
+            -2.0 * (iy_zb * phi_p - zb_iy * phi - 2.0 * Phi1 + iy * psi - Psi1)))
         return (SymTensor2(0.5 * (T - D.real), 0.5 * D.imag, 0.5 * (T + D.real)),
                 SymTensor2(0.5 * (yT - yD.real), 0.5 * yD.imag, 0.5 * (yT + yD.real)))
 

@@ -8,6 +8,7 @@ leading coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -293,14 +294,19 @@ class SeriesFit:
     rel_dev: float
 
 
-def _fit_series(eps: np.ndarray, values: np.ndarray, target: float) -> SeriesFit:
+def _fit_series(eps: np.ndarray, values: np.ndarray, targets) -> list[SeriesFit]:
+    """Fit each column of ``values`` (n, m) against (1/sqrt(eps), 1) by one
+    least-squares solve, and compare its c1 with that column's target."""
     design = np.stack((1.0 / np.sqrt(eps), np.ones_like(eps)), axis=-1)
     coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    resid = values - design @ coef
-    rms = float(np.sqrt(np.mean(resid * resid)))
-    c1 = float(coef[0])
-    return SeriesFit(c1=c1, c0=float(coef[1]), residual=rms,
-                     rel_dev=abs(c1 - target) / target)
+    fits = []
+    for k, target in enumerate(targets):
+        resid = values[:, k] - design @ coef[:, k]
+        c1 = float(coef[0, k])
+        fits.append(SeriesFit(c1=c1, c0=float(coef[1, k]),
+                              residual=math.sqrt((resid * resid).sum() / resid.size),
+                              rel_dev=abs(c1 - target) / target))
+    return fits
 
 
 def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1, 2)
@@ -334,16 +340,12 @@ def sweep_and_fit(cfg: RunConfig, workers: int = 1, loads: tuple[int, ...] = (1,
     else:
         rows = compute_width_rows(cfg, cfg.eps_list, loads)
 
-    fits: dict[int, dict[str, SeriesFit]] = {}
-    for j in loads:
-        sel = [r for r in rows if r.j == j]
-        eps = np.array([r.eps for r in sel])
-        target = sel[0].fk_constant
-        fits[j] = {
-            "upper": _fit_series(eps, np.array([r.upper for r in sel]), target),
-            "lower": _fit_series(eps, np.array([r.lower for r in sel]), target),
-        }
-    return rows, fits
+    # the rows run width by width, each with its loads, so column k holds
+    # load loads[k // 2], upper then lower, over the widths
+    eps = np.array(cfg.eps_list)
+    values = np.array([(r.upper, r.lower) for r in rows]).reshape(n, -1)
+    fits = _fit_series(eps, values, [t for r in rows[:len(loads)] for t in (r.fk_constant,) * 2])
+    return rows, {j: {"upper": fits[2 * k], "lower": fits[2 * k + 1]} for k, j in enumerate(loads)}
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

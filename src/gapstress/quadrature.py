@@ -16,10 +16,11 @@ panel's children taking its place, so an integral returns the sums of the
 round it stops in, whichever round that is.  One loop can integrate several
 curves, each a tolerance group that refines and stops as it would alone, in
 one evaluation a round for all of them (integrand calls of at most
-_NODE_CHUNK nodes).  The matrix is vertically simple: at
-each x in [0, L1] the quarter cell x >= 0, y >= 0 (whose four mirror images
-make up the cell) holds the exact fibre [h(x), L2] over one x axis
-(``_fibre_axis``).  The dual's cell term integrates each fibre in closed
+_NODE_CHUNK nodes), one frame call per segment kind and the groups' scales,
+weights, errors and stop tests read as arrays.  The matrix is vertically
+simple: at each x in [0, L1] the quarter cell x >= 0, y >= 0 (whose four
+mirror images make up the cell) holds the exact fibre [h(x), L2] over one
+x axis (``_fibre_axis``).  The dual's cell term integrates each fibre in closed
 form, so it is one path integral on that axis (``bounds._cell_energy``).
 ``integrate_cell``, the cell integrator for any integrand and the tests'
 oracle of that term, runs the same loop on that axis and integrates every
@@ -32,7 +33,9 @@ fixed, and no randomness is used, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +45,7 @@ import numpy as np
 from .geometry import (  # noqa: F401
     Curve,
     GapGeometry,
+    SEGMENT_KINDS,
     PathSegment,
     _graded_breaks,
     _line_segment,
@@ -99,8 +103,8 @@ class IntegralResult:
     def component(self, k: int, scale: float = 1.0) -> "IntegralResult":
         """Component k times ``scale``, with that component's own error estimate."""
         err = scale * self.component_err[k]
-        return replace(self, value=scale * float(np.atleast_1d(self.value)[k]),
-                       err_estimate=err, component_err=(err,))
+        return IntegralResult(scale * float(np.atleast_1d(self.value)[k]), err, self.panels_used,
+                              self.converged, self.evals, self.rounds, (err,), self.groups)
 
 
 def _mirror(half: tuple[float, ...], sign: float) -> np.ndarray:
@@ -156,21 +160,46 @@ def _eval_path_panels(segments, seg_group: np.ndarray, integrand, seg: np.ndarra
                       t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """K15 values and |K15 - G7| differences of panels sorted by segment.
 
-    One node template t0 + (t1 - t0) _K15_UNIT serves all panels, and each
-    segment's ``frame`` is read once, on its run of it; the nodes of all
-    segments reach the integrand, with each node's group (``seg_group`` of
-    its segment), in calls of at most _NODE_CHUNK nodes.  Returns (value,
-    diff), each of shape (n_panels, n_comp).
+    Each segment kind's frame (geometry.SEGMENT_KINDS) is called once, on
+    the nodes t0 + (t1 - t0) _K15_UNIT of all panels of its segments, each
+    node with its segment's params (a lone segment through its ``frame``);
+    the nodes reach the integrand in panel order, with each node's group
+    (``seg_group`` of its segment), in calls of at most _NODE_CHUNK nodes.
+    Returns (value, diff), each of shape (n_panels, n_comp).
     """
     span = t1 - t0
-    t = (t0[:, None] + span[:, None] * _K15_UNIT).reshape(-1)
-    cuts = (seg.searchsorted(np.arange(len(segments) + 1)) * _K15_NODES.size).tolist()
-    frames = [segment.frame(t[lo:hi])
-              for segment, lo, hi in zip(segments, cuts[:-1], cuts[1:]) if hi > lo]
-    pts, nrm, spd = frames[0] if len(frames) == 1 else (np.concatenate(a) for a in zip(*frames))
+    # the nodes of each panel one row
+    t = t0[:, None] + span[:, None] * _K15_UNIT
+    if len(segments) == 1:
+        pts, nrm, spd = segments[0].frame(t)
+    else:
+        kinds = [s.kind for s in segments]
+        names = list(dict.fromkeys(kinds))
+        panel_kind = np.array([names.index(k) for k in kinds])[seg]
+        # x, y, nx, ny and speed of every node
+        cols = np.empty((5,) + t.shape)
+        for code, name in enumerate(names):
+            at = (panel_kind == code).nonzero()[0]
+            if not at.size:
+                continue
+            if at[-1] - at[0] + 1 == at.size:
+                # the kind's panels are one run: read and write it as a slice
+                at = slice(at[0], at[-1] + 1)
+            members = [s.params for s in segments if s.kind == name]
+            if len(members) == 1:
+                params = members[0]
+            else:
+                # each panel's params one column, the same for its nodes
+                pad = (0.0,) * len(members[0])
+                params = np.array([s.params if s.kind == name else pad
+                                   for s in segments])[seg[at]].T[..., None]
+            for col, value in zip(cols, SEGMENT_KINDS[name](params, t[at])):
+                col[at] = value
+        pts, nrm, spd = cols[:2].transpose(1, 2, 0), cols[2:4].transpose(1, 2, 0), cols[4]
+    pts, nrm, spd = pts.reshape(-1, 2), nrm.reshape(-1, 2), spd.reshape(-1)
     groups = seg_group[seg].repeat(_K15_NODES.size)
     parts = [integrand(pts[c:c + _NODE_CHUNK], nrm[c:c + _NODE_CHUNK], groups[c:c + _NODE_CHUNK])
-             for c in range(0, t.size, _NODE_CHUNK)]
+             for c in range(0, groups.size, _NODE_CHUNK)]
     f = np.asarray(parts[0], dtype=float) if len(parts) == 1 else np.concatenate(parts, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
@@ -196,7 +225,12 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
     (``_eval_path_panels``), ``groups`` holding each node's curve index.
     Each group is one run of panels, held to ``rel_tol`` against its own
     scale and split on its own errors, so every group refines, sums and
-    stops exactly as it would alone.  Only the first ``n_est`` integrand
+    stops exactly as it would alone.  A round reads the open groups'
+    scales, weights, panel errors and stop tests as arrays; only the sums
+    that fix an integral's bits are one np.sum a group, over its rows in
+    (segment, t) order: of its K15 values, of its panel errors and, when it
+    stops, of each component's errors.  A group that stops leaves the
+    arrays.  Only the first ``n_est`` integrand
     components (all by default) enter the error estimate and the tolerance;
     later ones are carried along.  Each estimated component is held to
     ``rel_tol`` times its own scale, the larger of its |total| and its
@@ -224,55 +258,63 @@ def _adapt_panels(curves: tuple[Curve, ...], integrand, rel_tol: float,
     depth = np.zeros(seg.size, dtype=np.int32)
     val, diff = _eval_path_panels(segments, seg_group, integrand, seg, t0, t1)
     diff = diff[:, :n_est]
-    # each group's panels are one run of sizes[g]
+    # the open groups, in order, each one run of sizes[i] panels
+    live = list(range(len(curves)))
     sizes = [sum(len(s.breaks) - 1 for s in c.segments) for c in curves]
     evals = [_K15_NODES.size * n for n in sizes]
     rounds = [1] * len(curves)
     out: list = [None] * len(curves)
     for k in range(_MAX_ROUNDS + 1):
-        chosen, start = [], 0
-        for g, size in enumerate(sizes):
-            rows = slice(start, start + size)
-            start += size
-            if out[g] is not None:
-                continue
-            # a sum over a float64 axis uses pairwise accumulation in a fixed order
-            total = val[rows].sum(axis=0)
-            # scale by the largest panel contribution, not only the total, so
-            # integrals that cancel to zero still terminate
-            scale = np.maximum(np.abs(total[:n_est]),
-                               np.abs(val[rows, :n_est]).max(axis=0, initial=0.0))
-            largest = float(scale.max())
-            weight = np.divide(largest, scale, out=np.ones_like(scale), where=scale > 0.0)
-            err, tol_eff = (diff[rows] * weight).max(axis=1), rel_tol * largest
-            total_err = float(err.sum())
-            # after the last round every open group stops where it stands
-            if total_err > tol_eff and err.size <= _MAX_PATH_PANELS and k < _MAX_ROUNDS:
-                splittable = depth[rows] < _MAX_DEPTH
-                if np.any(splittable & (err > 0.0)):
+        starts = list(accumulate(sizes, initial=0))
+        rows = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        # a sum over a float64 axis uses pairwise accumulation in a fixed order
+        total = [val[r].sum(axis=0) for r in rows]
+        # scale by the largest panel contribution, not only the total, so
+        # integrals that cancel to zero still terminate
+        scale = np.maximum(np.abs(total)[:, :n_est],
+                           np.maximum.reduceat(np.abs(val[:, :n_est]), starts[:-1], axis=0))
+        largest = scale.max(axis=1)
+        weight = np.divide(largest[:, None], scale, out=np.ones_like(scale), where=scale > 0.0)
+        err = (diff * weight.repeat(sizes, axis=0)).max(axis=1)
+        tol_eff = rel_tol * largest
+        total_err = np.array([err[r].sum() for r in rows])
+        # after the last round every open group stops where it stands
+        over = (total_err > tol_eff).tolist() if k < _MAX_ROUNDS else [False] * len(rows)
+        total_err, tol_eff = total_err.tolist(), tol_eff.tolist()
+        refine, grown = [], []
+        for i, (g, r) in enumerate(zip(live, rows)):
+            if over[i] and sizes[i] <= _MAX_PATH_PANELS:
+                splittable = depth[r] < _MAX_DEPTH
+                if np.any(splittable & (err[r] > 0.0)):
                     # split the worst panels until the remainder would fit in the budget
-                    worst = _worst_panels(err, splittable, total_err - 0.5 * tol_eff)
-                    chosen.append(rows.start + worst)
-                    sizes[g] += worst.size
+                    worst = _worst_panels(err[r], splittable, total_err[i] - 0.5 * tol_eff[i])
+                    refine.append(r.start + worst)
+                    grown.append(sizes[i] + worst.size)
                     evals[g] += 2 * _K15_NODES.size * worst.size
                     rounds[g] += 1
                     continue
-            component_err = np.ascontiguousarray(diff[rows].T).sum(axis=1)
-            out[g] = (total, total_err, tol_eff, t0[rows], t1[rows], val[rows], evals[g],
+            component_err = np.ascontiguousarray(diff[r].T).sum(axis=1)
+            out[g] = (total[i], total_err[i], tol_eff[i], t0[r], t1[r], val[r], evals[g],
                       rounds[g], tuple(component_err.tolist()))
-        if not chosen:
+        if not refine:
             break
-        # a split panel's two children take its place, at left and left + 1
         split = np.zeros(seg.size, dtype=bool)
-        split[np.concatenate(chosen)] = True
+        split[np.concatenate(refine)] = True
+        if len(refine) < len(live):
+            # the groups that stopped leave the arrays
+            keep = np.repeat([out[g] is None for g in live], sizes)
+            seg, t0, t1, val, diff, depth, split = (
+                a[keep] for a in (seg, t0, t1, val, diff, depth, split))
+            live = [g for g in live if out[g] is None]
+        sizes = grown
+        # a split panel's two children take its place, at left and left + 1
         copies = split + 1
         seg, t0, t1, val, diff = (np.repeat(a, copies, axis=0) for a in (seg, t0, t1, val, diff))
         depth = np.repeat(depth + split, copies)
         left = np.flatnonzero(split) + np.arange(np.count_nonzero(split))
         t1[left] = t0[left + 1] = (t0[left] + t1[left]) / 2.0
         new = np.stack((left, left + 1), axis=1).reshape(-1)
-        c_val, c_diff = _eval_path_panels(segments, seg_group, integrand,
-                                          seg[new], t0[new], t1[new])
+        c_val, c_diff = _eval_path_panels(segments, seg_group, integrand, seg[new], t0[new], t1[new])
         val[new], diff[new] = c_val, c_diff[:, :n_est]
     return out
 
@@ -306,20 +348,18 @@ def integrate_path(curve: Curve | Sequence[Curve], integrand, rel_tol: float) ->
     grouped = not isinstance(curve, Curve)
     curves = tuple(curve) if grouped else (curve,)
     fn = integrand if grouped else (lambda p, n, _groups: integrand(p, n))
-    results = []
-    for total, total_err, tol_eff, t0, _, _, evals, rounds, component_err in _adapt_panels(
-            curves, fn, rel_tol):
-        if not np.isfinite(total).all():
-            raise QuadratureError("path integral produced a non-finite value")
-        results.append(IntegralResult(
-            value=float(total[0]) if total.size == 1 else total,
-            err_estimate=total_err,
-            panels_used=t0.size,
-            converged=bool(total_err <= tol_eff),
-            evals=evals,
-            rounds=rounds,
-            component_err=component_err,
-        ))
+    groups = _adapt_panels(curves, fn, rel_tol)
+    if not np.isfinite([total for total, *_ in groups]).all():
+        raise QuadratureError("path integral produced a non-finite value")
+    results = [IntegralResult(
+        value=float(total[0]) if total.size == 1 else total,
+        err_estimate=total_err,
+        panels_used=t0.size,
+        converged=total_err <= tol_eff,
+        evals=evals,
+        rounds=rounds,
+        component_err=component_err,
+    ) for total, total_err, tol_eff, t0, _, _, evals, rounds, component_err in groups]
     if not grouped:
         return results[0]
     return IntegralResult(
@@ -375,12 +415,9 @@ def _fibre_axis(geom: GapGeometry) -> Curve:
     The pair field varies on the scale eps there, so the root breaks are 0,
     eps/2 and x = eps/2 + eps 8^k, growing _OUTER_GRADING-fold, up to L1."""
     half, A = geom.eps / 2.0, geom.half_width
-    xb = np.asarray(_graded_breaks(half, geom.L1, geom.eps, _OUTER_GRADING))
-    gap = replace(_line_segment((0.0, 0.0), (half, 0.0), (0.0, 1.0)), breaks=(0.0, 1.0))
-    beside = PathSegment(frame=lambda t: (np.stack((half + A * t * t, np.zeros_like(t)), axis=-1),
-                                          np.broadcast_to((0.0, 1.0), np.shape(t) + (2,)),
-                                          2.0 * A * t),
-                         breaks=tuple(np.sqrt((xb - half) / A)) + (1.0,))
+    xb = _graded_breaks(half, geom.L1, geom.eps, _OUTER_GRADING)
+    gap = _line_segment((0.0, 0.0), (half, 0.0), (0.0, 1.0), breaks=(0.0, 1.0))
+    beside = PathSegment("parabola", (half, A), tuple(math.sqrt((x - half) / A) for x in xb) + (1.0,))
     return Curve(segments=(gap, beside))
 
 
@@ -461,8 +498,7 @@ def cumulative_line_table(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi:
     if not (lo <= 0.0 <= hi and lo < hi):
         raise ValueError(f"need lo < hi with 0 inside [lo, hi], got [{lo}, {hi}]")
     # a line whose parameter t is x itself
-    axis = replace(_line_segment((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
-                   breaks=tuple(np.unique([lo, 0.0, hi])))
+    axis = _line_segment((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), breaks=tuple(np.unique([lo, 0.0, hi])))
     (_, err, _, t0, t1, inc, _, _, _), = _adapt_panels(
         (Curve(segments=(axis,)),), lambda p, _n, _groups: fn(p[:, 0]), rel_tol)
     edges = np.append(t0, t1[-1])

@@ -480,11 +480,16 @@ class _DefectiveResultant(_EdgeTerms):
 
 
 class _DefectiveTraction(_PairTerms):
-    """The pair stress with 1e-3 x added to the edge traction (sigma12, sigma22)."""
+    """The pair stress with 1e-3 x added to the edge traction (sigma12, sigma22),
+    read as the stress or as the traction alone."""
 
     def stress(self, j):
         s, x = super().stress(j), self.z.real
         return SymTensor2(s.a11, s.a12 + 1e-3 * x, s.a22 + 1e-3 * x)
+
+    def traction(self, j):
+        s, x = super().traction(j), self.z.real
+        return SymTensor2(None, s.a12 + 1e-3 * x, s.a22 + 1e-3 * x)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -500,6 +505,34 @@ def test_divergence_check_flags_a_divergent_field(shape, j, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(bounds, name, defective)
             assert _dual_diagnostics(_Widths((g,), UNIT), (j,))[0][j].div_residual > 1e-5, name
+
+
+class _ShiftedResultant(_EdgeTerms):
+    """The pair field's edge resultant plus x / 100: G then grows towards
+    the cell's vertical edge instead of vanishing with the traction."""
+
+    def resultant(self, j):
+        return super().resultant(j) + 0.01 * np.asarray(self._x)[..., None]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_j2_asymmetry_is_alpha_minus_G_away_from_the_gap(shape, monkeypatch):
+    # for j = 2, sigma_c12 - sigma_c21 = alpha - G at every y; with the pair
+    # field's own resultant its maximum sits at x = 0, where G = 0 and so
+    # |alpha + G| reads the same.  A shifted resultant moves the maximum to
+    # a panel end where G is not 0, and there the two differ
+    g = SHAPES[shape](1e-3)
+    monkeypatch.setattr(bounds, "_EdgeTerms", _ShiftedResultant)
+    got = _dual_diagnostics(_Widths((g,), UNIT), (2,))[0][2].asymmetry_max
+    ends = np.linspace(0.0, g.L1, bounds._EDGE_PANELS + 1)
+    ctx = KernelContext.from_geometry(g, UNIT)
+    scale = bounds._dual_scale(g, UNIT, 2)
+    alpha = -scale * singular_stress(ctx, 2, np.stack((ends, np.full_like(ends, g.L2)), -1)).a12
+    G = scale / g.L2 * _ShiftedResultant(ctx, ends, g.L2).resultant(2)[:, 1]
+    minus, plus = np.abs(alpha - G), np.abs(alpha + G)
+    assert int(np.argmax(minus)) > 0
+    assert got == pytest.approx(minus.max(), rel=1e-14)
+    assert abs(plus.max() - minus.max()) > 1e-3 * minus.max()
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -337,15 +337,10 @@ def test_pair_field_solves_lame_system(j):
 
 
 def _circle_curve(center, radius):
+    # an arc kind segment: the full circle, normals pointing into it
     cx, cy = center
-
-    def frame(t):
-        th = 2.0 * math.pi * np.asarray(t, dtype=float)
-        return (np.stack((cx + radius * np.cos(th), cy + radius * np.sin(th)), axis=-1),
-                np.stack((np.cos(th), np.sin(th)), axis=-1),
-                np.full(th.shape, 2.0 * math.pi * radius))
-
-    return Curve(segments=(PathSegment(frame=frame),))
+    assert cy == 0.0
+    return Curve(segments=(PathSegment("arc", (cx, radius, radius, 0.0, 2.0 * math.pi)),))
 
 
 @pytest.mark.parametrize("j", [1, 2])

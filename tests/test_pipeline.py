@@ -283,7 +283,7 @@ def test_fk_asymptotic_curvature_quadrupling_halves_leading():
 def test_fit_series_recovers_synthetic_coefficients():
     eps = np.array([1e-2, 1e-3, 1e-4, 1e-5])
     values = 7.0 / np.sqrt(eps) + 3.0
-    fit = _fit_series(eps, values, target=7.0)
+    (fit,) = _fit_series(eps, values[:, None], [7.0])
     assert fit.c1 == pytest.approx(7.0, rel=1e-12)
     assert fit.c0 == pytest.approx(3.0, rel=1e-9)
     assert fit.residual <= 1e-9
@@ -652,6 +652,56 @@ def test_serial_sweep_makes_two_path_integrals_and_one_diagnostics(n_widths, mon
     rows, _ = sweep_and_fit(cfg)
     assert len(rows) == 2 * n_widths
     assert calls == {"path": 2, "diagnostics": 1, "diagnostic pair terms": 1}
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=float), np.asarray(want, dtype=float))
+    return got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("config", ["disk", "ellipse"])
+def test_path_rounds_make_one_frame_call_per_segment_kind(config, monkeypatch):
+    # cost guard: each round of a 4-width sweep's path integrals calls each
+    # segment kind's frame once, on the nodes of all its segments, and every
+    # node's frame there is bit for bit its segment's own frame(t)
+    rounds, frames = [], []
+    evaluate = quadrature._eval_path_panels
+
+    def spied_round(segments, seg_group, integrand, seg, t0, t1):
+        frames.clear()
+        out = evaluate(segments, seg_group, integrand, seg, t0, t1)
+        rounds.append((segments, seg, list(frames)))
+        return out
+
+    def spied_kind(name, frame):
+        def spied(params, t):
+            columns = frame(params, t)
+            frames.append((name, params, t, columns))
+            return columns
+        return spied
+
+    for name, frame in list(geometry.SEGMENT_KINDS.items()):
+        monkeypatch.setitem(geometry.SEGMENT_KINDS, name, spied_kind(name, frame))
+    monkeypatch.setattr(quadrature, "_eval_path_panels", spied_round)
+    cfg = dataclasses.replace(parse_config(SHIPPED_CONFIGS / f"{config}.cfg"), rel_tol_cell=1e-3)
+    assert len(cfg.eps_list) == 4
+    compute_width_rows(cfg, cfg.eps_list, (1, 2))
+    assert len(rounds) == 2
+    checked = set()
+    for segments, seg, calls in rounds:
+        kinds = [segments[k].kind for k in seg.tolist()]
+        assert sorted(name for name, *_ in calls) == sorted(set(kinds))
+        for name, params, t, columns in calls:
+            owners = [segments[k] for k, kind in zip(seg.tolist(), kinds) if kind == name]
+            assert t.shape == (len(owners), quadrature._K15_NODES.size)
+            for row, segment in enumerate(owners):
+                pts, nrm, spd = segment.frame(t[row])
+                own = (pts[:, 0], pts[:, 1], nrm[:, 0], nrm[:, 1], spd)
+                for got, want in zip(columns, own):
+                    got = np.broadcast_to(got, t.shape)[row]
+                    assert _same_bits(got, want), (name, segment.params)
+                checked.add(segment)
+    assert checked == {s for segments, _, _ in rounds for s in segments}
 
 
 def test_sweep_needs_three_gap_widths():

@@ -21,24 +21,14 @@ from gapstress import (
     region_classify,
 )
 from gapstress import quadrature
-from gapstress.geometry import Curve, PathSegment
+from gapstress.geometry import Curve, _line_segment
 
 from conftest import disk_geometry
 from oracles import four_fold, keller_test_gradient, quarter_to_cell
 
 
 def _segment_curve(p0, p1):
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = float(np.hypot(*(p1 - p0)))
-
-    def frame(t):
-        t = np.asarray(t, dtype=float)
-        return (p0 + t[..., None] * (p1 - p0),
-                np.broadcast_to(np.array([1.0, 0.0]), t.shape + (2,)).copy(),
-                np.full(t.shape, length))
-
-    return Curve(segments=(PathSegment(frame=frame),))
+    return Curve(segments=(_line_segment(p0, p1, (1.0, 0.0)),))
 
 
 def test_circle_arclength():
@@ -508,8 +498,6 @@ def test_cumulative_table_needs_zero_inside_a_proper_interval(lo, hi):
 
 def _two_segment_line():
     """[0, 1] x {0} as two segments meeting at x = 0.4."""
-    from gapstress.geometry import _line_segment
-
     n = (0.0, 1.0)
     return Curve(segments=(_line_segment((0.0, 0.0), (0.4, 0.0), n),
                            _line_segment((0.4, 0.0), (1.0, 0.0), n)))
