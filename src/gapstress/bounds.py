@@ -409,8 +409,9 @@ def _dual_diagnostics(widths: _Widths, loads: tuple[int, ...]) -> list[dict[int,
                                           resultant)
     bc = np.maximum(largest(scale * odd[:, :n] + beta), largest(scale * even[:, :n] + alpha))
     beta_max = largest(beta)
-    asymmetry = {j: np.maximum(beta_max, largest(beta * eta)) if j == 1 else largest(alpha - G)
-                 for j in loads}
+    # each load's own formula on its own row
+    asymmetry = [np.maximum(beta_max[k], largest(beta[k:k + 1] * eta)[0]) if j == 1
+                 else largest(alpha[k:k + 1] - G[k:k + 1])[0] for k, j in enumerate(loads)]
     # G's jump and beta's integral over each panel
     jump, _, integral = _affine_coefficients(1, scale, L2, SymTensor2(None, on_panels, 0.0),
                                              resultant[:, 1:] - resultant[:, :-1])
@@ -418,7 +419,7 @@ def _dual_diagnostics(widths: _Widths, loads: tuple[int, ...]) -> list[dict[int,
     out: list[dict[int, Diagnostics]] = [{} for _ in geoms]
     for k, j in enumerate(loads):
         for d, *values in zip(out, *(v[k].reshape(-1).tolist()
-                                     for v in (asymmetry[j], bc, div))):
+                                     for v in (asymmetry, bc, div))):
             d[j] = Diagnostics(*values)
     return out
 

@@ -159,6 +159,7 @@ def gap_halfwidth(geom: GapGeometry, y) -> np.ndarray:
     Defined for |y| <= inclusion half-height.  f(0) = eps/2 and
     f(y) = eps/2 + kappa0 y^2/2 + O(y^4) near the gap center.
     """
+    # bounds._edge_halfwidth repeats this formula at y = L in scalar math
     y = np.asarray(y, dtype=float)
     A = geom.half_width
     B = geom.half_height
@@ -170,6 +171,7 @@ def gap_halfwidth(geom: GapGeometry, y) -> np.ndarray:
 
 def gap_halfwidth_deriv(geom: GapGeometry, y) -> np.ndarray:
     """Derivative f'(y); requires |y| strictly below the inclusion half-height."""
+    # bounds._edge_halfwidth repeats this formula at y = L in scalar math
     y = np.asarray(y, dtype=float)
     A = geom.half_width
     B = geom.half_height
@@ -307,6 +309,18 @@ def _parabola_frame(p, t):
 # each kind's frame: (params, t) -> x, y, nx, ny and speed, each of t's
 # shape or one number; a param is one number or an array broadcast against t
 SEGMENT_KINDS = {"line": _line_frame, "arc": _arc_frame, "parabola": _parabola_frame}
+# the number of params each kind's frame unpacks
+_PARAM_COUNTS = {"line": 7, "arc": 5, "parabola": 2}
+
+
+def _kind_frame(kind: str, params, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, normals, speeds) of the segments of ``kind`` at t: the (..., 2)
+    coordinates, the unit normals out of the matrix and |dgamma/dt|, with
+    ``params`` as SEGMENT_KINDS takes them."""
+    t = np.asarray(t, dtype=float)
+    pts, nrm, spd = np.empty(t.shape + (2,)), np.empty(t.shape + (2,)), np.empty(t.shape)
+    pts[..., 0], pts[..., 1], nrm[..., 0], nrm[..., 1], spd[...] = SEGMENT_KINDS[kind](params, t)
+    return pts, nrm, spd
 
 
 @dataclass(frozen=True)
@@ -319,19 +333,23 @@ class PathSegment:
     inclusion arcs, out of the cell on cell edges) and |dgamma/dt|, the
     arclength weight: the kind's frame on this segment's params.  ``breaks``
     are the edges in t of the root panels that path integration starts
-    from, ascending.
+    from, ascending.  An unknown kind, or a number of params other than
+    the kind's, raises ValueError.
     """
 
     kind: str
     params: tuple[float, ...]
     breaks: tuple[float, ...] = _QUARTERS
 
+    def __post_init__(self) -> None:
+        if self.kind not in _PARAM_COUNTS:
+            raise ValueError(f"unknown segment kind {self.kind!r}")
+        if len(self.params) != _PARAM_COUNTS[self.kind]:
+            raise ValueError(f"segment kind {self.kind!r} takes {_PARAM_COUNTS[self.kind]} "
+                             f"params, got {len(self.params)}")
+
     def frame(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        t = np.asarray(t, dtype=float)
-        pts, nrm, spd = np.empty(t.shape + (2,)), np.empty(t.shape + (2,)), np.empty(t.shape)
-        pts[..., 0], pts[..., 1], nrm[..., 0], nrm[..., 1], spd[...] = SEGMENT_KINDS[self.kind](
-            self.params, t)
-        return pts, nrm, spd
+        return _kind_frame(self.kind, self.params, t)
 
 
 @dataclass(frozen=True)

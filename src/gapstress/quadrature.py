@@ -45,9 +45,9 @@ import numpy as np
 from .geometry import (  # noqa: F401
     Curve,
     GapGeometry,
-    SEGMENT_KINDS,
     PathSegment,
     _graded_breaks,
+    _kind_frame,
     _line_segment,
     chord_halfheight,
     rect_classify,
@@ -162,40 +162,32 @@ def _eval_path_panels(segments, seg_group: np.ndarray, integrand, seg: np.ndarra
 
     Each segment kind's frame (geometry.SEGMENT_KINDS) is called once, on
     the nodes t0 + (t1 - t0) _K15_UNIT of all panels of its segments, each
-    node with its segment's params (a lone segment through its ``frame``);
-    the nodes reach the integrand in panel order, with each node's group
+    node with its segment's params: a kind with one segment through that
+    segment's ``frame``, on its run of panels and its own params.  The
+    nodes reach the integrand in panel order, with each node's group
     (``seg_group`` of its segment), in calls of at most _NODE_CHUNK nodes.
     Returns (value, diff), each of shape (n_panels, n_comp).
     """
     span = t1 - t0
     # the nodes of each panel one row
     t = t0[:, None] + span[:, None] * _K15_UNIT
-    if len(segments) == 1:
-        pts, nrm, spd = segments[0].frame(t)
-    else:
-        kinds = [s.kind for s in segments]
-        names = list(dict.fromkeys(kinds))
-        panel_kind = np.array([names.index(k) for k in kinds])[seg]
-        # x, y, nx, ny and speed of every node
-        cols = np.empty((5,) + t.shape)
-        for code, name in enumerate(names):
-            at = (panel_kind == code).nonzero()[0]
-            if not at.size:
-                continue
-            if at[-1] - at[0] + 1 == at.size:
-                # the kind's panels are one run: read and write it as a slice
-                at = slice(at[0], at[-1] + 1)
-            members = [s.params for s in segments if s.kind == name]
-            if len(members) == 1:
-                params = members[0]
-            else:
-                # each panel's params one column, the same for its nodes
-                pad = (0.0,) * len(members[0])
-                params = np.array([s.params if s.kind == name else pad
-                                   for s in segments])[seg[at]].T[..., None]
-            for col, value in zip(cols, SEGMENT_KINDS[name](params, t[at])):
-                col[at] = value
-        pts, nrm, spd = cols[:2].transpose(1, 2, 0), cols[2:4].transpose(1, 2, 0), cols[4]
+    kinds = [s.kind for s in segments]
+    pts, nrm, spd = np.empty(t.shape + (2,)), np.empty(t.shape + (2,)), np.empty(t.shape)
+    for name in dict.fromkeys(kinds):
+        owners = [k for k, kind in enumerate(kinds) if kind == name]
+        if len(owners) == 1:
+            # a lone segment's panels are one run, read by its own frame: on
+            # one-width integrals the per-node gather below costs 10-20% more
+            lo, hi = seg.searchsorted([owners[0], owners[0] + 1]).tolist()
+            if hi > lo:
+                pts[lo:hi], nrm[lo:hi], spd[lo:hi] = segments[owners[0]].frame(t[lo:hi])
+            continue
+        at = np.array([kind == name for kind in kinds])[seg].nonzero()[0]
+        if at.size:
+            # each panel's params one column, the same for its nodes
+            pad = (0.0,) * len(segments[owners[0]].params)
+            params = np.array([s.params if s.kind == name else pad for s in segments])[seg[at]]
+            pts[at], nrm[at], spd[at] = _kind_frame(name, params.T[..., None], t[at])
     pts, nrm, spd = pts.reshape(-1, 2), nrm.reshape(-1, 2), spd.reshape(-1)
     groups = seg_group[seg].repeat(_K15_NODES.size)
     parts = [integrand(pts[c:c + _NODE_CHUNK], nrm[c:c + _NODE_CHUNK], groups[c:c + _NODE_CHUNK])

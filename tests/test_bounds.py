@@ -12,6 +12,7 @@ import pytest
 from scipy import integrate
 
 from gapstress import (
+    Disk,
     Ellipse,
     KellerProfile,
     REL_TOL_CELL,
@@ -23,6 +24,8 @@ from gapstress import (
     dual_lower_loads,
     energy_identity_check,
     flux_identity_check,
+    gap_halfwidth,
+    gap_halfwidth_deriv,
     inclusion_boundary,
     m_constant,
     make_gap_geometry,
@@ -513,6 +516,21 @@ class _ShiftedResultant(_EdgeTerms):
 
     def resultant(self, j):
         return super().resultant(j) + 0.01 * np.asarray(self._x)[..., None]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_edge_halfwidth_is_the_gap_halfwidth_at_L(shape):
+    # the primal's scalar f(L) and f'(L) repeat geometry's array formulas
+    # and must stay their bits; scaling the cell makes B no power of two,
+    # so that a reordered product or quotient shows
+    for s, eps in itertools.product([1.0, 0.37, 0.7, 2.0], np.logspace(-8.0, -1.0, 15)):
+        g = SHAPES[shape](eps)
+        g = make_gap_geometry(Disk(r0=s * g.half_width) if shape == "disk"
+                              else Ellipse(a=s * g.half_width, b=s * g.half_height),
+                              eps=s * eps, L2=s * g.L2)
+        f, fp = bounds._edge_halfwidth(g)
+        assert f.hex() == float(gap_halfwidth(g, np.asarray([g.L]))[0]).hex(), (s, eps)
+        assert fp.hex() == float(gap_halfwidth_deriv(g, np.asarray([g.L]))[0]).hex(), (s, eps)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -21,7 +21,7 @@ from gapstress import (
     rect_matrix_area,
     region_classify,
 )
-from gapstress.geometry import _ellipse_arc
+from gapstress.geometry import PathSegment, _ellipse_arc
 from gapstress.quadrature import integrate_path
 
 from conftest import disk_geometry
@@ -382,3 +382,15 @@ def test_geometry_validation():
         Disk(r0=math.inf)
     with pytest.raises(ValueError, match="finite"):
         Ellipse(a=math.inf, b=1.0)
+
+
+def test_path_segment_validation():
+    # an unknown kind or a params tuple of the wrong length is refused when
+    # the segment is made, not inside an integration round
+    with pytest.raises(ValueError, match="unknown segment kind 'circle'"):
+        PathSegment("circle", (0.0, 1.0, 1.0, 0.0, 1.0))
+    with pytest.raises(ValueError, match="kind 'arc' takes 5 params, got 4"):
+        PathSegment("arc", (0.0, 1.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="kind 'line' takes 7 params, got 8"):
+        PathSegment("line", (0.0,) * 8)
+    PathSegment("parabola", (0.0005, 0.1))
